@@ -1,8 +1,10 @@
 """Command line entry points.
 
 Exit codes: 0 on a completed command, 2 for configuration errors, 3 for
-numerical divergence, 4 for a fixed-point iteration that fails to converge,
-5 for a degenerate mass matrix caused by vanishing density.
+numerical divergence (including carried characteristic feet that drift from
+the exact ones, TransportDriftError), 4 for a fixed-point iteration that
+fails to converge, 5 for a degenerate mass matrix caused by vanishing
+density.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .estimates import write_ndjson
 from .pipeline import (
     converge_study,
     gronwall_check_file,
-    momentum_probes,
     run_simulation,
     taylor_benchmark,
     uniqueness_study,
@@ -94,10 +95,9 @@ def cmd_vacuum(args) -> int:
     rows = list(sweep.rows)
     rows.append({"sup_grad_variation": sweep.sup_grad_variation})
     write_ndjson(out / "vacuum.ndjson", rows)
-    for res, rep in zip(sweep.results, sweep.momentum):
+    for res, (t, norms), rep in zip(sweep.results, sweep.probes, sweep.momentum):
         n = res.source.floor_n
         write_run_outputs(res, out / f"n{n}")
-        t, norms = momentum_probes(res)
         write_ndjson(
             out / f"momentum_n{n}.ndjson",
             [{"t": float(tj), "norm": float(nj)} for tj, nj in zip(t, norms)],

@@ -13,7 +13,7 @@ Recognized keys:
     density.floor_n   positive integer or `inf` (default: no floor)
     u0.modes      initial velocity, entries `k1,k2,parity:amplitude`
                   joined by commas, e.g. `1,0,cos:0.3,0,1,cos:0.2`
-    snapshots     comma-separated times for field snapshots (optional)
+    snapshots     comma-separated times in [0, T] for field snapshots (optional)
 
 Blank lines and `#` comments are ignored.  Unknown or missing required keys
 raise ConfigError naming the offender.
@@ -191,6 +191,11 @@ def parse_config_text(text: str) -> RunConfig:
     )
     if cfg.T < cfg.dt:
         raise ConfigError("T must be at least one time step", key="T")
+    outside = [t for t in cfg.snapshots if not 0.0 <= t <= cfg.T]
+    if outside:
+        raise ConfigError(
+            f"snapshot times {outside} lie outside [0, T={cfg.T:g}]", key="snapshots"
+        )
     return cfg
 
 

@@ -22,7 +22,6 @@ from .estimates import (
     EstimateLedger,
     GronwallInput,
     GronwallReport,
-    MomentumReport,
     RiccatiFit,
     convergence_orders,
     cumtrapz,
@@ -50,6 +49,7 @@ from .solver import (
 from .transport import (
     DENSITY_CATALOG,
     DensitySource,
+    carried_densities,
     density_at,
     fd_gradient,
     lift_floor,
@@ -130,8 +130,12 @@ def run_simulation(
     rho_grids: list[GridField] = []
     w1g, gdots, smin, smax, orth, projrel = [], [], [], [], [], []
 
-    for t in history.times:
-        state = build_state(src, history, basis, M, dtau, t)
+    # The ledger densities come from their own sweep along the converged
+    # history, not from the last Picard pass, which advected the density by
+    # the previous iterate.
+    densities = carried_densities(src, history, M, history.times, dtau)
+    for t, rho in zip(history.times, densities):
+        state = build_state(src, history, basis, M, dtau, t, rho=rho)
         f, fdot, rho = state.f, state.fdot, state.rho
         u = grid.synthesize(f)
         gu = grid.synthesize_gradient(f)
@@ -406,11 +410,6 @@ def momentum_probes(result: RunResult, n_probes: int = 13) -> tuple[np.ndarray, 
     return np.array(probe_t), np.array(probe_n)
 
 
-def momentum_report(result: RunResult, n_probes: int = 13) -> MomentumReport:
-    t, n = momentum_probes(result, n_probes)
-    return momentum_continuity_report(t, n)
-
-
 # ---------------------------------------------------------------------------
 # studies
 # ---------------------------------------------------------------------------
@@ -475,8 +474,13 @@ def converge_study(config: RunConfig, n_values) -> ConvergeStudy:
 
 @dataclass
 class VacuumSweep:
+    """`probes[i]` holds the (times, norms) arrays of `momentum_probes` for
+    `results[i]`, in probe order (t descending); `momentum[i]` is the report
+    fitted on them."""
+
     floors: list
     results: list
+    probes: list
     momentum: list
     rows: list
     sup_grad_variation: float
@@ -495,7 +499,7 @@ def vacuum_sweep(config: RunConfig, floors) -> VacuumSweep:
     if any(n < 1 for n in ns):
         raise ConfigError("floor values must be positive integers")
 
-    results, reports, rows = [], [], []
+    results, probes, reports, rows = [], [], [], []
     sup_grads = []
     for n in ns:
         src = lift_floor(base, n)
@@ -506,8 +510,10 @@ def vacuum_sweep(config: RunConfig, floors) -> VacuumSweep:
             # happens from the table, not from an aborted sweep.
             rows.append({"floor_n": n, "error": type(exc).__name__, "message": str(exc)})
             continue
-        rep = momentum_report(res)
+        t, norms = momentum_probes(res)
+        rep = momentum_continuity_report(t, norms)
         results.append(res)
+        probes.append((t, norms))
         reports.append(rep)
         sup_grad = float((res.ledger.column("grad_u_l2") ** 2).max())
         sup_grads.append(sup_grad)
@@ -528,6 +534,7 @@ def vacuum_sweep(config: RunConfig, floors) -> VacuumSweep:
     return VacuumSweep(
         floors=ns,
         results=results,
+        probes=probes,
         momentum=reports,
         rows=rows,
         sup_grad_variation=float(variation),

@@ -23,15 +23,13 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .basis import BasisSet
 from .fields import GridField
-from .transport import DensitySource, VelocityHistory, density_at
-
-
-class DivergenceError(RuntimeError):
-    """The coefficient trajectory left the finite range (blow-up or NaN)."""
-
-    def __init__(self, t: float):
-        super().__init__(f"non-finite coefficients at t={t:g}")
-        self.t = t
+from .transport import (
+    DensitySource,
+    DivergenceError,
+    VelocityHistory,
+    carried_densities,
+    density_at,
+)
 
 
 class PicardNonConvergenceError(RuntimeError):
@@ -132,28 +130,33 @@ def solve_linearized(
 ) -> VelocityHistory:
     """One linearized pass: advect the density along `v_hist`, then integrate
     the coefficient ODE with classical RK4, reassembling A and B at every
-    stage time.  Returns the full trajectory with nodal derivatives."""
+    stage time.  The densities at the stage times t0, t0 + h/2, t1, ... are
+    streamed from one carried sweep.  Returns the full trajectory with nodal
+    derivatives."""
     times = _node_times(T, dt)
     N = basis.size
     grid = basis.grid(M)
+    stage_times = [times[0]]
+    for k in range(len(times) - 1):
+        stage_times += [times[k] + 0.5 * (times[k + 1] - times[k]), times[k + 1]]
+    stages = zip(stage_times, carried_densities(source, v_hist, M, stage_times, dtau))
+    flowing = _has_flow(v_hist)
 
-    def assembly_at(tau: float) -> GalerkinMatrices:
-        rho = density_at(source, v_hist, M, tau, dtau)
-        v_grid = basis.velocity_at(grid.points, v_hist.coeffs_at(tau)) if _has_flow(
-            v_hist
-        ) else None
+    def next_assembly() -> GalerkinMatrices:
+        tau, rho = next(stages)
+        v_grid = basis.velocity_at(grid.points, v_hist.coeffs_at(tau)) if flowing else None
         return assemble(rho, v_grid, basis, M)
 
     coeffs = np.empty((len(times), N))
     derivs = np.empty((len(times), N))
     coeffs[0] = np.asarray(u0_coeffs, dtype=float)
 
-    mats_start = assembly_at(times[0])
+    mats_start = next_assembly()
     for k in range(len(times) - 1):
         h = times[k + 1] - times[k]
         f = coeffs[k]
-        mats_mid = assembly_at(times[k] + 0.5 * h)
-        mats_end = assembly_at(times[k + 1])
+        mats_mid = next_assembly()
+        mats_end = next_assembly()
 
         k1 = ode_rhs(f, mats_start)
         k2 = ode_rhs(f + 0.5 * h * k1, mats_mid)
@@ -246,12 +249,16 @@ def build_state(
     M: int,
     dtau: float,
     t: float,
+    rho: GridField | None = None,
 ) -> SolverState:
     """Self-consistent state along a (converged) trajectory: the density is
     transported by the trajectory itself and fdot is recomputed from fresh
-    matrices, so the state satisfies the modal system at time t."""
+    matrices, so the state satisfies the modal system at time t.  `rho` is
+    that density when the caller already carries it along `history`;
+    otherwise it is backtracked from t."""
     f = history.coeffs_at(t)
-    rho = density_at(source, history, M, t, dtau)
+    if rho is None:
+        rho = density_at(source, history, M, t, dtau)
     grid = basis.grid(M)
     v_grid = grid.synthesize(f)
     mats = assemble(rho, v_grid, basis, M)

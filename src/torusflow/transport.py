@@ -1,23 +1,72 @@
 """Density transport along characteristics.
 
-The density is never discretized on its own: it is evaluated exactly as
-rho(x, t) = rho0(Phi(0; x, t)), where Phi is the backward characteristic map
-of the (solenoidal) advecting velocity.  Backtracking integrates
-dPhi/dtau = v(Phi, tau) from tau = t down to tau = 0 with classical RK4; the
-feet are reported without modular reduction, which is harmless because every
-initial density is 2pi-periodic.  Exact evaluation keeps every density sample
-inside [inf rho0, sup rho0] with no tolerance at all.
+The density is never discretized on its own: it is read off the analytic
+initial profile as rho(x, t) = rho0(Phi(0; x, t)), where Phi is the backward
+characteristic map of the (solenoidal) advecting velocity.  Every sample is
+a value of rho0, so it stays inside [inf rho0, sup rho0] with no tolerance at
+all, vacuum included.
+
+Two ways compute the feet Phi(0; x, t) on the M x M grid:
+
+* `carried_densities` walks a trajectory forward through increasing times
+  t_1 < t_2 < ... and carries the periodic displacement D_j = Phi(0; x, t_j)
+  - x on the grid.  One RK4 backward step from t_j to t_{j-1} (sub-stepped to
+  at most `dtau`) takes the grid points x to points y, and
+  D_j = y + D_{j-1}(y) - x, with D_{j-1}(y) the trigonometric interpolant of
+  D_{j-1}.  A whole trajectory costs one step per interval, linear in the
+  number of times (semi-Lagrangian advection: Staniforth & Cote 1991;
+  characteristic-Galerkin: Pironneau 1982).
+* `backtrack` integrates dPhi/dtau = v(Phi, tau) from tau = t all the way
+  down to tau = 0.  `density_at` uses it for a single time off the walked
+  grid (snapshots, momentum probes), and it is the exact oracle for the
+  carried map.
+
+Both share one RK4 step, so the carried map differs from exact feet only by
+the interpolation.  At the end of every carried walk a few grid nodes are
+integrated back exactly through the walked times, with the walk's own RK4
+steps; a carried foot further than DRIFT_LIMIT from its exact foot raises
+TransportDriftError, because the grid then under-resolves the displacement.
+
+Constant sources skip the characteristics altogether.  Feet are reported
+without modular reduction, which is harmless because every initial density
+is 2pi-periodic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .basis import BasisSet
 from .fields import GridField
+
+# Largest distance allowed between a carried foot and its exact backtrack.
+# The carried map matches the exact feet to ~1e-14 on resolved flows.
+DRIFT_LIMIT = 1e-10
+
+
+class DivergenceError(RuntimeError):
+    """The coefficient trajectory left the finite range (blow-up or NaN)."""
+
+    def __init__(self, t: float, message: str | None = None):
+        super().__init__(message or f"non-finite coefficients at t={t:g}")
+        self.t = t
+
+
+class TransportDriftError(DivergenceError):
+    """The carried back-to-label map left the exact feet: the M x M grid
+    under-resolves the displacement."""
+
+    def __init__(self, t: float, drift: float):
+        super().__init__(
+            t,
+            f"carried characteristic feet drift {drift:.3e} from the exact "
+            f"backtrack at t={t:g} (limit {DRIFT_LIMIT:g}); the grid "
+            "under-resolves the displacement",
+        )
+        self.drift = drift
 
 
 @dataclass(frozen=True)
@@ -215,6 +264,22 @@ class ShearVelocity:
         return out
 
 
+def _integrate_back(history, pts: np.ndarray, t_from: float, t_to: float, dtau: float):
+    """RK4 for dPhi/dtau = v(Phi, tau) from tau = t_from down to t_to, in
+    equal steps of at most `dtau`."""
+    steps = max(1, int(np.ceil((t_from - t_to) / dtau - 1e-12)))
+    h = (t_from - t_to) / steps
+    tau = t_from
+    for _ in range(steps):
+        k1 = history.velocity_at(pts, tau)
+        k2 = history.velocity_at(pts - 0.5 * h * k1, tau - 0.5 * h)
+        k3 = history.velocity_at(pts - 0.5 * h * k2, tau - 0.5 * h)
+        k4 = history.velocity_at(pts - h * k3, tau - h)
+        pts = pts - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tau -= h
+    return pts
+
+
 def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
     """Feet of the backward characteristics through `points` at time `t`.
 
@@ -226,17 +291,7 @@ def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
         return pts
     if t < 0.0 or dtau <= 0.0:
         raise ValueError("need t >= 0 and dtau > 0")
-    steps = max(1, int(np.ceil(t / dtau - 1e-12)))
-    h = t / steps
-    tau = t
-    for _ in range(steps):
-        k1 = history.velocity_at(pts, tau)
-        k2 = history.velocity_at(pts - 0.5 * h * k1, tau - 0.5 * h)
-        k3 = history.velocity_at(pts - 0.5 * h * k2, tau - 0.5 * h)
-        k4 = history.velocity_at(pts - h * k3, tau - h)
-        pts -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau -= h
-    return pts
+    return _integrate_back(history, pts, t, 0.0, dtau)
 
 
 def density_at(
@@ -248,6 +303,111 @@ def density_at(
         return GridField(source.value(pts))
     feet = backtrack(history, pts, t, dtau)
     return GridField(source.value(feet))
+
+
+def carried_densities(
+    source: DensitySource, history, M: int, times: Sequence[float], dtau: float
+) -> Iterator[GridField]:
+    """Densities on the M x M grid at each of the increasing `times`, with the
+    back-to-label map carried from one time to the next.
+
+    Each yield costs one RK4 step back to the previous time (0 before the
+    first), sub-stepped to at most `dtau`, plus one trigonometric
+    interpolation, instead of a backtrack all the way to 0.  Before the last
+    density is yielded, the carried feet at a few grid nodes are compared
+    with their exact feet, integrated back through the same times; a
+    difference above DRIFT_LIMIT raises TransportDriftError.
+    """
+    if source.constant:
+        for t in times:
+            yield density_at(source, history, M, t, dtau)
+        return
+    if dtau <= 0.0:
+        raise ValueError("need dtau > 0")
+    x = grid_points_cached(M)
+    disp = np.zeros_like(x)
+    walked = [0.0]
+    last = len(times) - 1
+    for j, t in enumerate(times):
+        if t < walked[-1]:
+            raise ValueError("need increasing times from t >= 0")
+        if t > walked[-1]:
+            y = _integrate_back(history, x, t, walked[-1], dtau)
+            disp = y + trig_interpolate(disp, y) - x
+            walked.append(t)
+        feet = x + disp
+        if j == last:
+            _check_drift(history, feet, walked, dtau)
+        yield GridField(source.value(feet))
+
+
+def _check_drift(history, feet: np.ndarray, walked: list, dtau: float) -> None:
+    """Compare carried feet at the last walked time with exact feet at eight
+    grid nodes, one per eighth of the rows, on distinct columns.
+
+    The exact feet are integrated back through the walked times in reverse,
+    with the same RK4 steps as the walk, so the difference is the
+    interpolation drift alone and not the gap between two time partitions.
+    """
+    M = feet.shape[0]
+    rows = np.arange(8) * M // 8
+    cols = (3 * rows) % M
+    exact = grid_points_cached(M)[rows, cols]
+    for hi, lo in zip(walked[:0:-1], walked[-2::-1]):
+        exact = _integrate_back(history, exact, hi, lo, dtau)
+    drift = float(np.abs(feet[rows, cols] - exact).max())
+    if not drift <= DRIFT_LIMIT:
+        raise TransportDriftError(float(walked[-1]), drift)
+
+
+# Points per block in trig_interpolate: keeps its complex tables at
+# O(M * _BLOCK) memory instead of O(M^3), and in cache.
+_BLOCK = 256
+
+
+def _fourier_powers(z: np.ndarray, count: int) -> np.ndarray:
+    """Rows z**0 .. z**(count-1) of the unit complex numbers z, by the
+    doubling recurrence z**(n + k) = z**n * z**k."""
+    table = np.empty((count, z.size), dtype=complex)
+    table[0] = 1.0
+    filled = 1
+    while filled < count:
+        step = min(filled, count - filled)
+        np.multiply(table[:step], table[filled - 1] * z, out=table[filled : filled + step])
+        filled += step
+    return table
+
+
+def trig_interpolate(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolant of periodic grid samples at arbitrary points.
+
+    `values` holds (M, M, C) real samples on the grid nodes (2pi a/M, 2pi b/M);
+    `points` has shape (..., 2).  Returns (..., C).  For even M the Nyquist
+    row and column are dropped, so the interpolant is real and reproduces
+    every wavenumber |k| < M/2 in each direction exactly.
+    """
+    M, C = values.shape[0], values.shape[2]
+    half = M // 2 + 1
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, 2)
+    coef = np.fft.rfft2(np.moveaxis(values, -1, 0)) / (M * M)  # [c, kx, ky >= 0]
+    if M % 2 == 0:
+        coef[:, M // 2] = 0.0
+        coef[:, :, M // 2] = 0.0
+    # A term ky > 0 also stands for its conjugate partner -ky: keep twice the
+    # real part.  Shifting kx up by M//2 makes every x power nonnegative; the
+    # factor exp(-i (M//2) x) undoes the shift.
+    coef[:, :, 1:] *= 2.0
+    coef = np.fft.fftshift(coef, axes=1).transpose(0, 2, 1).reshape(C * half, M)
+    out = np.empty((flat.shape[0], C))
+    for lo in range(0, flat.shape[0], _BLOCK):
+        block = flat[lo : lo + _BLOCK]
+        ex = _fourier_powers(np.exp(1j * block[:, 0]), M)
+        ey = _fourier_powers(np.exp(1j * block[:, 1]), half)
+        partial = (coef @ ex).reshape(C, half, -1)
+        sums = np.einsum("ckp,kp->cp", partial, ey) * ex[M // 2].conj()
+        out[lo : lo + _BLOCK] = sums.real.T
+    return out.reshape(pts.shape[:-1] + (C,))
 
 
 _GRID_CACHE: dict[int, np.ndarray] = {}

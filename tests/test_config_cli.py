@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from torusflow import cli, pipeline
 from torusflow.cli import main
 from torusflow.config import (
     ConfigError,
@@ -173,6 +174,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("snapshot", ["-0.5", "5.0"])
+def test_cli_rejects_snapshot_outside_horizon(tmp_path, capsys, snapshot):
+    # Before the solve: a negative time used to crash in backtrack, a time
+    # past T used to write fields from the velocity clamped at T.
+    text = TAYLOR.replace("density.kind = constant", "density.kind = bump")
+    text = text.replace("T = 0.1", "T = 0.01").replace("snapshots = 0.05", f"snapshots = {snapshot}")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "snapshot" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_transport_drift_exits_3(tmp_path, capsys):
+    # Large velocity on an 8-point grid: the carried displacement is
+    # under-resolved and the drift guard stops the run as a divergence.
+    text = (
+        "N = 4\nM = 8\ndt = 0.05\nT = 1.0\ndensity.kind = bump\n"
+        "u0.modes = 1,0,cos:2.0, 0,1,sin:1.5\n"
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    assert "under-resolves the displacement" in capsys.readouterr().err
+
+
 def test_cli_taylor_benchmark(tmp_path, capsys):
     cfg = write_config(tmp_path, TAYLOR)
     out = tmp_path / "taylor"
@@ -213,7 +239,16 @@ def test_cli_vacuum_sweep_rejects_positive_density(tmp_path):
     )
 
 
-def test_cli_vacuum_sweep_dedupes_floors(tmp_path, capsys):
+def test_cli_vacuum_sweep_dedupes_floors(tmp_path, capsys, monkeypatch):
+    probe_calls = []
+    original = pipeline.momentum_probes
+
+    def counting(result, *args, **kwargs):
+        probe_calls.append(result.source.floor_n)
+        return original(result, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "momentum_probes", counting)
+    monkeypatch.setattr(cli, "momentum_probes", counting, raising=False)
     text = TAYLOR.replace("density.kind = constant", "density.kind = vacuum-well")
     cfg = write_config(text=text, tmp_path=tmp_path, name="sweep.cfg")
     out = tmp_path / "sweep"
@@ -225,7 +260,10 @@ def test_cli_vacuum_sweep_dedupes_floors(tmp_path, capsys):
     floors = [r["floor_n"] for r in rows if "floor_n" in r]
     assert floors == [5]
     assert (out / "n5" / "ledger.ndjson").exists()
-    assert (out / "momentum_n5.ndjson").exists()
+    # Probes run once per floor, and the file keeps their order, t = T 2^-j.
+    assert probe_calls == [5]
+    probes = [json.loads(l) for l in (out / "momentum_n5.ndjson").read_text().splitlines()]
+    assert [p["t"] for p in probes] == [0.1 * 2.0**-j for j in range(13)]
     capsys.readouterr()
 
 

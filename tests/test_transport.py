@@ -6,13 +6,16 @@ import pytest
 from torusflow.basis import BasisSet
 from torusflow.estimates import GAMMA, convergence_orders
 from torusflow.fields import GridField, grid_points
+from torusflow.solver import DivergenceError, solve_linearized
 from torusflow.transport import (
     DENSITY_CATALOG,
     ConstantVelocity,
     ShearVelocity,
+    TransportDriftError,
     VelocityHistory,
     backtrack,
     bump_density,
+    carried_densities,
     constant_density,
     density_at,
     density_time_derivative_norm,
@@ -21,6 +24,7 @@ from torusflow.transport import (
     lift_floor,
     shift_density,
     transport_growth_check,
+    trig_interpolate,
     vacuum_well_density,
     w1gamma_norm,
 )
@@ -195,6 +199,113 @@ def test_density_time_derivative_oracle():
         bump_density(), ConstantVelocity([1.0, 0.0]), 128, 0.0, 0.1, 2.0
     )
     assert abs(val - np.pi) < 1e-3 * np.pi
+
+
+# ---------------------------------------------------------------------------
+# carried back-to-label map
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("M", [7, 8, 15])
+def test_trig_interpolate_reproduces_resolved_modes(M):
+    def field(p):
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([np.sin(2 * x + y) + np.cos(3 * y), np.cos(x - 2 * y) - 0.5], -1)
+
+    pts = RNG.uniform(-4.0, 10.0, (40, 2))
+    got = trig_interpolate(field(grid_points(M)), pts)
+    np.testing.assert_allclose(got, field(pts), atol=1e-13)
+
+
+def carried_and_exact(source, velocity, M, times, dtau):
+    carried = [rho.values for rho in carried_densities(source, velocity, M, times, dtau)]
+    exact = [density_at(source, velocity, M, t, dtau).values for t in times]
+    return np.array(carried), np.array(exact)
+
+
+@pytest.mark.parametrize("M, omega, rk4_error", [(16, 0.0, 1e-13), (15, 2.0, 1e-9)])
+def test_carried_density_matches_oracle_on_shear(M, omega, rk4_error):
+    # dtau = spacing / 3 sub-steps every interval; both walks then take the
+    # same RK4 steps, and the displacement (-a sin y S(t), 0) is one resolved
+    # mode, so they agree to rounding.  Against the analytic feet only the
+    # RK4 quadrature of cos(omega t) is left, exact for the steady shear.
+    shear = ShearVelocity(amplitude=0.9, omega=omega)
+    times = np.linspace(0.0, 0.6, 13)
+    carried, exact = carried_and_exact(bump_density(), shear, M, times, 0.05 / 3)
+    assert np.abs(carried - exact).max() <= 1e-13
+    analytic = bump_density().value(shear.feet(grid_points(M), times[-1]))
+    assert np.abs(carried[-1] - analytic).max() <= rk4_error
+
+
+def linearized_history(M, steps=24, T=0.12):
+    basis = BasisSet(8)
+    u0 = np.zeros(8)
+    u0[[0, 2, 5]] = [0.3, 0.2, -0.15]
+    seed = VelocityHistory.constant(basis, u0, T)
+    dt = T / steps
+    return solve_linearized(seed, bump_density(), u0, basis, M, dt, T, dt), dt
+
+
+@pytest.mark.parametrize("M", [17, 16])
+def test_carried_density_matches_oracle_on_velocity_history(M):
+    history, dt = linearized_history(M)
+    # Stage times of a pass, sub-stepped: dtau = dt/4 < dt/2.
+    times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
+    carried, exact = carried_and_exact(vacuum_well_density(), history, M, times, dt / 4)
+    assert np.abs(carried - exact).max() <= 1e-13
+    # Same trajectory with dtau = dt: the walk and the oracle now split time
+    # differently, which still agrees far below the drift limit.
+    carried, exact = carried_and_exact(bump_density(), history, M, history.times, dt)
+    assert np.abs(carried - exact).max() <= 1e-13
+
+
+def test_carried_density_constant_source_and_validation():
+    rhos = list(carried_densities(constant_density(2.0), ShearVelocity(5.0), 8, [0.0, 0.3], 0.1))
+    assert len(rhos) == 2 and all(np.all(r.values == 2.0) for r in rhos)
+    with pytest.raises(ValueError):
+        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.2, 0.1], 0.1))
+    with pytest.raises(ValueError):
+        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [-0.1], 0.1))
+
+
+def test_drift_guard_fires_on_under_resolved_displacement():
+    # The same strong flow carried by a linearized pass on a fine and a
+    # coarse grid: at M=8 the displacement has harmonics the grid cannot
+    # hold.  With dtau = dt the pass walks stage times dt/2 apart, where a
+    # backtrack in steps of dt would differ by ~4e-10 of RK4 error alone;
+    # the guard takes the walk's own steps, so M=32 passes.
+    basis = BasisSet(4)
+    u0 = np.array([2.0, 0.0, 0.0, 1.5])
+    seed = VelocityHistory.constant(basis, u0, 1.0)
+    solve_linearized(seed, bump_density(), u0, basis, 32, 0.05, 1.0, 0.05)
+    with pytest.raises(TransportDriftError) as err:
+        solve_linearized(seed, bump_density(), u0, basis, 8, 0.05, 1.0, 0.05)
+    assert isinstance(err.value, DivergenceError)
+    assert err.value.drift > 1e-10 and err.value.t == 1.0
+
+
+def test_linearized_pass_cost_is_linear_in_steps(monkeypatch):
+    calls = {"n": 0}
+    original = BasisSet.velocity_at
+
+    def counting(self, points, coeffs):
+        calls["n"] += 1
+        return original(self, points, coeffs)
+
+    monkeypatch.setattr(BasisSet, "velocity_at", counting)
+    basis = BasisSet(8)
+    u0 = np.zeros(8)
+    u0[[0, 2]] = [0.3, 0.2]
+    T = 0.15
+    seed = VelocityHistory.constant(basis, u0, T)
+    counts = []
+    for steps in (30, 60, 120):
+        calls["n"] = 0
+        dt = T / steps
+        solve_linearized(seed, bump_density(), u0, basis, 16, dt, T, dt)
+        counts.append(calls["n"])
+    ratios = [counts[1] / counts[0], counts[2] / counts[1]]
+    assert max(ratios) <= 2.3, (counts, ratios)
 
 
 # ---------------------------------------------------------------------------
