@@ -2,136 +2,37 @@
 periodic square, with built-in verification of its energy and regularity
 estimates."""
 
-from .basis import BasisMode, BasisSet, enumerate_modes, project_velocity
-from .config import ConfigError, ModeSpec, RunConfig, parse_config, parse_config_text
-from .estimates import (
-    EstimateLedger,
-    GronwallInput,
-    GronwallReport,
-    MomentumReport,
-    RiccatiFit,
-    convergence_orders,
-    energy_functional,
-    energy_identity_check,
-    existence_time,
-    fit_gronwall_constants,
-    gronwall_verify,
-    momentum_continuity_report,
-    riccati_fit,
-    weighted_h2_stats,
-)
-from .fields import (
-    GridField,
-    NormReport,
-    SpectralVelocity,
-    gradient_grid,
-    leray_pressure,
-    load_snapshot,
-    norms,
-    save_snapshot,
-    synthesize,
-)
+from .config import ConfigError, RunConfig, parse_config, parse_config_text
 from .pipeline import (
-    ConvergeStudy,
     RunResult,
-    TaylorReport,
-    UniquenessStudy,
-    VacuumSweep,
     converge_study,
     gronwall_check_file,
-    momentum_probes,
     run_simulation,
     taylor_benchmark,
     uniqueness_study,
     vacuum_sweep,
     write_run_outputs,
 )
-from .solver import (
-    DivergenceError,
-    PicardNonConvergenceError,
-    PicardReport,
-    VacuumDegenerateError,
-    build_state,
-    picard_solve,
-    residual_diagnostics,
-    solve_linearized,
-)
-from .transport import (
-    DENSITY_CATALOG,
-    DensitySource,
-    ShearVelocity,
-    TransportDriftError,
-    VelocityHistory,
-    backtrack,
-    density_at,
-    lift_floor,
-    shift_density,
-    transport_growth_check,
-)
+from .solver import PicardNonConvergenceError, VacuumDegenerateError
+from .transport import DivergenceError, TransportDriftError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisMode",
-    "BasisSet",
     "ConfigError",
-    "ConvergeStudy",
-    "DENSITY_CATALOG",
-    "DensitySource",
     "DivergenceError",
-    "EstimateLedger",
-    "GridField",
-    "GronwallInput",
-    "GronwallReport",
-    "ModeSpec",
-    "MomentumReport",
-    "NormReport",
     "PicardNonConvergenceError",
-    "PicardReport",
-    "RiccatiFit",
     "RunConfig",
     "RunResult",
-    "ShearVelocity",
-    "SpectralVelocity",
-    "TaylorReport",
     "TransportDriftError",
-    "UniquenessStudy",
     "VacuumDegenerateError",
-    "VacuumSweep",
-    "VelocityHistory",
-    "backtrack",
-    "build_state",
     "converge_study",
-    "convergence_orders",
-    "density_at",
-    "energy_functional",
-    "energy_identity_check",
-    "enumerate_modes",
-    "existence_time",
-    "fit_gronwall_constants",
-    "gradient_grid",
     "gronwall_check_file",
-    "gronwall_verify",
-    "leray_pressure",
-    "lift_floor",
-    "load_snapshot",
-    "momentum_continuity_report",
-    "momentum_probes",
-    "norms",
     "parse_config",
     "parse_config_text",
-    "picard_solve",
-    "project_velocity",
-    "residual_diagnostics",
-    "riccati_fit",
     "run_simulation",
-    "save_snapshot",
-    "shift_density",
-    "solve_linearized",
-    "synthesize",
     "taylor_benchmark",
     "uniqueness_study",
     "vacuum_sweep",
-    "weighted_h2_stats",
     "write_run_outputs",
 ]

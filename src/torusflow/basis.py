@@ -16,9 +16,11 @@ deterministic and keeps k=(1,0) cosine the first mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .fields import grid_points
 
 # L2 normalization: integral of trig(k.x)^2 over the torus is 2*pi^2.
 MODE_NORM = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -31,7 +33,6 @@ class BasisMode:
     k: tuple[int, int]
     parity: str  # "cos" or "sin"
     lam: int
-    eigenpressure: float = 0.0
 
     @property
     def direction(self) -> np.ndarray:
@@ -73,38 +74,15 @@ def enumerate_modes(count: int) -> list[BasisMode]:
         radius *= 2
 
 
-def evaluate_mode(mode: BasisMode, points: np.ndarray) -> np.ndarray:
-    """Sample one mode at points of shape (..., 2); returns (..., 2)."""
-    points = np.asarray(points, dtype=float)
-    phase = points[..., 0] * mode.k[0] + points[..., 1] * mode.k[1]
-    trig = np.cos(phase) if mode.parity == "cos" else np.sin(phase)
-    return trig[..., None] * (mode.direction * MODE_NORM)
-
-
-def mode_divergence(mode: BasisMode, points: np.ndarray) -> np.ndarray:
-    """Analytic divergence of a mode at the given points.
-
-    div w = (d . k) * trig'(k.x) * MODE_NORM with d = (-k2, k1)/|k|, and the
-    dot product d . k = (-k2*k1 + k1*k2)/|k| cancels exactly in floating
-    point, so the returned samples are exactly zero.
-    """
-    points = np.asarray(points, dtype=float)
-    k1, k2 = mode.k
-    norm = np.sqrt(float(k1 * k1 + k2 * k2))
-    ddotk = (-float(k2) * float(k1) + float(k1) * float(k2)) / norm
-    phase = points[..., 0] * k1 + points[..., 1] * k2
-    trig_d = -np.sin(phase) if mode.parity == "cos" else np.cos(phase)
-    return ddotk * trig_d * MODE_NORM
-
-
 class BasisGrid:
     """Cached samples of every basis mode on the uniform M x M grid.
 
     Grid nodes are x_ab = (2pi a/M, 2pi b/M), array index [a, b].  Holds the
-    mode fields W with shape (N, M, M, 2), the mode gradients GW with shape
-    (N, M, M, 2, 2) indexed [mode, a, b, component, derivative], and the
-    trapezoid quadrature weight h^2 = (2pi/M)^2 (exact for trigonometric
-    polynomials below the Nyquist limit).
+    nodes `points` (the shared `fields.grid_points` array), the mode fields W
+    with shape (N, M, M, 2), the mode gradients GW with shape (N, M, M, 2, 2)
+    indexed [mode, a, b, component, derivative], and the trapezoid quadrature
+    weight h^2 = (2pi/M)^2 (exact for trigonometric polynomials below the
+    Nyquist limit).
     """
 
     def __init__(self, basis: "BasisSet", M: int):
@@ -115,9 +93,8 @@ class BasisGrid:
             )
         self.M = int(M)
         self.weight = (2.0 * np.pi / M) ** 2
-        axis = 2.0 * np.pi * np.arange(M) / M
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        self.points = np.stack([X, Y], axis=-1)
+        self.points = grid_points(self.M)
+        X, Y = self.points[..., 0], self.points[..., 1]
 
         N = basis.size
         self.W = np.empty((N, M, M, 2))
@@ -135,7 +112,6 @@ class BasisGrid:
             kvec = np.array([float(k1), float(k2)])
             self.GW[n] = trig_d[..., None, None] * np.einsum("i,a->ia", d, kvec)
         self._Wflat = self.W.reshape(N, -1)
-        self._N = N
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Velocity samples (M, M, 2) for the given coefficient vector."""
@@ -148,10 +124,6 @@ class BasisGrid:
     def project(self, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products (values, w_n) for all modes."""
         return self.weight * (self._Wflat @ values.reshape(-1))
-
-    def quadrature(self, values: np.ndarray) -> float:
-        """Trapezoid integral of scalar samples over the torus."""
-        return float(self.weight * values.sum())
 
 
 class BasisSet:
@@ -209,19 +181,3 @@ class BasisSet:
         grad = np.einsum("pn,ni,na->pia", table, self.dirs * MODE_NORM, self.kvecs)
         return grad.reshape(pts.shape[:-1] + (2, 2))
 
-
-def project_velocity(u0, basis: BasisSet, M: int) -> np.ndarray:
-    """L2 projection of a velocity field onto the span of the basis.
-
-    `u0` is either a callable mapping points (..., 2) to samples (..., 2) or a
-    precomputed sample array of shape (M, M, 2).  Returns the coefficient
-    vector.  M must satisfy M >= 2*kmax + 1 or the quadrature aliases.
-    """
-    grid = basis.grid(M)
-    if callable(u0):
-        values = np.asarray(u0(grid.points), dtype=float)
-    else:
-        values = np.asarray(u0, dtype=float)
-    if values.shape != (M, M, 2):
-        raise ValueError(f"expected samples of shape {(M, M, 2)}, got {values.shape}")
-    return grid.project(values)

@@ -36,18 +36,13 @@ EXIT_PICARD = 4
 EXIT_VACUUM = 5
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, kind=int) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated float list, got {text!r}") from exc
+        raise ConfigError(
+            f"expected a comma-separated {kind.__name__} list, got {text!r}"
+        ) from exc
 
 
 def _print_checks(checks: list[dict]) -> None:
@@ -71,7 +66,7 @@ def cmd_run(args) -> int:
 
 def cmd_converge(args) -> int:
     config = parse_config(args.config)
-    study = converge_study(config, _int_list(args.n_list))
+    study = converge_study(config, _number_list(args.n_list))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_ndjson(out / "converge.ndjson", study.rows)
@@ -89,7 +84,7 @@ def cmd_converge(args) -> int:
 
 def cmd_vacuum(args) -> int:
     config = parse_config(args.config)
-    sweep = vacuum_sweep(config, _int_list(args.n_list))
+    sweep = vacuum_sweep(config, _number_list(args.n_list))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = list(sweep.rows)
@@ -160,7 +155,7 @@ def cmd_gronwall(args) -> int:
 
 def cmd_taylor(args) -> int:
     config = parse_config(args.config)
-    dts = _float_list(args.dt_list) if args.dt_list else None
+    dts = _number_list(args.dt_list, float) if args.dt_list else None
     rep = taylor_benchmark(config, dts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

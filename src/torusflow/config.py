@@ -16,11 +16,12 @@ Recognized keys:
     snapshots     comma-separated times in [0, T] for field snapshots (optional)
 
 Blank lines and `#` comments are ignored.  Unknown or missing required keys
-raise ConfigError naming the offender.
+and numbers that are not finite raise ConfigError naming the offender.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,10 @@ def _parse_modes(text: str) -> list[ModeSpec]:
             k1, k2, amp = int(k1_s), int(k2_s), float(amp_s)
         except ValueError as exc:
             raise ConfigError(f"bad u0.modes entry: {exc}", key="u0.modes") from exc
+        if not math.isfinite(amp):
+            raise ConfigError(
+                f"u0.modes amplitude must be finite, got {amp_s!r}", key="u0.modes"
+            )
         if parity not in ("cos", "sin"):
             raise ConfigError(
                 f"parity must be cos or sin, got {parity!r}", key="u0.modes"
@@ -137,12 +142,14 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"{key} must be >= {minimum}", key=key)
         return v
 
-    def _float(key, positive=True):
+    def _float(key):
         try:
             v = float(raw[key])
         except ValueError as exc:
             raise ConfigError(f"{key} must be a number: {exc}", key=key) from exc
-        if positive and v <= 0:
+        if not math.isfinite(v):
+            raise ConfigError(f"{key} must be finite, got {raw[key]!r}", key=key)
+        if v <= 0:
             raise ConfigError(f"{key} must be positive", key=key)
         return v
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,17 +105,22 @@ def convergence_orders(values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _energy_terms(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot):
+    """Q = ||sqrt(rho) u||^2 and I = int_0^t ||grad u||^2 ds per prefix, the
+    integral Hermite-corrected when the rate d/dt ||grad u||^2 is given."""
+    Q = np.asarray(sqrt_rho_u_l2, dtype=float) ** 2
+    g = np.asarray(grad_u_l2, dtype=float) ** 2
+    if grad_u_sq_dot is None:
+        return Q, cumtrapz(times, g)
+    return Q, hermite_cumtrapz(times, g, grad_u_sq_dot)
+
+
 def energy_identity_residuals(
     times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot=None
 ) -> np.ndarray:
     """Residual of 1/2 d/dt ||sqrt(rho) u||^2 + ||grad u||^2 = 0 in integral
     form, one value per prefix [0, t_k]."""
-    Q = np.asarray(sqrt_rho_u_l2, dtype=float) ** 2
-    g = np.asarray(grad_u_l2, dtype=float) ** 2
-    if grad_u_sq_dot is None:
-        I = cumtrapz(times, g)
-    else:
-        I = hermite_cumtrapz(times, g, grad_u_sq_dot)
+    Q, I = _energy_terms(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot)
     return 0.5 * (Q - Q[0]) + I
 
 
@@ -129,12 +134,7 @@ def energy_identity_check(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot=None) -
 def energy_functional(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot=None) -> np.ndarray:
     """E(t) = ||sqrt(rho) u||^2(t) + 2 int_0^t ||grad u||^2 ds, which the
     continuous dynamics keeps exactly equal to its initial value."""
-    Q = np.asarray(sqrt_rho_u_l2, dtype=float) ** 2
-    g = np.asarray(grad_u_l2, dtype=float) ** 2
-    if grad_u_sq_dot is None:
-        I = cumtrapz(times, g)
-    else:
-        I = hermite_cumtrapz(times, g, grad_u_sq_dot)
+    Q, I = _energy_terms(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot)
     return Q + 2.0 * I
 
 
@@ -148,7 +148,6 @@ class RiccatiFit:
     c1: float
     m1: float
     satisfied_fraction: float
-    f0: float
 
 
 def h1_functional(times, grad_u_l2, sqrt_rho_ut_l2, hess_u_l2, m1: float = 1.0) -> np.ndarray:
@@ -176,7 +175,7 @@ def riccati_fit(times, F, m1: float = 1.0, slack: float = 0.01) -> RiccatiFit:
         satisfied = float(np.mean(dF <= c1 * F[1:-1] ** 3))
     else:
         satisfied = float(np.mean(dF <= 0.0))
-    return RiccatiFit(c1=c1, m1=float(m1), satisfied_fraction=satisfied, f0=float(F[0]))
+    return RiccatiFit(c1=c1, m1=float(m1), satisfied_fraction=satisfied)
 
 
 def existence_time(c1: float, m1: float, grad_u0_l2: float) -> float:
@@ -273,9 +272,7 @@ class GronwallReport:
     hypothesis_margin: float
     f_margin: float
     eta_margin: float
-    f_bound: np.ndarray = field(repr=False, default=None)
-    eta_bound: np.ndarray = field(repr=False, default=None)
-    message: str = ""
+    message: str
 
 
 def gronwall_verify(
@@ -330,8 +327,6 @@ def gronwall_verify(
         hypothesis_margin=hyp_margin,
         f_margin=f_margin,
         eta_margin=eta_margin,
-        f_bound=f_bound,
-        eta_bound=eta_bound,
         message=message,
     )
 
@@ -372,8 +367,6 @@ def fit_gronwall_constants(
 
 @dataclass
 class MomentumReport:
-    times: np.ndarray
-    norms: np.ndarray
     slope: float | None
     decay_ratio: float | None
     passed: bool
@@ -393,11 +386,11 @@ def momentum_continuity_report(
     order = np.argsort(t)
     t, n = t[order], n[order]
     if np.all(n <= 1e-300):
-        return MomentumReport(t, n, None, None, True)
+        return MomentumReport(None, None, True)
     if np.any(n <= 0):
-        return MomentumReport(t, n, None, None, False)
+        return MomentumReport(None, None, False)
     slope = float(np.polyfit(np.log(t), np.log(n), 1)[0])
     decreasing = bool(np.all(n[:-1] <= n[1:] * 1.05))
     decay_ratio = float(n[0] / n[-1])
     passed = decreasing and decay_ratio <= decay_target and slope >= slope_floor
-    return MomentumReport(t, n, slope, decay_ratio, passed)
+    return MomentumReport(slope, decay_ratio, passed)

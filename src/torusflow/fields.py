@@ -1,32 +1,22 @@
-"""Grid sampling, norms, snapshots, and pressure recovery.
+"""The grid, grid fields, their norms, pressure recovery, and snapshots.
 
 Velocities live in the span of a BasisSet as coefficient vectors; scalar and
 vector fields sampled on the uniform M x M grid are carried as GridField
 objects.  Grid node [a, b] sits at x = (2pi a/M, 2pi b/M) and indexing is
-periodic (index mod M).  All integrals over the torus use the trapezoid rule
-with weight (2pi/M)^2, which is exact for trigonometric polynomials whose
-wavenumbers stay below the grid Nyquist limit.
+periodic (index mod M); `grid_points` is the one construction of these nodes
+that the basis tables, the transport and the tests all share.  All integrals
+over the torus use the trapezoid rule with weight (2pi/M)^2, which is exact
+for trigonometric polynomials whose wavenumbers stay below the grid Nyquist
+limit.  The L^p norms of grid fields (`lp_norm`, `w1gamma_norm`, with the
+density gradient from `fd_gradient`) are the ones the run ledger reports.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .basis import BasisSet
-
-
-@dataclass
-class SpectralVelocity:
-    """Velocity in basis coordinates: u = sum_n coeffs[n] * w_n."""
-
-    basis: BasisSet
-    coeffs: np.ndarray
-
-    def l2(self) -> float:
-        # Parseval: the coefficient norm is the L2 norm.
-        return float(np.linalg.norm(self.coeffs))
 
 
 @dataclass
@@ -56,15 +46,16 @@ class GridField:
         return (2.0 * np.pi / self.M) ** 2
 
 
+@functools.lru_cache(maxsize=None)
 def grid_points(M: int) -> np.ndarray:
+    """Grid nodes, shape (M, M, 2), entry [a, b] = (2pi a/M, 2pi b/M).
+
+    Cached per M and read-only, since every caller shares the same array."""
     axis = 2.0 * np.pi * np.arange(M) / M
     X, Y = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([X, Y], axis=-1)
-
-
-def integrate(field: GridField) -> float:
-    """Trapezoid integral over the torus (componentwise sum for vectors)."""
-    return float(field.quadrature_weight() * field.values.sum())
+    points = np.stack([X, Y], axis=-1)
+    points.flags.writeable = False
+    return points
 
 
 def lp_norm(field: GridField, p: float) -> float:
@@ -74,53 +65,24 @@ def lp_norm(field: GridField, p: float) -> float:
     return float((field.quadrature_weight() * (mag**p).sum()) ** (1.0 / p))
 
 
-@dataclass
-class NormReport:
-    l2: float
-    h1dot: float
-    h2dot: float
-    linf: float
-    grad_linf: float
-    l6: float
+def fd_gradient(rho: GridField) -> np.ndarray:
+    """Second-order centered periodic finite-difference gradient, (M, M, 2)."""
+    v = rho.values
+    h = 2.0 * np.pi / rho.M
+    gx = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * h)
+    gy = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * h)
+    return np.stack([gx, gy], axis=-1)
 
 
-def synthesize(u: SpectralVelocity, M: int) -> GridField:
-    """Sample the velocity on the M x M grid by direct mode summation."""
-    return GridField(u.basis.grid(M).synthesize(u.coeffs))
-
-
-def gradient_grid(u: SpectralVelocity, M: int) -> np.ndarray:
-    """Analytic velocity gradient on the grid, shape (M, M, 2, 2).
-
-    Entry [a, b, i, alpha] is the derivative of component i along axis alpha.
-    """
-    return u.basis.grid(M).synthesize_gradient(u.coeffs)
-
-
-def norms(u: SpectralVelocity, M: int) -> NormReport:
-    """L2/H1/H2 seminorms (spectral, exact) plus grid sup-norms and L6.
-
-    The eigenbasis diagonalizes the Laplacian, so ||grad u||_2^2 = sum lam f^2
-    and ||grad^2 u||_2^2 = sum lam^2 f^2 hold exactly in coefficients.
-    """
-    f = u.coeffs
-    lam = u.basis.lambdas
-    ugrid = synthesize(u, M)
-    grad = gradient_grid(u, M)
-    mag = np.sqrt((ugrid.values ** 2).sum(axis=-1))
-    gmag = np.sqrt((grad**2).sum(axis=(-2, -1)))  # Frobenius magnitude
-    return NormReport(
-        l2=float(np.linalg.norm(f)),
-        h1dot=float(np.sqrt((lam * f * f).sum())),
-        h2dot=float(np.sqrt((lam * lam * f * f).sum())),
-        linf=float(mag.max()),
-        grad_linf=float(gmag.max()),
-        l6=lp_norm(ugrid, 6.0),
-    )
-
-
-def _wavenumbers(M: int) -> np.ndarray:
-    return np.fft.fftfreq(M, d=1.0 / M)
+def w1gamma_norm(rho: GridField, gamma: float, grad: np.ndarray | None = None) -> float:
+    """Sobolev norm (||rho||_gamma^gamma + ||grad rho||_gamma^gamma)^(1/gamma)
+    with the finite-difference gradient; `grad` is `fd_gradient(rho)` when the
+    caller already holds it."""
+    g = fd_gradient(rho) if grad is None else grad
+    mag = np.sqrt((g * g).sum(axis=-1))
+    w = rho.quadrature_weight()
+    total = w * (np.abs(rho.values) ** gamma).sum() + w * (mag**gamma).sum()
+    return float(total ** (1.0 / gamma))
 
 
 def leray_pressure(residual: GridField, mean_tol: float = 1e-8) -> GridField:
@@ -141,8 +103,8 @@ def leray_pressure(residual: GridField, mean_tol: float = 1e-8) -> GridField:
         raise ValueError(
             f"input mean {means} is not zero; no gradient field matches it"
         )
-    kx = _wavenumbers(M)[:, None]
-    ky = _wavenumbers(M)[None, :]
+    k = np.fft.fftfreq(M, d=1.0 / M)
+    kx, ky = k[:, None], k[None, :]
     gx = np.fft.fft2(residual.values[..., 0])
     gy = np.fft.fft2(residual.values[..., 1])
     div_hat = 1j * (kx * gx + ky * gy)
@@ -154,31 +116,6 @@ def leray_pressure(residual: GridField, mean_tol: float = 1e-8) -> GridField:
         p_hat[M // 2, :] = 0.0
         p_hat[:, M // 2] = 0.0
     return GridField(np.real(np.fft.ifft2(p_hat)))
-
-
-def spectral_gradient(scalar: GridField) -> GridField:
-    """Gradient of a scalar grid field computed in trigonometric space."""
-    if scalar.components != 1:
-        raise ValueError("spectral_gradient expects a scalar field")
-    M = scalar.M
-    kx = _wavenumbers(M)[:, None]
-    ky = _wavenumbers(M)[None, :]
-    f_hat = np.fft.fft2(scalar.values)
-    if M % 2 == 0:
-        f_hat[M // 2, :] = 0.0
-        f_hat[:, M // 2] = 0.0
-    gx = np.real(np.fft.ifft2(1j * kx * f_hat))
-    gy = np.real(np.fft.ifft2(1j * ky * f_hat))
-    return GridField(np.stack([gx, gy], axis=-1))
-
-
-def gagliardo_nirenberg_ratio(u: SpectralVelocity, M: int) -> float:
-    """Ratio ||u||_inf^2 / (||grad u||_2 ||grad^2 u||_2), zero field -> 0."""
-    rep = norms(u, M)
-    denom = rep.h1dot * rep.h2dot
-    if denom == 0.0:
-        return 0.0
-    return rep.linf**2 / denom
 
 
 def save_snapshot(field: GridField, path) -> None:

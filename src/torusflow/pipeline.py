@@ -36,7 +36,7 @@ from .estimates import (
     weighted_h2_stats,
     write_ndjson,
 )
-from .fields import GridField, save_snapshot
+from .fields import GridField, fd_gradient, lp_norm, save_snapshot, w1gamma_norm
 from .solver import (
     DivergenceError,
     PicardNonConvergenceError,
@@ -51,11 +51,33 @@ from .transport import (
     DensitySource,
     carried_densities,
     density_at,
-    fd_gradient,
     lift_floor,
     shift_density,
     transport_growth_check,
 )
+
+# Tolerances of the inline checks.
+RESIDUAL_TOL = 1e-8  # galerkin_orthogonality, projection_identity
+ENERGY_TOL = 1e-8  # energy_identity
+INEQUALITY_TOL = 1e-6  # energy_inequality: relative overshoot of E(t)
+MASS_TOL = 1e-6  # mass_conservation: relative mass deviation
+TRANSPORT_EPS = 1e-2  # transport_growth: multiplicative slack
+
+
+@dataclass
+class NodeDiagnostics:
+    """Per-node diagnostics along a trajectory; index k is history.times[k].
+
+    `rho` holds the transported densities (K, M, M); `w1gamma` their
+    W^{1,gamma} norms; `grad_u_sq_dot` the rate d/dt ||grad u||^2 =
+    2 sum lam f fdot; `orthogonality_max` and `projection_rel` the modal
+    residuals of `residual_diagnostics`."""
+
+    rho: np.ndarray
+    w1gamma: np.ndarray
+    grad_u_sq_dot: np.ndarray
+    orthogonality_max: np.ndarray
+    projection_rel: np.ndarray
 
 
 @dataclass
@@ -63,17 +85,10 @@ class RunResult:
     config: RunConfig
     basis: BasisSet
     source: DensitySource
-    u0: np.ndarray
     history: object
     picard: PicardReport
     ledger: EstimateLedger
-    rho_grids: list
-    w1gamma: np.ndarray
-    grad_u_sq_dot: np.ndarray
-    sample_min: np.ndarray
-    sample_max: np.ndarray
-    orthogonality_max: np.ndarray
-    projection_rel: np.ndarray
+    nodes: NodeDiagnostics
     riccati: RiccatiFit
     t0_estimate: float
     checks: list
@@ -92,51 +107,28 @@ def _check(name: str, passed: bool, margin: float, **details) -> dict:
     }
 
 
-def run_simulation(
-    config: RunConfig,
-    seed: str = "initial",
-    source: DensitySource | None = None,
-    residual_tol: float = 1e-8,
-    energy_tol: float = 1e-8,
-    inequality_tol: float = 1e-6,
-    mass_tol: float = 1e-6,
-    transport_eps: float = 1e-2,
-) -> RunResult:
-    """Picard-converge the flow, then walk the trajectory building the norm
-    ledger and the inline verification checks."""
-    basis = build_basis(config)
-    src = source if source is not None else build_source(config)
-    u0 = build_u0(config, basis)
-    dtau = config.backtrack_step
-    M = config.M
+def node_diagnostics(
+    src: DensitySource, history, basis: BasisSet, M: int, dtau: float
+) -> tuple[EstimateLedger, NodeDiagnostics]:
+    """Walk a converged trajectory once: the norm ledger plus the per-node
+    record the checks and studies read.
 
-    history, picard = picard_solve(
-        src,
-        u0,
-        basis,
-        M,
-        config.dt,
-        config.T,
-        dtau,
-        config.picard_tol,
-        config.picard_max,
-        seed=seed,
-    )
-
+    The densities come from their own carried sweep along `history`, not
+    from the last Picard pass, which advected the density by the previous
+    iterate.  Each node is one self-consistent `build_state`."""
     grid = basis.grid(M)
     lam = basis.lambdas
     w = grid.weight
+    times = history.times
+    K = len(times)
     ledger = EstimateLedger()
-    rho_grids: list[GridField] = []
-    w1g, gdots, smin, smax, orth, projrel = [], [], [], [], [], []
+    rho_nodes = np.empty((K, M, M))
+    w1g, gdots, orth, projrel = np.empty(K), np.empty(K), np.empty(K), np.empty(K)
 
-    # The ledger densities come from their own sweep along the converged
-    # history, not from the last Picard pass, which advected the density by
-    # the previous iterate.
-    densities = carried_densities(src, history, M, history.times, dtau)
-    for t, rho in zip(history.times, densities):
+    densities = carried_densities(src, history, M, times, dtau)
+    for k, (t, rho) in enumerate(zip(times, densities)):
         state = build_state(src, history, basis, M, dtau, t, rho=rho)
-        f, fdot, rho = state.f, state.fdot, state.rho
+        f, fdot = state.f, state.fdot
         u = grid.synthesize(f)
         gu = grid.synthesize_gradient(f)
         ut = grid.synthesize(fdot)
@@ -145,53 +137,54 @@ def run_simulation(
         utmag2 = (ut * ut).sum(axis=-1)
         gufro = np.sqrt((gu * gu).sum(axis=(-2, -1)))
         rhov = rho.values
-
         grad_rho = fd_gradient(rho)
-        grad_rho_mag = np.sqrt((grad_rho * grad_rho).sum(axis=-1))
         rho_t = -(u * grad_rho).sum(axis=-1)
 
         sqrt_rho_u = math.sqrt(w * (rhov * umag2).sum())
-        grad_u = math.sqrt((lam * f * f).sum())
         hess_u = math.sqrt((lam * lam * f * f).sum())
         sqrt_rho_ut = math.sqrt(w * (rhov * utmag2).sum())
-        grad_ut = math.sqrt((lam * fdot * fdot).sum())
-
         ledger.append(
             t=t,
             sqrt_rho_u_l2=sqrt_rho_u,
-            grad_u_l2=grad_u,
+            grad_u_l2=math.sqrt((lam * f * f).sum()),
             hess_u_l2=hess_u,
             sqrt_rho_ut_l2=sqrt_rho_ut,
-            grad_ut_l2=grad_ut,
+            grad_ut_l2=math.sqrt((lam * fdot * fdot).sum()),
             u_linf=float(np.sqrt(umag2).max()),
             grad_u_linf=float(gufro.max()),
-            grad_rho_lgamma=(w * (grad_rho_mag**GAMMA).sum()) ** (1.0 / GAMMA),
-            rho_t_lgamma=(w * (np.abs(rho_t) ** GAMMA).sum()) ** (1.0 / GAMMA),
+            grad_rho_lgamma=lp_norm(GridField(grad_rho), GAMMA),
+            rho_t_lgamma=lp_norm(GridField(rho_t), GAMMA),
             rho_min=src.lower,
             rho_max=src.upper,
             mass=w * rhov.sum(),
             momentum_l2=math.sqrt(w * (rhov * rhov * umag2).sum()),
             t_weighted_h2=t * (hess_u**2 + sqrt_rho_ut**2),
         )
-        rho_grids.append(rho)
-        w1g.append(
-            (w * (np.abs(rhov) ** GAMMA).sum() + w * (grad_rho_mag**GAMMA).sum())
-            ** (1.0 / GAMMA)
-        )
-        gdots.append(2.0 * (lam * f * fdot).sum())
-        smin.append(float(rhov.min()))
-        smax.append(float(rhov.max()))
-
+        rho_nodes[k] = rhov
+        w1g[k] = w1gamma_norm(rho, GAMMA, grad_rho)
+        gdots[k] = 2.0 * (lam * f * fdot).sum()
         resid = residual_diagnostics(state, basis, M)
-        orth.append(resid.orthogonality_max)
-        projrel.append(resid.projection_rel)
+        orth[k] = resid.orthogonality_max
+        projrel[k] = resid.projection_rel
+
+    return ledger, NodeDiagnostics(rho_nodes, w1g, gdots, orth, projrel)
+
+
+def run_simulation(
+    config: RunConfig, seed: str = "initial", source: DensitySource | None = None
+) -> RunResult:
+    """Picard-converge the flow, then walk the trajectory building the norm
+    ledger and the inline verification checks."""
+    basis = build_basis(config)
+    src = source if source is not None else build_source(config)
+    dtau = config.backtrack_step
+    history, picard = picard_solve(
+        src, build_u0(config, basis), basis, config.M, config.dt, config.T, dtau,
+        config.picard_tol, config.picard_max, seed=seed
+    )
+    ledger, nodes = node_diagnostics(src, history, basis, config.M, dtau)
 
     times = history.times
-    w1g = np.array(w1g)
-    gdots = np.array(gdots)
-    smin, smax = np.array(smin), np.array(smax)
-    orth, projrel = np.array(orth), np.array(projrel)
-
     m1 = 1.0 + src.upper
     F = h1_functional(
         times,
@@ -200,91 +193,46 @@ def run_simulation(
         ledger.column("hess_u_l2"),
         m1=m1,
     )
-    ric = riccati_fit(times, F, m1=m1) if len(times) >= 3 else RiccatiFit(0.0, m1, 1.0, float(F[0]))
+    ric = riccati_fit(times, F, m1=m1) if len(times) >= 3 else RiccatiFit(0.0, m1, 1.0)
     t0_est = existence_time(ric.c1, ric.m1, float(ledger.column("grad_u_l2")[0]))
-
-    checks = _build_checks(
-        config,
-        src,
-        picard,
-        ledger,
-        times,
-        w1g,
-        gdots,
-        smin,
-        smax,
-        orth,
-        projrel,
-        ric,
-        t0_est,
-        residual_tol,
-        energy_tol,
-        inequality_tol,
-        mass_tol,
-        transport_eps,
-    )
 
     return RunResult(
         config=config,
         basis=basis,
         source=src,
-        u0=u0,
         history=history,
         picard=picard,
         ledger=ledger,
-        rho_grids=rho_grids,
-        w1gamma=w1g,
-        grad_u_sq_dot=gdots,
-        sample_min=smin,
-        sample_max=smax,
-        orthogonality_max=orth,
-        projection_rel=projrel,
+        nodes=nodes,
         riccati=ric,
         t0_estimate=t0_est,
-        checks=checks,
+        checks=_build_checks(src, picard, ledger, nodes, ric, t0_est),
     )
 
 
-def _build_checks(
-    config,
-    src,
-    picard,
-    ledger,
-    times,
-    w1g,
-    gdots,
-    smin,
-    smax,
-    orth,
-    projrel,
-    ric,
-    t0_est,
-    residual_tol,
-    energy_tol,
-    inequality_tol,
-    mass_tol,
-    transport_eps,
-) -> list[dict]:
+def _build_checks(src, picard, ledger, nodes, ric, t0_est) -> list[dict]:
+    times = ledger.column("t")
+    gdots = nodes.grad_u_sq_dot
     checks = []
 
-    worst_orth = float(orth.max())
+    worst_orth = float(nodes.orthogonality_max.max())
     checks.append(
         _check(
             "galerkin_orthogonality",
-            worst_orth <= residual_tol,
-            residual_tol - worst_orth,
+            worst_orth <= RESIDUAL_TOL,
+            RESIDUAL_TOL - worst_orth,
             worst=worst_orth,
-            tol=residual_tol,
+            tol=RESIDUAL_TOL,
         )
     )
-    worst_proj = float(projrel.max())
+    worst_proj = float(nodes.projection_rel.max())
     checks.append(
         _check(
             "projection_identity",
-            worst_proj <= residual_tol,
-            residual_tol - worst_proj,
+            worst_proj <= RESIDUAL_TOL,
+            RESIDUAL_TOL - worst_proj,
             worst_relative=worst_proj,
-            tol=residual_tol,
+            tol=RESIDUAL_TOL,
         )
     )
 
@@ -294,10 +242,10 @@ def _build_checks(
     checks.append(
         _check(
             "energy_identity",
-            resid <= energy_tol,
-            energy_tol - resid,
+            resid <= ENERGY_TOL,
+            ENERGY_TOL - resid,
             residual=resid,
-            tol=energy_tol,
+            tol=ENERGY_TOL,
         )
     )
 
@@ -308,14 +256,14 @@ def _build_checks(
     checks.append(
         _check(
             "energy_inequality",
-            overshoot <= inequality_tol,
-            inequality_tol - overshoot,
+            overshoot <= INEQUALITY_TOL,
+            INEQUALITY_TOL - overshoot,
             overshoot=overshoot,
-            tol=inequality_tol,
+            tol=INEQUALITY_TOL,
         )
     )
 
-    lo, hi = float(smin.min()), float(smax.max())
+    lo, hi = float(nodes.rho.min()), float(nodes.rho.max())
     col_lo, col_hi = ledger.column("rho_min"), ledger.column("rho_max")
     bounds_const = bool(np.all(col_lo == col_lo[0]) and np.all(col_hi == col_hi[0]))
     sample_margin = min(lo - src.lower, src.upper - hi)
@@ -337,24 +285,24 @@ def _build_checks(
     checks.append(
         _check(
             "mass_conservation",
-            mass_dev <= mass_tol,
-            mass_tol - mass_dev,
+            mass_dev <= MASS_TOL,
+            MASS_TOL - mass_dev,
             relative_deviation=mass_dev,
-            tol=mass_tol,
+            tol=MASS_TOL,
         )
     )
 
     growth = transport_growth_check(
-        times, w1g, ledger.column("grad_u_linf"), eps=transport_eps
+        times, nodes.w1gamma, ledger.column("grad_u_linf"), eps=TRANSPORT_EPS
     )
     checks.append(
         _check(
             "transport_growth",
             growth.passed,
-            growth.worst_margin - 1.0 / (1.0 + transport_eps),
+            growth.worst_margin - 1.0 / (1.0 + TRANSPORT_EPS),
             worst_margin=growth.worst_margin,
             worst_time=growth.worst_time,
-            eps=transport_eps,
+            eps=TRANSPORT_EPS,
         )
     )
 
@@ -394,7 +342,7 @@ def momentum_probes(result: RunResult, n_probes: int = 13) -> tuple[np.ndarray, 
     grid = result.basis.grid(cfg.M)
     w = grid.weight
     T = result.history.t_final
-    rho0 = result.rho_grids[0].values
+    rho0 = result.nodes.rho[0]
     u0 = grid.synthesize(result.history.coeffs[0])
     mom0 = rho0[..., None] * u0
 
@@ -417,7 +365,6 @@ def momentum_probes(result: RunResult, n_probes: int = 13) -> tuple[np.ndarray, 
 
 @dataclass
 class ConvergeStudy:
-    n_values: list
     results: list
     rows: list
 
@@ -427,6 +374,8 @@ def converge_study(config: RunConfig, n_values) -> ConvergeStudy:
     ns = sorted(set(int(n) for n in n_values))
     if len(ns) < 3:
         raise ConfigError("converge needs at least three N values")
+    if ns[0] < 1:
+        raise ConfigError(f"mode counts must be >= 1, got N={ns[0]}")
     # Validate the finest basis against M before spending any time.
     build_basis(replace(config, N=ns[-1]))
 
@@ -469,7 +418,7 @@ def converge_study(config: RunConfig, n_values) -> ConvergeStudy:
                 ),
             }
         )
-    return ConvergeStudy(n_values=ns, results=results, rows=rows)
+    return ConvergeStudy(results=results, rows=rows)
 
 
 @dataclass
@@ -478,7 +427,6 @@ class VacuumSweep:
     `results[i]`, in probe order (t descending); `momentum[i]` is the report
     fitted on them."""
 
-    floors: list
     results: list
     probes: list
     momentum: list
@@ -532,7 +480,6 @@ def vacuum_sweep(config: RunConfig, floors) -> VacuumSweep:
         (max(sup_grads) - min(sup_grads)) / min(sup_grads) if sup_grads else math.inf
     )
     return VacuumSweep(
-        floors=ns,
         results=results,
         probes=probes,
         momentum=reports,
@@ -565,9 +512,9 @@ def _difference_curves(ref: RunResult, other: RunResult) -> dict:
     for k in range(len(ref.times)):
         dc = other.history.coeffs[k] - ref.history.coeffs[k]
         du = grid.synthesize(dc)
-        drho = other.rho_grids[k].values - ref.rho_grids[k].values
-        f_vals.append((w * (np.abs(drho) ** 1.5).sum()) ** (2.0 / 3.0))
-        g_vals.append(w * (other.rho_grids[k].values * (du * du).sum(axis=-1)).sum())
+        drho = other.nodes.rho[k] - ref.nodes.rho[k]
+        f_vals.append(lp_norm(GridField(drho), 1.5))
+        g_vals.append(w * (other.nodes.rho[k] * (du * du).sum(axis=-1)).sum())
         G_vals.append((lam * dc * dc).sum())
     return {
         "t": ref.times.copy(),
@@ -585,6 +532,8 @@ def uniqueness_study(config: RunConfig, delta: float = 1e-3) -> UniquenessStudy:
     Perturbation: shifting the initial density by `delta` produces difference
     curves that must stay below the Gronwall bound with fitted constants.
     """
+    if not math.isfinite(delta):
+        raise ConfigError(f"density shift delta must be finite, got {delta}")
     run_a = run_simulation(config, seed="initial")
     run_b = run_simulation(config, seed="zero")
     seed_curves = _difference_curves(run_a, run_b)
@@ -663,6 +612,9 @@ def taylor_benchmark(
     idx = int(np.nonzero(u0)[0][0])
 
     dts = list(dt_values) if dt_values is not None else [config.dt]
+    bad = [dt for dt in dts if not (math.isfinite(dt) and dt > 0.0)]
+    if bad:
+        raise ConfigError(f"time steps must be positive and finite, got {bad}")
     errors = []
     for dt in dts:
         history, _ = picard_solve(

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .basis import BasisSet
-from .fields import GridField
+from .fields import GridField, leray_pressure
 from .transport import (
     DensitySource,
     DivergenceError,
@@ -68,7 +68,6 @@ class SolverState:
     f: np.ndarray
     fdot: np.ndarray
     rho: GridField
-    mats: GalerkinMatrices
 
 
 def assemble(
@@ -140,7 +139,7 @@ def solve_linearized(
     for k in range(len(times) - 1):
         stage_times += [times[k] + 0.5 * (times[k + 1] - times[k]), times[k + 1]]
     stages = zip(stage_times, carried_densities(source, v_hist, M, stage_times, dtau))
-    flowing = _has_flow(v_hist)
+    flowing = bool(np.any(v_hist.coeffs != 0.0))
 
     def next_assembly() -> GalerkinMatrices:
         tau, rho = next(stages)
@@ -171,10 +170,6 @@ def solve_linearized(
 
     derivs[-1] = ode_rhs(coeffs[-1], mats_start)
     return VelocityHistory(basis, times, coeffs, derivs)
-
-
-def _has_flow(hist) -> bool:
-    return bool(np.any(hist.coeffs != 0.0))
 
 
 @dataclass
@@ -262,31 +257,28 @@ def build_state(
     grid = basis.grid(M)
     v_grid = grid.synthesize(f)
     mats = assemble(rho, v_grid, basis, M)
-    return SolverState(t=float(t), f=f, fdot=ode_rhs(f, mats), rho=rho, mats=mats)
+    return SolverState(t=float(t), f=f, fdot=ode_rhs(f, mats), rho=rho)
 
 
 @dataclass
 class ResidualReport:
     """Modal residuals of the momentum balance at one state.
 
-    `per_mode[i]` is |(rho udot, w_i) + lam_i f_i| with udot = d_t u +
+    The mode-i residual is |(rho udot, w_i) + lam_i f_i| with udot = d_t u +
     (u . grad) u recomputed on the grid; `orthogonality_max` is its maximum
-    (weak-form residual per mode) and `projection_l2` the Euclidean norm
-    (L2 distance between lap u and the modal projection of rho udot, since
-    both fields lie in the basis span).  `pressure` is the diagnostic
-    pressure recovered from the Helmholtz decomposition of lap u - rho udot.
+    (weak-form residual per mode) and `projection_rel` their Euclidean norm
+    (the L2 distance between lap u and the modal projection of rho udot,
+    since both fields lie in the basis span) relative to ||u||_2.  `pressure`
+    is the diagnostic pressure recovered from the Helmholtz decomposition of
+    lap u - rho udot.
     """
 
-    per_mode: np.ndarray
     orthogonality_max: float
-    projection_l2: float
     projection_rel: float
     pressure: GridField
 
 
 def residual_diagnostics(state: SolverState, basis: BasisSet, M: int) -> ResidualReport:
-    from .fields import leray_pressure
-
     grid = basis.grid(M)
     u = grid.synthesize(state.f)
     grad_u = grid.synthesize_gradient(state.f)
@@ -306,9 +298,7 @@ def residual_diagnostics(state: SolverState, basis: BasisSet, M: int) -> Residua
     pressure = leray_pressure(GridField(resid_field))
 
     return ResidualReport(
-        per_mode=np.abs(resid_vec),
         orthogonality_max=float(np.abs(resid_vec).max()),
-        projection_l2=proj_l2,
         projection_rel=proj_l2 / fnorm if fnorm > 0 else proj_l2,
         pressure=pressure,
     )

@@ -29,7 +29,9 @@ TransportDriftError, because the grid then under-resolves the displacement.
 
 Constant sources skip the characteristics altogether.  Feet are reported
 without modular reduction, which is harmless because every initial density
-is 2pi-periodic.
+is 2pi-periodic.  The grid points come from `fields.grid_points`; the norms
+of the transported density (W^{1,gamma}, ||grad rho||_gamma, ||d_t rho||_gamma)
+are taken with the `fields` norm functions in the pipeline's node walk.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .basis import BasisSet
-from .fields import GridField
+from .fields import GridField, grid_points
 
 # Largest distance allowed between a carried foot and its exact backtrack.
 # The carried map matches the exact feet to ~1e-14 on resolved flows.
@@ -71,7 +73,7 @@ class TransportDriftError(DivergenceError):
 
 @dataclass(frozen=True)
 class DensitySource:
-    """Initial density: analytic 2pi-periodic value and gradient functions.
+    """Initial density: an analytic 2pi-periodic value function.
 
     `lower` and `upper` are the exact range bounds over the torus.  `floor_n`
     records the additive lift 1/n if one was applied (None means no floor).
@@ -81,7 +83,6 @@ class DensitySource:
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
     floor_n: int | None = None
@@ -92,10 +93,7 @@ def constant_density(c: float = 1.0) -> DensitySource:
     def value(points):
         return np.full(np.asarray(points).shape[:-1], float(c))
 
-    def grad(points):
-        return np.zeros(np.asarray(points).shape[:-1] + (2,))
-
-    return DensitySource("constant", value, grad, float(c), float(c), constant=True)
+    return DensitySource("constant", value, float(c), float(c), constant=True)
 
 
 def bump_density() -> DensitySource:
@@ -105,13 +103,7 @@ def bump_density() -> DensitySource:
         p = np.asarray(points)
         return 2.0 + np.sin(p[..., 0]) * np.sin(p[..., 1])
 
-    def grad(points):
-        p = np.asarray(points)
-        gx = np.cos(p[..., 0]) * np.sin(p[..., 1])
-        gy = np.sin(p[..., 0]) * np.cos(p[..., 1])
-        return np.stack([gx, gy], axis=-1)
-
-    return DensitySource("bump", value, grad, 1.0, 3.0)
+    return DensitySource("bump", value, 1.0, 3.0)
 
 
 def vacuum_well_density() -> DensitySource:
@@ -132,14 +124,7 @@ def vacuum_well_density() -> DensitySource:
         p = np.asarray(points)
         return c * np.maximum(0.0, _q(p) - 0.5) ** 2
 
-    def grad(points):
-        p = np.asarray(points)
-        pos = np.maximum(0.0, _q(p) - 0.5)
-        gx = c * pos * np.sin(p[..., 0] - np.pi)
-        gy = c * pos * np.sin(p[..., 1] - np.pi)
-        return np.stack([gx, gy], axis=-1)
-
-    return DensitySource("vacuum-well", value, grad, 0.0, 1.5)
+    return DensitySource("vacuum-well", value, 0.0, 1.5)
 
 
 DENSITY_CATALOG = {
@@ -150,7 +135,7 @@ DENSITY_CATALOG = {
 
 
 def shift_density(source: DensitySource, shift: float) -> DensitySource:
-    """Additive constant shift.  Gradient and name are preserved."""
+    """Additive constant shift.  The name is preserved."""
     base_value = source.value
     return replace(
         source,
@@ -220,49 +205,6 @@ class VelocityHistory:
     def velocity_at(self, points: np.ndarray, t: float) -> np.ndarray:
         return self.basis.velocity_at(points, self.coeffs_at(t))
 
-    def gradient_at(self, points: np.ndarray, t: float) -> np.ndarray:
-        return self.basis.gradient_at(points, self.coeffs_at(t))
-
-
-class ConstantVelocity:
-    """Test field: spatially uniform steady velocity (not solenoidal-checked)."""
-
-    def __init__(self, vector):
-        self.vector = np.asarray(vector, dtype=float)
-
-    def velocity_at(self, points: np.ndarray, t: float) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.broadcast_to(self.vector, pts.shape).copy()
-
-
-class ShearVelocity:
-    """Test field v = (a sin y cos(omega t), 0) with explicit characteristics.
-
-    Backward feet: Phi(0; (x, y), t) = (x - a sin y * S(t), y) where
-    S(t) = int_0^t cos(omega s) ds (= t for omega = 0).
-    """
-
-    def __init__(self, amplitude: float = 1.0, omega: float = 0.0):
-        self.amplitude = float(amplitude)
-        self.omega = float(omega)
-
-    def velocity_at(self, points: np.ndarray, t: float) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        mod = np.cos(self.omega * t) if self.omega else 1.0
-        u = np.zeros_like(pts)
-        u[..., 0] = self.amplitude * np.sin(pts[..., 1]) * mod
-        return u
-
-    def feet(self, points: np.ndarray, t: float) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if self.omega:
-            S = np.sin(self.omega * t) / self.omega
-        else:
-            S = t
-        out = pts.copy()
-        out[..., 0] -= self.amplitude * np.sin(pts[..., 1]) * S
-        return out
-
 
 def _integrate_back(history, pts: np.ndarray, t_from: float, t_to: float, dtau: float):
     """RK4 for dPhi/dtau = v(Phi, tau) from tau = t_from down to t_to, in
@@ -298,7 +240,7 @@ def density_at(
     source: DensitySource, history, M: int, t: float, dtau: float
 ) -> GridField:
     """Density on the M x M grid at time t: rho0 evaluated at the feet."""
-    pts = grid_points_cached(M)
+    pts = grid_points(M)
     if source.constant:
         return GridField(source.value(pts))
     feet = backtrack(history, pts, t, dtau)
@@ -324,7 +266,7 @@ def carried_densities(
         return
     if dtau <= 0.0:
         raise ValueError("need dtau > 0")
-    x = grid_points_cached(M)
+    x = grid_points(M)
     disp = np.zeros_like(x)
     walked = [0.0]
     last = len(times) - 1
@@ -352,7 +294,7 @@ def _check_drift(history, feet: np.ndarray, walked: list, dtau: float) -> None:
     M = feet.shape[0]
     rows = np.arange(8) * M // 8
     cols = (3 * rows) % M
-    exact = grid_points_cached(M)[rows, cols]
+    exact = grid_points(M)[rows, cols]
     for hi, lo in zip(walked[:0:-1], walked[-2::-1]):
         exact = _integrate_back(history, exact, hi, lo, dtau)
     drift = float(np.abs(feet[rows, cols] - exact).max())
@@ -410,55 +352,6 @@ def trig_interpolate(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out.reshape(pts.shape[:-1] + (C,))
 
 
-_GRID_CACHE: dict[int, np.ndarray] = {}
-
-
-def grid_points_cached(M: int) -> np.ndarray:
-    if M not in _GRID_CACHE:
-        axis = 2.0 * np.pi * np.arange(M) / M
-        X, Y = np.meshgrid(axis, axis, indexing="ij")
-        _GRID_CACHE[M] = np.stack([X, Y], axis=-1)
-    return _GRID_CACHE[M]
-
-
-def fd_gradient(rho: GridField) -> np.ndarray:
-    """Second-order centered periodic finite-difference gradient, (M, M, 2)."""
-    v = rho.values
-    h = 2.0 * np.pi / rho.M
-    gx = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * h)
-    gy = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * h)
-    return np.stack([gx, gy], axis=-1)
-
-
-def grad_density_norm(rho: GridField, gamma: float) -> float:
-    """||grad rho||_{L^gamma} from the finite-difference gradient."""
-    g = fd_gradient(rho)
-    mag = np.sqrt((g * g).sum(axis=-1))
-    w = rho.quadrature_weight()
-    return float((w * (mag**gamma).sum()) ** (1.0 / gamma))
-
-
-def w1gamma_norm(rho: GridField, gamma: float) -> float:
-    """Sobolev norm (||rho||_gamma^gamma + ||grad rho||_gamma^gamma)^(1/gamma)."""
-    w = rho.quadrature_weight()
-    g = fd_gradient(rho)
-    mag = np.sqrt((g * g).sum(axis=-1))
-    total = w * (np.abs(rho.values) ** gamma).sum() + w * (mag**gamma).sum()
-    return float(total ** (1.0 / gamma))
-
-
-def density_time_derivative_norm(
-    source: DensitySource, history, M: int, t: float, dtau: float, gamma: float
-) -> float:
-    """||d_t rho||_{L^gamma} via the transport identity d_t rho = -u . grad rho."""
-    rho = density_at(source, history, M, t, dtau)
-    grad = fd_gradient(rho)
-    u = history.velocity_at(grid_points_cached(M), t)
-    dt_rho = -(u * grad).sum(axis=-1)
-    w = rho.quadrature_weight()
-    return float((w * (np.abs(dt_rho) ** gamma).sum()) ** (1.0 / gamma))
-
-
 @dataclass
 class TransportGrowthReport:
     passed: bool
@@ -467,7 +360,7 @@ class TransportGrowthReport:
 
 
 def transport_growth_check(
-    times, w1gamma, gradv_inf, w1gamma0: float | None = None, eps: float = 1e-2
+    times, w1gamma, gradv_inf, eps: float = 1e-2
 ) -> TransportGrowthReport:
     """Check ||rho(t)||_{W^{1,gamma}} <= exp(int_0^t ||grad v||_inf) ||rho0||.
 
@@ -478,11 +371,10 @@ def transport_growth_check(
     times = np.asarray(times, dtype=float)
     w1 = np.asarray(w1gamma, dtype=float)
     gv = np.asarray(gradv_inf, dtype=float)
-    base = w1[0] if w1gamma0 is None else float(w1gamma0)
     exponents = np.concatenate(
         [[0.0], np.cumsum(0.5 * np.diff(times) * (gv[1:] + gv[:-1]))]
     )
-    bounds = base * np.exp(exponents)
+    bounds = w1[0] * np.exp(exponents)
     with np.errstate(divide="ignore", invalid="ignore"):
         margins = np.where(w1 > 0, bounds / np.where(w1 > 0, w1, 1.0), np.inf)
     worst = int(np.argmin(margins))

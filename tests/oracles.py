@@ -1,0 +1,66 @@
+"""Closed-form oracles the tests compare torusflow against.
+
+Velocity fields with explicit characteristics (anything with
+`velocity_at(points, t)` can be backtracked or carried like a
+VelocityHistory) and a spectral gradient for grid fields.
+"""
+
+import numpy as np
+
+from torusflow.fields import GridField
+
+
+class ConstantVelocity:
+    """Spatially uniform steady velocity (not solenoidal-checked)."""
+
+    def __init__(self, vector):
+        self.vector = np.asarray(vector, dtype=float)
+
+    def velocity_at(self, points: np.ndarray, t: float) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        return np.broadcast_to(self.vector, pts.shape).copy()
+
+
+class ShearVelocity:
+    """v = (a sin y cos(omega t), 0) with explicit characteristics.
+
+    Backward feet: Phi(0; (x, y), t) = (x - a sin y * S(t), y) where
+    S(t) = int_0^t cos(omega s) ds (= t for omega = 0).
+    """
+
+    def __init__(self, amplitude: float = 1.0, omega: float = 0.0):
+        self.amplitude = float(amplitude)
+        self.omega = float(omega)
+
+    def velocity_at(self, points: np.ndarray, t: float) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        mod = np.cos(self.omega * t) if self.omega else 1.0
+        u = np.zeros_like(pts)
+        u[..., 0] = self.amplitude * np.sin(pts[..., 1]) * mod
+        return u
+
+    def feet(self, points: np.ndarray, t: float) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        if self.omega:
+            S = np.sin(self.omega * t) / self.omega
+        else:
+            S = t
+        out = pts.copy()
+        out[..., 0] -= self.amplitude * np.sin(pts[..., 1]) * S
+        return out
+
+
+def spectral_gradient(scalar: GridField) -> GridField:
+    """Gradient of a scalar grid field computed in trigonometric space."""
+    if scalar.components != 1:
+        raise ValueError("spectral_gradient expects a scalar field")
+    M = scalar.M
+    k = np.fft.fftfreq(M, d=1.0 / M)
+    kx, ky = k[:, None], k[None, :]
+    f_hat = np.fft.fft2(scalar.values)
+    if M % 2 == 0:
+        f_hat[M // 2, :] = 0.0
+        f_hat[:, M // 2] = 0.0
+    gx = np.real(np.fft.ifft2(1j * kx * f_hat))
+    gy = np.real(np.fft.ifft2(1j * ky * f_hat))
+    return GridField(np.stack([gx, gy], axis=-1))

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import ShearVelocity
 
 from torusflow.config import parse_config_text
 from torusflow.estimates import (
@@ -22,7 +23,7 @@ from torusflow.estimates import (
     gronwall_bounds,
     gronwall_verify,
 )
-from torusflow.fields import GridField
+from torusflow.fields import GridField, grid_points, w1gamma_norm
 from torusflow.pipeline import (
     converge_study,
     run_simulation,
@@ -30,13 +31,7 @@ from torusflow.pipeline import (
     uniqueness_study,
     vacuum_sweep,
 )
-from torusflow.transport import (
-    ShearVelocity,
-    bump_density,
-    grid_points_cached,
-    transport_growth_check,
-    w1gamma_norm,
-)
+from torusflow.transport import bump_density, transport_growth_check
 
 
 @pytest.fixture
@@ -104,8 +99,8 @@ def exact_density_bounds_ok(result) -> bool:
     return (
         set(led.column("rho_min")) == {lower}
         and set(led.column("rho_max")) == {upper}
-        and result.sample_min.min() >= lower
-        and result.sample_max.max() <= upper
+        and result.nodes.rho.min() >= lower
+        and result.nodes.rho.max() <= upper
     )
 
 
@@ -133,7 +128,7 @@ def test_energy_identity_residual_and_order(single_mode_run, verdict):
         single_mode_run.times,
         led.column("sqrt_rho_u_l2"),
         led.column("grad_u_l2"),
-        single_mode_run.grad_u_sq_dot,
+        single_mode_run.nodes.grad_u_sq_dot,
     )
 
     base = replace(parse_config_text(TWO_MODE), T=0.2)
@@ -145,7 +140,7 @@ def test_energy_identity_residual_and_order(single_mode_run, verdict):
                 res.times,
                 res.ledger.column("sqrt_rho_u_l2"),
                 res.ledger.column("grad_u_l2"),
-                res.grad_u_sq_dot,
+                res.nodes.grad_u_sq_dot,
             )
         )
     orders = convergence_orders(resids)
@@ -160,8 +155,8 @@ def test_energy_identity_residual_and_order(single_mode_run, verdict):
 
 def test_galerkin_orthogonality_residuals(single_mode_run, two_mode_run, verdict):
     worst = max(
-        float(single_mode_run.orthogonality_max.max()),
-        float(two_mode_run.orthogonality_max.max()),
+        float(single_mode_run.nodes.orthogonality_max.max()),
+        float(two_mode_run.nodes.orthogonality_max.max()),
     )
     verdict(
         worst <= 1e-8,
@@ -171,7 +166,7 @@ def test_galerkin_orthogonality_residuals(single_mode_run, two_mode_run, verdict
 
 
 def test_projection_identity_residual(two_mode_run, verdict):
-    worst = float(two_mode_run.projection_rel.max())
+    worst = float(two_mode_run.nodes.projection_rel.max())
     verdict(
         worst <= 1e-8,
         "projected momentum balance",
@@ -201,7 +196,7 @@ def test_max_principle_and_mass_conservation(single_mode_run, two_mode_run, verd
 def test_transport_growth_bound_closed_form(verdict):
     shear = ShearVelocity(amplitude=0.7, omega=2.0)
     src = bump_density()
-    pts = grid_points_cached(64)
+    pts = grid_points(64)
     times = np.linspace(0.0, 0.6, 13)
     w1 = np.array(
         [

@@ -5,14 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from torusflow.basis import (
-    MODE_NORM,
-    BasisSet,
-    enumerate_modes,
-    evaluate_mode,
-    mode_divergence,
-    project_velocity,
-)
+from oracles import spectral_gradient
+
+from torusflow.basis import MODE_NORM, BasisSet, enumerate_modes
+from torusflow.fields import GridField
 
 RNG = np.random.default_rng(42)
 
@@ -33,7 +29,6 @@ def test_first_mode_is_shear_cosine():
     assert mode.k == (1, 0)
     assert mode.parity == "cos"
     assert mode.lam == 1
-    assert mode.eigenpressure == 0.0
 
 
 def test_eigenvalue_sequence_n9():
@@ -67,13 +62,21 @@ def test_canonical_halfspace():
 
 
 def test_evaluate_oracle_values():
-    modes = enumerate_modes(9)
+    basis = BasisSet(9)
+
+    def unit(n):
+        e = np.zeros(9)
+        e[n] = 1.0
+        return e
+
     # k=(1,0) cosine at the origin: direction (0,1), cos(0)=1.
-    v = evaluate_mode(modes[0], np.array([0.0, 0.0]))
+    v = basis.velocity_at(np.array([0.0, 0.0]), unit(0))
     np.testing.assert_allclose(v, [0.0, 1.0 / (np.sqrt(2.0) * np.pi)], atol=1e-15)
     # k=(1,1) cosine at (pi/2, pi/2): phase pi, direction (-1,1)/sqrt(2).
-    mode_11 = next(m for m in modes if m.k == (1, 1) and m.parity == "cos")
-    v = evaluate_mode(mode_11, np.array([np.pi / 2, np.pi / 2]))
+    n_11 = next(
+        n for n, m in enumerate(basis.modes) if m.k == (1, 1) and m.parity == "cos"
+    )
+    v = basis.velocity_at(np.array([np.pi / 2, np.pi / 2]), unit(n_11))
     np.testing.assert_allclose(
         v, [1.0 / (2.0 * np.pi), -1.0 / (2.0 * np.pi)], atol=1e-15
     )
@@ -94,16 +97,7 @@ def test_gram_matrix_orthonormal():
     np.testing.assert_allclose(gram, np.eye(9), atol=1e-12)
 
 
-def test_divergence_exactly_zero():
-    points = RNG.uniform(0.0, 2.0 * np.pi, size=(100, 2))
-    for m in enumerate_modes(12):
-        div = mode_divergence(m, points)
-        assert np.all(div == 0.0)
-
-
 def test_grid_divergence_spectrally_zero():
-    from torusflow.fields import GridField, spectral_gradient
-
     basis = BasisSet(9)
     grid = basis.grid(16)
     coeffs = RNG.standard_normal(9)
@@ -130,7 +124,7 @@ def test_bessel_inequality_out_of_span():
         extra = np.stack([np.zeros_like(x), np.cos(3.0 * x)], axis=-1)
         return 0.7 * grid.W[0].reshape(points.shape) + 0.3 * MODE_NORM * extra
 
-    coeffs = project_velocity(u, basis, 16)
+    coeffs = grid.project(u(grid.points))
     assert abs(coeffs[0] - 0.7) < 1e-12
     assert np.abs(coeffs[1:]).max() < 1e-13
     full_l2_sq = grid.weight * (u(grid.points) ** 2).sum()
@@ -138,13 +132,13 @@ def test_bessel_inequality_out_of_span():
 
 
 def test_gradient_fields_project_to_zero():
-    basis = BasisSet(9)
+    grid = BasisSet(9).grid(16)
 
     def grad_phi(points):
         s = np.sin(points[..., 0] + points[..., 1])
         return np.stack([-s, -s], axis=-1)
 
-    coeffs = project_velocity(grad_phi, basis, 16)
+    coeffs = grid.project(grad_phi(grid.points))
     assert np.abs(coeffs).max() < 1e-13
 
 
@@ -188,4 +182,4 @@ def test_alias_guard_and_validation():
     with pytest.raises(ValueError):
         enumerate_modes(0)
     with pytest.raises(ValueError):
-        project_velocity(np.zeros((8, 8, 2)), BasisSet(4), 16)
+        BasisSet(4).grid(16).project(np.zeros((8, 8, 2)))

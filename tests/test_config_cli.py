@@ -70,6 +70,10 @@ def test_mode_spec_validation():
         parse_config_text(GOOD.replace("1,0,cos:0.3", "1,0,tan:0.3"))
     with pytest.raises(ConfigError):
         parse_config_text(GOOD.replace("1,0,cos:0.3", "-1,0,cos:0.3"))  # not canonical
+    for amplitude in ("nan", "inf"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(GOOD.replace("1,0,cos:0.3", f"1,0,cos:{amplitude}"))
+        assert err.value.key == "u0.modes"
     with pytest.raises(ConfigError):
         parse_config_text(GOOD.replace("density.kind = bump", "density.kind = jelly"))
 
@@ -184,6 +188,43 @@ def test_cli_rejects_snapshot_outside_horizon(tmp_path, capsys, snapshot):
     out = tmp_path / "x"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "snapshot" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["dt", "T", "dtau", "picard_tol"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    # nan and inf used to pass validation: dt=nan and T=inf crashed with a
+    # traceback, picard_tol=nan ran every Picard pass and exited 4.
+    lines = [line for line in TAYLOR.splitlines() if not line.startswith(f"{key} =")]
+    cfg = write_config(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n")
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["taylor", "--dt-list", "0,0.01"],
+        ["taylor", "--dt-list=-0.01,0.005"],
+        ["taylor", "--dt-list", "nan"],
+        ["converge", "--N-list", "0,2,4"],
+        ["uniqueness", "--delta", "nan"],
+    ],
+    ids=["taylor-zero-dt", "taylor-negative-dt", "taylor-nan-dt", "converge-zero-N", "uniqueness-nan-delta"],
+)
+def test_cli_rejects_bad_study_numbers_before_solving(tmp_path, capsys, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the command line")
+
+    monkeypatch.setattr(pipeline, "picard_solve", no_solve)
+    cfg = write_config(tmp_path, TAYLOR)
+    command, *flags = argv
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert "config error:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,71 +2,81 @@
 
 import numpy as np
 import pytest
+from oracles import spectral_gradient
 
 from torusflow.basis import BasisSet
 from torusflow.fields import (
     GridField,
-    SpectralVelocity,
-    gagliardo_nirenberg_ratio,
     grid_points,
-    integrate,
     leray_pressure,
     load_snapshot,
     lp_norm,
-    norms,
     save_snapshot,
-    spectral_gradient,
-    synthesize,
 )
+from torusflow.pipeline import node_diagnostics
+from torusflow.transport import VelocityHistory, constant_density
 
 RNG = np.random.default_rng(7)
+
+
+def single_mode_ledger(count, index, M=16):
+    """Ledger of the steady unit velocity w_index over unit density."""
+    basis = BasisSet(count)
+    e = np.zeros(count)
+    e[index] = 1.0
+    history = VelocityHistory.constant(basis, e, 0.1)
+    ledger, _ = node_diagnostics(constant_density(), history, basis, M, 0.1)
+    return ledger
 
 
 def test_parseval():
     basis = BasisSet(9)
     coeffs = RNG.standard_normal(9)
-    u = SpectralVelocity(basis, coeffs)
-    grid_l2 = lp_norm(synthesize(u, 16), 2.0)
+    grid_l2 = lp_norm(GridField(basis.grid(16).synthesize(coeffs)), 2.0)
     assert abs(grid_l2 - np.linalg.norm(coeffs)) < 1e-12
-    assert abs(u.l2() - np.linalg.norm(coeffs)) < 1e-15
 
 
 def test_seminorms_single_modes():
-    basis = BasisSet(9)
     # Mode index 6 is k=(1,1) with lam=2; index 8 is k=(2,0) with lam=4.
-    e = np.zeros(9)
-    e[6] = 1.0
-    rep = norms(SpectralVelocity(basis, e), 16)
-    assert abs(rep.h1dot - np.sqrt(2.0)) < 1e-12
-    assert abs(rep.h2dot - 2.0) < 1e-12
-    e = np.zeros(9)
-    e[8] = 1.0
-    rep = norms(SpectralVelocity(basis, e), 16)
-    assert abs(rep.h1dot - 2.0) < 1e-12
-    assert abs(rep.h2dot - 4.0) < 1e-12
+    for index, lam in ((6, 2.0), (8, 4.0)):
+        ledger = single_mode_ledger(9, index)
+        np.testing.assert_allclose(ledger.column("grad_u_l2"), np.sqrt(lam), atol=1e-12)
+        np.testing.assert_allclose(ledger.column("hess_u_l2"), lam, atol=1e-12)
 
 
 def test_sup_norm_and_l6_closed_form():
-    basis = BasisSet(4)
-    e = np.zeros(4)
-    e[0] = 1.0  # w = cos(x) (0,1) / (sqrt(2) pi)
-    rep = norms(SpectralVelocity(basis, e), 16)
+    ledger = single_mode_ledger(4, 0)  # w = cos(x) (0,1) / (sqrt(2) pi)
     peak = 1.0 / (np.sqrt(2.0) * np.pi)
-    assert abs(rep.linf - peak) < 1e-15
+    assert np.abs(ledger.column("u_linf") - peak).max() < 1e-15
+    # |grad w| = |sin x| / (sqrt(2) pi), peaking at 1/(sqrt(2) pi) on the grid.
+    assert np.abs(ledger.column("grad_u_linf") - peak).max() < 1e-15
+    # Constant density: no density gradient and no density rate.
+    assert not ledger.column("grad_rho_lgamma").any()
+    assert not ledger.column("rho_t_lgamma").any()
     # integral of cos^6 over a period is 2 pi * 5/16, so
     # ||w||_6^6 = (2 pi)(5 pi / 8) / (sqrt(2) pi)^6 = 5 / (32 pi^4).
-    assert abs(rep.l6 - (5.0 / (32.0 * np.pi**4)) ** (1.0 / 6.0)) < 1e-12
-    # |grad w| = |sin x| / (sqrt(2) pi), peaking at 1/(sqrt(2) pi) on the grid.
-    assert abs(rep.grad_linf - peak) < 1e-15
+    w = GridField(BasisSet(4).grid(16).W[0])
+    assert abs(lp_norm(w, 6.0) - (5.0 / (32.0 * np.pi**4)) ** (1.0 / 6.0)) < 1e-12
 
 
 def test_integrate_and_lp_norm():
     M = 32
     pts = grid_points(M)
     f = GridField(2.0 + np.sin(pts[..., 0]) * np.sin(pts[..., 1]))
-    assert abs(integrate(f) - 2.0 * 4.0 * np.pi**2) < 1e-10
+    # f > 0, so its L^1 norm is its trapezoid integral.
+    assert abs(lp_norm(f, 1.0) - 2.0 * 4.0 * np.pi**2) < 1e-10
     const = GridField(np.full((M, M), 3.0))
     assert abs(lp_norm(const, 2.0) - 3.0 * 2.0 * np.pi) < 1e-12
+
+
+def test_grid_points_shared_and_read_only():
+    pts = grid_points(12)
+    assert pts.shape == (12, 12, 2)
+    np.testing.assert_array_equal(pts[3, 5], [2.0 * np.pi * 3 / 12, 2.0 * np.pi * 5 / 12])
+    assert grid_points(12) is pts
+    assert BasisSet(4).grid(12).points is pts
+    with pytest.raises(ValueError):
+        pts[0, 0, 0] = 1.0
 
 
 def test_spectral_gradient_oracle():
@@ -105,16 +115,6 @@ def test_leray_pressure_rejects_nonzero_mean():
         leray_pressure(GridField(g))
     with pytest.raises(ValueError):
         leray_pressure(GridField(np.zeros((M, M))))  # scalar input
-
-
-def test_gagliardo_nirenberg_ratio():
-    basis = BasisSet(4)
-    e = np.zeros(4)
-    e[0] = 1.0
-    # ||w||_inf = 1/(sqrt(2) pi), ||grad w||_2 = ||grad^2 w||_2 = 1.
-    ratio = gagliardo_nirenberg_ratio(SpectralVelocity(basis, e), 16)
-    assert abs(ratio - 1.0 / (2.0 * np.pi**2)) < 1e-12
-    assert gagliardo_nirenberg_ratio(SpectralVelocity(basis, np.zeros(4)), 16) == 0.0
 
 
 def test_snapshot_round_trip(tmp_path):

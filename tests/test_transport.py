@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from oracles import ConstantVelocity, ShearVelocity
 
 from torusflow.basis import BasisSet
 from torusflow.estimates import GAMMA, convergence_orders
-from torusflow.fields import GridField, grid_points
+from torusflow.fields import GridField, fd_gradient, grid_points, lp_norm, w1gamma_norm
+from torusflow.pipeline import node_diagnostics
 from torusflow.solver import DivergenceError, solve_linearized
 from torusflow.transport import (
     DENSITY_CATALOG,
-    ConstantVelocity,
-    ShearVelocity,
     TransportDriftError,
     VelocityHistory,
     backtrack,
@@ -18,15 +18,11 @@ from torusflow.transport import (
     carried_densities,
     constant_density,
     density_at,
-    density_time_derivative_norm,
-    fd_gradient,
-    grad_density_norm,
     lift_floor,
     shift_density,
     transport_growth_check,
     trig_interpolate,
     vacuum_well_density,
-    w1gamma_norm,
 )
 
 RNG = np.random.default_rng(3)
@@ -179,7 +175,7 @@ def test_fd_gradient_oracle_and_order():
     errs = []
     for M in (64, 128):
         rho = GridField(f0(grid_points(M)))
-        errs.append(abs(grad_density_norm(rho, GAMMA) - exact_norm))
+        errs.append(abs(lp_norm(GridField(fd_gradient(rho)), GAMMA) - exact_norm))
     # The centered difference scales each component by sin(h)/h, so the
     # relative error is h^2/6 ~= 4e-4 at M=128.
     assert errs[1] < 5e-4 * exact_norm
@@ -193,12 +189,15 @@ def test_w1gamma_norm_constant():
 
 
 def test_density_time_derivative_oracle():
-    # d_t rho = -u . grad rho; with u = (1,0) and the bump density at t=0,
-    # d_t rho = -cos(x) sin(y) whose L2 norm is pi.
-    val = density_time_derivative_norm(
-        bump_density(), ConstantVelocity([1.0, 0.0]), 128, 0.0, 0.1, 2.0
-    )
-    assert abs(val - np.pi) < 1e-3 * np.pi
+    # d_t rho = -u . grad rho; with u = w_0 = cos(x) (0, 1) / (sqrt(2) pi)
+    # and the bump density at t=0, d_t rho = -cos(x) sin(x) cos(y) /
+    # (sqrt(2) pi), whose L2 norm is 1 / (2 sqrt(2)).
+    basis = BasisSet(4)
+    history = VelocityHistory.constant(basis, np.array([1.0, 0.0, 0.0, 0.0]), 0.01)
+    ledger, _ = node_diagnostics(bump_density(), history, basis, 128, 0.01)
+    val = ledger.column("rho_t_lgamma")[0]
+    exact = 1.0 / (2.0 * np.sqrt(2.0))
+    assert abs(val - exact) < 1e-3 * exact
 
 
 # ---------------------------------------------------------------------------
