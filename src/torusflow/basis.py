@@ -83,6 +83,11 @@ class BasisGrid:
     indexed [mode, a, b, component, derivative], and the trapezoid quadrature
     weight h^2 = (2pi/M)^2 (exact for trigonometric polynomials below the
     Nyquist limit).
+
+    Every mode factors as w_n = MODE_NORM d_n T_n(x), with gradient
+    MODE_NORM (d_n x k_n) T'_n(x), so the Galerkin matrices need only the
+    scalar tables `trig` (T_n) and `dtrig` (T'_n), shape (N, M*M) over the
+    flattened nodes, and `gram` = h^2 MODE_NORM^2 (d_i . d_j), shape (N, N).
     """
 
     def __init__(self, basis: "BasisSet", M: int):
@@ -99,6 +104,8 @@ class BasisGrid:
         N = basis.size
         self.W = np.empty((N, M, M, 2))
         self.GW = np.empty((N, M, M, 2, 2))
+        self.trig = np.empty((N, M * M))
+        self.dtrig = np.empty((N, M * M))
         for n, mode in enumerate(basis.modes):
             k1, k2 = mode.k
             phase = k1 * X + k2 * Y
@@ -106,12 +113,15 @@ class BasisGrid:
                 trig, trig_d = np.cos(phase), -np.sin(phase)
             else:
                 trig, trig_d = np.sin(phase), np.cos(phase)
+            self.trig[n] = trig.reshape(-1)
+            self.dtrig[n] = trig_d.reshape(-1)
             d = mode.direction * MODE_NORM
             self.W[n] = trig[..., None] * d
             # grad component [i, alpha] = d_i * k_alpha * trig'
             kvec = np.array([float(k1), float(k2)])
             self.GW[n] = trig_d[..., None, None] * np.einsum("i,a->ia", d, kvec)
         self._Wflat = self.W.reshape(N, -1)
+        self.gram = self.weight * MODE_NORM**2 * (basis.dirs @ basis.dirs.T)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Velocity samples (M, M, 2) for the given coefficient vector."""
@@ -166,12 +176,16 @@ class BasisSet:
         return table
 
     def velocity_at(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Velocity samples at arbitrary points (..., 2) -> (..., 2)."""
+        """Velocity samples at arbitrary points (..., 2) -> (..., 2).
+
+        A stack of coefficient vectors (S, N) gives (S, ..., 2), one field
+        per row, from a single trig table of the points."""
         pts = np.asarray(points, dtype=float)
         flat = pts.reshape(-1, 2)
         table = self._trig_table(flat)
-        u = (table * coeffs) @ (self.dirs * MODE_NORM)
-        return u.reshape(pts.shape)
+        c = np.asarray(coeffs, dtype=float)
+        u = (table * c[..., None, :]) @ (self.dirs * MODE_NORM)
+        return u.reshape(c.shape[:-1] + pts.shape)
 
     def gradient_at(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Velocity gradient at arbitrary points (..., 2) -> (..., 2, 2)."""

@@ -9,23 +9,31 @@ where A_ij = (rho w_j, w_i) is the density-weighted mass matrix (symmetric
 positive definite while the density stays away from zero), B_ij =
 (rho (v . grad) w_j, w_i), and Lam = diag(lam_i) collects the Stokes
 eigenvalues.  Both matrices are assembled by trapezoid quadrature on the
-M x M grid at every Runge-Kutta stage time.  The nonlinear problem is the
-fixed point v = u, reached by Picard iteration starting from the constant-in-
-time initial velocity.
+M x M grid for every Runge-Kutta stage time, in blocks of stage times: with
+w_n = MODE_NORM d_n T_n(x) and G_ij = h^2 MODE_NORM^2 (d_i . d_j),
+
+    A_ij = G_ij sum_x rho T_i T_j,    B_ij = G_ij sum_x rho T_i T'_j (v . k_j),
+
+two matrix products per stage on the scalar tables of `BasisGrid`.  One call
+guards a block's mass matrices (batched eigvalsh) and forms its RK4 operators
+A^{-1}(B + Lam) (batched solve); the RK4 loop itself only does mat-vecs.  The
+nonlinear problem is the fixed point v = u, reached by Picard iteration
+starting from the constant-in-time initial velocity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .basis import BasisSet
 from .fields import GridField, leray_pressure
 from .transport import (
     DensitySource,
     DivergenceError,
+    TransportDriftError,
     VelocityHistory,
     carried_densities,
     density_at,
@@ -51,13 +59,35 @@ class VacuumDegenerateError(RuntimeError):
         self.threshold = threshold
 
 
+# Stage times assembled per block in `solve_linearized`: the block's
+# (S, N, M*M) temporaries stay near 1 MB at N = 8, M = 40, and larger blocks
+# raise peak memory for no further gain.
+_BLOCK = 8
+
+
 @dataclass
 class GalerkinMatrices:
+    """Matrices of a block of S stage times.
+
+    `a` and `b` are (S, N, N); `min_eig` and `threshold` are the eigenvalue
+    guard of each stage; `op` holds the RK4 operators A^{-1}(B + Lam) of the
+    leading stages that pass the guard, so it is shorter than S when a stage
+    fails.
+    """
+
     a: np.ndarray
     b: np.ndarray
-    lam: np.ndarray
-    cho: tuple
-    min_eig: float
+    min_eig: np.ndarray
+    threshold: np.ndarray
+    op: np.ndarray
+
+    def operator(self, s: int) -> np.ndarray:
+        """RK4 operator of stage s; raises VacuumDegenerateError for the
+        block's first failing stage once s reaches it."""
+        if s < len(self.op):
+            return self.op[s]
+        first = len(self.op)
+        raise VacuumDegenerateError(float(self.min_eig[first]), float(self.threshold[first]))
 
 
 @dataclass
@@ -71,50 +101,79 @@ class SolverState:
 
 
 def assemble(
-    rho: GridField, v_grid: np.ndarray | None, basis: BasisSet, M: int
+    rho: np.ndarray, v_grid: np.ndarray | None, basis: BasisSet, M: int
 ) -> GalerkinMatrices:
-    """Build A, B, Lam at one time level.
+    """Build A, B and the RK4 operators for a block of S stage times.
 
-    `v_grid` holds advecting-velocity samples (M, M, 2); None means zero
-    advection (B = 0).  Raises VacuumDegenerateError when the smallest
-    eigenvalue of A falls below 1e-10 * trace(A)/N.
+    `rho` holds densities (S, M, M), `v_grid` advecting-velocity samples
+    (S, M, M, 2); None means zero advection (B = 0).  A stage fails the
+    guard when the smallest eigenvalue of its A is not above
+    1e-10 * trace(A)/N (or A is not finite); `GalerkinMatrices.operator`
+    raises VacuumDegenerateError when that stage is reached.
     """
     grid = basis.grid(M)
     N = basis.size
-    rho_flat = np.repeat(rho.values.reshape(-1), 2)
-    Wf = grid.W.reshape(N, -1)
-    a = grid.weight * ((Wf * rho_flat) @ Wf.T)
-    a = 0.5 * (a + a.T)
+    S = rho.shape[0]
+    rho_trig = rho.reshape(S, 1, -1) * grid.trig
+    a = grid.gram * (rho_trig @ grid.trig.T)
+    a = 0.5 * (a + a.transpose(0, 2, 1))
 
-    threshold = 1e-10 * np.trace(a) / N
-    min_eig = float(np.linalg.eigvalsh(a)[0])
-    if not np.isfinite(min_eig) or min_eig <= threshold:
-        raise VacuumDegenerateError(min_eig, float(threshold))
+    threshold = 1e-10 * np.trace(a, axis1=1, axis2=2) / N
+    min_eig = np.full(S, np.nan)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    min_eig[finite] = np.linalg.eigvalsh(a[finite])[:, 0]
+    passed = min_eig > threshold
+    usable = S if passed.all() else int(np.argmin(passed))
 
     if v_grid is None:
-        b = np.zeros((N, N))
+        b = np.zeros((S, N, N))
     else:
-        # conv[j] = (v . grad) w_j; entry b[i, j] pairs it against test mode w_i
-        conv = np.einsum("abk,nabik->nabi", v_grid, grid.GW)
-        b = grid.weight * ((Wf * rho_flat) @ conv.reshape(N, -1).T)
+        # (v . grad) w_j = MODE_NORM d_j T'_j (v . k_j)
+        v_dot_k = v_grid.reshape(S, -1, 2) @ basis.kvecs.T
+        b = grid.gram * (rho_trig @ (grid.dtrig.T * v_dot_k))
 
-    return GalerkinMatrices(
-        a=a,
-        b=b,
-        lam=basis.lambdas.copy(),
-        cho=cho_factor(a, lower=True),
-        min_eig=min_eig,
-    )
+    op = np.linalg.solve(a[:usable], b[:usable] + np.diag(basis.lambdas))
+    return GalerkinMatrices(a=a, b=b, min_eig=min_eig, threshold=threshold, op=op)
 
 
-def ode_rhs(f: np.ndarray, mats: GalerkinMatrices) -> np.ndarray:
-    """fdot = -A^{-1} (B + Lam) f via the cached Cholesky factorization."""
-    return cho_solve(mats.cho, -(mats.b @ f + mats.lam * f))
+def ode_rhs(f: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """fdot = -A^{-1} (B + Lam) f for one stage's operator."""
+    return -(op @ f)
 
 
 def _node_times(T: float, dt: float) -> np.ndarray:
     steps = max(1, int(round(T / dt)))
     return np.linspace(0.0, T, steps + 1)
+
+
+def _stage_operators(
+    v_hist, source: DensitySource, basis: BasisSet, M: int, stage_times, dtau: float
+) -> Iterator[np.ndarray]:
+    """RK4 operators at the increasing `stage_times`, assembled `_BLOCK` at a
+    time from one carried density sweep.
+
+    Failures surface in stage order: a block's VacuumDegenerateError when its
+    stage is reached, and a TransportDriftError, raised while the sweep
+    yields its last density, after every earlier stage has been yielded."""
+    densities = carried_densities(source, v_hist, M, stage_times, dtau)
+    flowing = bool(np.any(v_hist.coeffs != 0.0))
+    points = basis.grid(M).points
+    for lo in range(0, len(stage_times), _BLOCK):
+        taus = stage_times[lo : lo + _BLOCK]
+        rho, drift = [], None
+        try:
+            for _ in taus:
+                rho.append(next(densities).values)
+        except TransportDriftError as err:
+            drift = err
+        if rho:
+            coeffs = np.stack([v_hist.coeffs_at(t) for t in taus[: len(rho)]])
+            v_grid = basis.velocity_at(points, coeffs) if flowing else None
+            mats = assemble(np.stack(rho), v_grid, basis, M)
+            for s in range(len(rho)):
+                yield mats.operator(s)
+        if drift is not None:
+            raise drift
 
 
 def solve_linearized(
@@ -128,47 +187,39 @@ def solve_linearized(
     dtau: float,
 ) -> VelocityHistory:
     """One linearized pass: advect the density along `v_hist`, then integrate
-    the coefficient ODE with classical RK4, reassembling A and B at every
-    stage time.  The densities at the stage times t0, t0 + h/2, t1, ... are
-    streamed from one carried sweep.  Returns the full trajectory with nodal
-    derivatives."""
+    the coefficient ODE with classical RK4 on operators assembled at every
+    stage time t0, t0 + h/2, t1, ...; the densities there are streamed from
+    one carried sweep.  Returns the full trajectory with nodal derivatives."""
     times = _node_times(T, dt)
     N = basis.size
-    grid = basis.grid(M)
-    stage_times = [times[0]]
-    for k in range(len(times) - 1):
-        stage_times += [times[k] + 0.5 * (times[k + 1] - times[k]), times[k + 1]]
-    stages = zip(stage_times, carried_densities(source, v_hist, M, stage_times, dtau))
-    flowing = bool(np.any(v_hist.coeffs != 0.0))
-
-    def next_assembly() -> GalerkinMatrices:
-        tau, rho = next(stages)
-        v_grid = basis.velocity_at(grid.points, v_hist.coeffs_at(tau)) if flowing else None
-        return assemble(rho, v_grid, basis, M)
+    stage_times = np.empty(2 * len(times) - 1)
+    stage_times[0::2] = times
+    stage_times[1::2] = times[:-1] + 0.5 * np.diff(times)
+    ops = _stage_operators(v_hist, source, basis, M, stage_times, dtau)
 
     coeffs = np.empty((len(times), N))
     derivs = np.empty((len(times), N))
     coeffs[0] = np.asarray(u0_coeffs, dtype=float)
 
-    mats_start = next_assembly()
+    op_start = next(ops)
     for k in range(len(times) - 1):
         h = times[k + 1] - times[k]
         f = coeffs[k]
-        mats_mid = next_assembly()
-        mats_end = next_assembly()
+        op_mid = next(ops)
+        op_end = next(ops)
 
-        k1 = ode_rhs(f, mats_start)
-        k2 = ode_rhs(f + 0.5 * h * k1, mats_mid)
-        k3 = ode_rhs(f + 0.5 * h * k2, mats_mid)
-        k4 = ode_rhs(f + h * k3, mats_end)
+        k1 = ode_rhs(f, op_start)
+        k2 = ode_rhs(f + 0.5 * h * k1, op_mid)
+        k3 = ode_rhs(f + 0.5 * h * k2, op_mid)
+        k4 = ode_rhs(f + h * k3, op_end)
 
         derivs[k] = k1
         coeffs[k + 1] = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(coeffs[k + 1])):
             raise DivergenceError(float(times[k + 1]))
-        mats_start = mats_end
+        op_start = op_end
 
-    derivs[-1] = ode_rhs(coeffs[-1], mats_start)
+    derivs[-1] = ode_rhs(coeffs[-1], op_start)
     return VelocityHistory(basis, times, coeffs, derivs)
 
 
@@ -217,7 +268,11 @@ def picard_solve(
     deltas: list[float] = []
     for _ in range(max_iter):
         u = solve_linearized(v, source, u0, basis, M, dt, T, dtau)
-        prev = np.stack([v.coeffs_at(t) for t in u.times])
+        if np.array_equal(v.times, u.times):
+            # Dense output at a node returns the node's coefficients exactly.
+            prev = v.coeffs
+        else:
+            prev = np.stack([v.coeffs_at(t) for t in u.times])
         delta = float(np.max(np.linalg.norm(u.coeffs - prev, axis=1)))
         deltas.append(delta)
         v = u
@@ -254,10 +309,9 @@ def build_state(
     f = history.coeffs_at(t)
     if rho is None:
         rho = density_at(source, history, M, t, dtau)
-    grid = basis.grid(M)
-    v_grid = grid.synthesize(f)
-    mats = assemble(rho, v_grid, basis, M)
-    return SolverState(t=float(t), f=f, fdot=ode_rhs(f, mats), rho=rho)
+    v_grid = basis.grid(M).synthesize(f)
+    mats = assemble(rho.values[None], v_grid[None], basis, M)
+    return SolverState(t=float(t), f=f, fdot=ode_rhs(f, mats.operator(0)), rho=rho)
 
 
 @dataclass

@@ -183,7 +183,14 @@ class VelocityHistory:
         return float(self.times[-1])
 
     def coeffs_at(self, t: float) -> np.ndarray:
+        """Hermite dense output at t in [t0, T]; a t outside by more than
+        rounding (1e-12 max(1, |T|)) raises ValueError."""
         ts = self.times
+        slack = 1e-12 * max(1.0, abs(ts[-1]))
+        if not ts[0] - slack <= t <= ts[-1] + slack:
+            raise ValueError(
+                f"t={t!r} is outside the history's time range [{ts[0]:g}, {ts[-1]:g}]"
+            )
         if t <= ts[0]:
             return self.coeffs[0].copy()
         if t >= ts[-1]:

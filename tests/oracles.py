@@ -2,7 +2,8 @@
 
 Velocity fields with explicit characteristics (anything with
 `velocity_at(points, t)` can be backtracked or carried like a
-VelocityHistory) and a spectral gradient for grid fields.
+VelocityHistory), a spectral gradient for grid fields, and the one-stage
+Galerkin assembly from the vector mode tables W and GW.
 """
 
 import numpy as np
@@ -64,3 +65,21 @@ def spectral_gradient(scalar: GridField) -> GridField:
     gx = np.real(np.fft.ifft2(1j * kx * f_hat))
     gy = np.real(np.fft.ifft2(1j * ky * f_hat))
     return GridField(np.stack([gx, gy], axis=-1))
+
+
+def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
+    """A and B at one stage from the vector tables: A_ij = h^2 sum rho w_i.w_j
+    and B_ij = h^2 sum rho w_i.(v . grad) w_j, with `rho` (M, M) and `v_grid`
+    (M, M, 2) or None."""
+    grid = basis.grid(M)
+    N = basis.size
+    rho_flat = np.repeat(rho.reshape(-1), 2)
+    Wf = grid.W.reshape(N, -1)
+    a = grid.weight * ((Wf * rho_flat) @ Wf.T)
+    a = 0.5 * (a + a.T)
+    if v_grid is None:
+        return a, np.zeros((N, N))
+    # conv[j] = (v . grad) w_j; entry b[i, j] pairs it against test mode w_i
+    conv = np.einsum("abk,nabik->nabi", v_grid, grid.GW)
+    b = grid.weight * ((Wf * rho_flat) @ conv.reshape(N, -1).T)
+    return a, b

@@ -156,6 +156,12 @@ def test_velocity_at_matches_grid_tables():
         grid.synthesize_gradient(coeffs),
         atol=1e-13,
     )
+    # A coefficient stack gives one field per row.
+    stack = np.stack([coeffs, 2.0 * coeffs, -coeffs])
+    fields = basis.velocity_at(grid.points, stack)
+    assert fields.shape == (3, 16, 16, 2)
+    for row, c in zip(fields, stack):
+        np.testing.assert_allclose(row, grid.synthesize(c), atol=1e-13)
 
 
 def test_eigenfield_relation_on_grid():

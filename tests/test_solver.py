@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import assemble_stage
 
+from torusflow import solver
 from torusflow.basis import BasisSet
 from torusflow.estimates import convergence_orders
 from torusflow.fields import GridField
 from torusflow.solver import (
+    DivergenceError,
     VacuumDegenerateError,
     assemble,
     build_state,
@@ -16,6 +21,7 @@ from torusflow.solver import (
     solve_linearized,
 )
 from torusflow.transport import (
+    TransportDriftError,
     VelocityHistory,
     bump_density,
     constant_density,
@@ -26,15 +32,15 @@ from torusflow.transport import (
 RNG = np.random.default_rng(11)
 
 
-def ones_density(M):
-    return GridField(np.ones((M, M)))
+def ones_density(M, S=1):
+    return np.ones((S, M, M))
 
 
 def bump_grid(M):
     from torusflow.fields import grid_points
 
     pts = grid_points(M)
-    return GridField(2.0 + np.sin(pts[..., 0]) * np.sin(pts[..., 1]))
+    return (2.0 + np.sin(pts[..., 0]) * np.sin(pts[..., 1]))[None]
 
 
 # ---------------------------------------------------------------------------
@@ -44,23 +50,23 @@ def bump_grid(M):
 
 def test_mass_matrix_identity_for_unit_density():
     basis = BasisSet(9)
-    mats = assemble(ones_density(16), None, basis, 16)
-    np.testing.assert_allclose(mats.a, np.eye(9), atol=1e-12)
+    mats = assemble(ones_density(16, S=3), None, basis, 16)
+    assert mats.a.shape == mats.b.shape == mats.op.shape == (3, 9, 9)
+    np.testing.assert_allclose(mats.a, np.broadcast_to(np.eye(9), (3, 9, 9)), atol=1e-12)
     assert np.all(mats.b == 0.0)
-    np.testing.assert_array_equal(mats.lam, basis.lambdas)
 
 
 def test_mass_matrix_scales_with_constant_density():
     basis = BasisSet(4)
-    mats = assemble(GridField(np.full((16, 16), 2.5)), None, basis, 16)
-    np.testing.assert_allclose(mats.a, 2.5 * np.eye(4), atol=1e-12)
+    mats = assemble(np.full((1, 16, 16), 2.5), None, basis, 16)
+    np.testing.assert_allclose(mats.a[0], 2.5 * np.eye(4), atol=1e-12)
 
 
 def test_mass_matrix_coercivity():
     basis = BasisSet(9)
     mats = assemble(bump_grid(32), None, basis, 32)
-    assert mats.min_eig >= 1.0 - 1e-10  # density lower bound is 1
-    np.testing.assert_allclose(mats.a, mats.a.T, atol=0)  # symmetrized
+    assert mats.min_eig[0] >= 1.0 - 1e-10  # density lower bound is 1
+    np.testing.assert_allclose(mats.a[0], mats.a[0].T, atol=0)  # symmetrized
 
 
 def test_advection_matrix_skew_for_unit_density():
@@ -68,34 +74,91 @@ def test_advection_matrix_skew_for_unit_density():
     basis = BasisSet(9)
     grid = basis.grid(32)
     v = grid.synthesize(RNG.standard_normal(9))
-    mats = assemble(ones_density(32), v, basis, 32)
-    np.testing.assert_allclose(mats.b + mats.b.T, np.zeros((9, 9)), atol=1e-12)
+    mats = assemble(ones_density(32), v[None], basis, 32)
+    np.testing.assert_allclose(mats.b[0] + mats.b[0].T, np.zeros((9, 9)), atol=1e-12)
 
 
 def test_assemble_rejects_zero_density():
     basis = BasisSet(4)
+    mats = assemble(np.zeros((1, 16, 16)), None, basis, 16)
+    assert len(mats.op) == 0
     with pytest.raises(VacuumDegenerateError):
-        assemble(GridField(np.zeros((16, 16))), None, basis, 16)
+        mats.operator(0)
+
+
+def test_block_guard_reports_first_failing_stage():
+    # Stages 0 and 1 pass; 2, 3 and 4 fail the guard with different
+    # eigenvalues and thresholds: mass on one grid row only (A is singular,
+    # threshold > 0), a NaN density and vacuum (threshold 0).  The error
+    # reports stage 2, and only once stage 2 is reached.
+    basis = BasisSet(4)
+    M = 16
+    rho = np.ones((6, M, M))
+    rho[2] = 0.0
+    rho[2, 0] = 1.0
+    rho[3] = np.nan
+    rho[4] = 0.0
+    mats = assemble(rho, None, basis, M)
+    assert len(mats.op) == 2
+    np.testing.assert_array_equal(mats.operator(1), mats.op[1])
+    first, threshold = mats.min_eig[2], mats.threshold[2]
+    assert first <= threshold and threshold > 0.0 == mats.threshold[4]
+    assert np.isnan(mats.min_eig[3])
+    for s in (2, 3, 5):
+        with pytest.raises(VacuumDegenerateError) as err:
+            mats.operator(s)
+        assert (err.value.min_eig, err.value.threshold) == (first, threshold)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.sampled_from([1, 4, 8, 13]),
+    extra=st.integers(0, 6),
+    S=st.integers(1, 4),
+    near_vacuum=st.booleans(),
+    flowing=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_assembly_matches_stage_oracle(N, extra, S, near_vacuum, flowing, seed):
+    # Random densities, positive or with most of the grid at a 1e-6 floor,
+    # and random velocity samples, which lie outside the basis span.  Each
+    # stage of the block must equal the vector-table assembly to 1e-13 of
+    # the bound 2 max(rho) (max|v| max|k| for B) that caps every entry.
+    rng = np.random.default_rng(seed)
+    basis = BasisSet(N)
+    M = 2 * basis.kmax + 1 + extra
+    rho = rng.uniform(0.5, 2.0, (S, M, M))
+    if near_vacuum:
+        rho = np.where(rng.random((S, M, M)) < 0.8, 1e-6, rho)
+    v = rng.standard_normal((S, M, M, 2)) if flowing else None
+    mats = assemble(rho, v, basis, M)
+    for s in range(S):
+        a, b = assemble_stage(rho[s], None if v is None else v[s], basis, M)
+        bound = 2.0 * rho[s].max()
+        assert np.abs(mats.a[s] - a).max() <= 1e-13 * bound
+        if v is not None:
+            bound *= np.abs(v[s]).max() * np.abs(basis.kvecs).max()
+        assert np.abs(mats.b[s] - b).max() <= 1e-13 * bound
 
 
 def test_ode_rhs_stokes_and_zero():
     basis = BasisSet(9)
-    mats = assemble(ones_density(16), None, basis, 16)
+    op = assemble(ones_density(16), None, basis, 16).operator(0)
     for i in range(9):
         e = np.zeros(9)
         e[i] = 1.0
-        np.testing.assert_allclose(ode_rhs(e, mats), -basis.lambdas[i] * e, atol=1e-12)
-    assert np.all(ode_rhs(np.zeros(9), mats) == 0.0)
+        np.testing.assert_allclose(ode_rhs(e, op), -basis.lambdas[i] * e, atol=1e-12)
+    assert np.all(ode_rhs(np.zeros(9), op) == 0.0)
 
 
 def test_ode_rhs_back_substitution():
     basis = BasisSet(9)
     grid = basis.grid(32)
     v = grid.synthesize(RNG.standard_normal(9))
-    mats = assemble(bump_grid(32), v, basis, 32)
+    mats = assemble(bump_grid(32), v[None], basis, 32)
     f = RNG.standard_normal(9)
-    fdot = ode_rhs(f, mats)
-    resid = mats.a @ fdot + (mats.b @ f + mats.lam * f)
+    fdot = ode_rhs(f, mats.operator(0))
+    resid = mats.a[0] @ fdot + (mats.b[0] @ f + basis.lambdas * f)
     assert np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(f))
 
 
@@ -138,6 +201,56 @@ def test_nodal_derivatives_match_ode():
     np.testing.assert_allclose(
         hist.derivs, -basis.lambdas * hist.coeffs, atol=1e-12
     )
+
+
+def degenerate_density(M, j):
+    """Mass on grid row j % M only, scaled by j + 1: a singular mass matrix
+    with a positive threshold that differs from stage to stage."""
+    rho = np.zeros((M, M))
+    rho[j % M] = j + 1.0
+    return rho
+
+
+@pytest.mark.parametrize(
+    "degenerate, drift, u0_scale, expected",
+    [
+        ({10, 12}, False, 1.0, ("vacuum", 10)),  # first failing stage of a block
+        ({19}, True, 1.0, ("vacuum", 19)),  # before the drift in the same block
+        (set(), True, 1.0, ("drift", 20)),  # drift after every earlier step ran
+        ({4}, False, np.nan, ("diverge", 2)),  # step 0 diverges before stage 4
+    ],
+)
+def test_pass_reports_first_failure_in_stage_order(
+    monkeypatch, degenerate, drift, u0_scale, expected
+):
+    # 10 steps, 21 stage times 0.005 apart, assembled in blocks of 8, 8 and
+    # 5.  Every failure must surface where a stage-by-stage pass raises it:
+    # `expected` names the error and the stage it belongs to.
+    basis = BasisSet(4)
+    M = 16
+
+    def stream(source, history, M, times, dtau):
+        for j, t in enumerate(times):
+            if drift and j == len(times) - 1:
+                raise TransportDriftError(float(t), 1.0)
+            yield GridField(degenerate_density(M, j) if j in degenerate else np.ones((M, M)))
+
+    monkeypatch.setattr(solver, "carried_densities", stream)
+    zero = VelocityHistory.constant(basis, np.zeros(4), 0.1)
+    u0 = np.full(4, 0.1 * u0_scale)
+    kind, stage = expected
+    errors = {
+        "vacuum": VacuumDegenerateError,
+        "drift": TransportDriftError,
+        "diverge": DivergenceError,
+    }
+    with pytest.raises(errors[kind]) as err:
+        solve_linearized(zero, bump_density(), u0, basis, M, 0.01, 0.1, 0.01)
+    if kind == "vacuum":
+        mats = assemble(degenerate_density(M, stage)[None], None, basis, M)
+        assert (err.value.min_eig, err.value.threshold) == (mats.min_eig[0], mats.threshold[0])
+    else:
+        assert err.value.t == pytest.approx(0.005 * stage)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +307,40 @@ def test_picard_contraction_improves_with_shorter_horizon():
         return report.factors[0]
 
     assert first_factor(0.05) < first_factor(0.2)
+
+
+def test_picard_delta_reads_node_coefficients(monkeypatch):
+    # Passes on the same node times are compared node by node without dense
+    # output: only the first delta, against the two-node seed, calls
+    # coeffs_at.  The deltas equal the dense-output ones exactly.
+    basis = BasisSet(4)
+    rng = np.random.default_rng(7)
+    times = np.linspace(0.0, 0.1, 6)
+    passes = [
+        VelocityHistory(
+            basis, times, rng.standard_normal((6, 4)) * 10.0**-m, rng.standard_normal((6, 4))
+        )
+        for m in (0, 4, 13)
+    ]
+    for prev, later in zip(passes, passes[1:]):
+        later.coeffs += prev.coeffs
+    queue = iter(passes)
+    monkeypatch.setattr(solver, "solve_linearized", lambda *args: next(queue))
+    calls = []
+    original = VelocityHistory.coeffs_at
+    monkeypatch.setattr(
+        VelocityHistory, "coeffs_at", lambda self, t: calls.append(t) or original(self, t)
+    )
+    u0 = np.full(4, 0.1)
+    hist, report = picard_solve(constant_density(), u0, basis, 16, 0.02, 0.1, 0.02, 1e-10, 5)
+    assert hist is passes[-1] and report.iterations == 3
+    assert len(calls) == len(times)
+    seed = VelocityHistory.constant(basis, u0, 0.1)
+    expected = [
+        np.max(np.linalg.norm(u.coeffs - np.stack([original(v, t) for t in times]), axis=1))
+        for v, u in zip([seed] + passes[:-1], passes)
+    ]
+    assert report.deltas == expected
 
 
 def test_picard_rejects_unknown_seed_and_vacuum():

@@ -84,6 +84,22 @@ def test_floor_distance_in_sobolev_norm():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("edge, side", [(0, -1.0), (-1, 1.0)])
+def test_coeffs_at_rejects_times_outside_the_history(edge, side):
+    # Overshoot at rounding level clamps to the end node; anything further
+    # out is an error, not a silently clamped velocity.
+    basis = BasisSet(4)
+    rng = np.random.default_rng(5)
+    history = VelocityHistory(
+        basis, [0.0, 0.5, 1.0], rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    )
+    end = history.times[edge]
+    np.testing.assert_array_equal(history.coeffs_at(end + side * 5e-13), history.coeffs[edge])
+    for t in (end + side * 1e-9, end + side, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            history.coeffs_at(t)
+
+
 def test_backtrack_zero_time_and_zero_field():
     basis = BasisSet(4)
     zero = VelocityHistory.constant(basis, np.zeros(4), 1.0)
