@@ -12,6 +12,10 @@ Stokes operator with eigenvalue lam = |k|^2 and vanishing eigenpressure.
 Modes are enumerated by increasing eigenvalue; ties are broken by k1
 descending, then k2 ascending, cosine before sine, which makes the enumeration
 deterministic and keeps k=(1,0) cosine the first mode.
+
+On the M x M grid (`BasisGrid`) the modes are scalar tables and every
+synthesis or projection is a matrix product on them; `BasisSet.velocity_at`/
+`gradient_at` evaluate at arbitrary points from their own trig tables.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import grid_points
+from .fields import grid_points, quadrature_weight
 
 # L2 normalization: integral of trig(k.x)^2 over the torus is 2*pi^2.
 MODE_NORM = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -75,19 +79,17 @@ def enumerate_modes(count: int) -> list[BasisMode]:
 
 
 class BasisGrid:
-    """Cached samples of every basis mode on the uniform M x M grid.
+    """Scalar tables of every basis mode on the uniform M x M grid.
 
-    Grid nodes are x_ab = (2pi a/M, 2pi b/M), array index [a, b].  Holds the
-    nodes `points` (the shared `fields.grid_points` array), the mode fields W
-    with shape (N, M, M, 2), the mode gradients GW with shape (N, M, M, 2, 2)
-    indexed [mode, a, b, component, derivative], and the trapezoid quadrature
-    weight h^2 = (2pi/M)^2 (exact for trigonometric polynomials below the
-    Nyquist limit).
+    Grid nodes are x_ab = (2pi a/M, 2pi b/M), array index [a, b], flattened
+    to a*M + b; `points` is the shared `fields.grid_points` array and
+    `weight` the trapezoid quadrature weight (2pi/M)^2.
 
     Every mode factors as w_n = MODE_NORM d_n T_n(x), with gradient
-    MODE_NORM (d_n x k_n) T'_n(x), so the Galerkin matrices need only the
-    scalar tables `trig` (T_n) and `dtrig` (T'_n), shape (N, M*M) over the
-    flattened nodes, and `gram` = h^2 MODE_NORM^2 (d_i . d_j), shape (N, N).
+    MODE_NORM (d_n x k_n) T'_n(x), so the grid holds only the scalar tables
+    `trig` (T_n) and `dtrig` (T'_n), shape (N, M*M), the factors `vec` =
+    MODE_NORM d_n (N, 2) and `grad_vec` = MODE_NORM d_n x k_n (N, 2, 2), and
+    `gram` = h^2 MODE_NORM^2 (d_i . d_j) (N, N) for the Galerkin matrices.
     """
 
     def __init__(self, basis: "BasisSet", M: int):
@@ -97,13 +99,11 @@ class BasisGrid:
                 f"{2 * basis.kmax + 1} for this basis"
             )
         self.M = int(M)
-        self.weight = (2.0 * np.pi / M) ** 2
+        self.weight = quadrature_weight(self.M)
         self.points = grid_points(self.M)
         X, Y = self.points[..., 0], self.points[..., 1]
 
         N = basis.size
-        self.W = np.empty((N, M, M, 2))
-        self.GW = np.empty((N, M, M, 2, 2))
         self.trig = np.empty((N, M * M))
         self.dtrig = np.empty((N, M * M))
         for n, mode in enumerate(basis.modes):
@@ -115,25 +115,25 @@ class BasisGrid:
                 trig, trig_d = np.sin(phase), np.cos(phase)
             self.trig[n] = trig.reshape(-1)
             self.dtrig[n] = trig_d.reshape(-1)
-            d = mode.direction * MODE_NORM
-            self.W[n] = trig[..., None] * d
-            # grad component [i, alpha] = d_i * k_alpha * trig'
-            kvec = np.array([float(k1), float(k2)])
-            self.GW[n] = trig_d[..., None, None] * np.einsum("i,a->ia", d, kvec)
-        self._Wflat = self.W.reshape(N, -1)
+        self.vec = MODE_NORM * basis.dirs
+        self.grad_vec = self.vec[:, :, None] * basis.kvecs[:, None, :]
         self.gram = self.weight * MODE_NORM**2 * (basis.dirs @ basis.dirs.T)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Velocity samples (M, M, 2) for the given coefficient vector."""
-        return np.tensordot(coeffs, self.W, axes=(0, 0))
+        u = self.trig.T @ (coeffs[:, None] * self.vec)
+        return u.reshape(self.M, self.M, 2)
 
     def synthesize_gradient(self, coeffs: np.ndarray) -> np.ndarray:
         """Gradient samples (M, M, 2, 2), index [a, b, i, alpha]."""
-        return np.tensordot(coeffs, self.GW, axes=(0, 0))
+        grad = self.dtrig.T @ (coeffs[:, None, None] * self.grad_vec).reshape(-1, 4)
+        return grad.reshape(self.M, self.M, 2, 2)
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """Quadrature inner products (values, w_n) for all modes."""
-        return self.weight * (self._Wflat @ values.reshape(-1))
+        """Quadrature inner products (values, w_n) for all modes of an
+        (M, M, 2) vector field."""
+        moments = self.trig @ values.reshape(-1, 2)
+        return self.weight * (moments * self.vec).sum(axis=1)
 
 
 class BasisSet:

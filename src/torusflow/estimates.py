@@ -64,10 +64,23 @@ class EstimateLedger:
                 writer.writerow([repr(row[k]) for k in LEDGER_FIELDS])
 
 
+def _json_safe(value):
+    """`value` with each non-finite float as the string "inf", "-inf" or "nan"
+    (str(float) spells them so), since RFC 8259 JSON has no Infinity or NaN."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def write_ndjson(path, rows: list[dict]) -> None:
+    """One JSON object per line; non-finite floats are written as strings."""
     with open(path, "w") as fh:
         for row in rows:
-            fh.write(json.dumps(row) + "\n")
+            fh.write(json.dumps(_json_safe(row), allow_nan=False) + "\n")
 
 
 def cumtrapz(t: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -1,49 +1,22 @@
 """The grid, grid fields, their norms, pressure recovery, and snapshots.
 
-Velocities live in the span of a BasisSet as coefficient vectors; scalar and
-vector fields sampled on the uniform M x M grid are carried as GridField
-objects.  Grid node [a, b] sits at x = (2pi a/M, 2pi b/M) and indexing is
-periodic (index mod M); `grid_points` is the one construction of these nodes
-that the basis tables, the transport and the tests all share.  All integrals
-over the torus use the trapezoid rule with weight (2pi/M)^2, which is exact
-for trigonometric polynomials whose wavenumbers stay below the grid Nyquist
-limit.  The L^p norms of grid fields (`lp_norm`, `w1gamma_norm`, with the
-density gradient from `fd_gradient`) are the ones the run ledger reports.
+Velocities live in the span of a BasisSet as coefficient vectors; fields
+sampled on the uniform M x M grid are plain arrays, (M, M) for a scalar and
+(M, M, 2) for a vector.  Grid node [a, b] sits at x = (2pi a/M, 2pi b/M) and
+indexing is periodic (index mod M); `grid_points` is the one construction of
+these nodes that the basis tables, the transport and the tests all share.
+All integrals over the torus use the trapezoid rule with weight
+`quadrature_weight(M)` = (2pi/M)^2, which is exact for trigonometric
+polynomials whose wavenumbers stay below the grid Nyquist limit.  The L^p
+norms of grid fields (`lp_norm`, `w1gamma_norm`, with the density gradient
+from `fd_gradient`) are the ones the run ledger reports.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class GridField:
-    """Samples on the uniform grid: shape (M, M) scalar or (M, M, 2) vector."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim not in (2, 3):
-            raise ValueError("GridField expects (M, M) or (M, M, 2) samples")
-        if self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("GridField grid must be square")
-        if self.values.ndim == 3 and self.values.shape[2] != 2:
-            raise ValueError("vector GridField needs exactly 2 components")
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def components(self) -> int:
-        return 1 if self.values.ndim == 2 else 2
-
-    def quadrature_weight(self) -> float:
-        return (2.0 * np.pi / self.M) ** 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,55 +31,59 @@ def grid_points(M: int) -> np.ndarray:
     return points
 
 
-def lp_norm(field: GridField, p: float) -> float:
-    """L^p norm; vector fields use the pointwise Euclidean magnitude."""
-    v = field.values
-    mag = np.abs(v) if v.ndim == 2 else np.sqrt((v * v).sum(axis=-1))
-    return float((field.quadrature_weight() * (mag**p).sum()) ** (1.0 / p))
+def quadrature_weight(M: int) -> float:
+    """Trapezoid weight h^2 = (2pi/M)^2 of one node of the M x M grid."""
+    return (2.0 * np.pi / M) ** 2
 
 
-def fd_gradient(rho: GridField) -> np.ndarray:
+def lp_norm(field: np.ndarray, p: float) -> float:
+    """L^p norm of an (M, M) or (M, M, 2) field; vector fields use the
+    pointwise Euclidean magnitude."""
+    mag = np.abs(field) if field.ndim == 2 else np.sqrt((field * field).sum(axis=-1))
+    return float((quadrature_weight(field.shape[0]) * (mag**p).sum()) ** (1.0 / p))
+
+
+def fd_gradient(rho: np.ndarray) -> np.ndarray:
     """Second-order centered periodic finite-difference gradient, (M, M, 2)."""
-    v = rho.values
-    h = 2.0 * np.pi / rho.M
-    gx = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * h)
-    gy = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * h)
+    h = 2.0 * np.pi / rho.shape[0]
+    gx = (np.roll(rho, -1, axis=0) - np.roll(rho, 1, axis=0)) / (2.0 * h)
+    gy = (np.roll(rho, -1, axis=1) - np.roll(rho, 1, axis=1)) / (2.0 * h)
     return np.stack([gx, gy], axis=-1)
 
 
-def w1gamma_norm(rho: GridField, gamma: float, grad: np.ndarray | None = None) -> float:
+def w1gamma_norm(rho: np.ndarray, gamma: float, grad: np.ndarray | None = None) -> float:
     """Sobolev norm (||rho||_gamma^gamma + ||grad rho||_gamma^gamma)^(1/gamma)
     with the finite-difference gradient; `grad` is `fd_gradient(rho)` when the
     caller already holds it."""
     g = fd_gradient(rho) if grad is None else grad
     mag = np.sqrt((g * g).sum(axis=-1))
-    w = rho.quadrature_weight()
-    total = w * (np.abs(rho.values) ** gamma).sum() + w * (mag**gamma).sum()
+    w = quadrature_weight(rho.shape[0])
+    total = w * (np.abs(rho) ** gamma).sum() + w * (mag**gamma).sum()
     return float(total ** (1.0 / gamma))
 
 
-def leray_pressure(residual: GridField, mean_tol: float = 1e-8) -> GridField:
+def leray_pressure(residual: np.ndarray, mean_tol: float = 1e-8) -> np.ndarray:
     """Pressure part of a Helmholtz decomposition: solve lap p = div g.
 
-    The input must be a vector field with (numerically) zero mean per
-    component; a nonzero mean admits no gradient representation and is
+    The input must be an (M, M, 2) vector field with (numerically) zero mean
+    per component; a nonzero mean admits no gradient representation and is
     rejected.  The solve runs in trigonometric space with the zero-mean gauge
     for p.  Nyquist rows are dropped for even M, which only matters for
     content at exactly the grid limit.
     """
-    if residual.components != 2:
+    if residual.ndim != 3 or residual.shape[2] != 2:
         raise ValueError("leray_pressure expects a vector field")
-    M = residual.M
-    scale = max(1.0, float(np.abs(residual.values).max()))
-    means = residual.values.mean(axis=(0, 1))
+    M = residual.shape[0]
+    scale = max(1.0, float(np.abs(residual).max()))
+    means = residual.mean(axis=(0, 1))
     if np.abs(means).max() > mean_tol * scale:
         raise ValueError(
             f"input mean {means} is not zero; no gradient field matches it"
         )
     k = np.fft.fftfreq(M, d=1.0 / M)
     kx, ky = k[:, None], k[None, :]
-    gx = np.fft.fft2(residual.values[..., 0])
-    gy = np.fft.fft2(residual.values[..., 1])
+    gx = np.fft.fft2(residual[..., 0])
+    gy = np.fft.fft2(residual[..., 1])
     div_hat = 1j * (kx * gx + ky * gy)
     lap = -(kx * kx + ky * ky)
     lap[0, 0] = 1.0
@@ -115,40 +92,34 @@ def leray_pressure(residual: GridField, mean_tol: float = 1e-8) -> GridField:
     if M % 2 == 0:
         p_hat[M // 2, :] = 0.0
         p_hat[:, M // 2] = 0.0
-    return GridField(np.real(np.fft.ifft2(p_hat)))
+    return np.real(np.fft.ifft2(p_hat))
 
 
-def save_snapshot(field: GridField, path) -> None:
+def save_snapshot(field: np.ndarray, path) -> None:
     """Write the snapshot format: header `M=<int> components=<1|2>`, then
     M^2 space-separated rows in (a, b) order with a varying fastest."""
-    v = field.values
-    M = field.M
-    comps = field.components
+    M = field.shape[0]
+    rows = np.swapaxes(field, 0, 1).reshape(M * M, -1)
     with open(path, "w") as fh:
-        fh.write(f"M={M} components={comps}\n")
-        for b in range(M):
-            for a in range(M):
-                if comps == 1:
-                    fh.write(f"{float(v[a, b])!r}\n")
-                else:
-                    fh.write(f"{float(v[a, b, 0])!r} {float(v[a, b, 1])!r}\n")
+        fh.write(f"M={M} components={rows.shape[1]}\n")
+        for row in rows:
+            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_snapshot(path) -> GridField:
+def load_snapshot(path) -> np.ndarray:
+    """Read a `save_snapshot` file; a malformed header and any number of
+    rows or of values per row other than the header's raise ValueError."""
     with open(path) as fh:
         header = fh.readline().split()
-        meta = dict(part.split("=") for part in header)
-        M, comps = int(meta["M"]), int(meta["components"])
-        shape = (M, M) if comps == 1 else (M, M, 2)
-        values = np.empty(shape)
-        for b in range(M):
-            for a in range(M):
-                row = fh.readline().split()
-                if len(row) != comps:
-                    raise ValueError(f"snapshot row has {len(row)} values, expected {comps}")
-                if comps == 1:
-                    values[a, b] = float(row[0])
-                else:
-                    values[a, b, 0] = float(row[0])
-                    values[a, b, 1] = float(row[1])
-    return GridField(values)
+        try:
+            meta = dict(part.split("=") for part in header)
+            M, comps = int(meta["M"]), int(meta["components"])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"malformed snapshot header {header}") from exc
+        rows = [line.split() for line in fh if line.strip()]
+    if M < 1 or comps not in (1, 2):
+        raise ValueError(f"snapshot header needs M >= 1 and components 1 or 2, got {header}")
+    if len(rows) != M * M or any(len(row) != comps for row in rows):
+        raise ValueError(f"snapshot needs {M * M} rows of {comps} values after its header")
+    values = np.swapaxes(np.array(rows, dtype=float).reshape(M, M, comps), 0, 1)
+    return values[..., 0] if comps == 1 else values

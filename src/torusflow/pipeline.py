@@ -36,7 +36,7 @@ from .estimates import (
     weighted_h2_stats,
     write_ndjson,
 )
-from .fields import GridField, fd_gradient, lp_norm, save_snapshot, w1gamma_norm
+from .fields import fd_gradient, lp_norm, save_snapshot, w1gamma_norm
 from .solver import (
     DivergenceError,
     PicardNonConvergenceError,
@@ -115,10 +115,10 @@ def node_diagnostics(
 
     The densities come from their own carried sweep along `history`, not
     from the last Picard pass, which advected the density by the previous
-    iterate.  Each node is one self-consistent `build_state`."""
-    grid = basis.grid(M)
+    iterate.  Each node is one self-consistent `build_state`, whose grid
+    fields u, grad u and u_t the ledger and the residuals share."""
     lam = basis.lambdas
-    w = grid.weight
+    w = basis.grid(M).weight
     times = history.times
     K = len(times)
     ledger = EstimateLedger()
@@ -128,21 +128,17 @@ def node_diagnostics(
     densities = carried_densities(src, history, M, times, dtau)
     for k, (t, rho) in enumerate(zip(times, densities)):
         state = build_state(src, history, basis, M, dtau, t, rho=rho)
-        f, fdot = state.f, state.fdot
-        u = grid.synthesize(f)
-        gu = grid.synthesize_gradient(f)
-        ut = grid.synthesize(fdot)
+        f, fdot, u, gu, ut = state.f, state.fdot, state.u, state.grad_u, state.ut
 
         umag2 = (u * u).sum(axis=-1)
         utmag2 = (ut * ut).sum(axis=-1)
         gufro = np.sqrt((gu * gu).sum(axis=(-2, -1)))
-        rhov = rho.values
         grad_rho = fd_gradient(rho)
         rho_t = -(u * grad_rho).sum(axis=-1)
 
-        sqrt_rho_u = math.sqrt(w * (rhov * umag2).sum())
+        sqrt_rho_u = math.sqrt(w * (rho * umag2).sum())
         hess_u = math.sqrt((lam * lam * f * f).sum())
-        sqrt_rho_ut = math.sqrt(w * (rhov * utmag2).sum())
+        sqrt_rho_ut = math.sqrt(w * (rho * utmag2).sum())
         ledger.append(
             t=t,
             sqrt_rho_u_l2=sqrt_rho_u,
@@ -152,15 +148,15 @@ def node_diagnostics(
             grad_ut_l2=math.sqrt((lam * fdot * fdot).sum()),
             u_linf=float(np.sqrt(umag2).max()),
             grad_u_linf=float(gufro.max()),
-            grad_rho_lgamma=lp_norm(GridField(grad_rho), GAMMA),
-            rho_t_lgamma=lp_norm(GridField(rho_t), GAMMA),
+            grad_rho_lgamma=lp_norm(grad_rho, GAMMA),
+            rho_t_lgamma=lp_norm(rho_t, GAMMA),
             rho_min=src.lower,
             rho_max=src.upper,
-            mass=w * rhov.sum(),
-            momentum_l2=math.sqrt(w * (rhov * rhov * umag2).sum()),
+            mass=w * rho.sum(),
+            momentum_l2=math.sqrt(w * (rho * rho * umag2).sum()),
             t_weighted_h2=t * (hess_u**2 + sqrt_rho_ut**2),
         )
-        rho_nodes[k] = rhov
+        rho_nodes[k] = rho
         w1g[k] = w1gamma_norm(rho, GAMMA, grad_rho)
         gdots[k] = 2.0 * (lam * f * fdot).sum()
         resid = residual_diagnostics(state, basis, M)
@@ -314,7 +310,7 @@ def _build_checks(src, picard, ledger, nodes, ric, t0_est) -> list[dict]:
             c1=ric.c1,
             m1=ric.m1,
             satisfied_fraction=ric.satisfied_fraction,
-            t0_estimate=t0_est if math.isfinite(t0_est) else "inf",
+            t0_estimate=t0_est,
         )
     )
 
@@ -352,7 +348,7 @@ def momentum_probes(result: RunResult, n_probes: int = 13) -> tuple[np.ndarray, 
         f = result.history.coeffs_at(t)
         u = grid.synthesize(f)
         rho = density_at(result.source, result.history, cfg.M, t, cfg.backtrack_step)
-        diff = rho.values[..., None] * u - mom0
+        diff = rho[..., None] * u - mom0
         probe_t.append(t)
         probe_n.append(math.sqrt(w * (diff * diff).sum()))
     return np.array(probe_t), np.array(probe_n)
@@ -472,20 +468,26 @@ def vacuum_sweep(config: RunConfig, floors) -> VacuumSweep:
                 "momentum_slope": rep.slope,
                 "momentum_decay_ratio": rep.decay_ratio,
                 "momentum_pass": rep.passed,
-                "t0_estimate": res.t0_estimate if math.isfinite(res.t0_estimate) else "inf",
+                "t0_estimate": res.t0_estimate,
                 "completed_T": float(res.history.t_final),
             }
         )
-    variation = (
-        (max(sup_grads) - min(sup_grads)) / min(sup_grads) if sup_grads else math.inf
-    )
     return VacuumSweep(
         results=results,
         probes=probes,
         momentum=reports,
         rows=rows,
-        sup_grad_variation=float(variation),
+        sup_grad_variation=_relative_spread(sup_grads),
     )
+
+
+def _relative_spread(values: list) -> float:
+    """(max - min) / min: 0 when all values agree (all zero included), inf
+    above a zero minimum and for no values at all."""
+    lo, hi = min(values, default=0.0), max(values, default=math.inf)
+    if hi == lo:
+        return 0.0
+    return (hi - lo) / lo if lo > 0.0 else math.inf
 
 
 @dataclass
@@ -513,7 +515,7 @@ def _difference_curves(ref: RunResult, other: RunResult) -> dict:
         dc = other.history.coeffs[k] - ref.history.coeffs[k]
         du = grid.synthesize(dc)
         drho = other.nodes.rho[k] - ref.nodes.rho[k]
-        f_vals.append(lp_norm(GridField(drho), 1.5))
+        f_vals.append(lp_norm(drho, 1.5))
         g_vals.append(w * (other.nodes.rho[k] * (du * du).sum(axis=-1)).sum())
         G_vals.append((lam * dc * dc).sum())
     return {
@@ -655,9 +657,8 @@ def write_run_outputs(result: RunResult, outdir) -> None:
         state = build_state(
             result.source, result.history, result.basis, cfg.M, cfg.backtrack_step, t
         )
-        grid = result.basis.grid(cfg.M)
         tag = f"{t:.6f}"
-        save_snapshot(GridField(grid.synthesize(state.f)), out / f"u_t{tag}.dat")
+        save_snapshot(state.u, out / f"u_t{tag}.dat")
         save_snapshot(state.rho, out / f"rho_t{tag}.dat")
         resid = residual_diagnostics(state, result.basis, cfg.M)
         save_snapshot(resid.pressure, out / f"p_t{tag}.dat")

@@ -19,6 +19,9 @@ guards a block's mass matrices (batched eigvalsh) and forms its RK4 operators
 A^{-1}(B + Lam) (batched solve); the RK4 loop itself only does mat-vecs.  The
 nonlinear problem is the fixed point v = u, reached by Picard iteration
 starting from the constant-in-time initial velocity.
+
+`build_state` gives the self-consistent state at one time, with its grid
+fields u, grad u and u_t synthesized once for every reader.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .basis import BasisSet
-from .fields import GridField, leray_pressure
+from .fields import leray_pressure
 from .transport import (
     DensitySource,
     DivergenceError,
@@ -90,14 +93,18 @@ class GalerkinMatrices:
         raise VacuumDegenerateError(float(self.min_eig[first]), float(self.threshold[first]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverState:
-    """Self-consistent snapshot: fdot solves A fdot = -(B + Lam) f at (t, rho)."""
+    """Self-consistent snapshot: fdot solves A fdot = -(B + Lam) f at (t, rho),
+    the density (M, M); u, grad_u and ut are the grid fields of f and fdot."""
 
     t: float
     f: np.ndarray
     fdot: np.ndarray
-    rho: GridField
+    rho: np.ndarray
+    u: np.ndarray
+    grad_u: np.ndarray
+    ut: np.ndarray
 
 
 def assemble(
@@ -163,7 +170,7 @@ def _stage_operators(
         rho, drift = [], None
         try:
             for _ in taus:
-                rho.append(next(densities).values)
+                rho.append(next(densities))
         except TransportDriftError as err:
             drift = err
         if rho:
@@ -299,19 +306,23 @@ def build_state(
     M: int,
     dtau: float,
     t: float,
-    rho: GridField | None = None,
+    rho: np.ndarray | None = None,
 ) -> SolverState:
     """Self-consistent state along a (converged) trajectory: the density is
     transported by the trajectory itself and fdot is recomputed from fresh
     matrices, so the state satisfies the modal system at time t.  `rho` is
     that density when the caller already carries it along `history`;
-    otherwise it is backtracked from t."""
+    otherwise it is backtracked from t.  The velocity u is also the
+    advecting field of the assembly."""
+    grid = basis.grid(M)
     f = history.coeffs_at(t)
     if rho is None:
         rho = density_at(source, history, M, t, dtau)
-    v_grid = basis.grid(M).synthesize(f)
-    mats = assemble(rho.values[None], v_grid[None], basis, M)
-    return SolverState(t=float(t), f=f, fdot=ode_rhs(f, mats.operator(0)), rho=rho)
+    u = grid.synthesize(f)
+    mats = assemble(rho[None], u[None], basis, M)
+    fdot = ode_rhs(f, mats.operator(0))
+    grad_u, ut = grid.synthesize_gradient(f), grid.synthesize(fdot)
+    return SolverState(t=float(t), f=f, fdot=fdot, rho=rho, u=u, grad_u=grad_u, ut=ut)
 
 
 @dataclass
@@ -329,16 +340,13 @@ class ResidualReport:
 
     orthogonality_max: float
     projection_rel: float
-    pressure: GridField
+    pressure: np.ndarray
 
 
 def residual_diagnostics(state: SolverState, basis: BasisSet, M: int) -> ResidualReport:
     grid = basis.grid(M)
-    u = grid.synthesize(state.f)
-    grad_u = grid.synthesize_gradient(state.f)
-    ut = grid.synthesize(state.fdot)
-    udot = ut + np.einsum("abk,abik->abi", u, grad_u)
-    g = state.rho.values[..., None] * udot
+    udot = state.ut + np.einsum("abk,abik->abi", state.u, state.grad_u)
+    g = state.rho[..., None] * udot
 
     c = grid.project(g)
     lap_coeffs = -basis.lambdas * state.f
@@ -349,7 +357,7 @@ def residual_diagnostics(state: SolverState, basis: BasisSet, M: int) -> Residua
     lap_u = grid.synthesize(lap_coeffs)
     resid_field = lap_u - g
     resid_field = resid_field - resid_field.mean(axis=(0, 1))
-    pressure = leray_pressure(GridField(resid_field))
+    pressure = leray_pressure(resid_field)
 
     return ResidualReport(
         orthogonality_max=float(np.abs(resid_vec).max()),

@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .basis import BasisSet
-from .fields import GridField, grid_points
+from .fields import grid_points
 
 # Largest distance allowed between a carried foot and its exact backtrack.
 # The carried map matches the exact feet to ~1e-14 on resolved flows.
@@ -245,18 +245,17 @@ def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
 
 def density_at(
     source: DensitySource, history, M: int, t: float, dtau: float
-) -> GridField:
-    """Density on the M x M grid at time t: rho0 evaluated at the feet."""
+) -> np.ndarray:
+    """Density (M, M) on the grid at time t: rho0 evaluated at the feet."""
     pts = grid_points(M)
     if source.constant:
-        return GridField(source.value(pts))
-    feet = backtrack(history, pts, t, dtau)
-    return GridField(source.value(feet))
+        return source.value(pts)
+    return source.value(backtrack(history, pts, t, dtau))
 
 
 def carried_densities(
     source: DensitySource, history, M: int, times: Sequence[float], dtau: float
-) -> Iterator[GridField]:
+) -> Iterator[np.ndarray]:
     """Densities on the M x M grid at each of the increasing `times`, with the
     back-to-label map carried from one time to the next.
 
@@ -287,7 +286,7 @@ def carried_densities(
         feet = x + disp
         if j == last:
             _check_drift(history, feet, walked, dtau)
-        yield GridField(source.value(feet))
+        yield source.value(feet)
 
 
 def _check_drift(history, feet: np.ndarray, walked: list, dtau: float) -> None:

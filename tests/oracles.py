@@ -2,13 +2,13 @@
 
 Velocity fields with explicit characteristics (anything with
 `velocity_at(points, t)` can be backtracked or carried like a
-VelocityHistory), a spectral gradient for grid fields, and the one-stage
-Galerkin assembly from the vector mode tables W and GW.
+VelocityHistory), a spectral gradient for (M, M) grid fields, and the
+one-stage Galerkin assembly from vector mode tables that it builds itself
+with `BasisSet.velocity_at`/`gradient_at` (per-point evaluation, independent
+of the scalar grid tables that the solver assembles from).
 """
 
 import numpy as np
-
-from torusflow.fields import GridField
 
 
 class ConstantVelocity:
@@ -51,20 +51,21 @@ class ShearVelocity:
         return out
 
 
-def spectral_gradient(scalar: GridField) -> GridField:
-    """Gradient of a scalar grid field computed in trigonometric space."""
-    if scalar.components != 1:
+def spectral_gradient(scalar: np.ndarray) -> np.ndarray:
+    """Gradient (M, M, 2) of a scalar grid field (M, M) computed in
+    trigonometric space."""
+    if scalar.ndim != 2:
         raise ValueError("spectral_gradient expects a scalar field")
-    M = scalar.M
+    M = scalar.shape[0]
     k = np.fft.fftfreq(M, d=1.0 / M)
     kx, ky = k[:, None], k[None, :]
-    f_hat = np.fft.fft2(scalar.values)
+    f_hat = np.fft.fft2(scalar)
     if M % 2 == 0:
         f_hat[M // 2, :] = 0.0
         f_hat[:, M // 2] = 0.0
     gx = np.real(np.fft.ifft2(1j * kx * f_hat))
     gy = np.real(np.fft.ifft2(1j * ky * f_hat))
-    return GridField(np.stack([gx, gy], axis=-1))
+    return np.stack([gx, gy], axis=-1)
 
 
 def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
@@ -73,13 +74,16 @@ def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
     (M, M, 2) or None."""
     grid = basis.grid(M)
     N = basis.size
+    unit = np.eye(N)
+    W = basis.velocity_at(grid.points, unit)  # (N, M, M, 2)
+    GW = np.stack([basis.gradient_at(grid.points, e) for e in unit])  # (N, M, M, 2, 2)
     rho_flat = np.repeat(rho.reshape(-1), 2)
-    Wf = grid.W.reshape(N, -1)
+    Wf = W.reshape(N, -1)
     a = grid.weight * ((Wf * rho_flat) @ Wf.T)
     a = 0.5 * (a + a.T)
     if v_grid is None:
         return a, np.zeros((N, N))
     # conv[j] = (v . grad) w_j; entry b[i, j] pairs it against test mode w_i
-    conv = np.einsum("abk,nabik->nabi", v_grid, grid.GW)
+    conv = np.einsum("abk,nabik->nabi", v_grid, GW)
     b = grid.weight * ((Wf * rho_flat) @ conv.reshape(N, -1).T)
     return a, b

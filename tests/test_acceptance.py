@@ -23,7 +23,7 @@ from torusflow.estimates import (
     gronwall_bounds,
     gronwall_verify,
 )
-from torusflow.fields import GridField, grid_points, w1gamma_norm
+from torusflow.fields import grid_points, w1gamma_norm
 from torusflow.pipeline import (
     converge_study,
     run_simulation,
@@ -200,7 +200,7 @@ def test_transport_growth_bound_closed_form(verdict):
     times = np.linspace(0.0, 0.6, 13)
     w1 = np.array(
         [
-            w1gamma_norm(GridField(src.value(shear.feet(pts, t))), GAMMA)
+            w1gamma_norm(src.value(shear.feet(pts, t)), GAMMA)
             for t in times
         ]
     )

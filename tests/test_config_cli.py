@@ -1,6 +1,7 @@
 """Config parsing, CLI plumbing, exit codes, and output formats."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from torusflow.config import (
     build_u0,
     parse_config_text,
 )
+from torusflow.estimates import write_ndjson
+from torusflow.fields import load_snapshot
+from torusflow.transport import density_at
 
 GOOD = """
 # comment line
@@ -149,6 +153,26 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
     assert (out / "u_t0.050000.dat").exists()
     assert (out / "rho_t0.050000.dat").exists()
     assert (out / "p_t0.050000.dat").exists()
+
+
+def test_snapshot_files_hold_the_state(tmp_path):
+    # The snapshots `run` writes are the velocity of the trajectory, the
+    # transported density and a zero-mean pressure, at the snapshot time.
+    config = parse_config_text(GOOD + "snapshots = 0.05\n")
+    result = pipeline.run_simulation(config)
+    pipeline.write_run_outputs(result, tmp_path)
+    t = 0.05
+    grid = result.basis.grid(config.M)
+    u = load_snapshot(tmp_path / "u_t0.050000.dat")
+    expected_u = result.basis.velocity_at(grid.points, result.history.coeffs_at(t))
+    np.testing.assert_allclose(u, expected_u, rtol=0.0, atol=1e-13)
+    rho = load_snapshot(tmp_path / "rho_t0.050000.dat")
+    expected_rho = density_at(result.source, result.history, config.M, t, config.backtrack_step)
+    np.testing.assert_array_equal(rho, expected_rho)
+    assert rho.min() < rho.max()  # a transported bump, not a constant
+    p = load_snapshot(tmp_path / "p_t0.050000.dat")
+    assert p.shape == (config.M, config.M)
+    assert abs(p.mean()) < 1e-13 and np.abs(p).max() > 0.0
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
@@ -306,6 +330,53 @@ def test_cli_vacuum_sweep_dedupes_floors(tmp_path, capsys, monkeypatch):
     probes = [json.loads(l) for l in (out / "momentum_n5.ndjson").read_text().splitlines()]
     assert [p["t"] for p in probes] == [0.1 * 2.0**-j for j in range(13)]
     capsys.readouterr()
+
+
+ZERO_FLOW = TAYLOR.replace("u0.modes = 1,0,cos:0.1", "u0.modes = 1,0,cos:0.0")
+
+
+def strict_json(line):
+    """json.loads that refuses the non-standard Infinity, -Infinity and NaN."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_cli_vacuum_sweep_with_zero_velocity(tmp_path, capsys):
+    # Every floor has sup |grad u|^2 = 0: no spread, not a division by zero.
+    cfg = write_config(tmp_path, ZERO_FLOW.replace("constant", "vacuum-well"))
+    out = tmp_path / "sweep"
+    assert main(["vacuum-sweep", "--config", str(cfg), "--out", str(out), "--n-list", "5,50"]) == 0
+    rows = [strict_json(l) for l in (out / "vacuum.ndjson").read_text().splitlines()]
+    assert [r["sup_grad_u_sq"] for r in rows[:-1]] == [0.0, 0.0]
+    assert rows[-1] == {"sup_grad_variation": 0.0}
+    capsys.readouterr()
+
+
+def test_sweep_variation_cases():
+    spread = pipeline._relative_spread
+    assert spread([1.0, 1.5, 1.2]) == 0.5
+    assert spread([0.0, 0.0]) == 0.0 and spread([2.0]) == 0.0
+    assert spread([0.0, 1e-3]) == math.inf  # above a zero minimum
+    assert spread([]) == math.inf  # every floor failed
+
+
+def test_cli_converge_zero_velocity_writes_standard_json(tmp_path, capsys):
+    # Identical trajectories give a rate of inf, written as the string "inf".
+    cfg = write_config(tmp_path, ZERO_FLOW.replace("constant", "bump"))
+    out = tmp_path / "conv"
+    assert main(["converge", "--config", str(cfg), "--out", str(out), "--N-list", "2,3,4"]) == 0
+    rows = [strict_json(l) for l in (out / "converge.ndjson").read_text().splitlines()]
+    assert rows[1]["rate_vs_previous"] == "inf"
+    capsys.readouterr()
+
+
+def test_write_ndjson_encodes_non_finite_floats(tmp_path):
+    path = tmp_path / "rows.ndjson"
+    write_ndjson(path, [{"a": np.inf, "b": [-np.inf, np.float64("nan")], "c": {"d": 1.5}}])
+    assert strict_json(path.read_text()) == {"a": "inf", "b": ["-inf", "nan"], "c": {"d": 1.5}}
 
 
 def test_cli_gronwall_check(tmp_path, capsys):

@@ -6,7 +6,6 @@ from oracles import spectral_gradient
 
 from torusflow.basis import BasisSet
 from torusflow.fields import (
-    GridField,
     grid_points,
     leray_pressure,
     load_snapshot,
@@ -32,7 +31,7 @@ def single_mode_ledger(count, index, M=16):
 def test_parseval():
     basis = BasisSet(9)
     coeffs = RNG.standard_normal(9)
-    grid_l2 = lp_norm(GridField(basis.grid(16).synthesize(coeffs)), 2.0)
+    grid_l2 = lp_norm(basis.grid(16).synthesize(coeffs), 2.0)
     assert abs(grid_l2 - np.linalg.norm(coeffs)) < 1e-12
 
 
@@ -55,17 +54,17 @@ def test_sup_norm_and_l6_closed_form():
     assert not ledger.column("rho_t_lgamma").any()
     # integral of cos^6 over a period is 2 pi * 5/16, so
     # ||w||_6^6 = (2 pi)(5 pi / 8) / (sqrt(2) pi)^6 = 5 / (32 pi^4).
-    w = GridField(BasisSet(4).grid(16).W[0])
+    w = BasisSet(4).grid(16).synthesize(np.eye(4)[0])
     assert abs(lp_norm(w, 6.0) - (5.0 / (32.0 * np.pi**4)) ** (1.0 / 6.0)) < 1e-12
 
 
 def test_integrate_and_lp_norm():
     M = 32
     pts = grid_points(M)
-    f = GridField(2.0 + np.sin(pts[..., 0]) * np.sin(pts[..., 1]))
+    f = 2.0 + np.sin(pts[..., 0]) * np.sin(pts[..., 1])
     # f > 0, so its L^1 norm is its trapezoid integral.
     assert abs(lp_norm(f, 1.0) - 2.0 * 4.0 * np.pi**2) < 1e-10
-    const = GridField(np.full((M, M), 3.0))
+    const = np.full((M, M), 3.0)
     assert abs(lp_norm(const, 2.0) - 3.0 * 2.0 * np.pi) < 1e-12
 
 
@@ -82,8 +81,8 @@ def test_grid_points_shared_and_read_only():
 def test_spectral_gradient_oracle():
     M = 32
     pts = grid_points(M)
-    phi = GridField(np.cos(pts[..., 0] + 2.0 * pts[..., 1]))
-    g = spectral_gradient(phi).values
+    phi = np.cos(pts[..., 0] + 2.0 * pts[..., 1])
+    g = spectral_gradient(phi)
     s = np.sin(pts[..., 0] + 2.0 * pts[..., 1])
     np.testing.assert_allclose(g[..., 0], -s, atol=1e-12)
     np.testing.assert_allclose(g[..., 1], -2.0 * s, atol=1e-12)
@@ -95,7 +94,7 @@ def test_leray_pressure_recovers_gradient():
     x, y = pts[..., 0], pts[..., 1]
     p_exact = np.cos(x) + np.sin(2.0 * y)
     g = np.stack([-np.sin(x), 2.0 * np.cos(2.0 * y)], axis=-1)
-    p = leray_pressure(GridField(g)).values
+    p = leray_pressure(g)
     np.testing.assert_allclose(p, p_exact, atol=1e-12)
 
 
@@ -103,7 +102,7 @@ def test_leray_pressure_solenoidal_input_gives_zero():
     basis = BasisSet(9)
     grid = basis.grid(32)
     u = grid.synthesize(RNG.standard_normal(9))
-    p = leray_pressure(GridField(u)).values
+    p = leray_pressure(u)
     assert np.abs(p).max() < 1e-13
 
 
@@ -112,31 +111,39 @@ def test_leray_pressure_rejects_nonzero_mean():
     g = np.zeros((M, M, 2))
     g[..., 0] = 1.0
     with pytest.raises(ValueError):
-        leray_pressure(GridField(g))
+        leray_pressure(g)
     with pytest.raises(ValueError):
-        leray_pressure(GridField(np.zeros((M, M))))  # scalar input
+        leray_pressure(np.zeros((M, M)))  # scalar input
 
 
 def test_snapshot_round_trip(tmp_path):
-    scalar = GridField(RNG.standard_normal((8, 8)))
+    scalar = RNG.standard_normal((8, 8))
     path = tmp_path / "s.dat"
     save_snapshot(scalar, path)
-    np.testing.assert_array_equal(load_snapshot(path).values, scalar.values)
+    np.testing.assert_array_equal(load_snapshot(path), scalar)
 
-    vector = GridField(RNG.standard_normal((8, 8, 2)))
+    vector = RNG.standard_normal((8, 8, 2))
     path = tmp_path / "v.dat"
     save_snapshot(vector, path)
-    np.testing.assert_array_equal(load_snapshot(path).values, vector.values)
+    np.testing.assert_array_equal(load_snapshot(path), vector)
 
     lines = path.read_text().splitlines()
     assert lines[0] == "M=8 components=2"
     assert len(lines) == 1 + 64
 
 
-def test_grid_field_validation():
+@pytest.mark.parametrize(
+    "text",
+    [
+        "M=2 components=5\n" + "1 2 3 4 5\n" * 4,  # components outside {1, 2}
+        "M=0 components=1\n",  # no grid
+        "M=2 components=1\n" + "1.0\n" * 5,  # a row past M^2
+        "M=2\n" + "1.0\n" * 4,  # header without components
+        "M=2 components=1\n" + "1.0\n" * 3,  # a row short
+    ],
+)
+def test_load_snapshot_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "bad.dat"
+    path.write_text(text)
     with pytest.raises(ValueError):
-        GridField(np.zeros((4, 5)))
-    with pytest.raises(ValueError):
-        GridField(np.zeros((4, 4, 3)))
-    with pytest.raises(ValueError):
-        GridField(np.zeros(4))
+        load_snapshot(path)

@@ -6,7 +6,7 @@ from oracles import ConstantVelocity, ShearVelocity
 
 from torusflow.basis import BasisSet
 from torusflow.estimates import GAMMA, convergence_orders
-from torusflow.fields import GridField, fd_gradient, grid_points, lp_norm, w1gamma_norm
+from torusflow.fields import fd_gradient, grid_points, lp_norm, w1gamma_norm
 from torusflow.pipeline import node_diagnostics
 from torusflow.solver import DivergenceError, solve_linearized
 from torusflow.transport import (
@@ -74,7 +74,7 @@ def test_floor_distance_in_sobolev_norm():
     base = bump_density().value(pts)
     for n in (10, 100):
         lifted = lift_floor(bump_density(), n).value(pts)
-        diff = GridField(lifted - base)
+        diff = lifted - base
         dist = w1gamma_norm(diff, GAMMA)
         assert abs(dist - (1.0 / n) * (4.0 * np.pi**2) ** (1.0 / GAMMA)) < 1e-12
 
@@ -160,12 +160,12 @@ def test_density_translation_closed_form():
     rho = density_at(bump_density(), ConstantVelocity([1.0, 0.0]), M, t, 0.05)
     pts = grid_points(M)
     expected = 2.0 + np.sin(pts[..., 0] - t) * np.sin(pts[..., 1])
-    np.testing.assert_allclose(rho.values, expected, atol=1e-13)
+    np.testing.assert_allclose(rho, expected, atol=1e-13)
 
 
 def test_density_constant_source_fast_path():
     rho = density_at(constant_density(), ShearVelocity(5.0), 16, 0.9, 0.1)
-    assert np.all(rho.values == 1.0)
+    assert np.all(rho == 1.0)
 
 
 def test_max_principle_is_exact():
@@ -173,15 +173,15 @@ def test_max_principle_is_exact():
     shear = ShearVelocity(amplitude=1.3, omega=2.0)
     for t in (0.1, 0.5, 1.0):
         rho = density_at(bump_density(), shear, 32, t, 0.02)
-        assert rho.values.min() >= 1.0
-        assert rho.values.max() <= 3.0
+        assert rho.min() >= 1.0
+        assert rho.max() <= 3.0
 
 
 def test_mass_conserved_under_shear():
     shear = ShearVelocity(amplitude=0.5, omega=1.0)
     w = (2.0 * np.pi / 64) ** 2
-    mass0 = w * density_at(bump_density(), shear, 64, 0.0, 0.01).values.sum()
-    mass1 = w * density_at(bump_density(), shear, 64, 0.8, 0.01).values.sum()
+    mass0 = w * density_at(bump_density(), shear, 64, 0.0, 0.01).sum()
+    mass1 = w * density_at(bump_density(), shear, 64, 0.8, 0.01).sum()
     assert abs(mass1 - mass0) / mass0 < 1e-9
 
 
@@ -190,8 +190,8 @@ def test_fd_gradient_oracle_and_order():
     exact_norm = np.sqrt(2.0 * np.pi**2)
     errs = []
     for M in (64, 128):
-        rho = GridField(f0(grid_points(M)))
-        errs.append(abs(lp_norm(GridField(fd_gradient(rho)), GAMMA) - exact_norm))
+        rho = f0(grid_points(M))
+        errs.append(abs(lp_norm(fd_gradient(rho), GAMMA) - exact_norm))
     # The centered difference scales each component by sin(h)/h, so the
     # relative error is h^2/6 ~= 4e-4 at M=128.
     assert errs[1] < 5e-4 * exact_norm
@@ -200,7 +200,7 @@ def test_fd_gradient_oracle_and_order():
 
 
 def test_w1gamma_norm_constant():
-    rho = GridField(np.ones((32, 32)))
+    rho = np.ones((32, 32))
     assert abs(w1gamma_norm(rho, 2.0) - 2.0 * np.pi) < 1e-12
 
 
@@ -233,8 +233,8 @@ def test_trig_interpolate_reproduces_resolved_modes(M):
 
 
 def carried_and_exact(source, velocity, M, times, dtau):
-    carried = [rho.values for rho in carried_densities(source, velocity, M, times, dtau)]
-    exact = [density_at(source, velocity, M, t, dtau).values for t in times]
+    carried = list(carried_densities(source, velocity, M, times, dtau))
+    exact = [density_at(source, velocity, M, t, dtau) for t in times]
     return np.array(carried), np.array(exact)
 
 
@@ -276,7 +276,7 @@ def test_carried_density_matches_oracle_on_velocity_history(M):
 
 def test_carried_density_constant_source_and_validation():
     rhos = list(carried_densities(constant_density(2.0), ShearVelocity(5.0), 8, [0.0, 0.3], 0.1))
-    assert len(rhos) == 2 and all(np.all(r.values == 2.0) for r in rhos)
+    assert len(rhos) == 2 and all(np.all(r == 2.0) for r in rhos)
     with pytest.raises(ValueError):
         list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.2, 0.1], 0.1))
     with pytest.raises(ValueError):
@@ -336,7 +336,7 @@ def shear_transport_series(a=0.7, omega=2.0, M=64, T=0.6, steps=13):
     w1 = []
     gradv_inf = []
     for t in times:
-        rho = GridField(source.value(shear.feet(pts, t)))
+        rho = source.value(shear.feet(pts, t))
         w1.append(w1gamma_norm(rho, GAMMA))
         # |grad v| = |a cos y cos(omega t)| peaks at |a cos(omega t)|.
         gradv_inf.append(abs(a * np.cos(omega * t)))
