@@ -5,6 +5,7 @@ estimates."""
 from .config import ConfigError, RunConfig, parse_config, parse_config_text
 from .pipeline import (
     RunResult,
+    Study,
     converge_study,
     gronwall_check_file,
     run_simulation,
@@ -12,6 +13,7 @@ from .pipeline import (
     uniqueness_study,
     vacuum_sweep,
     write_run_outputs,
+    write_study,
 )
 from .solver import PicardNonConvergenceError, VacuumDegenerateError
 from .transport import DivergenceError, TransportDriftError
@@ -24,6 +26,7 @@ __all__ = [
     "PicardNonConvergenceError",
     "RunConfig",
     "RunResult",
+    "Study",
     "TransportDriftError",
     "VacuumDegenerateError",
     "converge_study",
@@ -35,4 +38,5 @@ __all__ = [
     "uniqueness_study",
     "vacuum_sweep",
     "write_run_outputs",
+    "write_study",
 ]

@@ -14,8 +14,8 @@ descending, then k2 ascending, cosine before sine, which makes the enumeration
 deterministic and keeps k=(1,0) cosine the first mode.
 
 On the M x M grid (`BasisGrid`) the modes are scalar tables and every
-synthesis or projection is a matrix product on them; `BasisSet.velocity_at`/
-`gradient_at` evaluate at arbitrary points from their own trig tables.
+synthesis or projection is a matrix product on them; `BasisSet.velocity_at`
+evaluates at arbitrary points from its own trig table.
 """
 
 from __future__ import annotations
@@ -168,13 +168,6 @@ class BasisSet:
         table[:, self._sin_idx] = np.sin(phases[:, self._sin_idx])
         return table
 
-    def _trig_deriv_table(self, points: np.ndarray) -> np.ndarray:
-        phases = points @ self.kvecs.T
-        table = np.empty_like(phases)
-        table[:, self._cos_idx] = -np.sin(phases[:, self._cos_idx])
-        table[:, self._sin_idx] = np.cos(phases[:, self._sin_idx])
-        return table
-
     def velocity_at(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Velocity samples at arbitrary points (..., 2) -> (..., 2).
 
@@ -186,12 +179,4 @@ class BasisSet:
         c = np.asarray(coeffs, dtype=float)
         u = (table * c[..., None, :]) @ (self.dirs * MODE_NORM)
         return u.reshape(c.shape[:-1] + pts.shape)
-
-    def gradient_at(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Velocity gradient at arbitrary points (..., 2) -> (..., 2, 2)."""
-        pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, 2)
-        table = self._trig_deriv_table(flat) * coeffs
-        grad = np.einsum("pn,ni,na->pia", table, self.dirs * MODE_NORM, self.kvecs)
-        return grad.reshape(pts.shape[:-1] + (2, 2))
 

@@ -1,10 +1,11 @@
 """Command line entry points.
 
-Exit codes: 0 on a completed command, 2 for configuration errors, 3 for
-numerical divergence (including carried characteristic feet that drift from
-the exact ones, TransportDriftError), 4 for a fixed-point iteration that
-fails to converge, 5 for a degenerate mass matrix caused by vanishing
-density.
+Exit codes: 0 on a completed command, 1 for a `gronwall-check` whose
+verification fails, 2 for configuration errors (for `gronwall-check` also an
+unreadable, malformed or inconsistent input file), 3 for numerical
+divergence (including carried characteristic feet that drift from the exact
+ones, TransportDriftError), 4 for a fixed-point iteration that fails to
+converge, 5 for a degenerate mass matrix caused by vanishing density.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .estimates import write_ndjson
 from .pipeline import (
     converge_study,
     gronwall_check_file,
@@ -23,6 +23,7 @@ from .pipeline import (
     uniqueness_study,
     vacuum_sweep,
     write_run_outputs,
+    write_study,
 )
 from .solver import (
     DivergenceError,
@@ -57,9 +58,7 @@ def cmd_run(args) -> int:
     write_run_outputs(result, args.out)
     _print_checks(result.checks)
     pic = result.picard
-    print(
-        f"picard: {pic.iterations} iterations, final delta {pic.deltas[-1]:.6e}"
-    )
+    print(f"picard: {pic.iterations} iterations, final delta {pic.deltas[-1]:.6e}")
     print(f"wrote {Path(args.out) / 'ledger.ndjson'}")
     return 0
 
@@ -67,79 +66,45 @@ def cmd_run(args) -> int:
 def cmd_converge(args) -> int:
     config = parse_config(args.config)
     study = converge_study(config, _number_list(args.n_list))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_ndjson(out / "converge.ndjson", study.rows)
-    for res in study.results:
-        write_run_outputs(res, out / f"N{res.config.N}")
-    for row in study.rows:
+    write_study(study, args.out)
+    for row in study.files["converge.ndjson"]:
         if "l2_time_diff" in row:
             print(
                 f"N={row['n_small']} vs N={row['n_big']}: "
                 f"L2(0,T;L2) diff {row['l2_time_diff']:.6e}"
             )
-    print(f"wrote {out / 'converge.ndjson'}")
+    print(f"wrote {Path(args.out) / 'converge.ndjson'}")
     return 0
 
 
 def cmd_vacuum(args) -> int:
     config = parse_config(args.config)
-    sweep = vacuum_sweep(config, _number_list(args.n_list))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = list(sweep.rows)
-    rows.append({"sup_grad_variation": sweep.sup_grad_variation})
-    write_ndjson(out / "vacuum.ndjson", rows)
-    for res, (t, norms), rep in zip(sweep.results, sweep.probes, sweep.momentum):
-        n = res.source.floor_n
-        write_run_outputs(res, out / f"n{n}")
-        write_ndjson(
-            out / f"momentum_n{n}.ndjson",
-            [{"t": float(tj), "norm": float(nj)} for tj, nj in zip(t, norms)],
-        )
-        slope = "none" if rep.slope is None else f"{rep.slope:.4f}"
+    study = vacuum_sweep(config, _number_list(args.n_list))
+    write_study(study, args.out)
+    *floors, spread = study.files["vacuum.ndjson"]
+    for row in floors:
+        if "error" in row:
+            continue
+        slope = row["momentum_slope"]
+        slope = "none" if slope is None else f"{slope:.4f}"
         print(
-            f"n={n}: sup|grad u|^2={res.ledger.column('grad_u_l2').max()**2:.6e} "
-            f"momentum slope={slope} pass={rep.passed}"
+            f"n={row['floor_n']}: sup|grad u|^2={row['sup_grad_u_sq']:.6e} "
+            f"momentum slope={slope} pass={row['momentum_pass']}"
         )
-    print(f"cross-floor sup|grad u|^2 variation: {sweep.sup_grad_variation:.4%}")
-    print(f"wrote {out / 'vacuum.ndjson'}")
+    print(f"cross-floor sup|grad u|^2 variation: {spread['sup_grad_variation']:.4%}")
+    print(f"wrote {Path(args.out) / 'vacuum.ndjson'}")
     return 0
 
 
 def cmd_uniqueness(args) -> int:
     config = parse_config(args.config)
     study = uniqueness_study(config, delta=args.delta)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "seed_diff_max": study.seed_diff_max,
-        "seed_pass": study.seed_pass,
-        "fitted_A": study.fitted_A,
-        "fitted_C": study.fitted_C,
-        "perturb_pass": study.perturb_pass,
-        "gronwall_message": study.gronwall.message,
-        "gronwall_f_margin": study.gronwall.f_margin,
-        "gronwall_eta_margin": study.gronwall.eta_margin,
-    }
-    write_ndjson(out / "uniqueness.ndjson", [summary])
-    curves = study.curves
-    write_ndjson(
-        out / "curves.ndjson",
-        [
-            {
-                "t": float(curves["t"][k]),
-                "f": float(curves["f"][k]),
-                "g": float(curves["g"][k]),
-                "G": float(curves["G"][k]),
-            }
-            for k in range(len(curves["t"]))
-        ],
-    )
-    print(f"[{'PASS' if study.seed_pass else 'FAIL'}] seed independence")
-    print(f"[{'PASS' if study.perturb_pass else 'FAIL'}] perturbation bound "
-          f"(A={study.fitted_A:.4e}, C={study.fitted_C:.4e})")
-    print(f"wrote {out / 'uniqueness.ndjson'}")
+    write_study(study, args.out)
+    (summary,) = study.files["uniqueness.ndjson"]
+    print(f"[{'PASS' if summary['seed_pass'] else 'FAIL'}] seed independence")
+    print(f"[{'PASS' if summary['perturb_pass'] else 'FAIL'}] perturbation bound "
+          f"(A={summary['fitted_A']:.4e}, C={summary['fitted_C']:.4e})")
+    print(f"wrote {Path(args.out) / 'uniqueness.ndjson'}")
     return 0
 
 
@@ -156,26 +121,15 @@ def cmd_gronwall(args) -> int:
 def cmd_taylor(args) -> int:
     config = parse_config(args.config)
     dts = _number_list(args.dt_list, float) if args.dt_list else None
-    rep = taylor_benchmark(config, dts)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_ndjson(
-        out / "taylor.ndjson",
-        [
-            {
-                "dt": float(dt),
-                "max_rel_error": float(err),
-            }
-            for dt, err in zip(rep.dts, rep.errors)
-        ]
-        + [{"orders": [float(o) for o in rep.orders], "pass": rep.passed}],
-    )
-    for dt, err in zip(rep.dts, rep.errors):
-        print(f"dt={dt:g}: max relative error {err:.6e}")
-    if rep.orders:
-        print("observed orders: " + ", ".join(f"{o:.3f}" for o in rep.orders))
-    print(f"[{'PASS' if rep.passed else 'FAIL'}] single-mode decay benchmark")
-    print(f"wrote {out / 'taylor.ndjson'}")
+    study = taylor_benchmark(config, dts)
+    write_study(study, args.out)
+    *steps, verdict = study.files["taylor.ndjson"]
+    for row in steps:
+        print(f"dt={row['dt']:g}: max relative error {row['max_rel_error']:.6e}")
+    if verdict["orders"]:
+        print("observed orders: " + ", ".join(f"{o:.3f}" for o in verdict["orders"]))
+    print(f"[{'PASS' if verdict['pass'] else 'FAIL'}] single-mode decay benchmark")
+    print(f"wrote {Path(args.out) / 'taylor.ndjson'}")
     return 0
 
 
@@ -188,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_required=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="path to a run config file")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p_run = sub.add_parser("run", help="solve one configuration and write its ledger")
     add_common(p_run)

@@ -17,6 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 GAMMA = 2.0  # Lebesgue exponent for all density-gradient monitors
+RICCATI_SLACK = 0.01  # riccati_fit: relative slack on the fitted C1
+GRONWALL_RTOL = 1e-9  # gronwall_verify: relative tolerance on every comparison
+GRONWALL_ATOL = 1e-12  # gronwall_verify: absolute tolerance on every comparison
+GRONWALL_FIT_SLACK = 0.02  # fit_gronwall_constants: relative slack on A and C
+GRONWALL_FIT_FLOOR = 1e-14  # fit_gronwall_constants: skipped-interval threshold
+MOMENTUM_SLOPE_FLOOR = 0.15  # momentum_continuity_report: least log-log slope
+MOMENTUM_DECAY_TARGET = 1e-3  # momentum_continuity_report: largest decay ratio
 
 LEDGER_FIELDS = [
     "t",
@@ -174,18 +181,23 @@ def h1_functional(times, grad_u_l2, sqrt_rho_ut_l2, hess_u_l2, m1: float = 1.0) 
     return 2.0 * m1 * g1 + cumtrapz(times, integrand)
 
 
-def riccati_fit(times, F, m1: float = 1.0, slack: float = 0.01) -> RiccatiFit:
+def riccati_fit(times, F, m1: float = 1.0) -> RiccatiFit:
     """Smallest C1 (with 1 percent slack) such that F' <= C1 F^3 at interior
-    samples, derivatives by centered differences.  Monotone decay gives 0."""
+    samples, derivatives by centered differences.  Monotone decay gives 0.
+
+    Where F = 0 the ratio F'/F^3 is taken as 0 when F' <= 0 (any C1 bounds
+    it) and as inf when F' > 0 (no finite C1 does)."""
     t = np.asarray(times, dtype=float)
     F = np.asarray(F, dtype=float)
     if len(t) < 3:
         raise ValueError("riccati_fit needs at least 3 samples")
     dF = (F[2:] - F[:-2]) / (t[2:] - t[:-2])
-    ratios = dF / F[1:-1] ** 3
-    c1 = float(max(0.0, ratios.max()) * (1.0 + slack))
+    F3 = F[1:-1] ** 3
+    at_zero = np.where(dF > 0.0, math.inf, 0.0)
+    ratios = np.divide(dF, F3, out=at_zero, where=F3 != 0.0)
+    c1 = float(max(0.0, ratios.max()) * (1.0 + RICCATI_SLACK))
     if c1 > 0:
-        satisfied = float(np.mean(dF <= c1 * F[1:-1] ** 3))
+        satisfied = float(np.mean(ratios <= c1))
     else:
         satisfied = float(np.mean(dF <= 0.0))
     return RiccatiFit(c1=c1, m1=float(m1), satisfied_fraction=satisfied)
@@ -229,6 +241,8 @@ class GronwallInput:
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
+        if self.t.ndim != 1 or self.t.size == 0:
+            raise ValueError("t must be a non-empty 1-D array")
         for name in ("f", "g", "G", "alpha", "beta"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.t.shape:
@@ -288,15 +302,15 @@ class GronwallReport:
     message: str
 
 
-def gronwall_verify(
-    inp: GronwallInput, rtol: float = 1e-9, atol: float = 1e-12, f0: float | None = None
-) -> GronwallReport:
+def gronwall_verify(inp: GronwallInput, f0: float | None = None) -> GronwallReport:
     """Check the hypotheses in integral form, then the conclusions pointwise.
 
     A hypothesis violation is reported as such (distinct from a conclusion
     failure).  Margins are signed (bound - observed), normalized by the local
-    scale; negative means violated.  `f0` defaults to f[0] and selects the
-    exact bound (f0 = 0) or the offset extension."""
+    scale; negative means violated.  Every comparison allows GRONWALL_RTOL
+    relative and GRONWALL_ATOL absolute slack.  `f0` defaults to f[0] and
+    selects the exact bound (f0 = 0) or the offset extension."""
+    rtol, atol = GRONWALL_RTOL, GRONWALL_ATOL
     t, f, g, G = inp.t, inp.f, inp.g, inp.G
     IG = cumtrapz(t, G)
     sqrtG_int = cumtrapz(t, np.sqrt(G))
@@ -344,16 +358,16 @@ def gronwall_verify(
     )
 
 
-def fit_gronwall_constants(
-    t, f, g, G, alpha_base, beta_base, slack: float = 0.02, floor: float = 1e-14
-) -> tuple[float, float]:
-    """Smallest A and C (plus slack) making the hypotheses hold on the data:
+def fit_gronwall_constants(t, f, g, G, alpha_base, beta_base) -> tuple[float, float]:
+    """Smallest A and C (plus GRONWALL_FIT_SLACK) making the hypotheses hold
+    on the data:
 
         df/dt <= A sqrt(G),    dg/dt + G <= C (alpha_base g + beta_base f^2).
 
     Ratios are taken over intervals in integral form; intervals whose
-    denominator falls below `floor` times the global scale are skipped (the
-    hypothesis is vacuous there up to noise)."""
+    denominator falls below GRONWALL_FIT_FLOOR times the global scale are
+    skipped (the hypothesis is vacuous there up to noise)."""
+    slack, floor = GRONWALL_FIT_SLACK, GRONWALL_FIT_FLOOR
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -385,15 +399,13 @@ class MomentumReport:
     passed: bool
 
 
-def momentum_continuity_report(
-    times, norms, slope_floor: float = 0.15, decay_target: float = 1e-3
-) -> MomentumReport:
+def momentum_continuity_report(times, norms) -> MomentumReport:
     """Fit log ||(rho u)(t) - rho0 u0||_2 against log t.
 
     Passes when the norm decreases (5 percent slack per probe against
-    wiggle), reaches `decay_target` times its value at the largest probe, and
-    the least-squares slope is at least `slope_floor`.  Identically zero data
-    (exact continuity) passes with slope None."""
+    wiggle), reaches MOMENTUM_DECAY_TARGET times its value at the largest
+    probe, and the least-squares slope is at least MOMENTUM_SLOPE_FLOOR.
+    Identically zero data (exact continuity) passes with slope None."""
     t = np.asarray(times, dtype=float)
     n = np.asarray(norms, dtype=float)
     order = np.argsort(t)
@@ -405,5 +417,9 @@ def momentum_continuity_report(
     slope = float(np.polyfit(np.log(t), np.log(n), 1)[0])
     decreasing = bool(np.all(n[:-1] <= n[1:] * 1.05))
     decay_ratio = float(n[0] / n[-1])
-    passed = decreasing and decay_ratio <= decay_target and slope >= slope_floor
+    passed = (
+        decreasing
+        and decay_ratio <= MOMENTUM_DECAY_TARGET
+        and slope >= MOMENTUM_SLOPE_FLOOR
+    )
     return MomentumReport(slope, decay_ratio, passed)

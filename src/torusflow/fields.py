@@ -18,6 +18,8 @@ import functools
 
 import numpy as np
 
+LERAY_MEAN_TOL = 1e-8  # leray_pressure: largest mean, relative to the field scale
+
 
 @functools.lru_cache(maxsize=None)
 def grid_points(M: int) -> np.ndarray:
@@ -62,21 +64,21 @@ def w1gamma_norm(rho: np.ndarray, gamma: float, grad: np.ndarray | None = None) 
     return float(total ** (1.0 / gamma))
 
 
-def leray_pressure(residual: np.ndarray, mean_tol: float = 1e-8) -> np.ndarray:
+def leray_pressure(residual: np.ndarray) -> np.ndarray:
     """Pressure part of a Helmholtz decomposition: solve lap p = div g.
 
-    The input must be an (M, M, 2) vector field with (numerically) zero mean
-    per component; a nonzero mean admits no gradient representation and is
-    rejected.  The solve runs in trigonometric space with the zero-mean gauge
-    for p.  Nyquist rows are dropped for even M, which only matters for
-    content at exactly the grid limit.
+    The input must be an (M, M, 2) vector field with zero mean per component
+    up to LERAY_MEAN_TOL; a nonzero mean admits no gradient representation
+    and is rejected.  The solve runs in trigonometric space with the
+    zero-mean gauge for p.  Nyquist rows are dropped for even M, which only
+    matters for content at exactly the grid limit.
     """
     if residual.ndim != 3 or residual.shape[2] != 2:
         raise ValueError("leray_pressure expects a vector field")
     M = residual.shape[0]
     scale = max(1.0, float(np.abs(residual).max()))
     means = residual.mean(axis=(0, 1))
-    if np.abs(means).max() > mean_tol * scale:
+    if np.abs(means).max() > LERAY_MEAN_TOL * scale:
         raise ValueError(
             f"input mean {means} is not zero; no gradient field matches it"
         )

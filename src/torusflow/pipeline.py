@@ -62,6 +62,9 @@ ENERGY_TOL = 1e-8  # energy_identity
 INEQUALITY_TOL = 1e-6  # energy_inequality: relative overshoot of E(t)
 MASS_TOL = 1e-6  # mass_conservation: relative mass deviation
 TRANSPORT_EPS = 1e-2  # transport_growth: multiplicative slack
+TAYLOR_TOL = 1e-6  # taylor benchmark: largest relative error at the first step
+TAYLOR_ORDER_FLOOR = 3.9  # taylor benchmark: least observed halving order
+MOMENTUM_PROBES = 13  # momentum_probes: probe times T 2^{-j}, j < 13
 
 
 @dataclass
@@ -105,6 +108,12 @@ def _check(name: str, passed: bool, margin: float, **details) -> dict:
         "margin": float(margin),
         "details": details,
     }
+
+
+def _within(name: str, key: str, observed: float, tol: float) -> dict:
+    """A check that `observed` stays at or below `tol`; details carry both,
+    `observed` under `key`."""
+    return _check(name, observed <= tol, tol - observed, **{key: observed, "tol": tol})
 
 
 def node_diagnostics(
@@ -208,62 +217,44 @@ def run_simulation(
 
 def _build_checks(src, picard, ledger, nodes, ric, t0_est) -> list[dict]:
     times = ledger.column("t")
+    sqrt_rho_u, grad_u = ledger.column("sqrt_rho_u_l2"), ledger.column("grad_u_l2")
     gdots = nodes.grad_u_sq_dot
-    checks = []
-
-    worst_orth = float(nodes.orthogonality_max.max())
-    checks.append(
-        _check(
-            "galerkin_orthogonality",
-            worst_orth <= RESIDUAL_TOL,
-            RESIDUAL_TOL - worst_orth,
-            worst=worst_orth,
-            tol=RESIDUAL_TOL,
-        )
-    )
-    worst_proj = float(nodes.projection_rel.max())
-    checks.append(
-        _check(
-            "projection_identity",
-            worst_proj <= RESIDUAL_TOL,
-            RESIDUAL_TOL - worst_proj,
-            worst_relative=worst_proj,
-            tol=RESIDUAL_TOL,
-        )
-    )
-
-    resid = energy_identity_check(
-        times, ledger.column("sqrt_rho_u_l2"), ledger.column("grad_u_l2"), gdots
-    )
-    checks.append(
-        _check(
-            "energy_identity",
-            resid <= ENERGY_TOL,
-            ENERGY_TOL - resid,
-            residual=resid,
-            tol=ENERGY_TOL,
-        )
-    )
-
-    E = energy_functional(
-        times, ledger.column("sqrt_rho_u_l2"), ledger.column("grad_u_l2"), gdots
-    )
-    overshoot = float(E.max() / E[0] - 1.0) if E[0] > 0 else 0.0
-    checks.append(
-        _check(
-            "energy_inequality",
-            overshoot <= INEQUALITY_TOL,
-            INEQUALITY_TOL - overshoot,
-            overshoot=overshoot,
-            tol=INEQUALITY_TOL,
-        )
-    )
+    E = energy_functional(times, sqrt_rho_u, grad_u, gdots)
+    mass = ledger.column("mass")
 
     lo, hi = float(nodes.rho.min()), float(nodes.rho.max())
     col_lo, col_hi = ledger.column("rho_min"), ledger.column("rho_max")
     bounds_const = bool(np.all(col_lo == col_lo[0]) and np.all(col_hi == col_hi[0]))
     sample_margin = min(lo - src.lower, src.upper - hi)
-    checks.append(
+
+    growth = transport_growth_check(
+        times, nodes.w1gamma, ledger.column("grad_u_linf"), eps=TRANSPORT_EPS
+    )
+    return [
+        _within(
+            "galerkin_orthogonality",
+            "worst",
+            float(nodes.orthogonality_max.max()),
+            RESIDUAL_TOL,
+        ),
+        _within(
+            "projection_identity",
+            "worst_relative",
+            float(nodes.projection_rel.max()),
+            RESIDUAL_TOL,
+        ),
+        _within(
+            "energy_identity",
+            "residual",
+            energy_identity_check(times, sqrt_rho_u, grad_u, gdots),
+            ENERGY_TOL,
+        ),
+        _within(
+            "energy_inequality",
+            "overshoot",
+            float(E.max() / E[0] - 1.0) if E[0] > 0 else 0.0,
+            INEQUALITY_TOL,
+        ),
         _check(
             "max_principle",
             bounds_const and sample_margin >= 0.0,
@@ -273,25 +264,13 @@ def _build_checks(src, picard, ledger, nodes, ric, t0_est) -> list[dict]:
             lower=src.lower,
             upper=src.upper,
             columns_constant=bounds_const,
-        )
-    )
-
-    mass = ledger.column("mass")
-    mass_dev = float(np.abs(mass - mass[0]).max() / abs(mass[0]))
-    checks.append(
-        _check(
+        ),
+        _within(
             "mass_conservation",
-            mass_dev <= MASS_TOL,
-            MASS_TOL - mass_dev,
-            relative_deviation=mass_dev,
-            tol=MASS_TOL,
-        )
-    )
-
-    growth = transport_growth_check(
-        times, nodes.w1gamma, ledger.column("grad_u_linf"), eps=TRANSPORT_EPS
-    )
-    checks.append(
+            "relative_deviation",
+            float(np.abs(mass - mass[0]).max() / abs(mass[0])),
+            MASS_TOL,
+        ),
         _check(
             "transport_growth",
             growth.passed,
@@ -299,10 +278,7 @@ def _build_checks(src, picard, ledger, nodes, ric, t0_est) -> list[dict]:
             worst_margin=growth.worst_margin,
             worst_time=growth.worst_time,
             eps=TRANSPORT_EPS,
-        )
-    )
-
-    checks.append(
+        ),
         _check(
             "riccati_barrier",
             ric.satisfied_fraction >= 0.99,
@@ -311,10 +287,7 @@ def _build_checks(src, picard, ledger, nodes, ric, t0_est) -> list[dict]:
             m1=ric.m1,
             satisfied_fraction=ric.satisfied_fraction,
             t0_estimate=t0_est,
-        )
-    )
-
-    checks.append(
+        ),
         _check(
             "picard_convergence",
             picard.converged,
@@ -322,9 +295,8 @@ def _build_checks(src, picard, ledger, nodes, ric, t0_est) -> list[dict]:
             iterations=picard.iterations,
             deltas=picard.deltas,
             contraction_factors=picard.factors,
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +304,8 @@ def _build_checks(src, picard, ledger, nodes, ric, t0_est) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def momentum_probes(result: RunResult, n_probes: int = 13) -> tuple[np.ndarray, np.ndarray]:
-    """Norms ||(rho u)(t_j) - rho0 u0||_2 at probe times t_j = T 2^{-j}."""
+def momentum_probes(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
+    """Norms ||(rho u)(t_j) - rho0 u0||_2 at t_j = T 2^{-j}, j < MOMENTUM_PROBES."""
     cfg = result.config
     grid = result.basis.grid(cfg.M)
     w = grid.weight
@@ -343,7 +315,7 @@ def momentum_probes(result: RunResult, n_probes: int = 13) -> tuple[np.ndarray, 
     mom0 = rho0[..., None] * u0
 
     probe_t, probe_n = [], []
-    for j in range(n_probes):
+    for j in range(MOMENTUM_PROBES):
         t = T * 2.0 ** (-j)
         f = result.history.coeffs_at(t)
         u = grid.synthesize(f)
@@ -360,12 +332,15 @@ def momentum_probes(result: RunResult, n_probes: int = 13) -> tuple[np.ndarray, 
 
 
 @dataclass
-class ConvergeStudy:
-    results: list
-    rows: list
+class Study:
+    """What a study writes: `files` maps each ndjson file name to its rows,
+    `runs` each run subdirectory to the RunResult written there."""
+
+    files: dict
+    runs: dict
 
 
-def converge_study(config: RunConfig, n_values) -> ConvergeStudy:
+def converge_study(config: RunConfig, n_values) -> Study:
     """Refinement in the number of modes at fixed grid and step."""
     ns = sorted(set(int(n) for n in n_values))
     if len(ns) < 3:
@@ -414,24 +389,16 @@ def converge_study(config: RunConfig, n_values) -> ConvergeStudy:
                 ),
             }
         )
-    return ConvergeStudy(results=results, rows=rows)
+    return Study({"converge.ndjson": rows}, {f"N{r.config.N}": r for r in results})
 
 
-@dataclass
-class VacuumSweep:
-    """`probes[i]` holds the (times, norms) arrays of `momentum_probes` for
-    `results[i]`, in probe order (t descending); `momentum[i]` is the report
-    fitted on them."""
+def vacuum_sweep(config: RunConfig, floors) -> Study:
+    """Run the same data over a sequence of vacuum floors 1/n.
 
-    results: list
-    probes: list
-    momentum: list
-    rows: list
-    sup_grad_variation: float
-
-
-def vacuum_sweep(config: RunConfig, floors) -> VacuumSweep:
-    """Run the same data over a sequence of vacuum floors 1/n."""
+    `vacuum.ndjson` holds one row per floor, then the cross-floor
+    `sup_grad_variation`; each completed floor n adds its run `n<n>` and
+    `momentum_n<n>.ndjson`, the momentum probes in probe order (t
+    descending)."""
     base = DENSITY_CATALOG[config.density_kind]()
     if base.lower > 0.0:
         raise ConfigError(
@@ -443,8 +410,7 @@ def vacuum_sweep(config: RunConfig, floors) -> VacuumSweep:
     if any(n < 1 for n in ns):
         raise ConfigError("floor values must be positive integers")
 
-    results, probes, reports, rows = [], [], [], []
-    sup_grads = []
+    rows, probes, runs, sup_grads = [], {}, {}, []
     for n in ns:
         src = lift_floor(base, n)
         try:
@@ -456,9 +422,10 @@ def vacuum_sweep(config: RunConfig, floors) -> VacuumSweep:
             continue
         t, norms = momentum_probes(res)
         rep = momentum_continuity_report(t, norms)
-        results.append(res)
-        probes.append((t, norms))
-        reports.append(rep)
+        runs[f"n{n}"] = res
+        probes[f"momentum_n{n}.ndjson"] = [
+            {"t": float(tj), "norm": float(nj)} for tj, nj in zip(t, norms)
+        ]
         sup_grad = float((res.ledger.column("grad_u_l2") ** 2).max())
         sup_grads.append(sup_grad)
         rows.append(
@@ -472,13 +439,8 @@ def vacuum_sweep(config: RunConfig, floors) -> VacuumSweep:
                 "completed_T": float(res.history.t_final),
             }
         )
-    return VacuumSweep(
-        results=results,
-        probes=probes,
-        momentum=reports,
-        rows=rows,
-        sup_grad_variation=_relative_spread(sup_grads),
-    )
+    rows.append({"sup_grad_variation": _relative_spread(sup_grads)})
+    return Study({"vacuum.ndjson": rows, **probes}, runs)
 
 
 def _relative_spread(values: list) -> float:
@@ -488,17 +450,6 @@ def _relative_spread(values: list) -> float:
     if hi == lo:
         return 0.0
     return (hi - lo) / lo if lo > 0.0 else math.inf
-
-
-@dataclass
-class UniquenessStudy:
-    seed_diff_max: dict
-    seed_pass: bool
-    gronwall: GronwallReport
-    fitted_A: float
-    fitted_C: float
-    curves: dict
-    perturb_pass: bool
 
 
 def _difference_curves(ref: RunResult, other: RunResult) -> dict:
@@ -526,13 +477,15 @@ def _difference_curves(ref: RunResult, other: RunResult) -> dict:
     }
 
 
-def uniqueness_study(config: RunConfig, delta: float = 1e-3) -> UniquenessStudy:
+def uniqueness_study(config: RunConfig, delta: float = 1e-3) -> Study:
     """Two diagnostics: Picard-seed independence and a perturbation bound.
 
     Seed independence: the same data solved from the constant-in-time seed
     and from the zero seed must agree to a small multiple of picard_tol.
     Perturbation: shifting the initial density by `delta` produces difference
     curves that must stay below the Gronwall bound with fitted constants.
+    Writes the one-row summary `uniqueness.ndjson` and the perturbation's
+    difference curves, one row per node, to `curves.ndjson`.
     """
     if not math.isfinite(delta):
         raise ConfigError(f"density shift delta must be finite, got {delta}")
@@ -555,47 +508,36 @@ def uniqueness_study(config: RunConfig, delta: float = 1e-3) -> UniquenessStudy:
     alpha_base = grad_h1_sq
     beta_base = led.column("grad_ut_l2") ** 2 + led.column("grad_u_l2") * grad_h1_sq**1.5
 
-    A, C = fit_gronwall_constants(
-        curves["t"], curves["f"], curves["g"], curves["G"], alpha_base, beta_base
-    )
+    A, C = fit_gronwall_constants(**curves, alpha_base=alpha_base, beta_base=beta_base)
     inp = GronwallInput(
-        t=curves["t"],
-        f=curves["f"],
-        g=curves["g"],
-        G=curves["G"],
-        alpha=C * alpha_base,
-        beta=C * beta_base,
-        A=A,
-        g0=float(curves["g"][0]),
+        **curves, alpha=C * alpha_base, beta=C * beta_base, A=A, g0=float(curves["g"][0])
     )
-    report = gronwall_verify(inp, rtol=1e-9, f0=float(curves["f"][0]))
-    return UniquenessStudy(
-        seed_diff_max=seed_diff_max,
-        seed_pass=seed_pass,
-        gronwall=report,
-        fitted_A=A,
-        fitted_C=C,
-        curves=curves,
-        perturb_pass=report.passed,
-    )
+    report = gronwall_verify(inp, f0=float(curves["f"][0]))
+    summary = {
+        "seed_diff_max": seed_diff_max,
+        "seed_pass": seed_pass,
+        "fitted_A": A,
+        "fitted_C": C,
+        "perturb_pass": report.passed,
+        "gronwall_message": report.message,
+        "gronwall_f_margin": report.f_margin,
+        "gronwall_eta_margin": report.eta_margin,
+    }
+    curve_rows = [
+        {"t": float(t), "f": float(f), "g": float(g), "G": float(G)}
+        for t, f, g, G in zip(curves["t"], curves["f"], curves["g"], curves["G"])
+    ]
+    return Study({"uniqueness.ndjson": [summary], "curves.ndjson": curve_rows}, {})
 
 
-@dataclass
-class TaylorReport:
-    dts: list
-    errors: list
-    orders: list
-    passed: bool
-
-
-def taylor_benchmark(
-    config: RunConfig, dt_values=None, tol: float = 1e-6, order_floor: float = 3.9
-) -> TaylorReport:
+def taylor_benchmark(config: RunConfig, dt_values=None) -> Study:
     """Exact single-mode decay benchmark: f(t) = a exp(-lam t).
 
     A single basis mode transports itself along its own streamlines without
     self-advection, so the modal amplitude obeys the pure decay ODE exactly
-    and any deviation is integrator error."""
+    and any deviation is integrator error.  `taylor.ndjson` holds one row
+    per step, then the halving orders and the verdict: the first error at
+    most TAYLOR_TOL and every order at least TAYLOR_ORDER_FLOOR."""
     if config.density_kind != "constant":
         raise ConfigError(
             "taylor benchmark needs density.kind = constant", key="density.kind"
@@ -620,15 +562,8 @@ def taylor_benchmark(
     errors = []
     for dt in dts:
         history, _ = picard_solve(
-            src,
-            u0,
-            basis,
-            config.M,
-            dt,
-            config.T,
-            config.backtrack_step,
-            config.picard_tol,
-            config.picard_max,
+            src, u0, basis, config.M, dt, config.T, config.backtrack_step,
+            config.picard_tol, config.picard_max
         )
         exact = a * np.exp(-lam * history.times)
         err = float(np.abs(history.coeffs[:, idx] - exact).max() / abs(a))
@@ -636,8 +571,10 @@ def taylor_benchmark(
     orders = (
         list(convergence_orders(errors)) if len(errors) >= 2 and min(errors) > 0 else []
     )
-    passed = errors[0] <= tol and all(o >= order_floor for o in orders)
-    return TaylorReport(dts=dts, errors=errors, orders=orders, passed=passed)
+    passed = errors[0] <= TAYLOR_TOL and all(o >= TAYLOR_ORDER_FLOOR for o in orders)
+    rows = [{"dt": float(dt), "max_rel_error": err} for dt, err in zip(dts, errors)]
+    rows.append({"orders": [float(o) for o in orders], "pass": passed})
+    return Study({"taylor.ndjson": rows}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -664,22 +601,33 @@ def write_run_outputs(result: RunResult, outdir) -> None:
         save_snapshot(resid.pressure, out / f"p_t{tag}.dat")
 
 
+def write_study(study: Study, outdir) -> None:
+    """Write each of a study's ndjson files and each of its runs under
+    `outdir`."""
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, rows in study.files.items():
+        write_ndjson(out / name, rows)
+    for subdir, result in study.runs.items():
+        write_run_outputs(result, out / subdir)
+
+
 def gronwall_check_file(path) -> tuple[GronwallInput, GronwallReport]:
     """Standalone verification from a JSON file with keys t, f, g, G, alpha,
-    beta (equal-length arrays), A, g0."""
-    with open(path) as fh:
-        data = json.load(fh)
+    beta (equal-length arrays), A, g0.  An unreadable file, malformed JSON,
+    a missing key or unequal lengths raise ConfigError."""
     try:
-        inp = GronwallInput(
-            t=data["t"],
-            f=data["f"],
-            g=data["g"],
-            G=data["G"],
-            alpha=data["alpha"],
-            beta=data["beta"],
-            A=float(data["A"]),
-            g0=float(data["g0"]),
-        )
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read gronwall input: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"gronwall input is not valid JSON: {exc}") from exc
+    try:
+        arrays = {key: data[key] for key in ("t", "f", "g", "G", "alpha", "beta")}
+        inp = GronwallInput(**arrays, A=float(data["A"]), g0=float(data["g0"]))
     except KeyError as exc:
         raise ConfigError(f"gronwall input missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad gronwall input: {exc}") from exc
     return inp, gronwall_verify(inp)

@@ -4,11 +4,13 @@ Velocity fields with explicit characteristics (anything with
 `velocity_at(points, t)` can be backtracked or carried like a
 VelocityHistory), a spectral gradient for (M, M) grid fields, and the
 one-stage Galerkin assembly from vector mode tables that it builds itself
-with `BasisSet.velocity_at`/`gradient_at` (per-point evaluation, independent
-of the scalar grid tables that the solver assembles from).
+with `BasisSet.velocity_at` and `gradient_at` (per-point evaluation,
+independent of the scalar grid tables that the solver assembles from).
 """
 
 import numpy as np
+
+from torusflow.basis import MODE_NORM
 
 
 class ConstantVelocity:
@@ -68,6 +70,16 @@ def spectral_gradient(scalar: np.ndarray) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
+def gradient_at(basis, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Velocity gradient of `basis` at arbitrary points (..., 2) -> (..., 2, 2),
+    entry [..., i, alpha] = d_alpha u_i, from its own derivative trig table."""
+    pts = np.asarray(points, dtype=float)
+    phases = pts.reshape(-1, 2) @ basis.kvecs.T
+    dtrig = np.where(basis.is_cos, -np.sin(phases), np.cos(phases))
+    grad = np.einsum("pn,ni,na->pia", dtrig * coeffs, basis.dirs * MODE_NORM, basis.kvecs)
+    return grad.reshape(pts.shape[:-1] + (2, 2))
+
+
 def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
     """A and B at one stage from the vector tables: A_ij = h^2 sum rho w_i.w_j
     and B_ij = h^2 sum rho w_i.(v . grad) w_j, with `rho` (M, M) and `v_grid`
@@ -76,7 +88,7 @@ def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
     N = basis.size
     unit = np.eye(N)
     W = basis.velocity_at(grid.points, unit)  # (N, M, M, 2)
-    GW = np.stack([basis.gradient_at(grid.points, e) for e in unit])  # (N, M, M, 2, 2)
+    GW = np.stack([gradient_at(basis, grid.points, e) for e in unit])  # (N, M, M, 2, 2)
     rho_flat = np.repeat(rho.reshape(-1), 2)
     Wf = W.reshape(N, -1)
     a = grid.weight * ((Wf * rho_flat) @ Wf.T)

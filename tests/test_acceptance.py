@@ -110,15 +110,14 @@ def test_single_mode_decay_benchmark(single_mode_run, verdict):
     exact = a * np.exp(-lam * run.times)
     rel_err = float(np.abs(run.history.coeffs[:, 0] - exact).max() / a)
 
-    order_rep = taylor_benchmark(
-        parse_config_text(SINGLE_MODE), dt_values=[0.04, 0.02, 0.01]
-    )
-    ok = rel_err <= 1e-6 and order_rep.passed and min(order_rep.orders) >= 3.9
+    study = taylor_benchmark(parse_config_text(SINGLE_MODE), dt_values=[0.04, 0.02, 0.01])
+    order_rep = study.files["taylor.ndjson"][-1]
+    ok = rel_err <= 1e-6 and order_rep["pass"] and min(order_rep["orders"]) >= 3.9
     verdict(
         ok,
         "single-mode decay benchmark",
         f"rel error {rel_err:.3e} <= 1e-6 at dt=1e-3, "
-        f"halving orders {[f'{o:.2f}' for o in order_rep.orders]} >= 3.9",
+        f"halving orders {[f'{o:.2f}' for o in order_rep['orders']]} >= 3.9",
     )
 
 
@@ -288,48 +287,50 @@ def test_existence_time_formula(verdict):
 
 
 def test_vacuum_floor_sweep(vacuum_results, verdict):
-    sweep = vacuum_results
+    runs = list(vacuum_results.runs.values())
+    *rows, spread = vacuum_results.files["vacuum.ndjson"]
+    floors = [row for row in rows if "error" not in row]
+    variation = spread["sup_grad_variation"]
     T = 0.2
-    complete = len(sweep.results) == 3 and all(
-        abs(r.history.t_final - T) < 1e-12 and r.t0_estimate >= T
-        for r in sweep.results
+    complete = len(runs) == 3 and all(
+        abs(r.history.t_final - T) < 1e-12 and r.t0_estimate >= T for r in runs
     )
-    bounds = all(exact_density_bounds_ok(r) for r in sweep.results)
-    uniform = sweep.sup_grad_variation <= 0.10
-    momentum = all(rep.passed for rep in sweep.momentum)
-    slopes = [f"{rep.slope:.2f}" for rep in sweep.momentum]
-    decays = [f"{rep.decay_ratio:.1e}" for rep in sweep.momentum]
+    bounds = all(exact_density_bounds_ok(r) for r in runs)
+    uniform = variation <= 0.10
+    momentum = all(row["momentum_pass"] for row in floors)
+    slopes = [f"{row['momentum_slope']:.2f}" for row in floors]
+    decays = [f"{row['momentum_decay_ratio']:.1e}" for row in floors]
     verdict(
         complete and bounds and uniform and momentum,
         "vacuum floor sweep",
         f"floors 10/100/1000 complete={complete}, sup|grad u|^2 variation "
-        f"{sweep.sup_grad_variation:.2%} <= 10%, momentum slopes {slopes} "
+        f"{variation:.2%} <= 10%, momentum slopes {slopes} "
         f">= 0.15 with decay ratios {decays} <= 1e-3",
     )
 
 
 def test_uniqueness_diagnostics(verdict):
     cfg = parse_config_text(TWO_MODE)
-    study = uniqueness_study(cfg, delta=1e-3)
-    seed_worst = max(study.seed_diff_max.values())
-    seed_ok = study.seed_pass and seed_worst <= 10.0 * cfg.picard_tol
+    (summary,) = uniqueness_study(cfg, delta=1e-3).files["uniqueness.ndjson"]
+    seed_worst = max(summary["seed_diff_max"].values())
+    seed_ok = summary["seed_pass"] and seed_worst <= 10.0 * cfg.picard_tol
     verdict(
-        seed_ok and study.perturb_pass,
+        seed_ok and summary["perturb_pass"],
         "uniqueness diagnostics",
         f"seed difference {seed_worst:.3e} <= {10.0 * cfg.picard_tol:.0e}, "
         f"delta=1e-3 perturbation under the fitted bound "
-        f"(f margin {study.gronwall.f_margin:.3e}, "
-        f"eta margin {study.gronwall.eta_margin:.3e})",
+        f"(f margin {summary['gronwall_f_margin']:.3e}, "
+        f"eta margin {summary['gronwall_eta_margin']:.3e})",
     )
 
 
 def test_mode_refinement_monotonicity(verdict):
-    study = converge_study(parse_config_text(TWO_MODE), [8, 16, 32])
-    diffs = [row["l2_time_diff"] for row in study.rows if "l2_time_diff" in row]
+    rows = converge_study(parse_config_text(TWO_MODE), [8, 16, 32]).files["converge.ndjson"]
+    diffs = [row["l2_time_diff"] for row in rows if "l2_time_diff" in row]
     monotone = all(d > 0 for d in diffs) and all(
         a > b for a, b in zip(diffs[:-1], diffs[1:])
     )
-    composites = [row["sup_t_weighted_h2"] for row in study.rows if "n_modes" in row]
+    composites = [row["sup_t_weighted_h2"] for row in rows if "n_modes" in row]
     ratio = max(composites) / min(composites)
     verdict(
         monotone and ratio <= 2.0,

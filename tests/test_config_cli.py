@@ -373,6 +373,68 @@ def test_cli_converge_zero_velocity_writes_standard_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+SMALL_BUMP = """
+N = 4
+M = 16
+dt = 0.005
+T = 0.05
+density.kind = bump
+u0.modes = 1,0,cos:0.3, 0,1,cos:0.2
+"""
+
+
+def read_rows(path):
+    return [strict_json(l) for l in path.read_text().splitlines()]
+
+
+def test_cli_uniqueness_writes_summary_and_curves(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_BUMP)
+    out = tmp_path / "uni"
+    assert main(["uniqueness", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_rows(out / "uniqueness.ndjson")
+    assert len(summary) == 1
+    assert list(summary[0]) == [
+        "seed_diff_max",
+        "seed_pass",
+        "fitted_A",
+        "fitted_C",
+        "perturb_pass",
+        "gronwall_message",
+        "gronwall_f_margin",
+        "gronwall_eta_margin",
+    ]
+    assert list(summary[0]["seed_diff_max"]) == ["rho_l32", "sqrt_rho_du_l2", "grad_du_l2"]
+    # One row per node time, t = 0, dt, ..., T.
+    curves = read_rows(out / "curves.ndjson")
+    assert len(curves) == 11
+    assert all(list(row) == ["t", "f", "g", "G"] for row in curves)
+    assert curves[0]["t"] == 0.0 and math.isclose(curves[-1]["t"], 0.05)
+    text = capsys.readouterr().out
+    assert "seed independence" in text and "perturbation bound" in text
+
+
+def test_cli_converge_writes_pair_and_mode_rows(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_BUMP)
+    out = tmp_path / "conv"
+    assert main(["converge", "--config", str(cfg), "--out", str(out), "--N-list", "4,2,3"]) == 0
+    rows = read_rows(out / "converge.ndjson")
+    pairs, per_n = rows[:2], rows[2:]
+    assert [(r["n_small"], r["n_big"]) for r in pairs] == [(2, 3), (3, 4)]
+    assert list(pairs[0]) == ["n_small", "n_big", "l2_time_diff", "sup_l2_diff"]
+    assert list(pairs[1])[-1] == "rate_vs_previous"
+    assert [r["n_modes"] for r in per_n] == [2, 3, 4]
+    assert all(
+        list(r) == ["n_modes", "sup_t_weighted_h2", "int_t_grad_ut_sq", "int_grad_u_linf"]
+        for r in per_n
+    )
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["N2", "N3", "N4"]
+    for n in (2, 3, 4):
+        assert (out / f"N{n}" / "ledger.ndjson").exists()
+        assert (out / f"N{n}" / "checks.ndjson").exists()
+    text = capsys.readouterr().out
+    assert "N=2 vs N=3: L2(0,T;L2) diff" in text and "N=3 vs N=4" in text
+
+
 def test_write_ndjson_encodes_non_finite_floats(tmp_path):
     path = tmp_path / "rows.ndjson"
     write_ndjson(path, [{"a": np.inf, "b": [-np.inf, np.float64("nan")], "c": {"d": 1.5}}])
@@ -403,3 +465,26 @@ def test_cli_gronwall_check(tmp_path, capsys):
     path.write_text(json.dumps({"t": t}))
     assert main(["gronwall-check", "--input", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        '{"t": [0.0, 0.1], "f": ',
+        json.dumps(
+            {"t": [0.0, 0.1], "f": [0.0], "g": [1.0, 1.0], "G": [0.0, 0.0],
+             "alpha": [0.0, 0.0], "beta": [0.0, 0.0], "A": 1.0, "g0": 1.0}
+        ),
+        json.dumps(
+            {key: [] for key in ("t", "f", "g", "G", "alpha", "beta")} | {"A": 1.0, "g0": 1.0}
+        ),
+    ],
+    ids=["missing-file", "malformed-json", "unequal-lengths", "no-samples"],
+)
+def test_cli_gronwall_check_bad_input_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "gron.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["gronwall-check", "--input", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err

@@ -109,6 +109,17 @@ def test_riccati_fit_decay_gives_zero():
     assert fit.satisfied_fraction == 1.0
 
 
+def test_riccati_fit_zero_flow_is_explicit():
+    # F = 0 with F' <= 0 is bounded by any C1; growth out of F = 0 by none.
+    t = np.linspace(0.0, 1.0, 11)
+    fit = riccati_fit(t, np.zeros_like(t))
+    assert fit.c1 == 0.0
+    assert fit.satisfied_fraction == 1.0
+    F = np.zeros_like(t)
+    F[-1] = 1.0
+    assert math.isinf(riccati_fit(t, F).c1)
+
+
 def test_existence_time_hand_arithmetic():
     assert existence_time(1.0, 1.0, 1.0) == 1.0 / 16.0
     assert existence_time(2.0, 3.0, 1.0) == 1.0 / 288.0
