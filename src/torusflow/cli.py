@@ -1,11 +1,13 @@
 """Command line entry points.
 
 Exit codes: 0 on a completed command, 1 for a `gronwall-check` whose
-verification fails, 2 for configuration errors (for `gronwall-check` also an
-unreadable, malformed or inconsistent input file), 3 for numerical
-divergence (including carried characteristic feet that drift from the exact
-ones, TransportDriftError), 4 for a fixed-point iteration that fails to
-converge, 5 for a degenerate mass matrix caused by vanishing density.
+verification fails, 2 for configuration errors (including an --out that is
+or lies under a file, and a `uniqueness --delta` that makes the density
+negative; for `gronwall-check` also an unreadable, malformed, inconsistent
+or non-finite input file), 3 for numerical divergence (including carried
+characteristic feet that drift from the exact ones, TransportDriftError), 4
+for a fixed-point iteration that fails to converge, 5 for a degenerate mass
+matrix caused by vanishing density.
 """
 
 from __future__ import annotations
@@ -44,6 +46,16 @@ def _number_list(text: str, kind=int) -> list:
         raise ConfigError(
             f"expected a comma-separated {kind.__name__} list, got {text!r}"
         ) from exc
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out that is, or lies under, something other than a
+    directory, before any solve and without creating anything."""
+    path = Path(out).absolute()
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise ConfigError(f"--out {out}: {path} is not a directory")
 
 
 def _print_checks(checks: list[dict]) -> None:
@@ -197,6 +209,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "out"):
+            _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

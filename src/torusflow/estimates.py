@@ -1,6 +1,8 @@
 """A priori estimate monitors: energy, Riccati, Gronwall, continuity.
 
-Everything here is plain array math over time series sampled from a run.
+Everything here is plain array math over time series sampled from a run:
+the columns of its EstimateLedger, the per-node table whose written columns
+are the ledger files.
 Time integrals use the trapezoid rule on the sample grid; the energy identity
 additionally accepts nodal derivatives of the integrand, turning trapezoid
 into its Hermite-corrected variant (fourth order) so that the residual
@@ -44,31 +46,48 @@ LEDGER_FIELDS = [
 ]
 
 
+@dataclass(eq=False)
 class EstimateLedger:
-    """Per-step rows of the monitored norms, in LEDGER_FIELDS order."""
+    """One run's per-node table: each column a float array whose index k is
+    node k.  The LEDGER_FIELDS columns are the ones written, in that order;
+    the others stay in memory for the checks and studies: `rho` (K, M, M)
+    the carried densities, `w1gamma` their W^{1,gamma} norms,
+    `grad_u_sq_dot` the rate d/dt ||grad u||^2 = 2 sum lam f fdot, and
+    `orthogonality_max`, `projection_rel` the modal residuals."""
 
-    def __init__(self):
-        self.rows: list[dict] = []
+    t: np.ndarray
+    sqrt_rho_u_l2: np.ndarray
+    grad_u_l2: np.ndarray
+    hess_u_l2: np.ndarray
+    sqrt_rho_ut_l2: np.ndarray
+    grad_ut_l2: np.ndarray
+    u_linf: np.ndarray
+    grad_u_linf: np.ndarray
+    grad_rho_lgamma: np.ndarray
+    rho_t_lgamma: np.ndarray
+    rho_min: np.ndarray
+    rho_max: np.ndarray
+    mass: np.ndarray
+    momentum_l2: np.ndarray
+    t_weighted_h2: np.ndarray
+    rho: np.ndarray
+    w1gamma: np.ndarray
+    grad_u_sq_dot: np.ndarray
+    orthogonality_max: np.ndarray
+    projection_rel: np.ndarray
 
-    def append(self, **values) -> None:
-        missing = [k for k in LEDGER_FIELDS if k not in values]
-        extra = [k for k in values if k not in LEDGER_FIELDS]
-        if missing or extra:
-            raise ValueError(f"ledger row mismatch: missing={missing} extra={extra}")
-        self.rows.append({k: float(values[k]) for k in LEDGER_FIELDS})
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self.rows])
+    def _rows(self) -> list[list[float]]:
+        """The written columns as one list of Python floats per node."""
+        return np.stack([getattr(self, k) for k in LEDGER_FIELDS], axis=1, dtype=float).tolist()
 
     def write_ndjson(self, path) -> None:
-        write_ndjson(path, self.rows)
+        write_ndjson(path, [dict(zip(LEDGER_FIELDS, row)) for row in self._rows()])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(LEDGER_FIELDS)
-            for row in self.rows:
-                writer.writerow([repr(row[k]) for k in LEDGER_FIELDS])
+            writer.writerows([repr(v) for v in row] for row in self._rows())
 
 
 def _json_safe(value):
@@ -135,20 +154,11 @@ def _energy_terms(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot):
     return Q, hermite_cumtrapz(times, g, grad_u_sq_dot)
 
 
-def energy_identity_residuals(
-    times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot=None
-) -> np.ndarray:
-    """Residual of 1/2 d/dt ||sqrt(rho) u||^2 + ||grad u||^2 = 0 in integral
-    form, one value per prefix [0, t_k]."""
-    Q, I = _energy_terms(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot)
-    return 0.5 * (Q - Q[0]) + I
-
-
 def energy_identity_check(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot=None) -> float:
-    """Worst integral-form energy residual over all prefixes."""
-    return float(np.abs(
-        energy_identity_residuals(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot)
-    ).max())
+    """Worst residual of 1/2 d/dt ||sqrt(rho) u||^2 + ||grad u||^2 = 0 in
+    integral form over all prefixes [0, t_k]."""
+    Q, I = _energy_terms(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot)
+    return float(np.abs(0.5 * (Q - Q[0]) + I).max())
 
 
 def energy_functional(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot=None) -> np.ndarray:
@@ -248,6 +258,11 @@ class GronwallInput:
             if arr.shape != self.t.shape:
                 raise ValueError(f"{name} length does not match t")
             setattr(self, name, arr)
+        values = (self.t, self.f, self.g, self.G, self.alpha, self.beta, self.A, self.g0)
+        if not all(np.isfinite(v).all() for v in values):
+            raise ValueError("t, f, g, G, alpha, beta, A and g0 must be finite")
+        if np.any(np.diff(self.t) <= 0):
+            raise ValueError("t must be strictly increasing")
         if self.A < 0 or self.g0 < 0:
             raise ValueError("A and g0 must be nonnegative")
         if np.any(self.G < 0) or np.any(self.g < -1e-15):

@@ -1,9 +1,10 @@
 """Run orchestration: full solves, ledgers, inline checks, sweeps, studies.
 
-A "run" is one Picard-converged trajectory plus a ledger of monitored norms
-sampled at every node time and a list of named pass/fail checks.  Studies
-(grid refinement, vacuum floors, uniqueness pairs, the exact single-mode
-benchmark) compose runs and compare their ledgers.
+A "run" is one Picard-converged trajectory, its ledger and a list of named
+pass/fail checks.  The ledger is the run's one per-node table: every
+quantity the checks and studies read at the node times, one float array per
+column.  Studies (grid refinement, vacuum floors, uniqueness pairs, the
+exact single-mode benchmark) compose runs and compare their ledgers.
 """
 
 from __future__ import annotations
@@ -68,22 +69,6 @@ MOMENTUM_PROBES = 13  # momentum_probes: probe times T 2^{-j}, j < 13
 
 
 @dataclass
-class NodeDiagnostics:
-    """Per-node diagnostics along a trajectory; index k is history.times[k].
-
-    `rho` holds the transported densities (K, M, M); `w1gamma` their
-    W^{1,gamma} norms; `grad_u_sq_dot` the rate d/dt ||grad u||^2 =
-    2 sum lam f fdot; `orthogonality_max` and `projection_rel` the modal
-    residuals of `residual_diagnostics`."""
-
-    rho: np.ndarray
-    w1gamma: np.ndarray
-    grad_u_sq_dot: np.ndarray
-    orthogonality_max: np.ndarray
-    projection_rel: np.ndarray
-
-
-@dataclass
 class RunResult:
     config: RunConfig
     basis: BasisSet
@@ -91,14 +76,8 @@ class RunResult:
     history: object
     picard: PicardReport
     ledger: EstimateLedger
-    nodes: NodeDiagnostics
-    riccati: RiccatiFit
     t0_estimate: float
     checks: list
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.history.times
 
 
 def _check(name: str, passed: bool, margin: float, **details) -> dict:
@@ -118,61 +97,62 @@ def _within(name: str, key: str, observed: float, tol: float) -> dict:
 
 def node_diagnostics(
     src: DensitySource, history, basis: BasisSet, M: int, dtau: float
-) -> tuple[EstimateLedger, NodeDiagnostics]:
-    """Walk a converged trajectory once: the norm ledger plus the per-node
-    record the checks and studies read.
+) -> EstimateLedger:
+    """Walk a converged trajectory once into the run's per-node table.
 
     The densities come from their own carried sweep along `history`, not
     from the last Picard pass, which advected the density by the previous
     iterate.  Each node is one self-consistent `build_state`, whose grid
-    fields u, grad u and u_t the ledger and the residuals share."""
+    fields u, grad u and u_t the grid columns and the residuals share.  The
+    columns of the node coefficients f = history.coeffs and their rates fdot
+    are whole-array expressions after the walk."""
     lam = basis.lambdas
     w = basis.grid(M).weight
-    times = history.times
+    times, f = history.times, history.coeffs
     K = len(times)
-    ledger = EstimateLedger()
-    rho_nodes = np.empty((K, M, M))
-    w1g, gdots, orth, projrel = np.empty(K), np.empty(K), np.empty(K), np.empty(K)
-
-    densities = carried_densities(src, history, M, times, dtau)
-    for k, (t, rho) in enumerate(zip(times, densities)):
-        state = build_state(src, history, basis, M, dtau, t, rho=rho)
-        f, fdot, u, gu, ut = state.f, state.fdot, state.u, state.grad_u, state.ut
-
-        umag2 = (u * u).sum(axis=-1)
-        utmag2 = (ut * ut).sum(axis=-1)
-        gufro = np.sqrt((gu * gu).sum(axis=(-2, -1)))
-        grad_rho = fd_gradient(rho)
-        rho_t = -(u * grad_rho).sum(axis=-1)
-
-        sqrt_rho_u = math.sqrt(w * (rho * umag2).sum())
-        hess_u = math.sqrt((lam * lam * f * f).sum())
-        sqrt_rho_ut = math.sqrt(w * (rho * utmag2).sum())
-        ledger.append(
-            t=t,
-            sqrt_rho_u_l2=sqrt_rho_u,
-            grad_u_l2=math.sqrt((lam * f * f).sum()),
-            hess_u_l2=hess_u,
-            sqrt_rho_ut_l2=sqrt_rho_ut,
-            grad_ut_l2=math.sqrt((lam * fdot * fdot).sum()),
-            u_linf=float(np.sqrt(umag2).max()),
-            grad_u_linf=float(gufro.max()),
-            grad_rho_lgamma=lp_norm(grad_rho, GAMMA),
-            rho_t_lgamma=lp_norm(rho_t, GAMMA),
-            rho_min=src.lower,
-            rho_max=src.upper,
-            mass=w * rho.sum(),
-            momentum_l2=math.sqrt(w * (rho * rho * umag2).sum()),
-            t_weighted_h2=t * (hess_u**2 + sqrt_rho_ut**2),
+    rho = np.empty((K, M, M))
+    fdot = np.empty_like(f)
+    col = {
+        name: np.empty(K)
+        for name in (
+            "sqrt_rho_u_l2", "sqrt_rho_ut_l2", "u_linf", "grad_u_linf",
+            "grad_rho_lgamma", "rho_t_lgamma", "mass", "momentum_l2",
+            "w1gamma", "orthogonality_max", "projection_rel",
         )
-        rho_nodes[k] = rho
-        w1g[k] = w1gamma_norm(rho, GAMMA, grad_rho)
-        gdots[k] = 2.0 * (lam * f * fdot).sum()
+    }
+    densities = carried_densities(src, history, M, times, dtau)
+    for k, (t, r) in enumerate(zip(times, densities)):
+        state = build_state(src, history, basis, M, dtau, t, rho=r)
+        u, gu, ut = state.u, state.grad_u, state.ut
+        rho[k], fdot[k] = r, state.fdot
+        umag2 = (u * u).sum(axis=-1)
+        grad_rho = fd_gradient(r)
+        col["sqrt_rho_u_l2"][k] = math.sqrt(w * (r * umag2).sum())
+        col["sqrt_rho_ut_l2"][k] = math.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum())
+        col["u_linf"][k] = np.sqrt(umag2).max()
+        col["grad_u_linf"][k] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max()
+        col["grad_rho_lgamma"][k] = lp_norm(grad_rho, GAMMA)
+        col["rho_t_lgamma"][k] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
+        col["mass"][k] = w * r.sum()
+        col["momentum_l2"][k] = math.sqrt(w * (r * r * umag2).sum())
+        col["w1gamma"][k] = w1gamma_norm(r, GAMMA, grad_rho)
         resid = residual_diagnostics(state, basis, M)
-        orth[k] = resid.orthogonality_max
-        projrel[k] = resid.projection_rel
+        col["orthogonality_max"][k] = resid.orthogonality_max
+        col["projection_rel"][k] = resid.projection_rel
 
-    return ledger, NodeDiagnostics(rho_nodes, w1g, gdots, orth, projrel)
+    hess_u = np.sqrt((lam * lam * f * f).sum(axis=1))
+    return EstimateLedger(
+        t=times,
+        grad_u_l2=np.sqrt((lam * f * f).sum(axis=1)),
+        hess_u_l2=hess_u,
+        grad_ut_l2=np.sqrt((lam * fdot * fdot).sum(axis=1)),
+        rho_min=np.full(K, src.lower),
+        rho_max=np.full(K, src.upper),
+        t_weighted_h2=times * (hess_u**2 + col["sqrt_rho_ut_l2"] ** 2),
+        rho=rho,
+        grad_u_sq_dot=2.0 * (lam * f * fdot).sum(axis=1),
+        **col,
+    )
 
 
 def run_simulation(
@@ -187,19 +167,13 @@ def run_simulation(
         src, build_u0(config, basis), basis, config.M, config.dt, config.T, dtau,
         config.picard_tol, config.picard_max, seed=seed
     )
-    ledger, nodes = node_diagnostics(src, history, basis, config.M, dtau)
+    led = node_diagnostics(src, history, basis, config.M, dtau)
 
     times = history.times
     m1 = 1.0 + src.upper
-    F = h1_functional(
-        times,
-        ledger.column("grad_u_l2"),
-        ledger.column("sqrt_rho_ut_l2"),
-        ledger.column("hess_u_l2"),
-        m1=m1,
-    )
+    F = h1_functional(times, led.grad_u_l2, led.sqrt_rho_ut_l2, led.hess_u_l2, m1=m1)
     ric = riccati_fit(times, F, m1=m1) if len(times) >= 3 else RiccatiFit(0.0, m1, 1.0)
-    t0_est = existence_time(ric.c1, ric.m1, float(ledger.column("grad_u_l2")[0]))
+    t0_est = existence_time(ric.c1, ric.m1, float(led.grad_u_l2[0]))
 
     return RunResult(
         config=config,
@@ -207,40 +181,35 @@ def run_simulation(
         source=src,
         history=history,
         picard=picard,
-        ledger=ledger,
-        nodes=nodes,
-        riccati=ric,
+        ledger=led,
         t0_estimate=t0_est,
-        checks=_build_checks(src, picard, ledger, nodes, ric, t0_est),
+        checks=_build_checks(src, picard, led, ric, t0_est),
     )
 
 
-def _build_checks(src, picard, ledger, nodes, ric, t0_est) -> list[dict]:
-    times = ledger.column("t")
-    sqrt_rho_u, grad_u = ledger.column("sqrt_rho_u_l2"), ledger.column("grad_u_l2")
-    gdots = nodes.grad_u_sq_dot
+def _build_checks(src, picard, led: EstimateLedger, ric, t0_est) -> list[dict]:
+    times, sqrt_rho_u, grad_u = led.t, led.sqrt_rho_u_l2, led.grad_u_l2
+    gdots = led.grad_u_sq_dot
     E = energy_functional(times, sqrt_rho_u, grad_u, gdots)
-    mass = ledger.column("mass")
+    mass = led.mass
 
-    lo, hi = float(nodes.rho.min()), float(nodes.rho.max())
-    col_lo, col_hi = ledger.column("rho_min"), ledger.column("rho_max")
+    lo, hi = float(led.rho.min()), float(led.rho.max())
+    col_lo, col_hi = led.rho_min, led.rho_max
     bounds_const = bool(np.all(col_lo == col_lo[0]) and np.all(col_hi == col_hi[0]))
     sample_margin = min(lo - src.lower, src.upper - hi)
 
-    growth = transport_growth_check(
-        times, nodes.w1gamma, ledger.column("grad_u_linf"), eps=TRANSPORT_EPS
-    )
+    growth = transport_growth_check(times, led.w1gamma, led.grad_u_linf, eps=TRANSPORT_EPS)
     return [
         _within(
             "galerkin_orthogonality",
             "worst",
-            float(nodes.orthogonality_max.max()),
+            float(led.orthogonality_max.max()),
             RESIDUAL_TOL,
         ),
         _within(
             "projection_identity",
             "worst_relative",
-            float(nodes.projection_rel.max()),
+            float(led.projection_rel.max()),
             RESIDUAL_TOL,
         ),
         _within(
@@ -310,7 +279,7 @@ def momentum_probes(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
     grid = result.basis.grid(cfg.M)
     w = grid.weight
     T = result.history.t_final
-    rho0 = result.nodes.rho[0]
+    rho0 = result.ledger.rho[0]
     u0 = grid.synthesize(result.history.coeffs[0])
     mom0 = rho0[..., None] * u0
 
@@ -358,7 +327,7 @@ def converge_study(config: RunConfig, n_values) -> Study:
         pad = np.zeros_like(cb)
         pad[:, : cs.shape[1]] = cs
         d2 = ((pad - cb) ** 2).sum(axis=1)
-        l2t = math.sqrt(cumtrapz(small.times, d2)[-1])
+        l2t = math.sqrt(cumtrapz(small.ledger.t, d2)[-1])
         diffs.append(l2t)
         rows.append(
             {
@@ -373,20 +342,16 @@ def converge_study(config: RunConfig, n_values) -> Study:
             diffs[k - 1] / diffs[k] if diffs[k] > 0 else math.inf
         )
     for res in results:
+        led = res.ledger
         sup_w, int_w = weighted_h2_stats(
-            res.times,
-            res.ledger.column("hess_u_l2"),
-            res.ledger.column("sqrt_rho_ut_l2"),
-            res.ledger.column("grad_ut_l2"),
+            led.t, led.hess_u_l2, led.sqrt_rho_ut_l2, led.grad_ut_l2
         )
         rows.append(
             {
                 "n_modes": res.config.N,
                 "sup_t_weighted_h2": sup_w,
                 "int_t_grad_ut_sq": int_w,
-                "int_grad_u_linf": float(
-                    cumtrapz(res.times, res.ledger.column("grad_u_linf"))[-1]
-                ),
+                "int_grad_u_linf": float(cumtrapz(led.t, led.grad_u_linf)[-1]),
             }
         )
     return Study({"converge.ndjson": rows}, {f"N{r.config.N}": r for r in results})
@@ -426,7 +391,7 @@ def vacuum_sweep(config: RunConfig, floors) -> Study:
         probes[f"momentum_n{n}.ndjson"] = [
             {"t": float(tj), "norm": float(nj)} for tj, nj in zip(t, norms)
         ]
-        sup_grad = float((res.ledger.column("grad_u_l2") ** 2).max())
+        sup_grad = float((res.ledger.grad_u_l2 ** 2).max())
         sup_grads.append(sup_grad)
         rows.append(
             {
@@ -462,15 +427,15 @@ def _difference_curves(ref: RunResult, other: RunResult) -> dict:
     w = grid.weight
     lam = ref.basis.lambdas
     f_vals, g_vals, G_vals = [], [], []
-    for k in range(len(ref.times)):
+    for k in range(len(ref.ledger.t)):
         dc = other.history.coeffs[k] - ref.history.coeffs[k]
         du = grid.synthesize(dc)
-        drho = other.nodes.rho[k] - ref.nodes.rho[k]
+        drho = other.ledger.rho[k] - ref.ledger.rho[k]
         f_vals.append(lp_norm(drho, 1.5))
-        g_vals.append(w * (other.nodes.rho[k] * (du * du).sum(axis=-1)).sum())
+        g_vals.append(w * (other.ledger.rho[k] * (du * du).sum(axis=-1)).sum())
         G_vals.append((lam * dc * dc).sum())
     return {
-        "t": ref.times.copy(),
+        "t": ref.ledger.t.copy(),
         "f": np.array(f_vals),
         "g": np.array(g_vals),
         "G": np.array(G_vals),
@@ -487,8 +452,14 @@ def uniqueness_study(config: RunConfig, delta: float = 1e-3) -> Study:
     Writes the one-row summary `uniqueness.ndjson` and the perturbation's
     difference curves, one row per node, to `curves.ndjson`.
     """
+    src = build_source(config)
     if not math.isfinite(delta):
         raise ConfigError(f"density shift delta must be finite, got {delta}")
+    if src.lower + delta < 0.0:
+        raise ConfigError(
+            f"density shift delta={delta} makes the density's lower bound "
+            f"{src.lower} + delta negative"
+        )
     run_a = run_simulation(config, seed="initial")
     run_b = run_simulation(config, seed="zero")
     seed_curves = _difference_curves(run_a, run_b)
@@ -499,14 +470,13 @@ def uniqueness_study(config: RunConfig, delta: float = 1e-3) -> Study:
     }
     seed_pass = all(v <= 10.0 * config.picard_tol for v in seed_diff_max.values())
 
-    src_p = shift_density(build_source(config), delta)
-    run_p = run_simulation(config, source=src_p)
+    run_p = run_simulation(config, source=shift_density(src, delta))
     curves = _difference_curves(run_a, run_p)
 
     led = run_a.ledger
-    grad_h1_sq = led.column("grad_u_l2") ** 2 + led.column("hess_u_l2") ** 2
+    grad_h1_sq = led.grad_u_l2**2 + led.hess_u_l2**2
     alpha_base = grad_h1_sq
-    beta_base = led.column("grad_ut_l2") ** 2 + led.column("grad_u_l2") * grad_h1_sq**1.5
+    beta_base = led.grad_ut_l2**2 + led.grad_u_l2 * grad_h1_sq**1.5
 
     A, C = fit_gronwall_constants(**curves, alpha_base=alpha_base, beta_base=beta_base)
     inp = GronwallInput(

@@ -97,17 +97,17 @@ def exact_density_bounds_ok(result) -> bool:
     led = result.ledger
     lower, upper = result.source.lower, result.source.upper
     return (
-        set(led.column("rho_min")) == {lower}
-        and set(led.column("rho_max")) == {upper}
-        and result.nodes.rho.min() >= lower
-        and result.nodes.rho.max() <= upper
+        set(led.rho_min) == {lower}
+        and set(led.rho_max) == {upper}
+        and led.rho.min() >= lower
+        and led.rho.max() <= upper
     )
 
 
 def test_single_mode_decay_benchmark(single_mode_run, verdict):
     run = single_mode_run
     a, lam = 0.1, 1.0
-    exact = a * np.exp(-lam * run.times)
+    exact = a * np.exp(-lam * run.ledger.t)
     rel_err = float(np.abs(run.history.coeffs[:, 0] - exact).max() / a)
 
     study = taylor_benchmark(parse_config_text(SINGLE_MODE), dt_values=[0.04, 0.02, 0.01])
@@ -124,10 +124,10 @@ def test_single_mode_decay_benchmark(single_mode_run, verdict):
 def test_energy_identity_residual_and_order(single_mode_run, verdict):
     led = single_mode_run.ledger
     bench_resid = energy_identity_check(
-        single_mode_run.times,
-        led.column("sqrt_rho_u_l2"),
-        led.column("grad_u_l2"),
-        single_mode_run.nodes.grad_u_sq_dot,
+        single_mode_run.ledger.t,
+        led.sqrt_rho_u_l2,
+        led.grad_u_l2,
+        single_mode_run.ledger.grad_u_sq_dot,
     )
 
     base = replace(parse_config_text(TWO_MODE), T=0.2)
@@ -136,10 +136,10 @@ def test_energy_identity_residual_and_order(single_mode_run, verdict):
         res = run_simulation(replace(base, dt=dt, dtau=dt))
         resids.append(
             energy_identity_check(
-                res.times,
-                res.ledger.column("sqrt_rho_u_l2"),
-                res.ledger.column("grad_u_l2"),
-                res.nodes.grad_u_sq_dot,
+                res.ledger.t,
+                res.ledger.sqrt_rho_u_l2,
+                res.ledger.grad_u_l2,
+                res.ledger.grad_u_sq_dot,
             )
         )
     orders = convergence_orders(resids)
@@ -154,8 +154,8 @@ def test_energy_identity_residual_and_order(single_mode_run, verdict):
 
 def test_galerkin_orthogonality_residuals(single_mode_run, two_mode_run, verdict):
     worst = max(
-        float(single_mode_run.nodes.orthogonality_max.max()),
-        float(two_mode_run.nodes.orthogonality_max.max()),
+        float(single_mode_run.ledger.orthogonality_max.max()),
+        float(two_mode_run.ledger.orthogonality_max.max()),
     )
     verdict(
         worst <= 1e-8,
@@ -165,7 +165,7 @@ def test_galerkin_orthogonality_residuals(single_mode_run, two_mode_run, verdict
 
 
 def test_projection_identity_residual(two_mode_run, verdict):
-    worst = float(two_mode_run.nodes.projection_rel.max())
+    worst = float(two_mode_run.ledger.projection_rel.max())
     verdict(
         worst <= 1e-8,
         "projected momentum balance",
@@ -180,7 +180,7 @@ def test_max_principle_and_mass_conservation(single_mode_run, two_mode_run, verd
 
     mass_cfg = replace(parse_config_text(TWO_MODE), T=0.1, dtau=0.001)
     mass_run = run_simulation(mass_cfg)
-    mass = mass_run.ledger.column("mass")
+    mass = mass_run.ledger.mass
     mass_rel = float(np.abs(mass - mass[0]).max() / mass[0])
 
     ok = bounds_ok and exact_density_bounds_ok(mass_run) and mass_rel <= 1e-6

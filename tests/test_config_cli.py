@@ -228,6 +228,10 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("solved before validating the command line")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -236,13 +240,14 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         ["taylor", "--dt-list", "nan"],
         ["converge", "--N-list", "0,2,4"],
         ["uniqueness", "--delta", "nan"],
+        ["uniqueness", "--delta", "-2"],
     ],
-    ids=["taylor-zero-dt", "taylor-negative-dt", "taylor-nan-dt", "converge-zero-N", "uniqueness-nan-delta"],
+    ids=[
+        "taylor-zero-dt", "taylor-negative-dt", "taylor-nan-dt", "converge-zero-N",
+        "uniqueness-nan-delta", "uniqueness-negative-density",
+    ],
 )
 def test_cli_rejects_bad_study_numbers_before_solving(tmp_path, capsys, monkeypatch, argv):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before validating the command line")
-
     monkeypatch.setattr(pipeline, "picard_solve", no_solve)
     cfg = write_config(tmp_path, TAYLOR)
     command, *flags = argv
@@ -250,6 +255,22 @@ def test_cli_rejects_bad_study_numbers_before_solving(tmp_path, capsys, monkeypa
     assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "taylor"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_cli_rejects_out_that_is_not_a_directory(tmp_path, capsys, monkeypatch, command, under):
+    # Both used to solve first, then end in a FileExistsError or
+    # NotADirectoryError traceback with exit 1.
+    monkeypatch.setattr(pipeline, "picard_solve", no_solve)
+    cfg = write_config(tmp_path, TAYLOR)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "x" if under else taken
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+    assert taken.read_text() == "kept"
 
 
 def test_cli_transport_drift_exits_3(tmp_path, capsys):
@@ -467,6 +488,13 @@ def test_cli_gronwall_check(tmp_path, capsys):
     capsys.readouterr()
 
 
+def gronwall_json(**changes) -> str:
+    """A gronwall-check input that passes, with `changes` applied."""
+    data = {key: [0.0, 0.0, 0.0] for key in ("f", "G", "alpha", "beta")}
+    data |= {"t": [0.0, 0.5, 1.0], "g": [1.0, 1.0, 1.0], "A": 1.0, "g0": 1.0}
+    return json.dumps(data | changes)
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -479,8 +507,14 @@ def test_cli_gronwall_check(tmp_path, capsys):
         json.dumps(
             {key: [] for key in ("t", "f", "g", "G", "alpha", "beta")} | {"A": 1.0, "g0": 1.0}
         ),
+        gronwall_json(t=[0.0, math.nan, 1.0]),
+        gronwall_json(A=math.nan),
+        gronwall_json(t=[1.0, 0.5, 0.0]),
     ],
-    ids=["missing-file", "malformed-json", "unequal-lengths", "no-samples"],
+    ids=[
+        "missing-file", "malformed-json", "unequal-lengths", "no-samples",
+        "nan-time", "nan-A", "decreasing-time",
+    ],
 )
 def test_cli_gronwall_check_bad_input_exits_2(tmp_path, capsys, content):
     path = tmp_path / "gron.json"

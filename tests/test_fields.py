@@ -24,7 +24,7 @@ def single_mode_ledger(count, index, M=16):
     e = np.zeros(count)
     e[index] = 1.0
     history = VelocityHistory.constant(basis, e, 0.1)
-    ledger, _ = node_diagnostics(constant_density(), history, basis, M, 0.1)
+    ledger = node_diagnostics(constant_density(), history, basis, M, 0.1)
     return ledger
 
 
@@ -39,19 +39,19 @@ def test_seminorms_single_modes():
     # Mode index 6 is k=(1,1) with lam=2; index 8 is k=(2,0) with lam=4.
     for index, lam in ((6, 2.0), (8, 4.0)):
         ledger = single_mode_ledger(9, index)
-        np.testing.assert_allclose(ledger.column("grad_u_l2"), np.sqrt(lam), atol=1e-12)
-        np.testing.assert_allclose(ledger.column("hess_u_l2"), lam, atol=1e-12)
+        np.testing.assert_allclose(ledger.grad_u_l2, np.sqrt(lam), atol=1e-12)
+        np.testing.assert_allclose(ledger.hess_u_l2, lam, atol=1e-12)
 
 
 def test_sup_norm_and_l6_closed_form():
     ledger = single_mode_ledger(4, 0)  # w = cos(x) (0,1) / (sqrt(2) pi)
     peak = 1.0 / (np.sqrt(2.0) * np.pi)
-    assert np.abs(ledger.column("u_linf") - peak).max() < 1e-15
+    assert np.abs(ledger.u_linf - peak).max() < 1e-15
     # |grad w| = |sin x| / (sqrt(2) pi), peaking at 1/(sqrt(2) pi) on the grid.
-    assert np.abs(ledger.column("grad_u_linf") - peak).max() < 1e-15
+    assert np.abs(ledger.grad_u_linf - peak).max() < 1e-15
     # Constant density: no density gradient and no density rate.
-    assert not ledger.column("grad_rho_lgamma").any()
-    assert not ledger.column("rho_t_lgamma").any()
+    assert not ledger.grad_rho_lgamma.any()
+    assert not ledger.rho_t_lgamma.any()
     # integral of cos^6 over a period is 2 pi * 5/16, so
     # ||w||_6^6 = (2 pi)(5 pi / 8) / (sqrt(2) pi)^6 = 5 / (32 pi^4).
     w = BasisSet(4).grid(16).synthesize(np.eye(4)[0])

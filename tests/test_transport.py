@@ -210,8 +210,8 @@ def test_density_time_derivative_oracle():
     # (sqrt(2) pi), whose L2 norm is 1 / (2 sqrt(2)).
     basis = BasisSet(4)
     history = VelocityHistory.constant(basis, np.array([1.0, 0.0, 0.0, 0.0]), 0.01)
-    ledger, _ = node_diagnostics(bump_density(), history, basis, 128, 0.01)
-    val = ledger.column("rho_t_lgamma")[0]
+    ledger = node_diagnostics(bump_density(), history, basis, 128, 0.01)
+    val = ledger.rho_t_lgamma[0]
     exact = 1.0 / (2.0 * np.sqrt(2.0))
     assert abs(val - exact) < 1e-3 * exact
 
