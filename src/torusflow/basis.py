@@ -120,20 +120,23 @@ class BasisGrid:
         self.gram = self.weight * MODE_NORM**2 * (basis.dirs @ basis.dirs.T)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Velocity samples (M, M, 2) for the given coefficient vector."""
-        u = self.trig.T @ (coeffs[:, None] * self.vec)
-        return u.reshape(self.M, self.M, 2)
+        """Velocity samples (..., M, M, 2) for coefficient vectors (..., N):
+        a stack (S, N) gives one field per row."""
+        u = self.trig.T @ (coeffs[..., :, None] * self.vec)
+        return u.reshape(coeffs.shape[:-1] + (self.M, self.M, 2))
 
     def synthesize_gradient(self, coeffs: np.ndarray) -> np.ndarray:
-        """Gradient samples (M, M, 2, 2), index [a, b, i, alpha]."""
-        grad = self.dtrig.T @ (coeffs[:, None, None] * self.grad_vec).reshape(-1, 4)
-        return grad.reshape(self.M, self.M, 2, 2)
+        """Gradient samples (..., M, M, 2, 2), index [..., a, b, i, alpha],
+        for coefficient vectors (..., N)."""
+        lead = coeffs.shape[:-1]
+        factors = (coeffs[..., :, None, None] * self.grad_vec).reshape(lead + (-1, 4))
+        return (self.dtrig.T @ factors).reshape(lead + (self.M, self.M, 2, 2))
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """Quadrature inner products (values, w_n) for all modes of an
-        (M, M, 2) vector field."""
-        moments = self.trig @ values.reshape(-1, 2)
-        return self.weight * (moments * self.vec).sum(axis=1)
+        """Quadrature inner products (values, w_n) for all modes of vector
+        fields (..., M, M, 2); a stack of fields gives (..., N)."""
+        moments = self.trig @ values.reshape(values.shape[:-3] + (-1, 2))
+        return self.weight * (moments * self.vec).sum(axis=-1)
 
 
 class BasisSet:

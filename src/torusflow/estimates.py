@@ -221,16 +221,12 @@ def existence_time(c1: float, m1: float, grad_u0_l2: float) -> float:
     return 1.0 / denom
 
 
-def weighted_h2_stats(times, hess_u_l2, sqrt_rho_ut_l2, grad_ut_l2) -> tuple[float, float]:
-    """sup_t t (||grad^2 u||^2 + ||sqrt(rho) d_t u||^2) and the trapezoid
-    integral of t ||grad d_t u||^2."""
+def weighted_grad_ut_integral(times, grad_ut_l2) -> float:
+    """Trapezoid integral of t ||grad d_t u||^2; its companion sup_t t
+    (||grad^2 u||^2 + ||sqrt(rho) d_t u||^2) is the ledger column
+    `t_weighted_h2`."""
     t = np.asarray(times, dtype=float)
-    comp = t * (
-        np.asarray(hess_u_l2, dtype=float) ** 2
-        + np.asarray(sqrt_rho_ut_l2, dtype=float) ** 2
-    )
-    integ = cumtrapz(t, t * np.asarray(grad_ut_l2, dtype=float) ** 2)[-1]
-    return float(comp.max()), float(integ)
+    return float(cumtrapz(t, t * np.asarray(grad_ut_l2, dtype=float) ** 2)[-1])
 
 
 # ---------------------------------------------------------------------------

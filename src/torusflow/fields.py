@@ -9,7 +9,11 @@ All integrals over the torus use the trapezoid rule with weight
 `quadrature_weight(M)` = (2pi/M)^2, which is exact for trigonometric
 polynomials whose wavenumbers stay below the grid Nyquist limit.  The L^p
 norms of grid fields (`lp_norm`, `w1gamma_norm`, with the density gradient
-from `fd_gradient`) are the ones the run ledger reports.
+from `fd_gradient`) are the ones the run ledger reports.  They and
+`leray_pressure` also take a stack of fields along a leading axis and
+reduce each field of it, which is how the ledger walk calls them on a
+block of nodes; `lp_norm` is told by `stacked=True`, since a stack of
+scalar fields has the same number of axes as one vector field.
 """
 
 from __future__ import annotations
@@ -38,49 +42,58 @@ def quadrature_weight(M: int) -> float:
     return (2.0 * np.pi / M) ** 2
 
 
-def lp_norm(field: np.ndarray, p: float) -> float:
-    """L^p norm of an (M, M) or (M, M, 2) field; vector fields use the
-    pointwise Euclidean magnitude."""
-    mag = np.abs(field) if field.ndim == 2 else np.sqrt((field * field).sum(axis=-1))
-    return float((quadrature_weight(field.shape[0]) * (mag**p).sum()) ** (1.0 / p))
+def lp_norm(field: np.ndarray, p: float, stacked: bool = False) -> float | np.ndarray:
+    """L^p norm of a grid field, (M, M) scalar or (M, M, 2) vector, whose
+    pointwise Euclidean magnitude is taken.  With `stacked` the first axis
+    indexes a stack of such fields, (S, M, M) or (S, M, M, 2), and the
+    result is one norm per field, shape (S,)."""
+    vector = field.ndim == (4 if stacked else 3)
+    mag = np.sqrt((field * field).sum(axis=-1)) if vector else np.abs(field)
+    return (quadrature_weight(mag.shape[-1]) * (mag**p).sum(axis=(-2, -1))) ** (1.0 / p)
 
 
 def fd_gradient(rho: np.ndarray) -> np.ndarray:
-    """Second-order centered periodic finite-difference gradient, (M, M, 2)."""
-    h = 2.0 * np.pi / rho.shape[0]
-    gx = (np.roll(rho, -1, axis=0) - np.roll(rho, 1, axis=0)) / (2.0 * h)
-    gy = (np.roll(rho, -1, axis=1) - np.roll(rho, 1, axis=1)) / (2.0 * h)
+    """Second-order centered periodic finite-difference gradient of scalar
+    fields (..., M, M), shape (..., M, M, 2)."""
+    h = 2.0 * np.pi / rho.shape[-1]
+    gx = (np.roll(rho, -1, axis=-2) - np.roll(rho, 1, axis=-2)) / (2.0 * h)
+    gy = (np.roll(rho, -1, axis=-1) - np.roll(rho, 1, axis=-1)) / (2.0 * h)
     return np.stack([gx, gy], axis=-1)
 
 
-def w1gamma_norm(rho: np.ndarray, gamma: float, grad: np.ndarray | None = None) -> float:
+def w1gamma_norm(
+    rho: np.ndarray, gamma: float, grad: np.ndarray | None = None
+) -> float | np.ndarray:
     """Sobolev norm (||rho||_gamma^gamma + ||grad rho||_gamma^gamma)^(1/gamma)
-    with the finite-difference gradient; `grad` is `fd_gradient(rho)` when the
-    caller already holds it."""
+    with the finite-difference gradient, one per field of a stack (..., M, M);
+    `grad` is `fd_gradient(rho)` when the caller already holds it."""
     g = fd_gradient(rho) if grad is None else grad
     mag = np.sqrt((g * g).sum(axis=-1))
-    w = quadrature_weight(rho.shape[0])
-    total = w * (np.abs(rho) ** gamma).sum() + w * (mag**gamma).sum()
-    return float(total ** (1.0 / gamma))
+    w = quadrature_weight(rho.shape[-1])
+    total = w * (np.abs(rho) ** gamma).sum(axis=(-2, -1)) + w * (mag**gamma).sum(axis=(-2, -1))
+    return total ** (1.0 / gamma)
 
 
 def leray_pressure(residual: np.ndarray) -> np.ndarray:
     """Pressure part of a Helmholtz decomposition: solve lap p = div g.
 
-    The input must be an (M, M, 2) vector field with zero mean per component
-    up to LERAY_MEAN_TOL; a nonzero mean admits no gradient representation
-    and is rejected.  The solve runs in trigonometric space with the
-    zero-mean gauge for p.  Nyquist rows are dropped for even M, which only
-    matters for content at exactly the grid limit.
+    The input is an (M, M, 2) vector field, or a stack of them (..., M, M, 2)
+    solved field by field into (..., M, M).  Each field must have zero mean
+    per component up to LERAY_MEAN_TOL times its scale; a nonzero mean
+    admits no gradient representation and is rejected.  The solve runs in
+    trigonometric space with the zero-mean gauge for p.  Nyquist rows are
+    dropped for even M, which only matters for content at exactly the grid
+    limit.
     """
-    if residual.ndim != 3 or residual.shape[2] != 2:
+    if residual.ndim < 3 or residual.shape[-1] != 2:
         raise ValueError("leray_pressure expects a vector field")
-    M = residual.shape[0]
-    scale = max(1.0, float(np.abs(residual).max()))
-    means = residual.mean(axis=(0, 1))
-    if np.abs(means).max() > LERAY_MEAN_TOL * scale:
+    M = residual.shape[-2]
+    scale = np.maximum(1.0, np.abs(residual).max(axis=(-3, -2, -1)))
+    means = residual.mean(axis=(-3, -2))
+    nonzero = np.abs(means).max(axis=-1) > LERAY_MEAN_TOL * scale
+    if np.any(nonzero):
         raise ValueError(
-            f"input mean {means} is not zero; no gradient field matches it"
+            f"input mean {means[nonzero][0]} is not zero; no gradient field matches it"
         )
     k = np.fft.fftfreq(M, d=1.0 / M)
     kx, ky = k[:, None], k[None, :]
@@ -90,10 +103,10 @@ def leray_pressure(residual: np.ndarray) -> np.ndarray:
     lap = -(kx * kx + ky * ky)
     lap[0, 0] = 1.0
     p_hat = div_hat / lap
-    p_hat[0, 0] = 0.0
+    p_hat[..., 0, 0] = 0.0
     if M % 2 == 0:
-        p_hat[M // 2, :] = 0.0
-        p_hat[:, M // 2] = 0.0
+        p_hat[..., M // 2, :] = 0.0
+        p_hat[..., :, M // 2] = 0.0
     return np.real(np.fft.ifft2(p_hat))
 
 

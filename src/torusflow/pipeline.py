@@ -3,8 +3,11 @@
 A "run" is one Picard-converged trajectory, its ledger and a list of named
 pass/fail checks.  The ledger is the run's one per-node table: every
 quantity the checks and studies read at the node times, one float array per
-column.  Studies (grid refinement, vacuum floors, uniqueness pairs, the
-exact single-mode benchmark) compose runs and compare their ledgers.
+column.  `node_diagnostics` fills it walking the trajectory in blocks of
+nodes (WALK_POINTS grid points each), with stacked states, residuals and
+norms, so that no step of the walk goes one node at a time.  Studies (grid
+refinement, vacuum floors, uniqueness pairs, the exact single-mode
+benchmark) compose runs and compare their ledgers.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .estimates import (
     h1_functional,
     momentum_continuity_report,
     riccati_fit,
-    weighted_h2_stats,
+    weighted_grad_ut_integral,
     write_ndjson,
 )
 from .fields import fd_gradient, lp_norm, save_snapshot, w1gamma_norm
@@ -52,6 +55,7 @@ from .transport import (
     DensitySource,
     carried_densities,
     density_at,
+    density_blocks,
     lift_floor,
     shift_density,
     transport_growth_check,
@@ -66,6 +70,12 @@ TRANSPORT_EPS = 1e-2  # transport_growth: multiplicative slack
 TAYLOR_TOL = 1e-6  # taylor benchmark: largest relative error at the first step
 TAYLOR_ORDER_FLOOR = 3.9  # taylor benchmark: least observed halving order
 MOMENTUM_PROBES = 13  # momentum_probes: probe times T 2^{-j}, j < 13
+
+# Grid points per block of the ledger walk (node_diagnostics): 12 nodes at
+# M = 16, 3 at M = 32, 2 at M = 40.  A block's temporaries grow with its
+# grid points, not its node count; at this size they stay below those of
+# the Picard passes before the walk on the M = 32 and M = 40 configs.
+WALK_POINTS = 3200
 
 
 @dataclass
@@ -102,10 +112,14 @@ def node_diagnostics(
 
     The densities come from their own carried sweep along `history`, not
     from the last Picard pass, which advected the density by the previous
-    iterate.  Each node is one self-consistent `build_state`, whose grid
-    fields u, grad u and u_t the grid columns and the residuals share.  The
-    columns of the node coefficients f = history.coeffs and their rates fdot
-    are whole-array expressions after the walk."""
+    iterate.  The walk goes in blocks of about WALK_POINTS grid points: each
+    block of nodes is one `build_state` on the node coefficients and the
+    stacked densities, whose grid fields u, grad u and u_t the grid columns
+    and the residuals share, and every grid column is a whole-block
+    reduction.  Failures surface in node order: a node failing the
+    eigenvalue guard before the sweep's drift error.  The columns of the
+    node coefficients f = history.coeffs and their rates fdot are
+    whole-array expressions after the walk."""
     lam = basis.lambdas
     w = basis.grid(M).weight
     times, f = history.times, history.coeffs
@@ -120,25 +134,27 @@ def node_diagnostics(
             "w1gamma", "orthogonality_max", "projection_rel",
         )
     }
+    size = max(1, WALK_POINTS // (M * M))
     densities = carried_densities(src, history, M, times, dtau)
-    for k, (t, r) in enumerate(zip(times, densities)):
-        state = build_state(src, history, basis, M, dtau, t, rho=r)
+    for lo, r in density_blocks(densities, K, size):
+        nodes = slice(lo, lo + len(r))
+        state = build_state(basis, M, times[nodes], f[nodes], r)
         u, gu, ut = state.u, state.grad_u, state.ut
-        rho[k], fdot[k] = r, state.fdot
+        rho[nodes], fdot[nodes] = r, state.fdot
         umag2 = (u * u).sum(axis=-1)
         grad_rho = fd_gradient(r)
-        col["sqrt_rho_u_l2"][k] = math.sqrt(w * (r * umag2).sum())
-        col["sqrt_rho_ut_l2"][k] = math.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum())
-        col["u_linf"][k] = np.sqrt(umag2).max()
-        col["grad_u_linf"][k] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max()
-        col["grad_rho_lgamma"][k] = lp_norm(grad_rho, GAMMA)
-        col["rho_t_lgamma"][k] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
-        col["mass"][k] = w * r.sum()
-        col["momentum_l2"][k] = math.sqrt(w * (r * r * umag2).sum())
-        col["w1gamma"][k] = w1gamma_norm(r, GAMMA, grad_rho)
+        col["sqrt_rho_u_l2"][nodes] = np.sqrt(w * (r * umag2).sum(axis=(1, 2)))
+        col["sqrt_rho_ut_l2"][nodes] = np.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum(axis=(1, 2)))
+        col["u_linf"][nodes] = np.sqrt(umag2).max(axis=(1, 2))
+        col["grad_u_linf"][nodes] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max(axis=(1, 2))
+        col["grad_rho_lgamma"][nodes] = lp_norm(grad_rho, GAMMA, stacked=True)
+        col["rho_t_lgamma"][nodes] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA, stacked=True)
+        col["mass"][nodes] = w * r.sum(axis=(1, 2))
+        col["momentum_l2"][nodes] = np.sqrt(w * (r * r * umag2).sum(axis=(1, 2)))
+        col["w1gamma"][nodes] = w1gamma_norm(r, GAMMA, grad_rho)
         resid = residual_diagnostics(state, basis, M)
-        col["orthogonality_max"][k] = resid.orthogonality_max
-        col["projection_rel"][k] = resid.projection_rel
+        col["orthogonality_max"][nodes] = resid.orthogonality_max
+        col["projection_rel"][nodes] = resid.projection_rel
 
     hess_u = np.sqrt((lam * lam * f * f).sum(axis=1))
     return EstimateLedger(
@@ -343,14 +359,11 @@ def converge_study(config: RunConfig, n_values) -> Study:
         )
     for res in results:
         led = res.ledger
-        sup_w, int_w = weighted_h2_stats(
-            led.t, led.hess_u_l2, led.sqrt_rho_ut_l2, led.grad_ut_l2
-        )
         rows.append(
             {
                 "n_modes": res.config.N,
-                "sup_t_weighted_h2": sup_w,
-                "int_t_grad_ut_sq": int_w,
+                "sup_t_weighted_h2": float(led.t_weighted_h2.max()),
+                "int_t_grad_ut_sq": weighted_grad_ut_integral(led.t, led.grad_ut_l2),
                 "int_grad_u_linf": float(cumtrapz(led.t, led.grad_u_linf)[-1]),
             }
         )
@@ -372,6 +385,8 @@ def vacuum_sweep(config: RunConfig, floors) -> Study:
             key="density.kind",
         )
     ns = sorted(set(int(n) for n in floors))
+    if not ns:
+        raise ConfigError("vacuum sweep needs at least one floor value")
     if any(n < 1 for n in ns):
         raise ConfigError("floor values must be positive integers")
 
@@ -418,27 +433,20 @@ def _relative_spread(values: list) -> float:
 
 
 def _difference_curves(ref: RunResult, other: RunResult) -> dict:
-    """Difference norms between two runs sharing grid, basis, and times.
+    """Difference norms between two runs sharing grid, basis, and times,
+    one value per node.
 
     f = ||rho_other - rho_ref||_{3/2}; g = ||sqrt(rho_other) (u_other -
     u_ref)||_2^2; G = ||grad(u_other - u_ref)||_2^2."""
-    cfg = ref.config
-    grid = ref.basis.grid(cfg.M)
-    w = grid.weight
-    lam = ref.basis.lambdas
-    f_vals, g_vals, G_vals = [], [], []
-    for k in range(len(ref.ledger.t)):
-        dc = other.history.coeffs[k] - ref.history.coeffs[k]
-        du = grid.synthesize(dc)
-        drho = other.ledger.rho[k] - ref.ledger.rho[k]
-        f_vals.append(lp_norm(drho, 1.5))
-        g_vals.append(w * (other.ledger.rho[k] * (du * du).sum(axis=-1)).sum())
-        G_vals.append((lam * dc * dc).sum())
+    grid = ref.basis.grid(ref.config.M)
+    dc = other.history.coeffs - ref.history.coeffs
+    du = grid.synthesize(dc)
+    rho = other.ledger.rho
     return {
         "t": ref.ledger.t.copy(),
-        "f": np.array(f_vals),
-        "g": np.array(g_vals),
-        "G": np.array(G_vals),
+        "f": lp_norm(rho - ref.ledger.rho, 1.5, stacked=True),
+        "g": grid.weight * (rho * (du * du).sum(axis=-1)).sum(axis=(1, 2)),
+        "G": (ref.basis.lambdas * dc * dc).sum(axis=1),
     }
 
 
@@ -526,6 +534,8 @@ def taylor_benchmark(config: RunConfig, dt_values=None) -> Study:
     idx = int(np.nonzero(u0)[0][0])
 
     dts = list(dt_values) if dt_values is not None else [config.dt]
+    if not dts:
+        raise ConfigError("taylor benchmark needs at least one time step")
     bad = [dt for dt in dts if not (math.isfinite(dt) and dt > 0.0)]
     if bad:
         raise ConfigError(f"time steps must be positive and finite, got {bad}")
@@ -561,14 +571,14 @@ def write_run_outputs(result: RunResult, outdir) -> None:
 
     cfg = result.config
     for t in cfg.snapshots:
-        state = build_state(
-            result.source, result.history, result.basis, cfg.M, cfg.backtrack_step, t
-        )
+        f = result.history.coeffs_at(t)
+        rho = density_at(result.source, result.history, cfg.M, t, cfg.backtrack_step)
+        state = build_state(result.basis, cfg.M, np.array([t]), f[None], rho[None])
         tag = f"{t:.6f}"
-        save_snapshot(state.u, out / f"u_t{tag}.dat")
-        save_snapshot(state.rho, out / f"rho_t{tag}.dat")
+        save_snapshot(state.u[0], out / f"u_t{tag}.dat")
+        save_snapshot(state.rho[0], out / f"rho_t{tag}.dat")
         resid = residual_diagnostics(state, result.basis, cfg.M)
-        save_snapshot(resid.pressure, out / f"p_t{tag}.dat")
+        save_snapshot(resid.pressure[0], out / f"p_t{tag}.dat")
 
 
 def write_study(study: Study, outdir) -> None:

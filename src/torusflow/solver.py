@@ -20,8 +20,11 @@ A^{-1}(B + Lam) (batched solve); the RK4 loop itself only does mat-vecs.  The
 nonlinear problem is the fixed point v = u, reached by Picard iteration
 starting from the constant-in-time initial velocity.
 
-`build_state` gives the self-consistent state at one time, with its grid
-fields u, grad u and u_t synthesized once for every reader.
+`build_state` gives the self-consistent states at a stack of times, one
+assembly block for all of them, with their grid fields u, grad u and u_t
+synthesized once for every reader; `residual_diagnostics` reduces the same
+stack.  The ledger walk calls both on a block of nodes, the snapshot
+writer on a stack of one.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from .fields import leray_pressure
 from .transport import (
     DensitySource,
     DivergenceError,
-    TransportDriftError,
     VelocityHistory,
     carried_densities,
-    density_at,
+    density_blocks,
 )
 
 
@@ -84,21 +86,30 @@ class GalerkinMatrices:
     threshold: np.ndarray
     op: np.ndarray
 
+    def operators(self, count: int) -> np.ndarray:
+        """RK4 operators (count, N, N) of the first `count` stages; raises
+        VacuumDegenerateError for the block's first failing stage if it is
+        among them."""
+        if count > len(self.op):
+            first = len(self.op)
+            raise VacuumDegenerateError(float(self.min_eig[first]), float(self.threshold[first]))
+        return self.op[:count]
+
     def operator(self, s: int) -> np.ndarray:
         """RK4 operator of stage s; raises VacuumDegenerateError for the
         block's first failing stage once s reaches it."""
-        if s < len(self.op):
-            return self.op[s]
-        first = len(self.op)
-        raise VacuumDegenerateError(float(self.min_eig[first]), float(self.threshold[first]))
+        return self.operators(s + 1)[s]
 
 
 @dataclass(frozen=True)
 class SolverState:
-    """Self-consistent snapshot: fdot solves A fdot = -(B + Lam) f at (t, rho),
-    the density (M, M); u, grad_u and ut are the grid fields of f and fdot."""
+    """Self-consistent states at a stack of S times: fdot solves
+    A fdot = -(B + Lam) f at (t, rho) for each of them.  Every field has the
+    stack axis first: t (S,), f and fdot (S, N), the densities rho
+    (S, M, M), and the grid fields u (S, M, M, 2), grad_u (S, M, M, 2, 2)
+    and ut (S, M, M, 2) of f and fdot."""
 
-    t: float
+    t: np.ndarray
     f: np.ndarray
     fdot: np.ndarray
     rho: np.ndarray
@@ -144,7 +155,8 @@ def assemble(
 
 
 def ode_rhs(f: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """fdot = -A^{-1} (B + Lam) f for one stage's operator."""
+    """fdot = -A^{-1} (B + Lam) f for one stage's operator (N, N) and f
+    (N,), or for stacks of operators (S, N, N) and columns f (S, N, 1)."""
     return -(op @ f)
 
 
@@ -160,27 +172,17 @@ def _stage_operators(
     time from one carried density sweep.
 
     Failures surface in stage order: a block's VacuumDegenerateError when its
-    stage is reached, and a TransportDriftError, raised while the sweep
-    yields its last density, after every earlier stage has been yielded."""
-    densities = carried_densities(source, v_hist, M, stage_times, dtau)
+    stage is reached, and a TransportDriftError, raised with the sweep's
+    last density, after every earlier stage has been yielded."""
     flowing = bool(np.any(v_hist.coeffs != 0.0))
     points = basis.grid(M).points
-    for lo in range(0, len(stage_times), _BLOCK):
-        taus = stage_times[lo : lo + _BLOCK]
-        rho, drift = [], None
-        try:
-            for _ in taus:
-                rho.append(next(densities))
-        except TransportDriftError as err:
-            drift = err
-        if rho:
-            coeffs = np.stack([v_hist.coeffs_at(t) for t in taus[: len(rho)]])
-            v_grid = basis.velocity_at(points, coeffs) if flowing else None
-            mats = assemble(np.stack(rho), v_grid, basis, M)
-            for s in range(len(rho)):
-                yield mats.operator(s)
-        if drift is not None:
-            raise drift
+    densities = carried_densities(source, v_hist, M, stage_times, dtau)
+    for lo, rho in density_blocks(densities, len(stage_times), _BLOCK):
+        coeffs = np.stack([v_hist.coeffs_at(t) for t in stage_times[lo : lo + len(rho)]])
+        v_grid = basis.velocity_at(points, coeffs) if flowing else None
+        mats = assemble(rho, v_grid, basis, M)
+        for s in range(len(rho)):
+            yield mats.operator(s)
 
 
 def solve_linearized(
@@ -300,67 +302,59 @@ def picard_solve(
 
 
 def build_state(
-    source: DensitySource,
-    history: VelocityHistory,
-    basis: BasisSet,
-    M: int,
-    dtau: float,
-    t: float,
-    rho: np.ndarray | None = None,
+    basis: BasisSet, M: int, t: np.ndarray, f: np.ndarray, rho: np.ndarray
 ) -> SolverState:
-    """Self-consistent state along a (converged) trajectory: the density is
-    transported by the trajectory itself and fdot is recomputed from fresh
-    matrices, so the state satisfies the modal system at time t.  `rho` is
-    that density when the caller already carries it along `history`;
-    otherwise it is backtracked from t.  The velocity u is also the
-    advecting field of the assembly."""
+    """Self-consistent states at the times t (S,) of a trajectory with
+    coefficients f (S, N) and densities rho (S, M, M), transported by that
+    trajectory: fdot is recomputed from fresh matrices, one assembly block
+    for the stack, so each state satisfies the modal system at its time.
+    The velocity u is also the advecting field of the assembly.  A state
+    that fails the eigenvalue guard raises VacuumDegenerateError for the
+    first such time."""
     grid = basis.grid(M)
-    f = history.coeffs_at(t)
-    if rho is None:
-        rho = density_at(source, history, M, t, dtau)
     u = grid.synthesize(f)
-    mats = assemble(rho[None], u[None], basis, M)
-    fdot = ode_rhs(f, mats.operator(0))
+    mats = assemble(rho, u, basis, M)
+    fdot = ode_rhs(f[:, :, None], mats.operators(len(f)))[:, :, 0]
     grad_u, ut = grid.synthesize_gradient(f), grid.synthesize(fdot)
-    return SolverState(t=float(t), f=f, fdot=fdot, rho=rho, u=u, grad_u=grad_u, ut=ut)
+    return SolverState(t=t, f=f, fdot=fdot, rho=rho, u=u, grad_u=grad_u, ut=ut)
 
 
 @dataclass
 class ResidualReport:
-    """Modal residuals of the momentum balance at one state.
+    """Modal residuals of the momentum balance at a stack of S states.
 
     The mode-i residual is |(rho udot, w_i) + lam_i f_i| with udot = d_t u +
-    (u . grad) u recomputed on the grid; `orthogonality_max` is its maximum
-    (weak-form residual per mode) and `projection_rel` their Euclidean norm
-    (the L2 distance between lap u and the modal projection of rho udot,
-    since both fields lie in the basis span) relative to ||u||_2.  `pressure`
-    is the diagnostic pressure recovered from the Helmholtz decomposition of
-    lap u - rho udot.
+    (u . grad) u recomputed on the grid; `orthogonality_max` (S,) is its
+    maximum over modes (weak-form residual per mode) and `projection_rel`
+    (S,) their Euclidean norm (the L2 distance between lap u and the modal
+    projection of rho udot, since both fields lie in the basis span)
+    relative to ||u||_2.  `pressure` (S, M, M) is the diagnostic pressure
+    recovered from the Helmholtz decomposition of lap u - rho udot.
     """
 
-    orthogonality_max: float
-    projection_rel: float
+    orthogonality_max: np.ndarray
+    projection_rel: np.ndarray
     pressure: np.ndarray
 
 
 def residual_diagnostics(state: SolverState, basis: BasisSet, M: int) -> ResidualReport:
     grid = basis.grid(M)
-    udot = state.ut + np.einsum("abk,abik->abi", state.u, state.grad_u)
+    udot = state.ut + np.einsum("sabk,sabik->sabi", state.u, state.grad_u)
     g = state.rho[..., None] * udot
 
     c = grid.project(g)
     lap_coeffs = -basis.lambdas * state.f
     resid_vec = c - lap_coeffs  # = (rho udot, w_i) + lam_i f_i
-    fnorm = float(np.linalg.norm(state.f))
-    proj_l2 = float(np.linalg.norm(resid_vec))
+    fnorm = np.linalg.norm(state.f, axis=1)
+    proj_l2 = np.linalg.norm(resid_vec, axis=1)
 
     lap_u = grid.synthesize(lap_coeffs)
     resid_field = lap_u - g
-    resid_field = resid_field - resid_field.mean(axis=(0, 1))
+    resid_field = resid_field - resid_field.mean(axis=(1, 2), keepdims=True)
     pressure = leray_pressure(resid_field)
 
     return ResidualReport(
-        orthogonality_max=float(np.abs(resid_vec).max()),
-        projection_rel=proj_l2 / fnorm if fnorm > 0 else proj_l2,
+        orthogonality_max=np.abs(resid_vec).max(axis=1),
+        projection_rel=proj_l2 / np.where(fnorm > 0, fnorm, 1.0),
         pressure=pressure,
     )

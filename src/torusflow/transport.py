@@ -27,11 +27,17 @@ integrated back exactly through the walked times, with the walk's own RK4
 steps; a carried foot further than DRIFT_LIMIT from its exact foot raises
 TransportDriftError, because the grid then under-resolves the displacement.
 
+A trajectory is anything with `field_at(t)`, the velocity at time t as a
+function of points; each RK4 step takes the field of each of its three
+times once.  `density_blocks` hands a sweep's densities to the Picard
+assembly and to the ledger walk as stacked blocks, and holds a drift error
+back until the densities before it have been handed on.
+
 Constant sources skip the characteristics altogether.  Feet are reported
 without modular reduction, which is harmless because every initial density
 is 2pi-periodic.  The grid points come from `fields.grid_points`; the norms
 of the transported density (W^{1,gamma}, ||grad rho||_gamma, ||d_t rho||_gamma)
-are taken with the `fields` norm functions in the pipeline's node walk.
+are taken with the `fields` norm functions in the pipeline's ledger walk.
 """
 
 from __future__ import annotations
@@ -209,23 +215,33 @@ class VelocityHistory:
             + h11 * h * self.derivs[k + 1]
         )
 
-    def velocity_at(self, points: np.ndarray, t: float) -> np.ndarray:
-        return self.basis.velocity_at(points, self.coeffs_at(t))
+    def field_at(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The velocity at time t as a function of points (..., 2): the
+        dense output is computed once for every evaluation at t."""
+        coeffs = self.coeffs_at(t)
+        return lambda points: self.basis.velocity_at(points, coeffs)
 
 
 def _integrate_back(history, pts: np.ndarray, t_from: float, t_to: float, dtau: float):
     """RK4 for dPhi/dtau = v(Phi, tau) from tau = t_from down to t_to, in
-    equal steps of at most `dtau`."""
+    equal steps of at most `dtau`; `history` is anything with `field_at(t)`,
+    like a VelocityHistory.  Each time's field is taken once: k2 and
+    k3 share the midpoint field, and a step's k4 field is the next step's
+    k1 field."""
     steps = max(1, int(np.ceil((t_from - t_to) / dtau - 1e-12)))
     h = (t_from - t_to) / steps
     tau = t_from
+    start = history.field_at(tau)
     for _ in range(steps):
-        k1 = history.velocity_at(pts, tau)
-        k2 = history.velocity_at(pts - 0.5 * h * k1, tau - 0.5 * h)
-        k3 = history.velocity_at(pts - 0.5 * h * k2, tau - 0.5 * h)
-        k4 = history.velocity_at(pts - h * k3, tau - h)
+        mid = history.field_at(tau - 0.5 * h)
+        end = history.field_at(tau - h)
+        k1 = start(pts)
+        k2 = mid(pts - 0.5 * h * k1)
+        k3 = mid(pts - 0.5 * h * k2)
+        k4 = end(pts - h * k3)
         pts = pts - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tau -= h
+        start = end
     return pts
 
 
@@ -287,6 +303,29 @@ def carried_densities(
         if j == last:
             _check_drift(history, feet, walked, dtau)
         yield source.value(feet)
+
+
+def density_blocks(
+    densities: Iterator[np.ndarray], count: int, size: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The first `count` densities of a sweep such as `carried_densities`,
+    in consecutive blocks of at most `size`: yields (lo, rho) with rho
+    (S, M, M) the densities lo .. lo + S - 1.
+
+    Failures keep time order: a TransportDriftError, which a sweep raises
+    with its last density, comes only after the block of every earlier
+    density has been yielded, so that a caller's own failure at an earlier
+    time surfaces first."""
+    for lo in range(0, count, size):
+        block = []
+        try:
+            for _ in range(min(size, count - lo)):
+                block.append(next(densities))
+        except TransportDriftError:
+            if block:
+                yield lo, np.stack(block)
+            raise
+        yield lo, np.stack(block)
 
 
 def _check_drift(history, feet: np.ndarray, walked: list, dtau: float) -> None:

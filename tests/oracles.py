@@ -1,19 +1,35 @@
 """Closed-form oracles the tests compare torusflow against.
 
 Velocity fields with explicit characteristics (anything with
-`velocity_at(points, t)` can be backtracked or carried like a
-VelocityHistory), a spectral gradient for (M, M) grid fields, and the
-one-stage Galerkin assembly from vector mode tables that it builds itself
-with `BasisSet.velocity_at` and `gradient_at` (per-point evaluation,
-independent of the scalar grid tables that the solver assembles from).
+`field_at(t)`, the velocity at time t as a function of points, can be
+backtracked or carried like a VelocityHistory), a spectral gradient for
+(M, M) grid fields, the one-stage Galerkin assembly from vector mode tables
+that it builds itself with `BasisSet.velocity_at` and `gradient_at`
+(per-point evaluation, independent of the scalar grid tables that the
+solver assembles from), and the ledger walk one node at a time, which the
+block walk of `pipeline.node_diagnostics` must reproduce.
 """
+
+import math
 
 import numpy as np
 
 from torusflow.basis import MODE_NORM
+from torusflow.estimates import GAMMA, EstimateLedger
+from torusflow.fields import fd_gradient, lp_norm, w1gamma_norm
+from torusflow.solver import build_state, residual_diagnostics
+from torusflow.transport import carried_densities
 
 
-class ConstantVelocity:
+class PointwiseVelocity:
+    """A velocity given by `velocity_at(points, t)`; `field_at` is the
+    history interface that transport integrates."""
+
+    def field_at(self, t: float):
+        return lambda points: self.velocity_at(points, t)
+
+
+class ConstantVelocity(PointwiseVelocity):
     """Spatially uniform steady velocity (not solenoidal-checked)."""
 
     def __init__(self, vector):
@@ -24,7 +40,7 @@ class ConstantVelocity:
         return np.broadcast_to(self.vector, pts.shape).copy()
 
 
-class ShearVelocity:
+class ShearVelocity(PointwiseVelocity):
     """v = (a sin y cos(omega t), 0) with explicit characteristics.
 
     Backward feet: Phi(0; (x, y), t) = (x - a sin y * S(t), y) where
@@ -99,3 +115,56 @@ def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
     conv = np.einsum("abk,nabik->nabi", v_grid, GW)
     b = grid.weight * ((Wf * rho_flat) @ conv.reshape(N, -1).T)
     return a, b
+
+
+def node_diagnostics_per_node(src, history, basis, M: int, dtau: float) -> EstimateLedger:
+    """The run's per-node table walked one node at a time: per node a
+    `build_state` and `residual_diagnostics` on a stack of one, and every
+    grid column reduced over that node's fields alone."""
+    lam = basis.lambdas
+    w = basis.grid(M).weight
+    times, f = history.times, history.coeffs
+    K = len(times)
+    rho = np.empty((K, M, M))
+    fdot = np.empty_like(f)
+    col = {
+        name: np.empty(K)
+        for name in (
+            "sqrt_rho_u_l2", "sqrt_rho_ut_l2", "u_linf", "grad_u_linf",
+            "grad_rho_lgamma", "rho_t_lgamma", "mass", "momentum_l2",
+            "w1gamma", "orthogonality_max", "projection_rel",
+        )
+    }
+    densities = carried_densities(src, history, M, times, dtau)
+    for k, r in enumerate(densities):
+        state = build_state(basis, M, times[k : k + 1], f[k : k + 1], r[None])
+        u, gu, ut = state.u[0], state.grad_u[0], state.ut[0]
+        rho[k], fdot[k] = r, state.fdot[0]
+        umag2 = (u * u).sum(axis=-1)
+        grad_rho = fd_gradient(r)
+        col["sqrt_rho_u_l2"][k] = math.sqrt(w * (r * umag2).sum())
+        col["sqrt_rho_ut_l2"][k] = math.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum())
+        col["u_linf"][k] = np.sqrt(umag2).max()
+        col["grad_u_linf"][k] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max()
+        col["grad_rho_lgamma"][k] = lp_norm(grad_rho, GAMMA)
+        col["rho_t_lgamma"][k] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
+        col["mass"][k] = w * r.sum()
+        col["momentum_l2"][k] = math.sqrt(w * (r * r * umag2).sum())
+        col["w1gamma"][k] = w1gamma_norm(r, GAMMA, grad_rho)
+        resid = residual_diagnostics(state, basis, M)
+        col["orthogonality_max"][k] = resid.orthogonality_max[0]
+        col["projection_rel"][k] = resid.projection_rel[0]
+
+    hess_u = np.sqrt((lam * lam * f * f).sum(axis=1))
+    return EstimateLedger(
+        t=times,
+        grad_u_l2=np.sqrt((lam * f * f).sum(axis=1)),
+        hess_u_l2=hess_u,
+        grad_ut_l2=np.sqrt((lam * fdot * fdot).sum(axis=1)),
+        rho_min=np.full(K, src.lower),
+        rho_max=np.full(K, src.upper),
+        t_weighted_h2=times * (hess_u**2 + col["sqrt_rho_ut_l2"] ** 2),
+        rho=rho,
+        grad_u_sq_dot=2.0 * (lam * f * fdot).sum(axis=1),
+        **col,
+    )

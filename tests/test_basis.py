@@ -162,6 +162,27 @@ def test_velocity_at_matches_grid_tables():
         np.testing.assert_allclose(row, grid.synthesize(c), atol=1e-13)
 
 
+def test_stacked_synthesis_and_projection_match_per_field_loops():
+    # A leading stack axis gives, field by field, what one call per field
+    # gives: the block walk synthesizes and projects whole blocks of nodes.
+    grid = BasisSet(9).grid(16)
+    stack = RNG.standard_normal((2, 3, 9))
+    u = grid.synthesize(stack)
+    grad = grid.synthesize_gradient(stack)
+    moments = grid.project(u + 0.1 * u**2)
+    assert u.shape == (2, 3, 16, 16, 2)
+    assert grad.shape == (2, 3, 16, 16, 2, 2)
+    assert moments.shape == (2, 3, 9)
+    for idx in itertools.product(range(2), range(3)):
+        c = stack[idx]
+        np.testing.assert_allclose(u[idx], grid.synthesize(c), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grad[idx], grid.synthesize_gradient(c), rtol=1e-12, atol=1e-15)
+        field = grid.synthesize(c)
+        np.testing.assert_allclose(
+            moments[idx], grid.project(field + 0.1 * field**2), rtol=1e-12, atol=1e-15
+        )
+
+
 def test_eigenfield_relation_on_grid():
     # -Delta w = lam w: second derivatives of trig(k.x) give |k|^2 trig(k.x).
     basis = BasisSet(9)

@@ -257,6 +257,26 @@ def test_cli_rejects_bad_study_numbers_before_solving(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, density",
+    [
+        (["taylor", "--dt-list", ","], "constant"),
+        (["vacuum-sweep", "--n-list", ","], "vacuum-well"),
+    ],
+    ids=["taylor-empty-dt-list", "vacuum-sweep-empty-n-list"],
+)
+def test_cli_rejects_empty_study_list_before_solving(tmp_path, capsys, monkeypatch, argv, density):
+    # Both lists parse to no values: taylor ended in an IndexError traceback
+    # and vacuum-sweep exited 0 with only the summary row written.
+    monkeypatch.setattr(pipeline, "picard_solve", no_solve)
+    cfg = write_config(tmp_path, TAYLOR.replace("density.kind = constant", f"density.kind = {density}"))
+    command, *flags = argv
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "taylor"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_cli_rejects_out_that_is_not_a_directory(tmp_path, capsys, monkeypatch, command, under):

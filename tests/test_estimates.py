@@ -23,7 +23,7 @@ from torusflow.estimates import (
     hermite_cumtrapz,
     momentum_continuity_report,
     riccati_fit,
-    weighted_h2_stats,
+    weighted_grad_ut_integral,
 )
 
 
@@ -142,9 +142,7 @@ def test_h1_functional_and_weighted_stats():
     # 2*M1*grad^2 = [4,0,0]; integrand M1*srut^2 = [0,2,2] -> cumtrapz [0,1,3].
     np.testing.assert_allclose(F, [4.0, 1.0, 3.0], atol=1e-15)
 
-    sup, integ = weighted_h2_stats(t, [0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-    assert sup == 4.0  # max of t*(h^2+s^2) = [0, 2, 4]
-    assert integ == 2.0  # trapezoid of t*1 on [0,2]
+    assert weighted_grad_ut_integral(t, [1.0, 1.0, 1.0]) == 2.0  # trapezoid of t*1 on [0,2]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from oracles import spectral_gradient
 
 from torusflow.basis import BasisSet
 from torusflow.fields import (
+    fd_gradient,
     grid_points,
     leray_pressure,
     load_snapshot,
     lp_norm,
     save_snapshot,
+    w1gamma_norm,
 )
 from torusflow.pipeline import node_diagnostics
 from torusflow.transport import VelocityHistory, constant_density
@@ -114,6 +116,35 @@ def test_leray_pressure_rejects_nonzero_mean():
         leray_pressure(g)
     with pytest.raises(ValueError):
         leray_pressure(np.zeros((M, M)))  # scalar input
+
+
+def test_stacked_fields_match_per_field_loops():
+    # Every norm and the pressure solve take a leading stack axis and reduce
+    # each field of it as a call on that field alone would.
+    M = 16
+    grid = BasisSet(9).grid(M)
+    rho = 1.5 + 0.4 * grid.synthesize(RNG.standard_normal((3, 9)))[..., 0]
+    u = grid.synthesize(RNG.standard_normal((3, 9)))
+    grad = fd_gradient(rho)
+    pressure = leray_pressure(u + fd_gradient(rho))
+    assert grad.shape == (3, M, M, 2) and pressure.shape == (3, M, M)
+    for norm, per_field in (
+        (lp_norm(rho, 3.0, stacked=True), [lp_norm(r, 3.0) for r in rho]),
+        (lp_norm(u, 1.5, stacked=True), [lp_norm(v, 1.5) for v in u]),
+        (w1gamma_norm(rho, 2.0), [w1gamma_norm(r, 2.0) for r in rho]),
+    ):
+        assert norm.shape == (3,)
+        np.testing.assert_allclose(norm, per_field, rtol=1e-12, atol=0.0)
+    for k in range(3):
+        np.testing.assert_allclose(grad[k], fd_gradient(rho[k]), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            pressure[k], leray_pressure(u[k] + fd_gradient(rho[k])), rtol=1e-12, atol=1e-15
+        )
+    # One field with a nonzero mean is enough to reject the stack.
+    shifted = u.copy()
+    shifted[1, ..., 0] += 1.0
+    with pytest.raises(ValueError, match="not zero"):
+        leray_pressure(shifted)
 
 
 def test_snapshot_round_trip(tmp_path):

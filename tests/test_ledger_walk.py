@@ -1,0 +1,117 @@
+"""The ledger walk in blocks of nodes against the walk one node at a time.
+
+`pipeline.node_diagnostics` fills the run's table in blocks of about
+WALK_POINTS grid points; `oracles.node_diagnostics_per_node` walks the same
+trajectory one node at a time.  Both must give the same table, and a
+failure must surface at the node where a walk one node at a time meets it.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from oracles import node_diagnostics_per_node
+
+from torusflow import pipeline
+from torusflow.basis import BasisSet
+from torusflow.estimates import EstimateLedger
+from torusflow.solver import VacuumDegenerateError, assemble, picard_solve
+from torusflow.transport import (
+    TransportDriftError,
+    VelocityHistory,
+    bump_density,
+    constant_density,
+)
+
+
+def block_size(M):
+    return max(1, pipeline.WALK_POINTS // (M * M))
+
+
+def converged(source, M, nodes, dt=0.005):
+    basis = BasisSet(8)
+    u0 = np.zeros(8)
+    u0[0], u0[2], u0[5] = 0.3, 0.2, -0.1
+    history, _ = picard_solve(source, u0, basis, M, dt, (nodes - 1) * dt, dt, 1e-11, 40)
+    assert len(history.times) == nodes
+    return basis, history
+
+
+@pytest.mark.parametrize(
+    "source, M, nodes",
+    [
+        (constant_density(), 16, lambda size: size // 2 + 1),
+        (constant_density(), 16, lambda size: 2 * size + 3),
+        (bump_density(), 32, lambda size: 2 * size + 1),
+    ],
+    ids=["shorter-than-a-block", "partial-last-block", "bump-density"],
+)
+def test_block_walk_matches_walk_per_node(source, M, nodes):
+    size = block_size(M)
+    K = nodes(size)
+    assert K < size or K % size != 0
+    basis, history = converged(source, M, K)
+    block = pipeline.node_diagnostics(source, history, basis, M, 0.005)
+    oracle = node_diagnostics_per_node(source, history, basis, M, 0.005)
+    for field in dataclasses.fields(EstimateLedger):
+        np.testing.assert_allclose(
+            getattr(block, field.name), getattr(oracle, field.name),
+            rtol=1e-12, atol=0.0, err_msg=field.name,
+        )
+
+
+def degenerate_density(M, j):
+    """Mass on grid row j % M only, scaled by j + 1: a singular mass matrix
+    whose positive threshold differs from node to node."""
+    rho = np.zeros((M, M))
+    rho[j % M] = j + 1.0
+    return rho
+
+
+@pytest.mark.parametrize(
+    "degenerate, drift, expected",
+    [
+        (lambda size: {size + size // 2, size + size // 2 + 1}, False, "vacuum"),
+        (lambda size: {2 * size}, True, "vacuum"),  # before the drift, same block
+        (lambda size: set(), True, "drift"),
+    ],
+    ids=["mid-block", "before-drift", "drift"],
+)
+def test_walk_reports_first_failure_in_node_order(monkeypatch, degenerate, drift, expected):
+    # 2 blocks and a last block of two nodes.  A degenerate node raises with
+    # its own eigenvalue even mid-block; the sweep's drift error, raised with
+    # the last density, comes after every earlier node has been walked.
+    M = 16
+    size = block_size(M)
+    assert size >= 2
+    K = 2 * size + 2
+    bad = degenerate(size)
+    basis = BasisSet(4)
+    times = np.linspace(0.0, 0.01 * (K - 1), K)
+    history = VelocityHistory(basis, times, np.full((K, 4), 0.1), np.zeros((K, 4)))
+
+    def stream(source, history, M, times, dtau):
+        for j, t in enumerate(times):
+            if drift and j == len(times) - 1:
+                raise TransportDriftError(float(t), 1.0)
+            yield degenerate_density(M, j) if j in bad else np.ones((M, M))
+
+    walked = []
+    build_state = pipeline.build_state
+
+    def recording_build_state(basis, M, t, f, rho):
+        walked.extend(t)
+        return build_state(basis, M, t, f, rho)
+
+    monkeypatch.setattr(pipeline, "carried_densities", stream)
+    monkeypatch.setattr(pipeline, "build_state", recording_build_state)
+    errors = {"vacuum": VacuumDegenerateError, "drift": TransportDriftError}
+    with pytest.raises(errors[expected]) as err:
+        pipeline.node_diagnostics(constant_density(), history, basis, M, 0.01)
+    if expected == "vacuum":
+        first = min(bad)
+        mats = assemble(degenerate_density(M, first)[None], None, basis, M)
+        assert (err.value.min_eig, err.value.threshold) == (mats.min_eig[0], mats.threshold[0])
+    else:
+        assert err.value.t == times[-1]
+        np.testing.assert_array_equal(walked, times[:-1])
