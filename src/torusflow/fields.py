@@ -12,8 +12,8 @@ norms of grid fields (`lp_norm`, `w1gamma_norm`, with the density gradient
 from `fd_gradient`) are the ones the run ledger reports.  They and
 `leray_pressure` also take a stack of fields along a leading axis and
 reduce each field of it, which is how the ledger walk calls them on a
-block of nodes; `lp_norm` is told by `stacked=True`, since a stack of
-scalar fields has the same number of axes as one vector field.
+block of nodes.  `lp_norm` takes scalar fields only, so that its last two
+axes are always the grid; a vector field passes its magnitude.
 """
 
 from __future__ import annotations
@@ -42,13 +42,10 @@ def quadrature_weight(M: int) -> float:
     return (2.0 * np.pi / M) ** 2
 
 
-def lp_norm(field: np.ndarray, p: float, stacked: bool = False) -> float | np.ndarray:
-    """L^p norm of a grid field, (M, M) scalar or (M, M, 2) vector, whose
-    pointwise Euclidean magnitude is taken.  With `stacked` the first axis
-    indexes a stack of such fields, (S, M, M) or (S, M, M, 2), and the
-    result is one norm per field, shape (S,)."""
-    vector = field.ndim == (4 if stacked else 3)
-    mag = np.sqrt((field * field).sum(axis=-1)) if vector else np.abs(field)
+def lp_norm(field: np.ndarray, p: float) -> float | np.ndarray:
+    """L^p norm of scalar grid fields (..., M, M), one per field of a stack;
+    a vector field's norm is that of its pointwise magnitude."""
+    mag = np.abs(field)
     return (quadrature_weight(mag.shape[-1]) * (mag**p).sum(axis=(-2, -1))) ** (1.0 / p)
 
 

@@ -5,9 +5,9 @@ pass/fail checks.  The ledger is the run's one per-node table: every
 quantity the checks and studies read at the node times, one float array per
 column.  `node_diagnostics` fills it walking the trajectory in blocks of
 nodes (WALK_POINTS grid points each), with stacked states, residuals and
-norms, so that no step of the walk goes one node at a time.  Studies (grid
-refinement, vacuum floors, uniqueness pairs, the exact single-mode
-benchmark) compose runs and compare their ledgers.
+norms: one code path whatever the block size.  Studies (grid refinement,
+vacuum floors, uniqueness pairs, the exact single-mode benchmark) compose
+runs and compare their ledgers.
 """
 
 from __future__ import annotations
@@ -71,11 +71,12 @@ TAYLOR_TOL = 1e-6  # taylor benchmark: largest relative error at the first step
 TAYLOR_ORDER_FLOOR = 3.9  # taylor benchmark: least observed halving order
 MOMENTUM_PROBES = 13  # momentum_probes: probe times T 2^{-j}, j < 13
 
-# Grid points per block of the ledger walk (node_diagnostics): 12 nodes at
-# M = 16, 3 at M = 32, 2 at M = 40.  A block's temporaries grow with its
-# grid points, not its node count; at this size they stay below those of
-# the Picard passes before the walk on the M = 32 and M = 40 configs.
-WALK_POINTS = 3200
+# Grid points per block of the ledger walk (node_diagnostics): 8 nodes at
+# M = 16, 2 at M = 32, 1 at M = 40.  A block's temporaries grow with its
+# grid points, not its node count.  Blocks of 3200 points (2 nodes at
+# M = 40) left more of the heap resident after the walk and raised the
+# peak resident memory of the M = 40 config.
+WALK_POINTS = 2048
 
 
 @dataclass
@@ -136,7 +137,7 @@ def node_diagnostics(
     }
     size = max(1, WALK_POINTS // (M * M))
     densities = carried_densities(src, history, M, times, dtau)
-    for lo, r in density_blocks(densities, K, size):
+    for lo, r in density_blocks(densities, size):
         nodes = slice(lo, lo + len(r))
         state = build_state(basis, M, times[nodes], f[nodes], r)
         u, gu, ut = state.u, state.grad_u, state.ut
@@ -147,8 +148,8 @@ def node_diagnostics(
         col["sqrt_rho_ut_l2"][nodes] = np.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum(axis=(1, 2)))
         col["u_linf"][nodes] = np.sqrt(umag2).max(axis=(1, 2))
         col["grad_u_linf"][nodes] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max(axis=(1, 2))
-        col["grad_rho_lgamma"][nodes] = lp_norm(grad_rho, GAMMA, stacked=True)
-        col["rho_t_lgamma"][nodes] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA, stacked=True)
+        col["grad_rho_lgamma"][nodes] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=-1)), GAMMA)
+        col["rho_t_lgamma"][nodes] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
         col["mass"][nodes] = w * r.sum(axis=(1, 2))
         col["momentum_l2"][nodes] = np.sqrt(w * (r * r * umag2).sum(axis=(1, 2)))
         col["w1gamma"][nodes] = w1gamma_norm(r, GAMMA, grad_rho)
@@ -444,7 +445,7 @@ def _difference_curves(ref: RunResult, other: RunResult) -> dict:
     rho = other.ledger.rho
     return {
         "t": ref.ledger.t.copy(),
-        "f": lp_norm(rho - ref.ledger.rho, 1.5, stacked=True),
+        "f": lp_norm(rho - ref.ledger.rho, 1.5),
         "g": grid.weight * (rho * (du * du).sum(axis=-1)).sum(axis=(1, 2)),
         "G": (ref.basis.lambdas * dc * dc).sum(axis=1),
     }

@@ -148,7 +148,8 @@ def assemble(
     else:
         # (v . grad) w_j = MODE_NORM d_j T'_j (v . k_j)
         v_dot_k = v_grid.reshape(S, -1, 2) @ basis.kvecs.T
-        b = grid.gram * (rho_trig @ (grid.dtrig.T * v_dot_k))
+        v_dot_k *= grid.dtrig.T
+        b = grid.gram * (rho_trig @ v_dot_k)
 
     op = np.linalg.solve(a[:usable], b[:usable] + np.diag(basis.lambdas))
     return GalerkinMatrices(a=a, b=b, min_eig=min_eig, threshold=threshold, op=op)
@@ -177,7 +178,7 @@ def _stage_operators(
     flowing = bool(np.any(v_hist.coeffs != 0.0))
     points = basis.grid(M).points
     densities = carried_densities(source, v_hist, M, stage_times, dtau)
-    for lo, rho in density_blocks(densities, len(stage_times), _BLOCK):
+    for lo, rho in density_blocks(densities, _BLOCK):
         coeffs = np.stack([v_hist.coeffs_at(t) for t in stage_times[lo : lo + len(rho)]])
         v_grid = basis.velocity_at(points, coeffs) if flowing else None
         mats = assemble(rho, v_grid, basis, M)

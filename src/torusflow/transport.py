@@ -42,6 +42,7 @@ are taken with the `fields` norm functions in the pipeline's ledger walk.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -305,27 +306,35 @@ def carried_densities(
         yield source.value(feet)
 
 
-def density_blocks(
-    densities: Iterator[np.ndarray], count: int, size: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The first `count` densities of a sweep such as `carried_densities`,
-    in consecutive blocks of at most `size`: yields (lo, rho) with rho
-    (S, M, M) the densities lo .. lo + S - 1.
+def density_blocks(densities: Iterator[np.ndarray], size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """A sweep's densities, such as `carried_densities` yields, in
+    consecutive blocks of at most `size` until the sweep ends: yields
+    (lo, rho) with rho (S, M, M) the densities lo .. lo + S - 1.  Each
+    density is copied into its block as it comes, so that a block is never
+    held twice, once as separate densities and once stacked.
 
     Failures keep time order: a TransportDriftError, which a sweep raises
-    with its last density, comes only after the block of every earlier
-    density has been yielded, so that a caller's own failure at an earlier
-    time surfaces first."""
-    for lo in range(0, count, size):
-        block = []
+    in place of its last density, comes only after the block of every
+    earlier density has been yielded, so that a caller's own failure at an
+    earlier time surfaces first."""
+    lo = 0
+    while True:
+        block, S, drift = None, 0, None
         try:
-            for _ in range(min(size, count - lo)):
-                block.append(next(densities))
-        except TransportDriftError:
-            if block:
-                yield lo, np.stack(block)
-            raise
-        yield lo, np.stack(block)
+            for rho in itertools.islice(densities, size):
+                if block is None:
+                    block = np.empty((size, *rho.shape))
+                block[S] = rho
+                S += 1
+        except TransportDriftError as err:
+            drift = err
+        if S:
+            yield lo, block[:S]
+        if drift is not None:
+            raise drift
+        if S < size:
+            return
+        lo += S
 
 
 def _check_drift(history, feet: np.ndarray, walked: list, dtau: float) -> None:

@@ -146,7 +146,7 @@ def node_diagnostics_per_node(src, history, basis, M: int, dtau: float) -> Estim
         col["sqrt_rho_ut_l2"][k] = math.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum())
         col["u_linf"][k] = np.sqrt(umag2).max()
         col["grad_u_linf"][k] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max()
-        col["grad_rho_lgamma"][k] = lp_norm(grad_rho, GAMMA)
+        col["grad_rho_lgamma"][k] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=-1)), GAMMA)
         col["rho_t_lgamma"][k] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
         col["mass"][k] = w * r.sum()
         col["momentum_l2"][k] = math.sqrt(w * (r * r * umag2).sum())

@@ -191,7 +191,7 @@ def test_fd_gradient_oracle_and_order():
     errs = []
     for M in (64, 128):
         rho = f0(grid_points(M))
-        errs.append(abs(lp_norm(fd_gradient(rho), GAMMA) - exact_norm))
+        errs.append(abs(lp_norm(np.linalg.norm(fd_gradient(rho), axis=-1), GAMMA) - exact_norm))
     # The centered difference scales each component by sin(h)/h, so the
     # relative error is h^2/6 ~= 4e-4 at M=128.
     assert errs[1] < 5e-4 * exact_norm
