@@ -13,7 +13,8 @@ Recognized keys:
     density.floor_n   positive integer or `inf` (default: no floor)
     u0.modes      initial velocity, entries `k1,k2,parity:amplitude`
                   joined by commas, e.g. `1,0,cos:0.3,0,1,cos:0.2`
-    snapshots     comma-separated times in [0, T] for field snapshots (optional)
+    snapshots     comma-separated times in [0, T] for field snapshots (optional);
+                  no two may share a file tag (`snapshot_tag`)
 
 Blank lines and `#` comments are ignored.  Unknown or missing required keys
 and numbers that are not finite raise ConfigError naming the offender.
@@ -22,6 +23,7 @@ and numbers that are not finite raise ConfigError naming the offender.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,7 +205,18 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(
             f"snapshot times {outside} lie outside [0, T={cfg.T:g}]", key="snapshots"
         )
+    tags = Counter(snapshot_tag(t) for t in cfg.snapshots)
+    shared = sorted(tag for tag, count in tags.items() if count > 1)
+    if shared:
+        raise ConfigError(
+            f"snapshot times share the file tags {shared}", key="snapshots"
+        )
     return cfg
+
+
+def snapshot_tag(t: float) -> str:
+    """The time tag of the snapshot files written at time t."""
+    return f"{t:.6f}"
 
 
 def parse_config(path) -> RunConfig:
@@ -215,6 +228,15 @@ def parse_config(path) -> RunConfig:
 
 
 def build_basis(config: RunConfig) -> BasisSet:
+    # M resolves wavenumbers up to K = (M - 1) // 2 in each direction: at
+    # most (2K + 1)^2 - 1 modes, so a larger N aliases before any is listed.
+    K = (config.M - 1) // 2
+    if config.N > (2 * K + 1) ** 2 - 1:
+        raise ConfigError(
+            f"M={config.M} aliases this basis; N={config.N} exceeds the "
+            f"{(2 * K + 1) ** 2 - 1} modes it resolves",
+            key="M",
+        )
     basis = BasisSet(config.N)
     minimum = 2 * basis.kmax + 1
     if config.M < minimum:

@@ -425,7 +425,9 @@ def momentum_continuity_report(times, norms) -> MomentumReport:
         return MomentumReport(None, None, True)
     if np.any(n <= 0):
         return MomentumReport(None, None, False)
-    slope = float(np.polyfit(np.log(t), np.log(n), 1)[0])
+    x, y = np.log(t), np.log(n)
+    dx = x - x.mean()
+    slope = float((dx * (y - y.mean())).sum() / (dx * dx).sum())
     decreasing = bool(np.all(n[:-1] <= n[1:] * 1.05))
     decay_ratio = float(n[0] / n[-1])
     passed = (

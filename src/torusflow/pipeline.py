@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisSet
-from .config import ConfigError, RunConfig, build_basis, build_source, build_u0
+from .config import ConfigError, RunConfig, build_basis, build_source, build_u0, snapshot_tag
 from .estimates import (
     GAMMA,
     EstimateLedger,
@@ -55,7 +55,6 @@ from .transport import (
     DensitySource,
     carried_densities,
     density_at,
-    density_blocks,
     lift_floor,
     shift_density,
     transport_growth_check,
@@ -136,10 +135,9 @@ def node_diagnostics(
         )
     }
     size = max(1, WALK_POINTS // (M * M))
-    densities = carried_densities(src, history, M, times, dtau)
-    for lo, r in density_blocks(densities, size):
+    for lo, r in carried_densities(src, history, M, times, dtau, size):
         nodes = slice(lo, lo + len(r))
-        state = build_state(basis, M, times[nodes], f[nodes], r)
+        state = build_state(basis, M, f[nodes], r)
         u, gu, ut = state.u, state.grad_u, state.ut
         rho[nodes], fdot[nodes] = r, state.fdot
         umag2 = (u * u).sum(axis=-1)
@@ -276,7 +274,7 @@ def _build_checks(src, picard, led: EstimateLedger, ric, t0_est) -> list[dict]:
         ),
         _check(
             "picard_convergence",
-            picard.converged,
+            picard.deltas[-1] <= picard.tol,
             picard.tol - picard.deltas[-1],
             iterations=picard.iterations,
             deltas=picard.deltas,
@@ -574,8 +572,8 @@ def write_run_outputs(result: RunResult, outdir) -> None:
     for t in cfg.snapshots:
         f = result.history.coeffs_at(t)
         rho = density_at(result.source, result.history, cfg.M, t, cfg.backtrack_step)
-        state = build_state(result.basis, cfg.M, np.array([t]), f[None], rho[None])
-        tag = f"{t:.6f}"
+        state = build_state(result.basis, cfg.M, f[None], rho[None])
+        tag = snapshot_tag(t)
         save_snapshot(state.u[0], out / f"u_t{tag}.dat")
         save_snapshot(state.rho[0], out / f"rho_t{tag}.dat")
         resid = residual_diagnostics(state, result.basis, cfg.M)

@@ -20,10 +20,10 @@ A^{-1}(B + Lam) (batched solve); the RK4 loop itself only does mat-vecs.  The
 nonlinear problem is the fixed point v = u, reached by Picard iteration
 starting from the constant-in-time initial velocity.
 
-`build_state` gives the self-consistent states at a stack of times, one
-assembly block for all of them, with their grid fields u, grad u and u_t
-synthesized once for every reader; `residual_diagnostics` reduces the same
-stack.  The ledger walk calls both on a block of nodes, the snapshot
+`build_state` gives the self-consistent states of a stack of node
+coefficients and densities, one assembly block for all of them, with their
+grid fields u, grad u and u_t synthesized once for every reader;
+`residual_diagnostics` reduces the same stack.  The ledger walk calls both on a block of nodes, the snapshot
 writer on a stack of one.
 """
 
@@ -41,7 +41,6 @@ from .transport import (
     DivergenceError,
     VelocityHistory,
     carried_densities,
-    density_blocks,
 )
 
 
@@ -95,21 +94,15 @@ class GalerkinMatrices:
             raise VacuumDegenerateError(float(self.min_eig[first]), float(self.threshold[first]))
         return self.op[:count]
 
-    def operator(self, s: int) -> np.ndarray:
-        """RK4 operator of stage s; raises VacuumDegenerateError for the
-        block's first failing stage once s reaches it."""
-        return self.operators(s + 1)[s]
-
 
 @dataclass(frozen=True)
 class SolverState:
-    """Self-consistent states at a stack of S times: fdot solves
-    A fdot = -(B + Lam) f at (t, rho) for each of them.  Every field has the
-    stack axis first: t (S,), f and fdot (S, N), the densities rho
-    (S, M, M), and the grid fields u (S, M, M, 2), grad_u (S, M, M, 2, 2)
-    and ut (S, M, M, 2) of f and fdot."""
+    """A stack of S self-consistent states: fdot solves A fdot = -(B + Lam) f
+    at (f, rho) for each of them.  Every field has the stack axis first: f
+    and fdot (S, N), the densities rho (S, M, M), and the grid fields u
+    (S, M, M, 2), grad_u (S, M, M, 2, 2) and ut (S, M, M, 2) of f and
+    fdot."""
 
-    t: np.ndarray
     f: np.ndarray
     fdot: np.ndarray
     rho: np.ndarray
@@ -118,16 +111,14 @@ class SolverState:
     ut: np.ndarray
 
 
-def assemble(
-    rho: np.ndarray, v_grid: np.ndarray | None, basis: BasisSet, M: int
-) -> GalerkinMatrices:
+def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet, M: int) -> GalerkinMatrices:
     """Build A, B and the RK4 operators for a block of S stage times.
 
     `rho` holds densities (S, M, M), `v_grid` advecting-velocity samples
-    (S, M, M, 2); None means zero advection (B = 0).  A stage fails the
-    guard when the smallest eigenvalue of its A is not above
-    1e-10 * trace(A)/N (or A is not finite); `GalerkinMatrices.operator`
-    raises VacuumDegenerateError when that stage is reached.
+    (S, M, M, 2).  A stage fails the guard when the smallest eigenvalue of
+    its A is not above 1e-10 * trace(A)/N (or A is not finite);
+    `GalerkinMatrices.operators` raises VacuumDegenerateError once that
+    stage is asked for.
     """
     grid = basis.grid(M)
     N = basis.size
@@ -143,13 +134,10 @@ def assemble(
     passed = min_eig > threshold
     usable = S if passed.all() else int(np.argmin(passed))
 
-    if v_grid is None:
-        b = np.zeros((S, N, N))
-    else:
-        # (v . grad) w_j = MODE_NORM d_j T'_j (v . k_j)
-        v_dot_k = v_grid.reshape(S, -1, 2) @ basis.kvecs.T
-        v_dot_k *= grid.dtrig.T
-        b = grid.gram * (rho_trig @ v_dot_k)
+    # (v . grad) w_j = MODE_NORM d_j T'_j (v . k_j)
+    v_dot_k = v_grid.reshape(S, -1, 2) @ basis.kvecs.T
+    v_dot_k *= grid.dtrig.T
+    b = grid.gram * (rho_trig @ v_dot_k)
 
     op = np.linalg.solve(a[:usable], b[:usable] + np.diag(basis.lambdas))
     return GalerkinMatrices(a=a, b=b, min_eig=min_eig, threshold=threshold, op=op)
@@ -173,17 +161,14 @@ def _stage_operators(
     time from one carried density sweep.
 
     Failures surface in stage order: a block's VacuumDegenerateError when its
-    stage is reached, and a TransportDriftError, raised with the sweep's
-    last density, after every earlier stage has been yielded."""
-    flowing = bool(np.any(v_hist.coeffs != 0.0))
+    stage is reached, and the sweep's TransportDriftError, raised at its last
+    time, after every earlier stage has been yielded."""
     points = basis.grid(M).points
-    densities = carried_densities(source, v_hist, M, stage_times, dtau)
-    for lo, rho in density_blocks(densities, _BLOCK):
+    for lo, rho in carried_densities(source, v_hist, M, stage_times, dtau, _BLOCK):
         coeffs = np.stack([v_hist.coeffs_at(t) for t in stage_times[lo : lo + len(rho)]])
-        v_grid = basis.velocity_at(points, coeffs) if flowing else None
-        mats = assemble(rho, v_grid, basis, M)
-        for s in range(len(rho)):
-            yield mats.operator(s)
+        mats = assemble(rho, basis.velocity_at(points, coeffs), basis, M)
+        yield from mats.op
+        mats.operators(len(rho))
 
 
 def solve_linearized(
@@ -238,7 +223,6 @@ class PicardReport:
     iterations: int
     deltas: list
     factors: list
-    converged: bool
     tol: float
 
 
@@ -296,28 +280,25 @@ def picard_solve(
                 iterations=len(deltas),
                 deltas=deltas,
                 factors=factors,
-                converged=True,
                 tol=tol,
             )
     raise PicardNonConvergenceError(deltas, tol)
 
 
-def build_state(
-    basis: BasisSet, M: int, t: np.ndarray, f: np.ndarray, rho: np.ndarray
-) -> SolverState:
-    """Self-consistent states at the times t (S,) of a trajectory with
-    coefficients f (S, N) and densities rho (S, M, M), transported by that
-    trajectory: fdot is recomputed from fresh matrices, one assembly block
-    for the stack, so each state satisfies the modal system at its time.
-    The velocity u is also the advecting field of the assembly.  A state
-    that fails the eigenvalue guard raises VacuumDegenerateError for the
-    first such time."""
+def build_state(basis: BasisSet, M: int, f: np.ndarray, rho: np.ndarray) -> SolverState:
+    """Self-consistent states of a trajectory at a stack of times, from its
+    coefficients f (S, N) and its densities rho (S, M, M) there: fdot is
+    recomputed from fresh matrices, one assembly block for the stack, so
+    each state satisfies the modal system at its time.  The velocity u is
+    also the advecting field of the assembly.  A state that fails the
+    eigenvalue guard raises VacuumDegenerateError for the first such
+    state."""
     grid = basis.grid(M)
     u = grid.synthesize(f)
     mats = assemble(rho, u, basis, M)
     fdot = ode_rhs(f[:, :, None], mats.operators(len(f)))[:, :, 0]
     grad_u, ut = grid.synthesize_gradient(f), grid.synthesize(fdot)
-    return SolverState(t=t, f=f, fdot=fdot, rho=rho, u=u, grad_u=grad_u, ut=ut)
+    return SolverState(f=f, fdot=fdot, rho=rho, u=u, grad_u=grad_u, ut=ut)
 
 
 @dataclass

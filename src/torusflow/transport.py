@@ -29,9 +29,9 @@ TransportDriftError, because the grid then under-resolves the displacement.
 
 A trajectory is anything with `field_at(t)`, the velocity at time t as a
 function of points; each RK4 step takes the field of each of its three
-times once.  `density_blocks` hands a sweep's densities to the Picard
-assembly and to the ledger walk as stacked blocks, and holds a drift error
-back until the densities before it have been handed on.
+times once.  A carried sweep hands its densities to the Picard assembly and
+to the ledger walk as stacked blocks, and raises a drift error only after
+the block of every earlier density has been handed on.
 
 Constant sources skip the characteristics altogether.  Feet are reported
 without modular reduction, which is harmless because every initial density
@@ -42,7 +42,6 @@ are taken with the `fields` norm functions in the pipeline's ledger walk.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -82,17 +81,14 @@ class TransportDriftError(DivergenceError):
 class DensitySource:
     """Initial density: an analytic 2pi-periodic value function.
 
-    `lower` and `upper` are the exact range bounds over the torus.  `floor_n`
-    records the additive lift 1/n if one was applied (None means no floor).
+    `lower` and `upper` are the exact range bounds over the torus.
     `constant` marks sources whose value does not depend on position, which
     lets density evaluation skip the characteristic solve entirely.
     """
 
-    name: str
     value: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
-    floor_n: int | None = None
     constant: bool = False
 
 
@@ -100,7 +96,7 @@ def constant_density(c: float = 1.0) -> DensitySource:
     def value(points):
         return np.full(np.asarray(points).shape[:-1], float(c))
 
-    return DensitySource("constant", value, float(c), float(c), constant=True)
+    return DensitySource(value, float(c), float(c), constant=True)
 
 
 def bump_density() -> DensitySource:
@@ -110,7 +106,7 @@ def bump_density() -> DensitySource:
         p = np.asarray(points)
         return 2.0 + np.sin(p[..., 0]) * np.sin(p[..., 1])
 
-    return DensitySource("bump", value, 1.0, 3.0)
+    return DensitySource(value, 1.0, 3.0)
 
 
 def vacuum_well_density() -> DensitySource:
@@ -131,7 +127,7 @@ def vacuum_well_density() -> DensitySource:
         p = np.asarray(points)
         return c * np.maximum(0.0, _q(p) - 0.5) ** 2
 
-    return DensitySource("vacuum-well", value, 0.0, 1.5)
+    return DensitySource(value, 0.0, 1.5)
 
 
 DENSITY_CATALOG = {
@@ -142,7 +138,7 @@ DENSITY_CATALOG = {
 
 
 def shift_density(source: DensitySource, shift: float) -> DensitySource:
-    """Additive constant shift.  The name is preserved."""
+    """Additive constant shift."""
     base_value = source.value
     return replace(
         source,
@@ -156,7 +152,7 @@ def lift_floor(source: DensitySource, n: int) -> DensitySource:
     """Additive vacuum floor: rho0 + 1/n."""
     if n < 1:
         raise ValueError("floor parameter n must be a positive integer")
-    return replace(shift_density(source, 1.0 / n), floor_n=int(n))
+    return shift_density(source, 1.0 / n)
 
 
 class VelocityHistory:
@@ -271,70 +267,50 @@ def density_at(
 
 
 def carried_densities(
-    source: DensitySource, history, M: int, times: Sequence[float], dtau: float
-) -> Iterator[np.ndarray]:
+    source: DensitySource, history, M: int, times: Sequence[float], dtau: float, size: int
+) -> Iterator[tuple[int, np.ndarray]]:
     """Densities on the M x M grid at each of the increasing `times`, with the
-    back-to-label map carried from one time to the next.
+    back-to-label map carried from one time to the next, in consecutive
+    blocks: yields (lo, rho) with rho (S, M, M) the densities at times
+    lo .. lo + S - 1, S at most `size`, each block filled in place.
 
-    Each yield costs one RK4 step back to the previous time (0 before the
+    Each density costs one RK4 step back to the previous time (0 before the
     first), sub-stepped to at most `dtau`, plus one trigonometric
-    interpolation, instead of a backtrack all the way to 0.  Before the last
-    density is yielded, the carried feet at a few grid nodes are compared
-    with their exact feet, integrated back through the same times; a
-    difference above DRIFT_LIMIT raises TransportDriftError.
+    interpolation, instead of a backtrack all the way to 0.  At the last
+    time the carried feet at a few grid nodes are compared with their exact
+    feet, integrated back through the same times; a difference above
+    DRIFT_LIMIT raises TransportDriftError, after the block of every earlier
+    density has been yielded, so that a caller's failure at an earlier time
+    surfaces first.  Constant sources take `density_at` at each time.
     """
-    if source.constant:
-        for t in times:
-            yield density_at(source, history, M, t, dtau)
-        return
-    if dtau <= 0.0:
+    if dtau <= 0.0 and not source.constant:
         raise ValueError("need dtau > 0")
     x = grid_points(M)
     disp = np.zeros_like(x)
     walked = [0.0]
     last = len(times) - 1
-    for j, t in enumerate(times):
-        if t < walked[-1]:
-            raise ValueError("need increasing times from t >= 0")
-        if t > walked[-1]:
-            y = _integrate_back(history, x, t, walked[-1], dtau)
-            disp = y + trig_interpolate(disp, y) - x
-            walked.append(t)
-        feet = x + disp
-        if j == last:
-            _check_drift(history, feet, walked, dtau)
-        yield source.value(feet)
-
-
-def density_blocks(densities: Iterator[np.ndarray], size: int) -> Iterator[tuple[int, np.ndarray]]:
-    """A sweep's densities, such as `carried_densities` yields, in
-    consecutive blocks of at most `size` until the sweep ends: yields
-    (lo, rho) with rho (S, M, M) the densities lo .. lo + S - 1.  Each
-    density is copied into its block as it comes, so that a block is never
-    held twice, once as separate densities and once stacked.
-
-    Failures keep time order: a TransportDriftError, which a sweep raises
-    in place of its last density, comes only after the block of every
-    earlier density has been yielded, so that a caller's own failure at an
-    earlier time surfaces first."""
-    lo = 0
-    while True:
-        block, S, drift = None, 0, None
-        try:
-            for rho in itertools.islice(densities, size):
-                if block is None:
-                    block = np.empty((size, *rho.shape))
-                block[S] = rho
-                S += 1
-        except TransportDriftError as err:
-            drift = err
-        if S:
-            yield lo, block[:S]
-        if drift is not None:
-            raise drift
-        if S < size:
-            return
-        lo += S
+    for lo in range(0, len(times), size):
+        block = np.empty((min(size, len(times) - lo), M, M))
+        for s, t in enumerate(times[lo : lo + size]):
+            if source.constant:
+                block[s] = density_at(source, history, M, t, dtau)
+                continue
+            if t < walked[-1]:
+                raise ValueError("need increasing times from t >= 0")
+            if t > walked[-1]:
+                y = _integrate_back(history, x, t, walked[-1], dtau)
+                disp = y + trig_interpolate(disp, y) - x
+                walked.append(t)
+            feet = x + disp
+            if lo + s == last:
+                try:
+                    _check_drift(history, feet, walked, dtau)
+                except TransportDriftError:
+                    if s:
+                        yield lo, block[:s]
+                    raise
+            block[s] = source.value(feet)
+        yield lo, block
 
 
 def _check_drift(history, feet: np.ndarray, walked: list, dtau: float) -> None:

@@ -6,10 +6,12 @@ backtracked or carried like a VelocityHistory), a spectral gradient for
 (M, M) grid fields, the one-stage Galerkin assembly from vector mode tables
 that it builds itself with `BasisSet.velocity_at` and `gradient_at`
 (per-point evaluation, independent of the scalar grid tables that the
-solver assembles from), and the ledger walk one node at a time, which the
-block walk of `pipeline.node_diagnostics` must reproduce.
+solver assembles from), the ledger walk one node at a time, which the
+block walk of `pipeline.node_diagnostics` must reproduce, and a scripted
+density source that puts chosen densities through the real carried sweep.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +20,7 @@ from torusflow.basis import MODE_NORM
 from torusflow.estimates import GAMMA, EstimateLedger
 from torusflow.fields import fd_gradient, lp_norm, w1gamma_norm
 from torusflow.solver import build_state, residual_diagnostics
-from torusflow.transport import carried_densities
+from torusflow.transport import DensitySource, carried_densities
 
 
 class PointwiseVelocity:
@@ -69,6 +71,14 @@ class ShearVelocity(PointwiseVelocity):
         return out
 
 
+def scripted_density(density, lower=1.0, upper=1.0) -> DensitySource:
+    """A non-constant source whose j-th value call returns `density(j)`: a
+    carried sweep evaluates it once per time, in time order, so its j-th
+    time gets density(j) whatever the feet."""
+    calls = itertools.count()
+    return DensitySource(lambda feet: density(next(calls)), lower, upper)
+
+
 def spectral_gradient(scalar: np.ndarray) -> np.ndarray:
     """Gradient (M, M, 2) of a scalar grid field (M, M) computed in
     trigonometric space."""
@@ -99,7 +109,7 @@ def gradient_at(basis, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
     """A and B at one stage from the vector tables: A_ij = h^2 sum rho w_i.w_j
     and B_ij = h^2 sum rho w_i.(v . grad) w_j, with `rho` (M, M) and `v_grid`
-    (M, M, 2) or None."""
+    (M, M, 2)."""
     grid = basis.grid(M)
     N = basis.size
     unit = np.eye(N)
@@ -109,8 +119,6 @@ def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
     Wf = W.reshape(N, -1)
     a = grid.weight * ((Wf * rho_flat) @ Wf.T)
     a = 0.5 * (a + a.T)
-    if v_grid is None:
-        return a, np.zeros((N, N))
     # conv[j] = (v . grad) w_j; entry b[i, j] pairs it against test mode w_i
     conv = np.einsum("abk,nabik->nabi", v_grid, GW)
     b = grid.weight * ((Wf * rho_flat) @ conv.reshape(N, -1).T)
@@ -135,9 +143,8 @@ def node_diagnostics_per_node(src, history, basis, M: int, dtau: float) -> Estim
             "w1gamma", "orthogonality_max", "projection_rel",
         )
     }
-    densities = carried_densities(src, history, M, times, dtau)
-    for k, r in enumerate(densities):
-        state = build_state(basis, M, times[k : k + 1], f[k : k + 1], r[None])
+    for k, (r,) in carried_densities(src, history, M, times, dtau, 1):
+        state = build_state(basis, M, f[k : k + 1], r[None])
         u, gu, ut = state.u[0], state.grad_u[0], state.ut[0]
         rho[k], fdot[k] = r, state.fdot[0]
         umag2 = (u * u).sum(axis=-1)

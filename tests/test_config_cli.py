@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from torusflow import basis as basis_module
 from torusflow import cli, pipeline
 from torusflow.cli import main
 from torusflow.config import (
@@ -93,6 +94,21 @@ def test_horizon_and_grid_validation():
     assert err.value.key == "M"
 
 
+@pytest.mark.parametrize("N", [225, 10**8])
+def test_build_basis_rejects_more_modes_than_the_grid_holds(monkeypatch, N):
+    # M = 16 resolves |k1|, |k2| <= 7: at most 15^2 - 1 = 224 modes.  A larger
+    # N is refused before the modes are listed, which costs time and memory
+    # linear in N.
+    def no_enumeration(count):
+        raise AssertionError("enumerated modes before the alias check")
+
+    monkeypatch.setattr(basis_module, "enumerate_modes", no_enumeration)
+    cfg = parse_config_text(GOOD.replace("N = 4", f"N = {N}"))
+    with pytest.raises(ConfigError) as err:
+        build_basis(cfg)
+    assert err.value.key == "M"
+
+
 def test_build_u0_drops_out_of_span_modes():
     cfg = parse_config_text(GOOD.replace("0,1,sin:0.2", "5,5,cos:0.9"))
     basis = build_basis(cfg)
@@ -108,7 +124,6 @@ def test_build_source_applies_floor():
     )
     src = build_source(cfg)
     assert src.lower == 0.05
-    assert src.floor_n == 20
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +217,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("snapshot", ["-0.5", "5.0"])
+@pytest.mark.parametrize("snapshot", ["-0.5", "5.0", "0.005, 0.0050001"])
 def test_cli_rejects_snapshot_outside_horizon(tmp_path, capsys, snapshot):
     # Before the solve: a negative time used to crash in backtrack, a time
-    # past T used to write fields from the velocity clamped at T.
+    # past T used to write fields from the velocity clamped at T, and two
+    # times with one file tag (t0.005000) used to write one set of files.
     text = TAYLOR.replace("density.kind = constant", "density.kind = bump")
     text = text.replace("T = 0.1", "T = 0.01").replace("snapshots = 0.05", f"snapshots = {snapshot}")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.key == "snapshots"
     cfg = write_config(tmp_path, text)
     out = tmp_path / "x"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
@@ -350,7 +369,7 @@ def test_cli_vacuum_sweep_dedupes_floors(tmp_path, capsys, monkeypatch):
     original = pipeline.momentum_probes
 
     def counting(result, *args, **kwargs):
-        probe_calls.append(result.source.floor_n)
+        probe_calls.append(result.source.lower)
         return original(result, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "momentum_probes", counting)
@@ -367,7 +386,7 @@ def test_cli_vacuum_sweep_dedupes_floors(tmp_path, capsys, monkeypatch):
     assert floors == [5]
     assert (out / "n5" / "ledger.ndjson").exists()
     # Probes run once per floor, and the file keeps their order, t = T 2^-j.
-    assert probe_calls == [5]
+    assert probe_calls == [1.0 / 5]
     probes = [json.loads(l) for l in (out / "momentum_n5.ndjson").read_text().splitlines()]
     assert [p["t"] for p in probes] == [0.1 * 2.0**-j for j in range(13)]
     capsys.readouterr()

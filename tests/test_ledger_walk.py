@@ -10,9 +10,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import node_diagnostics_per_node
+from oracles import node_diagnostics_per_node, scripted_density
 
-from torusflow import pipeline
+from torusflow import pipeline, transport
 from torusflow.basis import BasisSet
 from torusflow.estimates import EstimateLedger
 from torusflow.solver import VacuumDegenerateError, assemble, picard_solve
@@ -78,9 +78,11 @@ def degenerate_density(M, j):
     ids=["mid-block", "before-drift", "drift"],
 )
 def test_walk_reports_first_failure_in_node_order(monkeypatch, degenerate, drift, expected):
-    # 2 blocks and a last block of two nodes.  A degenerate node raises with
-    # its own eigenvalue even mid-block; the sweep's drift error, raised with
-    # the last density, comes after every earlier node has been walked.
+    # 2 blocks and a last block of two nodes, from the real carried sweep
+    # with scripted densities and, for a drift, a failing drift check at the
+    # last node.  A degenerate node raises with its own eigenvalue even
+    # mid-block; the sweep's drift error, raised at the last node, comes
+    # after every earlier node has been walked.
     M = 16
     size = block_size(M)
     assert size >= 2
@@ -90,28 +92,32 @@ def test_walk_reports_first_failure_in_node_order(monkeypatch, degenerate, drift
     times = np.linspace(0.0, 0.01 * (K - 1), K)
     history = VelocityHistory(basis, times, np.full((K, 4), 0.1), np.zeros((K, 4)))
 
-    def stream(source, history, M, times, dtau):
-        for j, t in enumerate(times):
-            if drift and j == len(times) - 1:
-                raise TransportDriftError(float(t), 1.0)
-            yield degenerate_density(M, j) if j in bad else np.ones((M, M))
+    source = scripted_density(
+        lambda j: degenerate_density(M, j) if j in bad else np.ones((M, M))
+    )
+    if drift:
 
-    walked = []
+        def drifted(history, feet, walked, dtau):
+            raise TransportDriftError(float(walked[-1]), 1.0)
+
+        monkeypatch.setattr(transport, "_check_drift", drifted)
+
+    stacks = []
     build_state = pipeline.build_state
 
-    def recording_build_state(basis, M, t, f, rho):
-        walked.extend(t)
-        return build_state(basis, M, t, f, rho)
+    def recording_build_state(basis, M, f, rho):
+        stacks.append(len(f))
+        return build_state(basis, M, f, rho)
 
-    monkeypatch.setattr(pipeline, "carried_densities", stream)
     monkeypatch.setattr(pipeline, "build_state", recording_build_state)
     errors = {"vacuum": VacuumDegenerateError, "drift": TransportDriftError}
     with pytest.raises(errors[expected]) as err:
-        pipeline.node_diagnostics(constant_density(), history, basis, M, 0.01)
+        pipeline.node_diagnostics(source, history, basis, M, 0.01)
     if expected == "vacuum":
         first = min(bad)
-        mats = assemble(degenerate_density(M, first)[None], None, basis, M)
+        mats = assemble(degenerate_density(M, first)[None], np.zeros((1, M, M, 2)), basis, M)
         assert (err.value.min_eig, err.value.threshold) == (mats.min_eig[0], mats.threshold[0])
     else:
         assert err.value.t == times[-1]
-        np.testing.assert_array_equal(walked, times[:-1])
+        # Every node but the last was walked, in blocks of the walk's size.
+        assert stacks == [size, size, 1]

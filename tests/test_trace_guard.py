@@ -3,15 +3,16 @@
 perfbench/tracer.py patches torusflow's functions by name and the benchmark
 requires each workload to call a fixed set of layers.  A refactor that
 renames a patched function (LookupError at install) or stops calling a
-required layer fails here, in-process on `run` over the configs of the
-taylor and two_mode workloads, instead of only under the benchmark's
-`--trace 1`.  It also pins the ledger walk to blocks of nodes: one
-`build_state` per block.  The vacuum workload stays with the benchmark: its
-momentum probes synthesize outside `build_state`.  perfbench/ is only read.
+required layer fails here, in-process, instead of only under the
+benchmark's `--trace 1`: `run` over the configs of the taylor and two_mode
+workloads, and the vacuum workload's own sweep call on its config with a
+shorter horizon.  The `run` cases also pin the ledger walk to blocks of
+nodes: one `build_state` per block.  perfbench/ is only read.
 """
 
 import importlib
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -23,23 +24,31 @@ from torusflow.config import parse_config
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["taylor", "two_mode"])
-def test_tracer_reaches_every_required_layer(tmp_path, monkeypatch, capsys, workload):
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's workloads module."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    tracer_mod = importlib.import_module("tracer")
-    workloads = importlib.import_module("workloads")
+    return importlib.import_module("workloads")
 
-    tracer = tracer_mod.Tracer()
+
+def traced_layers_missing(workload, argv, capsys):
+    """Run the CLI under the benchmark's tracer; returns the tracer and the
+    workload's required layers that it never called."""
+    tracer = importlib.import_module("tracer").Tracer()
     tracer.install()
     try:
-        config = ROOT / workloads.WORKLOADS[workload].config
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert main(argv) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    return tracer, [layer for layer in workload.required_layers if tracer.calls[layer] == 0]
 
-    required = workloads.WORKLOADS[workload].required_layers
-    missing = [layer for layer in required if tracer.calls[layer] == 0]
+
+@pytest.mark.parametrize("workload", ["taylor", "two_mode"])
+def test_tracer_reaches_every_required_layer(tmp_path, capsys, workloads, workload):
+    config = ROOT / workloads.WORKLOADS[workload].config
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "run")]
+    tracer, missing = traced_layers_missing(workloads.WORKLOADS[workload], argv, capsys)
     assert not missing, missing
     # The ledger walk takes one build_state per block of nodes, plus one per
     # snapshot (taylor: 501 nodes at M = 16; two_mode: 61 nodes at M = 32
@@ -52,3 +61,16 @@ def test_tracer_reaches_every_required_layer(tmp_path, monkeypatch, capsys, work
     # Each stack of states is synthesized once: u, grad u and u_t in
     # build_state, lap u in residual_diagnostics, 4 calls per build_state.
     assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"]
+
+
+def test_tracer_reaches_every_vacuum_layer(tmp_path, capsys, workloads):
+    # The workload's own call, one floor of the sweep, on a copy of its
+    # config cut to T = 0.02 (8 steps).
+    workload = workloads.WORKLOADS["vacuum"]
+    config = tmp_path / "vacuum.cfg"
+    config.write_text(re.sub(r"(?m)^T = .*$", "T = 0.02", (ROOT / workload.config).read_text()))
+    assert parse_config(config).T == 0.02
+    (call,) = workload.calls
+    argv = workloads.call_argv(call, str(config), tmp_path)
+    _, missing = traced_layers_missing(workload, argv, capsys)
+    assert not missing, missing

