@@ -228,13 +228,13 @@ def parse_config(path) -> RunConfig:
 
 
 def build_basis(config: RunConfig) -> BasisSet:
-    # M resolves wavenumbers up to K = (M - 1) // 2 in each direction: at
-    # most (2K + 1)^2 - 1 modes, so a larger N aliases before any is listed.
-    K = (config.M - 1) // 2
-    if config.N > (2 * K + 1) ** 2 - 1:
+    # M resolves wavenumbers up to K = (M - 1) // 2 in each direction, at
+    # most (2K + 1)^2 - 1 modes: a larger N aliases before any is listed.
+    resolved = (2 * ((config.M - 1) // 2) + 1) ** 2 - 1
+    if config.N > resolved:
         raise ConfigError(
             f"M={config.M} aliases this basis; N={config.N} exceeds the "
-            f"{(2 * K + 1) ** 2 - 1} modes it resolves",
+            f"{resolved} modes it resolves",
             key="M",
         )
     basis = BasisSet(config.N)
