@@ -6,8 +6,8 @@ or lies under a file, and a `uniqueness --delta` that makes the density
 negative; for `gronwall-check` also an unreadable, malformed, inconsistent
 or non-finite input file), 3 for numerical divergence (including carried
 characteristic feet that drift from the exact ones, TransportDriftError), 4
-for a fixed-point iteration that fails to converge, 5 for a degenerate mass
-matrix caused by vanishing density.
+for a fixed-point iteration that fails to converge, 5 for a stage whose mass
+matrix fails the eigenvalue guard (with its eigenvalue and threshold).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _print_checks(checks: list[dict]) -> None:
 
 def cmd_run(args) -> int:
     config = parse_config(args.config)
-    result = run_simulation(config, seed=args.seed)
+    result = run_simulation(config)
     write_run_outputs(result, args.out)
     _print_checks(result.checks)
     pic = result.picard
@@ -160,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="solve one configuration and write its ledger")
     add_common(p_run)
-    p_run.add_argument(
-        "--seed",
-        choices=("initial", "zero"),
-        default="initial",
-        help="fixed-point starting field",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_conv = sub.add_parser("converge", help="mode-count refinement study")

@@ -9,8 +9,7 @@ Recognized keys:
     picard_tol    fixed-point stopping tolerance (default 1e-10)
     picard_max    iteration cap (default 30)
     dtau          characteristic backtracking step (default: dt)
-    density.kind  constant | bump | vacuum-well
-    density.floor_n   positive integer or `inf` (default: no floor)
+    density.kind  constant | bump | vacuum-well (vacuum is solved as given)
     u0.modes      initial velocity, entries `k1,k2,parity:amplitude`
                   joined by commas, e.g. `1,0,cos:0.3,0,1,cos:0.2`
     snapshots     comma-separated times in [0, T] for field snapshots (optional);
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet
-from .transport import DENSITY_CATALOG, DensitySource, lift_floor
+from .transport import DENSITY_CATALOG, DensitySource
 
 
 class ConfigError(ValueError):
@@ -57,7 +56,6 @@ class RunConfig:
     picard_tol: float = 1e-10
     picard_max: int = 30
     dtau: float | None = None
-    density_floor_n: int | None = None
     snapshots: list[float] = field(default_factory=list)
 
     @property
@@ -70,7 +68,6 @@ _KNOWN = set(_REQUIRED) | {
     "picard_tol",
     "picard_max",
     "dtau",
-    "density.floor_n",
     "snapshots",
 }
 
@@ -162,22 +159,6 @@ def parse_config_text(text: str) -> RunConfig:
             key="density.kind",
         )
 
-    floor_n: int | None = None
-    if "density.floor_n" in raw:
-        v = raw["density.floor_n"].lower()
-        if v not in ("inf", "none"):
-            try:
-                floor_n = int(v)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"density.floor_n must be a positive integer or inf: {exc}",
-                    key="density.floor_n",
-                ) from exc
-            if floor_n < 1:
-                raise ConfigError(
-                    "density.floor_n must be >= 1", key="density.floor_n"
-                )
-
     snapshots: list[float] = []
     if "snapshots" in raw and raw["snapshots"].strip():
         try:
@@ -195,7 +176,6 @@ def parse_config_text(text: str) -> RunConfig:
         picard_tol=_float("picard_tol") if "picard_tol" in raw else 1e-10,
         picard_max=_int("picard_max") if "picard_max" in raw else 30,
         dtau=_float("dtau") if "dtau" in raw else None,
-        density_floor_n=floor_n,
         snapshots=snapshots,
     )
     if cfg.T < cfg.dt:
@@ -247,10 +227,7 @@ def build_basis(config: RunConfig) -> BasisSet:
 
 
 def build_source(config: RunConfig) -> DensitySource:
-    source = DENSITY_CATALOG[config.density_kind]()
-    if config.density_floor_n is not None:
-        source = lift_floor(source, config.density_floor_n)
-    return source
+    return DENSITY_CATALOG[config.density_kind]()
 
 
 def build_u0(config: RunConfig, basis: BasisSet) -> np.ndarray:

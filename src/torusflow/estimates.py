@@ -313,14 +313,14 @@ class GronwallReport:
     message: str
 
 
-def gronwall_verify(inp: GronwallInput, f0: float | None = None) -> GronwallReport:
+def gronwall_verify(inp: GronwallInput) -> GronwallReport:
     """Check the hypotheses in integral form, then the conclusions pointwise.
 
     A hypothesis violation is reported as such (distinct from a conclusion
     failure).  Margins are signed (bound - observed), normalized by the local
     scale; negative means violated.  Every comparison allows GRONWALL_RTOL
-    relative and GRONWALL_ATOL absolute slack.  `f0` defaults to f[0] and
-    selects the exact bound (f0 = 0) or the offset extension."""
+    relative and GRONWALL_ATOL absolute slack.  f[0] selects the exact bound
+    (f[0] = 0, up to GRONWALL_ATOL) or the offset extension."""
     rtol, atol = GRONWALL_RTOL, GRONWALL_ATOL
     t, f, g, G = inp.t, inp.f, inp.g, inp.G
     IG = cumtrapz(t, G)
@@ -341,11 +341,10 @@ def gronwall_verify(inp: GronwallInput, f0: float | None = None) -> GronwallRepo
     hyp_margin = min(h1, h2)
     hypotheses_ok = hyp_margin >= 0.0
 
-    f0_eff = float(f[0]) if f0 is None else float(f0)
-    if f0_eff <= atol:
+    if f[0] <= atol:
         f_bound, eta_bound = gronwall_bounds(inp)
     else:
-        f_bound, eta_bound = gronwall_bounds_offset(inp, f0_eff)
+        f_bound, eta_bound = gronwall_bounds_offset(inp, float(f[0]))
 
     eta = g + IG
     f_margin = margin(f_bound + rtol * np.maximum(np.abs(f_bound), 1.0) + atol, f)

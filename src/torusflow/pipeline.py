@@ -51,7 +51,6 @@ from .solver import (
     residual_diagnostics,
 )
 from .transport import (
-    DENSITY_CATALOG,
     DensitySource,
     carried_densities,
     density_at,
@@ -376,7 +375,7 @@ def vacuum_sweep(config: RunConfig, floors) -> Study:
     `sup_grad_variation`; each completed floor n adds its run `n<n>` and
     `momentum_n<n>.ndjson`, the momentum probes in probe order (t
     descending)."""
-    base = DENSITY_CATALOG[config.density_kind]()
+    base = build_source(config)
     if base.lower > 0.0:
         raise ConfigError(
             f"vacuum sweep needs a density vanishing somewhere; "
@@ -489,7 +488,7 @@ def uniqueness_study(config: RunConfig, delta: float = 1e-3) -> Study:
     inp = GronwallInput(
         **curves, alpha=C * alpha_base, beta=C * beta_base, A=A, g0=float(curves["g"][0])
     )
-    report = gronwall_verify(inp, f0=float(curves["f"][0]))
+    report = gronwall_verify(inp)
     summary = {
         "seed_diff_max": seed_diff_max,
         "seed_pass": seed_pass,

@@ -5,11 +5,13 @@ rho = rho0 o Phi_v, the modal coefficients f of the unknown velocity satisfy
 
     A(t) f'(t) = -(B(t) + Lam) f(t),      f(0) = coefficients of u0,
 
-where A_ij = (rho w_j, w_i) is the density-weighted mass matrix (symmetric
-positive definite while the density stays away from zero), B_ij =
+where A_ij = (rho w_j, w_i) is the density-weighted mass matrix, B_ij =
 (rho (v . grad) w_j, w_i), and Lam = diag(lam_i) collects the Stokes
-eigenvalues.  Both matrices are assembled by trapezoid quadrature on the
-M x M grid for every Runge-Kutta stage time, in blocks of stage times: with
+eigenvalues.  A is positive definite at every finite N whenever rho is
+positive on an open set, vacuum elsewhere included; the eigenvalue guard
+checks this at every stage and is the one place that refuses a density.
+Both matrices are assembled by trapezoid quadrature on the M x M grid for
+every Runge-Kutta stage time, in blocks of stage times: with
 w_n = MODE_NORM d_n T_n(x) and G_ij = h^2 MODE_NORM^2 (d_i . d_j),
 
     A_ij = G_ij sum_x rho T_i T_j,    B_ij = G_ij sum_x rho T_i T'_j (v . k_j),
@@ -53,7 +55,8 @@ class PicardNonConvergenceError(RuntimeError):
 
 
 class VacuumDegenerateError(RuntimeError):
-    """Mass matrix numerically singular (density too close to vacuum)."""
+    """A stage's mass matrix failed the eigenvalue guard: numerically
+    singular (a density support too small for the basis) or not finite."""
 
     def __init__(self, min_eig: float, threshold: float):
         super().__init__(
@@ -249,13 +252,9 @@ def picard_solve(
     (`seed="initial"`), or the zero field (`seed="zero"`).  Convergence is
     declared when sup over node times of the coefficient difference falls
     below `tol`; hitting `max_iter` first raises PicardNonConvergenceError
-    carrying the contraction history.
+    carrying the contraction history.  Vacuum is solved as given; only the
+    stage guard (VacuumDegenerateError) refuses a density.
     """
-    if source.lower <= 0.0:
-        # The mass matrix loses its uniform coercivity bound the moment the
-        # density can vanish; demand a positive floor up front instead of
-        # letting a near-singular factorization produce garbage.
-        raise VacuumDegenerateError(source.lower, 0.0)
     u0 = np.asarray(u0_coeffs, dtype=float)
     if seed == "initial":
         v = VelocityHistory.constant(basis, u0, T)

@@ -389,9 +389,7 @@ class TransportGrowthReport:
     worst_time: float
 
 
-def transport_growth_check(
-    times, w1gamma, gradv_inf, eps: float = 1e-2
-) -> TransportGrowthReport:
+def transport_growth_check(times, w1gamma, gradv_inf, eps: float) -> TransportGrowthReport:
     """Check ||rho(t)||_{W^{1,gamma}} <= exp(int_0^t ||grad v||_inf) ||rho0||.
 
     The exponent integral is trapezoid on the sample grid; `eps` is the

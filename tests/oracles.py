@@ -7,8 +7,9 @@ backtracked or carried like a VelocityHistory), a spectral gradient for
 that it builds itself with `BasisSet.velocity_at` and `gradient_at`
 (per-point evaluation, independent of the scalar grid tables that the
 solver assembles from), the ledger walk one node at a time, which the
-block walk of `pipeline.node_diagnostics` must reproduce, and a scripted
-density source that puts chosen densities through the real carried sweep.
+block walk of `pipeline.node_diagnostics` must reproduce, a scripted
+density source that puts chosen densities through the real carried sweep,
+and a density of narrow support that fails the mass-matrix guard.
 """
 
 import itertools
@@ -77,6 +78,19 @@ def scripted_density(density, lower=1.0, upper=1.0) -> DensitySource:
     time gets density(j) whatever the feet."""
     calls = itertools.count()
     return DensitySource(lambda feet: density(next(calls)), lower, upper)
+
+
+def narrow_density(r: float = 0.2) -> DensitySource:
+    """rho0 = max(0, 1 - |x|^2/r^2)^2 with |x| the periodic distance to the
+    origin: vacuum outside a disc of radius r.  A 16 x 16 grid samples it at
+    the origin alone, so there its quadrature mass matrix has rank at most 2
+    and fails the eigenvalue guard for any N > 2."""
+
+    def value(points):
+        d = np.mod(np.asarray(points) + np.pi, 2.0 * np.pi) - np.pi
+        return np.maximum(0.0, 1.0 - (d * d).sum(axis=-1) / r**2) ** 2
+
+    return DensitySource(value, 0.0, 1.0)
 
 
 def spectral_gradient(scalar: np.ndarray) -> np.ndarray:

@@ -2,17 +2,19 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import narrow_density
 
 from torusflow import basis as basis_module
-from torusflow import cli, pipeline
+from torusflow import cli, pipeline, transport
 from torusflow.cli import main
 from torusflow.config import (
     ConfigError,
     build_basis,
-    build_source,
     build_u0,
     parse_config_text,
 )
@@ -45,13 +47,11 @@ def test_parse_good_config():
 
 def test_parse_optional_keys():
     cfg = parse_config_text(
-        GOOD + "picard_tol = 1e-12\npicard_max = 5\ndtau = 0.002\n"
-        "density.floor_n = 50\nsnapshots = 0.0, 0.05\n"
+        GOOD + "picard_tol = 1e-12\npicard_max = 5\ndtau = 0.002\nsnapshots = 0.0, 0.05\n"
     )
     assert cfg.picard_tol == 1e-12
     assert cfg.picard_max == 5
     assert cfg.backtrack_step == 0.002
-    assert cfg.density_floor_n == 50
     assert cfg.snapshots == [0.0, 0.05]
 
 
@@ -62,10 +62,16 @@ def test_missing_key_names_the_key():
     assert err.value.key == "N"
 
 
-def test_unknown_and_duplicate_keys_rejected():
-    with pytest.raises(ConfigError) as err:
-        parse_config_text(GOOD + "bogus = 1\n")
-    assert err.value.key == "bogus"
+def test_unknown_and_duplicate_keys_rejected(tmp_path, capsys):
+    # density.floor_n is not a key: a single run solves the density as
+    # given, and floors come from `vacuum-sweep --n-list`.
+    for key in ("bogus", "density.floor_n"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(GOOD + f"{key} = 20\n")
+        assert err.value.key == key
+        cfg = write_config(tmp_path, GOOD + f"{key} = 20\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         parse_config_text(GOOD + "N = 5\n")
 
@@ -115,15 +121,6 @@ def test_build_u0_drops_out_of_span_modes():
     u0 = build_u0(cfg, basis)
     assert abs(u0[0] - 0.3) < 1e-15
     assert np.count_nonzero(u0) == 1
-
-
-def test_build_source_applies_floor():
-    cfg = parse_config_text(
-        GOOD.replace("density.kind = bump", "density.kind = vacuum-well")
-        + "density.floor_n = 20\n"
-    )
-    src = build_source(cfg)
-    assert src.lower == 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +187,21 @@ def test_snapshot_files_hold_the_state(tmp_path):
     assert abs(p.mean()) < 1e-13 and np.abs(p).max() > 0.0
 
 
+def test_cli_run_solves_at_vacuum(tmp_path, capsys):
+    # The bare well, with no floor: the mass matrices pass the stage guard
+    # and every check holds with the density's minimum at 0.
+    text = (Path(__file__).resolve().parent.parent / "configs" / "vacuum.cfg").read_text()
+    cfg = write_config(tmp_path, re.sub(r"(?m)^T = .*$", "T = 0.02", text))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    checks = {c["check"]: c for c in map(json.loads, (out / "checks.ndjson").read_text().splitlines())}
+    assert len(checks) == 9 and all(c["pass"] for c in checks.values())
+    assert checks["max_principle"]["details"]["lower"] == 0.0
+    ledger = [json.loads(line) for line in (out / "ledger.ndjson").read_text().splitlines()]
+    assert {row["rho_min"] for row in ledger} == {0.0}
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     cfg = write_config(tmp_path, TAYLOR)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -199,18 +211,23 @@ def test_cli_outputs_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # Config errors exit 2: bad key, missing file.
     bad = write_config(tmp_path, TAYLOR + "bogus = 1\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x")]) == 2
-    # Unfloored vanishing density exits 5.
-    vac = write_config(
-        tmp_path,
-        TAYLOR.replace("density.kind = constant", "density.kind = vacuum-well"),
-        name="vac.cfg",
+    # A density the 16-point grid sees at one node fails the stage guard:
+    # exit 5 with the stage's own eigenvalue and a positive threshold.
+    monkeypatch.setitem(transport.DENSITY_CATALOG, "narrow", narrow_density)
+    narrow = write_config(
+        tmp_path, TAYLOR.replace("density.kind = constant", "density.kind = narrow"), "narrow.cfg"
     )
-    assert main(["run", "--config", str(vac), "--out", str(tmp_path / "x")]) == 5
+    capsys.readouterr()
+    assert main(["run", "--config", str(narrow), "--out", str(tmp_path / "x")]) == 5
+    err = capsys.readouterr().err
+    found = re.search(r"min eigenvalue (\S+) <= threshold (\S+)", err)
+    assert found, err
+    assert 0.0 < float(found.group(2)) and float(found.group(1)) <= float(found.group(2))
     # A Picard cap of zero iterations exits 4.
     cap = write_config(tmp_path, TAYLOR + "picard_max = 1\npicard_tol = 1e-30\n", name="cap.cfg")
     assert main(["run", "--config", str(cap), "--out", str(tmp_path / "x")]) == 4

@@ -199,7 +199,7 @@ def test_gronwall_verify_synthetic_pass():
     inp = GronwallInput(
         t=t, f=f, g=g, G=G, alpha=np.zeros_like(t), beta=np.ones_like(t), A=1.5, g0=4.0
     )
-    report = gronwall_verify(inp, f0=0.0)
+    report = gronwall_verify(inp)
     assert report.hypotheses_ok, report.hypothesis_margin
     assert report.passed, (report.f_margin, report.eta_margin)
 
@@ -213,7 +213,7 @@ def test_gronwall_verify_flags_corrupted_trajectory():
         t=t, f=10.0 * f, g=g, G=G, alpha=np.zeros_like(t), beta=np.ones_like(t),
         A=1.5, g0=4.0,
     )
-    report = gronwall_verify(inp, f0=0.0)
+    report = gronwall_verify(inp)
     assert not report.passed
     assert report.message in ("hypotheses fail", "conclusion fails")
 
@@ -230,7 +230,7 @@ def test_gronwall_verify_conclusion_failure_is_distinguished():
         t=t, f=f, g=g, G=G, alpha=np.zeros_like(t), beta=np.zeros_like(t),
         A=1.0, g0=0.01,
     )
-    report = gronwall_verify(inp, f0=0.0)
+    report = gronwall_verify(inp)
     assert report.hypotheses_ok
     assert not report.conclusion_ok
     assert report.message == "conclusion fails"
@@ -261,7 +261,7 @@ def test_fit_gronwall_constants_recovers_ratios():
         t=t, f=f, g=g, G=G, alpha=C * alpha_base, beta=C * beta_base, A=A,
         g0=float(g[0]),
     )
-    assert gronwall_verify(inp, f0=0.0).hypotheses_ok
+    assert gronwall_verify(inp).hypotheses_ok
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,6 @@ def test_transport_growth_catches_corruption():
 def test_transport_growth_zero_velocity_margin_one():
     times = np.linspace(0.0, 1.0, 5)
     w1 = np.full(5, 2.0)
-    report = transport_growth_check(times, w1, np.zeros(5))
+    report = transport_growth_check(times, w1, np.zeros(5), eps=0.0)
     assert report.passed
     assert abs(report.worst_margin - 1.0) < 1e-15
