@@ -165,7 +165,8 @@ def _stage_operators(
 
     Failures surface in stage order: a block's VacuumDegenerateError when its
     stage is reached, and the sweep's TransportDriftError, raised at its last
-    time, after every earlier stage has been yielded."""
+    time or at its first non-finite displacement, after every earlier stage
+    has been yielded."""
     points = basis.grid(M).points
     for lo, rho in carried_densities(source, v_hist, M, stage_times, dtau, _BLOCK):
         coeffs = np.stack([v_hist.coeffs_at(t) for t in stage_times[lo : lo + len(rho)]])

@@ -9,29 +9,35 @@ all, vacuum included.
 Two ways compute the feet Phi(0; x, t) on the M x M grid:
 
 * `carried_densities` walks a trajectory forward through increasing times
-  t_1 < t_2 < ... and carries the periodic displacement D_j = Phi(0; x, t_j)
-  - x on the grid.  One RK4 backward step from t_j to t_{j-1} (sub-stepped to
-  at most `dtau`) takes the grid points x to points y, and
-  D_j = y + D_{j-1}(y) - x, with D_{j-1}(y) the trigonometric interpolant of
-  D_{j-1}.  A whole trajectory costs one step per interval, linear in the
-  number of times (semi-Lagrangian advection: Staniforth & Cote 1991;
-  characteristic-Galerkin: Pironneau 1982).
-* `backtrack` integrates dPhi/dtau = v(Phi, tau) from tau = t all the way
-  down to tau = 0.  `density_at` uses it for a single time off the walked
-  grid (snapshots, momentum probes), and it is the exact oracle for the
-  carried map.
+  t_1 < t_2 < ... and carries the periodic displacement D = X - x of the
+  back-to-label map X = Phi(0; x, t), which solves d_t X + (v . grad) X = 0
+  (Constantin 2001, J. AMS 14), so d_t D = -(v . grad) D - v.  One label
+  step per interval integrates that with RK4 in time, sub-stepped to at
+  most `dtau`, on the grid nodes: v is sampled there and grad D is
+  pseudo-spectral, D_x + i D_y through one fft2 and one inverse with the
+  Nyquist row and column dropped (Canuto, Hussaini, Quarteroni & Zang,
+  Spectral Methods, 2006).  That is O(M^2 log M) per step, nothing off the
+  grid, and linear in the number of times.
+* `backtrack` integrates the characteristic ODE dPhi/dtau = v(Phi, tau) at
+  arbitrary points from tau = t down to tau = 0.  `density_at` uses it for a
+  single time off the walk (snapshots, momentum probes); it is also the
+  exact oracle for the carried map.
 
-Both share one RK4 step, so the carried map differs from exact feet only by
-the interpolation.  At the end of every carried walk a few grid nodes are
-integrated back exactly through the walked times, with the walk's own RK4
-steps; a carried foot further than DRIFT_LIMIT from its exact foot raises
-TransportDriftError, because the grid then under-resolves the displacement.
+The two are independent discretizations of one map, Eulerian on the grid
+and Lagrangian per point, with the same RK4 steps in time.  At the end of
+every walk, or as soon as the displacement stops being finite, eight grid
+nodes are integrated back exactly through the walked times, with the
+walk's own steps; a carried foot further than DRIFT_LIMIT from its exact
+foot raises TransportDriftError: the grid under-resolves the displacement,
+or an unstable time step has blown the velocity up.
 
-A trajectory is anything with `field_at(t)`, the velocity at time t as a
-function of points; each RK4 step takes the field of each of its three
-times once.  A carried sweep hands its densities to the Picard assembly and
-to the ledger walk as stacked blocks, and raises a drift error only after
-the block of every earlier density has been handed on.
+A trajectory is anything with `grid_velocity(t, M)` and `field_at(t)`, the
+velocity at time t on the M x M grid and as a function of points, like a
+VelocityHistory.  Each RK4 step takes the field of each of its three times
+once; a step's end field starts the next step, across intervals too.  A
+sweep hands its densities to the Picard assembly and to the ledger walk in
+stacked blocks, and raises a drift error only after the block of every
+earlier density has been handed on.
 
 Constant sources skip the characteristics altogether.  Feet are reported
 without modular reduction, which is harmless because every initial density
@@ -42,6 +48,7 @@ are taken with the `fields` norm functions in the pipeline's ledger walk.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -51,7 +58,8 @@ from .basis import BasisSet
 from .fields import grid_points
 
 # Largest distance allowed between a carried foot and its exact backtrack.
-# The carried map matches the exact feet to ~1e-14 on resolved flows.
+# On resolved flows the label steps match the exact feet to ~1e-14; under a
+# strong flow (u0 amplitudes 1.5, 1.0, 0.7, RK4 steps of 0.01) to 6.7e-13.
 DRIFT_LIMIT = 1e-10
 
 
@@ -64,17 +72,22 @@ class DivergenceError(RuntimeError):
 
 
 class TransportDriftError(DivergenceError):
-    """The carried back-to-label map left the exact feet: the M x M grid
-    under-resolves the displacement."""
+    """The carried back-to-label map left the exact feet: the grid
+    under-resolves the displacement, or the velocity blew up, which a huge
+    or non-finite `speed`, the largest |v| on the grid at the walked times,
+    tells apart."""
 
-    def __init__(self, t: float, drift: float):
+    def __init__(self, t: float, drift: float, speed: float):
         super().__init__(
             t,
             f"carried characteristic feet drift {drift:.3e} from the exact "
-            f"backtrack at t={t:g} (limit {DRIFT_LIMIT:g}); the grid "
-            "under-resolves the displacement",
+            f"backtrack at t={t:g} (limit {DRIFT_LIMIT:g}); largest |v| on "
+            f"the grid {speed:.3e}: either the grid under-resolves the "
+            "displacement (raise M), or an unstable time step blew up the "
+            "velocity (lower dt)",
         )
         self.drift = drift
+        self.speed = speed
 
 
 @dataclass(frozen=True)
@@ -218,28 +231,61 @@ class VelocityHistory:
         coeffs = self.coeffs_at(t)
         return lambda points: self.basis.velocity_at(points, coeffs)
 
+    def grid_velocity(self, t: float, M: int) -> np.ndarray:
+        """The velocity at time t on the M x M grid nodes, (M, M, 2)."""
+        return self.basis.grid(M).synthesize(self.coeffs_at(t))
 
-def _integrate_back(history, pts: np.ndarray, t_from: float, t_to: float, dtau: float):
-    """RK4 for dPhi/dtau = v(Phi, tau) from tau = t_from down to t_to, in
-    equal steps of at most `dtau`; `history` is anything with `field_at(t)`,
-    like a VelocityHistory.  Each time's field is taken once: k2 and
-    k3 share the midpoint field, and a step's k4 field is the next step's
-    k1 field."""
-    steps = max(1, int(np.ceil((t_from - t_to) / dtau - 1e-12)))
-    h = (t_from - t_to) / steps
+
+def _rk4(y, rate, field, t_from: float, t_to: float, dtau: float, start=None):
+    """Classical RK4 for dy/dtau = rate(y, v(tau)) from tau = t_from to t_to,
+    either way in time, in equal steps of at most `dtau`; `field(tau)` gives
+    v(tau).  Each time's field is taken once: k2 and k3 share the midpoint
+    field, and a step's end field is the next step's start.  Takes v(t_from)
+    as `start` when the caller has it; returns y and v(t_to)."""
+    steps = max(1, int(np.ceil(abs(t_to - t_from) / dtau - 1e-12)))
+    h = (t_to - t_from) / steps
     tau = t_from
-    start = history.field_at(tau)
+    if start is None:
+        start = field(tau)
     for _ in range(steps):
-        mid = history.field_at(tau - 0.5 * h)
-        end = history.field_at(tau - h)
-        k1 = start(pts)
-        k2 = mid(pts - 0.5 * h * k1)
-        k3 = mid(pts - 0.5 * h * k2)
-        k4 = end(pts - h * k3)
-        pts = pts - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau -= h
+        mid = field(tau + 0.5 * h)
+        end = field(tau + h)
+        k1 = rate(y, start)
+        k2 = rate(y + 0.5 * h * k1, mid)
+        k3 = rate(y + 0.5 * h * k2, mid)
+        k4 = rate(y + h * k3, end)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tau += h
         start = end
-    return pts
+    return y, start
+
+
+def _characteristic_rate(points: np.ndarray, field) -> np.ndarray:
+    """dPhi/dtau = v(Phi, tau) for a field given as a function of points."""
+    return field(points)
+
+
+@functools.lru_cache(maxsize=None)
+def _spectral_derivative(M: int) -> np.ndarray:
+    """i k_alpha on the fft2 spectrum of an M x M grid field, shape (2, M, M)
+    for alpha = x, y, zero on the Nyquist row and column of an even M, so
+    that the derivative of a real field stays real and every wavenumber
+    |k| < M/2 is differentiated exactly."""
+    k = np.fft.fftfreq(M, 1.0 / M)
+    keep = np.abs(k) < M / 2  # drops the Nyquist wavenumber -M/2 of an even M
+    mask = keep[:, None] & keep[None, :]
+    return np.stack([1j * k[:, None] * mask, 1j * k[None, :] * mask])
+
+
+def _label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """d_t D = -(v . grad) D - v on the grid, for the displacement packed as
+    D = D_x + i D_y, (M, M) complex, and the velocity v (M, M, 2).  The
+    spectral derivative maps real fields to real fields, so one complex
+    fft2 and one inverse of the two derivatives differentiate both
+    components at once."""
+    grad = np.fft.ifft2(_spectral_derivative(disp.shape[0]) * np.fft.fft2(disp))
+    vx, vy = v[..., 0], v[..., 1]
+    return -(vx * grad[0] + vy * grad[1]) - (vx + 1j * vy)
 
 
 def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
@@ -253,7 +299,7 @@ def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
         return pts
     if t < 0.0 or dtau <= 0.0:
         raise ValueError("need t >= 0 and dtau > 0")
-    return _integrate_back(history, pts, t, 0.0, dtau)
+    return _rk4(pts, _characteristic_rate, history.field_at, t, 0.0, dtau)[0]
 
 
 def density_at(
@@ -274,20 +320,21 @@ def carried_densities(
     blocks: yields (lo, rho) with rho (S, M, M) the densities at times
     lo .. lo + S - 1, S at most `size`, each block filled in place.
 
-    Each density costs one RK4 step back to the previous time (0 before the
-    first), sub-stepped to at most `dtau`, plus one trigonometric
-    interpolation, instead of a backtrack all the way to 0.  At the last
-    time the carried feet at a few grid nodes are compared with their exact
-    feet, integrated back through the same times; a difference above
-    DRIFT_LIMIT raises TransportDriftError, after the block of every earlier
-    density has been yielded, so that a caller's failure at an earlier time
-    surfaces first.  Constant sources take `density_at` at each time.
+    Each density costs one label step from the previous time (0 before the
+    first) instead of a backtrack all the way to 0.  At the last time, or at
+    the first non-finite displacement, the drift guard compares carried and
+    exact feet; its TransportDriftError comes after the block of every
+    earlier density has been yielded, so that a caller's failure at an
+    earlier time surfaces first.  Constant sources take `density_at` at
+    each time.
     """
     if dtau <= 0.0 and not source.constant:
         raise ValueError("need dtau > 0")
     x = grid_points(M)
-    disp = np.zeros_like(x)
+    disp = np.zeros((M, M), dtype=complex)  # D_x + i D_y
     walked = [0.0]
+    grid_field = functools.partial(history.grid_velocity, M=M)
+    field = None
     last = len(times) - 1
     for lo in range(0, len(times), size):
         block = np.empty((min(size, len(times) - lo), M, M))
@@ -298,11 +345,10 @@ def carried_densities(
             if t < walked[-1]:
                 raise ValueError("need increasing times from t >= 0")
             if t > walked[-1]:
-                y = _integrate_back(history, x, t, walked[-1], dtau)
-                disp = y + trig_interpolate(disp, y) - x
+                disp, field = _rk4(disp, _label_rate, grid_field, walked[-1], t, dtau, field)
                 walked.append(t)
-            feet = x + disp
-            if lo + s == last:
+            feet = x + np.stack([disp.real, disp.imag], axis=-1)
+            if lo + s == last or not np.isfinite(disp).all():
                 try:
                     _check_drift(history, feet, walked, dtau)
                 except TransportDriftError:
@@ -315,71 +361,21 @@ def carried_densities(
 
 def _check_drift(history, feet: np.ndarray, walked: list, dtau: float) -> None:
     """Compare carried feet at the last walked time with exact feet at eight
-    grid nodes, one per eighth of the rows, on distinct columns.
-
-    The exact feet are integrated back through the walked times in reverse,
-    with the same RK4 steps as the walk, so the difference is the
-    interpolation drift alone and not the gap between two time partitions.
-    """
+    grid nodes, one per eighth of the rows, on distinct columns.  The exact
+    feet follow the characteristic ODE back through the walked times with
+    the walk's own RK4 steps, so that the difference is the gap between the
+    two discretizations, not between two time partitions."""
     M = feet.shape[0]
     rows = np.arange(8) * M // 8
     cols = (3 * rows) % M
-    exact = grid_points(M)[rows, cols]
+    exact, field = grid_points(M)[rows, cols], None
     for hi, lo in zip(walked[:0:-1], walked[-2::-1]):
-        exact = _integrate_back(history, exact, hi, lo, dtau)
+        exact, field = _rk4(exact, _characteristic_rate, history.field_at, hi, lo, dtau, field)
     drift = float(np.abs(feet[rows, cols] - exact).max())
     if not drift <= DRIFT_LIMIT:
-        raise TransportDriftError(float(walked[-1]), drift)
-
-
-# Points per block in trig_interpolate: keeps its complex tables at
-# O(M * _BLOCK) memory instead of O(M^3), and in cache.
-_BLOCK = 256
-
-
-def _fourier_powers(z: np.ndarray, count: int) -> np.ndarray:
-    """Rows z**0 .. z**(count-1) of the unit complex numbers z, by the
-    doubling recurrence z**(n + k) = z**n * z**k."""
-    table = np.empty((count, z.size), dtype=complex)
-    table[0] = 1.0
-    filled = 1
-    while filled < count:
-        step = min(filled, count - filled)
-        np.multiply(table[:step], table[filled - 1] * z, out=table[filled : filled + step])
-        filled += step
-    return table
-
-
-def trig_interpolate(values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolant of periodic grid samples at arbitrary points.
-
-    `values` holds (M, M, C) real samples on the grid nodes (2pi a/M, 2pi b/M);
-    `points` has shape (..., 2).  Returns (..., C).  For even M the Nyquist
-    row and column are dropped, so the interpolant is real and reproduces
-    every wavenumber |k| < M/2 in each direction exactly.
-    """
-    M, C = values.shape[0], values.shape[2]
-    half = M // 2 + 1
-    pts = np.asarray(points, dtype=float)
-    flat = pts.reshape(-1, 2)
-    coef = np.fft.rfft2(np.moveaxis(values, -1, 0)) / (M * M)  # [c, kx, ky >= 0]
-    if M % 2 == 0:
-        coef[:, M // 2] = 0.0
-        coef[:, :, M // 2] = 0.0
-    # A term ky > 0 also stands for its conjugate partner -ky: keep twice the
-    # real part.  Shifting kx up by M//2 makes every x power nonnegative; the
-    # factor exp(-i (M//2) x) undoes the shift.
-    coef[:, :, 1:] *= 2.0
-    coef = np.fft.fftshift(coef, axes=1).transpose(0, 2, 1).reshape(C * half, M)
-    out = np.empty((flat.shape[0], C))
-    for lo in range(0, flat.shape[0], _BLOCK):
-        block = flat[lo : lo + _BLOCK]
-        ex = _fourier_powers(np.exp(1j * block[:, 0]), M)
-        ey = _fourier_powers(np.exp(1j * block[:, 1]), half)
-        partial = (coef @ ex).reshape(C, half, -1)
-        sums = np.einsum("ckp,kp->cp", partial, ey) * ex[M // 2].conj()
-        out[lo : lo + _BLOCK] = sums.real.T
-    return out.reshape(pts.shape[:-1] + (C,))
+        v = np.array([history.grid_velocity(t, M) for t in walked])
+        speed = float(np.sqrt((v * v).sum(axis=-1)).max())
+        raise TransportDriftError(float(walked[-1]), drift, speed)
 
 
 @dataclass

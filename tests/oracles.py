@@ -1,8 +1,9 @@
 """Closed-form oracles the tests compare torusflow against.
 
 Velocity fields with explicit characteristics (anything with
-`field_at(t)`, the velocity at time t as a function of points, can be
-backtracked or carried like a VelocityHistory), a spectral gradient for
+`field_at(t)`, the velocity at time t as a function of points, and
+`grid_velocity(t, M)`, its samples on the M x M grid, can be backtracked or
+carried like a VelocityHistory), a spectral gradient for
 (M, M) grid fields, the one-stage Galerkin assembly from vector mode tables
 that it builds itself with `BasisSet.velocity_at` and `gradient_at`
 (per-point evaluation, independent of the scalar grid tables that the
@@ -19,17 +20,20 @@ import numpy as np
 
 from torusflow.basis import MODE_NORM
 from torusflow.estimates import GAMMA, EstimateLedger
-from torusflow.fields import fd_gradient, lp_norm, w1gamma_norm
+from torusflow.fields import fd_gradient, grid_points, lp_norm, w1gamma_norm
 from torusflow.solver import build_state, residual_diagnostics
 from torusflow.transport import DensitySource, carried_densities
 
 
 class PointwiseVelocity:
-    """A velocity given by `velocity_at(points, t)`; `field_at` is the
-    history interface that transport integrates."""
+    """A velocity given by `velocity_at(points, t)`; `field_at` and
+    `grid_velocity` are the history interface that transport integrates."""
 
     def field_at(self, t: float):
         return lambda points: self.velocity_at(points, t)
+
+    def grid_velocity(self, t: float, M: int) -> np.ndarray:
+        return self.velocity_at(grid_points(M), t)
 
 
 class ConstantVelocity(PointwiseVelocity):

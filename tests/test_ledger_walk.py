@@ -98,7 +98,7 @@ def test_walk_reports_first_failure_in_node_order(monkeypatch, degenerate, drift
     if drift:
 
         def drifted(history, feet, walked, dtau):
-            raise TransportDriftError(float(walked[-1]), 1.0)
+            raise TransportDriftError(float(walked[-1]), 1.0, 0.0)
 
         monkeypatch.setattr(transport, "_check_drift", drifted)
 

@@ -246,7 +246,7 @@ def test_pass_reports_first_failure_in_stage_order(
     if drift:
 
         def drifted(history, feet, walked, dtau):
-            raise TransportDriftError(float(walked[-1]), 1.0)
+            raise TransportDriftError(float(walked[-1]), 1.0, 0.0)
 
         monkeypatch.setattr(transport, "_check_drift", drifted)
     zero = VelocityHistory.constant(basis, np.zeros(4), 0.1)

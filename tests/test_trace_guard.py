@@ -7,7 +7,8 @@ required layer fails here, in-process, instead of only under the
 benchmark's `--trace 1`: `run` over the configs of the taylor and two_mode
 workloads, and the vacuum workload's own sweep call on its config with a
 shorter horizon.  The `run` cases also pin the ledger walk to blocks of
-nodes: one `build_state` per block.  perfbench/ is only read.
+nodes, one `build_state` per block, and the carried sweeps to one grid
+velocity per RK4 time.  perfbench/ is only read.
 """
 
 import importlib
@@ -60,7 +61,19 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, workloads, worklo
     assert tracer.calls["solver.build_state"] == blocks + len(cfg.snapshots)
     # Each stack of states is synthesized once: u, grad u and u_t in
     # build_state, lap u in residual_diagnostics, 4 calls per build_state.
-    assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"]
+    # The carried sweeps add one grid velocity per RK4 time: a start field,
+    # then a midpoint and an end field per label sub-step of at most dtau.
+    # Each Picard pass walks 2 * steps stage intervals of dt/2, the ledger
+    # walk steps node intervals of dt (two_mode: 4 passes x (1 + 2 x 120)
+    # + (1 + 2 x 60) = 1,085).  A constant density (taylor) walks nothing.
+    steps = round(cfg.T / cfg.dt)
+    sub_steps = lambda span: math.ceil(span / cfg.backtrack_step - 1e-12)
+    sweeps = 0
+    if cfg.density_kind != "constant":
+        passes = tracer.calls["solver.solve_linearized"]
+        sweeps = passes * (1 + 2 * 2 * steps * sub_steps(cfg.dt / 2))
+        sweeps += 1 + 2 * steps * sub_steps(cfg.dt)
+    assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"] + sweeps
 
 
 def test_tracer_reaches_every_vacuum_layer(tmp_path, capsys, workloads):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from oracles import ConstantVelocity, ShearVelocity
 
-from torusflow.basis import BasisSet
+from torusflow import transport
+from torusflow.basis import MODE_NORM, BasisGrid, BasisSet
 from torusflow.estimates import GAMMA, convergence_orders
 from torusflow.fields import fd_gradient, grid_points, lp_norm, w1gamma_norm
 from torusflow.pipeline import node_diagnostics
 from torusflow.solver import DivergenceError, solve_linearized
 from torusflow.transport import (
     DENSITY_CATALOG,
+    DensitySource,
     TransportDriftError,
     VelocityHistory,
     backtrack,
@@ -21,7 +23,6 @@ from torusflow.transport import (
     lift_floor,
     shift_density,
     transport_growth_check,
-    trig_interpolate,
     vacuum_well_density,
 )
 
@@ -220,17 +221,6 @@ def test_density_time_derivative_oracle():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("M", [7, 8, 15])
-def test_trig_interpolate_reproduces_resolved_modes(M):
-    def field(p):
-        x, y = p[..., 0], p[..., 1]
-        return np.stack([np.sin(2 * x + y) + np.cos(3 * y), np.cos(x - 2 * y) - 0.5], -1)
-
-    pts = RNG.uniform(-4.0, 10.0, (40, 2))
-    got = trig_interpolate(field(grid_points(M)), pts)
-    np.testing.assert_allclose(got, field(pts), atol=1e-13)
-
-
 def sweep(source, velocity, M, times, dtau, size=5):
     """A carried sweep's blocks stacked in time order; the blocks must be
     consecutive and all but the last of the full size."""
@@ -243,6 +233,41 @@ def sweep(source, velocity, M, times, dtau, size=5):
 def carried_and_exact(source, velocity, M, times, dtau):
     exact = [density_at(source, velocity, M, t, dtau) for t in times]
     return sweep(source, velocity, M, times, dtau), np.array(exact)
+
+
+def carried_feet(velocity, M, times, dtau):
+    """The carried feet (len(times), M, M, 2), read through the sweep's own
+    density evaluations."""
+    feet = []
+    source = DensitySource(lambda p: feet.append(p) or np.zeros(p.shape[:-1]), 0.0, 0.0)
+    sweep(source, velocity, M, times, dtau)
+    return np.array(feet)
+
+
+@pytest.mark.parametrize("M", [7, 8, 15])
+def test_label_step_reproduces_resolved_modes(M):
+    # The rate -(v . grad) D - v of a displacement of resolved modes in both
+    # directions, against its closed form: for even M the Nyquist row and
+    # column are dropped, and every |k| < M/2 stays exact.
+    x, y = grid_points(M)[..., 0], grid_points(M)[..., 1]
+    disp = np.stack([np.sin(2 * x + y) + np.cos(3 * y), np.cos(x - 2 * y) - 0.5], -1)
+    if M % 2 == 0:
+        # Nyquist modes, flat on the nodes: kept, they would leak into D_y.
+        disp[..., 0] += np.cos(M / 2 * x) + np.cos(M / 2 * y)
+    grad = np.empty((M, M, 2, 2))
+    grad[..., 0, 0], grad[..., 0, 1] = 2 * np.cos(2 * x + y), np.cos(2 * x + y) - 3 * np.sin(3 * y)
+    grad[..., 1, 0], grad[..., 1, 1] = -np.sin(x - 2 * y), 2 * np.sin(x - 2 * y)
+    v = np.stack([np.cos(y) + 0.3, np.sin(2 * x)], -1)
+    expected = -np.einsum("abij,abj->abi", grad, v) - v
+    rate = transport._label_rate(disp[..., 0] + 1j * disp[..., 1], v)
+    np.testing.assert_allclose(np.stack([rate.real, rate.imag], -1), expected, rtol=0, atol=1e-13)
+    # Carried along a steady shear, one resolved mode, the feet are the
+    # closed-form ones: RK4 integrates a constant rate exactly.
+    shear = ShearVelocity(amplitude=0.9)
+    times = np.linspace(0.0, 0.6, 7)
+    feet = carried_feet(shear, M, times, 0.05)
+    exact = np.array([shear.feet(grid_points(M), t) for t in times])
+    assert np.abs(feet - exact).max() <= 1e-13
 
 
 @pytest.mark.parametrize("M, omega, rk4_error", [(16, 0.0, 1e-13), (15, 2.0, 1e-9)])
@@ -306,15 +331,63 @@ def test_drift_guard_fires_on_under_resolved_displacement():
     assert err.value.drift > 1e-10 and err.value.t == 1.0
 
 
+@pytest.mark.parametrize("flow", ["many-mode", "strong"])
+def test_carried_feet_match_backtrack(flow):
+    # The label steps (Eulerian, on the grid) against the exact backtrack
+    # (Lagrangian, per node) along a linearized pass, at every stage time.
+    # dtau = dt/2 is the stage spacing, so both take the same RK4 steps and
+    # differ only by the two discretizations, far below DRIFT_LIMIT.
+    if flow == "many-mode":
+        basis, M, dt, T = BasisSet(32), 48, 0.01, 0.05
+        u0 = 0.3 * basis.lambdas**-1.125  # 0.3 |k|^-2.25
+    else:
+        basis, M, dt, T = BasisSet(8), 32, 0.01, 0.2
+        u0 = np.zeros(8)
+        u0[[0, 3, 5]] = [1.5, 1.0, 0.7]
+    seed = VelocityHistory.constant(basis, u0, T)
+    history = solve_linearized(seed, bump_density(), u0, basis, M, dt, T, dt)
+    times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
+    feet = carried_feet(history, M, times, dt / 2)
+    exact = np.array([backtrack(history, grid_points(M), t, dt / 2) for t in times])
+    assert np.abs(feet - exact).max() <= 1e-12
+
+
+def test_drift_error_names_a_blown_up_velocity():
+    # A huge velocity on a small grid makes the label step unstable: the
+    # sweep stops at the first non-finite displacement, before any NaN
+    # density is handed on, and the error reports the largest grid speed
+    # next to both causes.
+    basis = BasisSet(4)
+    # Cellular flow v = 1e6 MODE_NORM (-cos y, cos x), fastest at the origin.
+    history = VelocityHistory.constant(basis, np.array([1e6, 0.0, 1e6, 0.0]), 1.0)
+    times = np.linspace(0.0, 1.0, 101)
+    blocks = []
+    with pytest.raises(TransportDriftError) as err, np.errstate(over="ignore", invalid="ignore"):
+        for _, rho in carried_densities(bump_density(), history, 8, times, 0.01, 4):
+            blocks.append(rho.copy())
+    assert err.value.t < 1.0 and all(np.isfinite(rho).all() for rho in blocks)
+    assert sum(len(rho) for rho in blocks) == np.searchsorted(times, err.value.t)
+    speed = np.sqrt(2.0) * 1e6 * MODE_NORM
+    assert err.value.speed == pytest.approx(speed, rel=1e-14)
+    message = str(err.value)
+    assert f"{speed:.3e}" in message
+    assert "under-resolves the displacement" in message and "unstable time step" in message
+
+
 def test_linearized_pass_cost_is_linear_in_steps(monkeypatch):
+    # Velocity evaluations off the grid (assembly, drift guard) and on it
+    # (the sweep's label steps) both count.
     calls = {"n": 0}
-    original = BasisSet.velocity_at
 
-    def counting(self, points, coeffs):
-        calls["n"] += 1
-        return original(self, points, coeffs)
+    def counting(method):
+        def counted(self, *args):
+            calls["n"] += 1
+            return method(self, *args)
 
-    monkeypatch.setattr(BasisSet, "velocity_at", counting)
+        return counted
+
+    monkeypatch.setattr(BasisSet, "velocity_at", counting(BasisSet.velocity_at))
+    monkeypatch.setattr(BasisGrid, "synthesize", counting(BasisGrid.synthesize))
     basis = BasisSet(8)
     u0 = np.zeros(8)
     u0[[0, 2]] = [0.3, 0.2]
