@@ -8,7 +8,6 @@ Recognized keys:
     T             final time
     picard_tol    fixed-point stopping tolerance (default 1e-10)
     picard_max    iteration cap (default 30)
-    dtau          characteristic backtracking step (default: dt)
     density.kind  constant | bump | vacuum-well (vacuum is solved as given)
     u0.modes      initial velocity, entries `k1,k2,parity:amplitude`
                   joined by commas, e.g. `1,0,cos:0.3,0,1,cos:0.2`
@@ -55,21 +54,11 @@ class RunConfig:
     u0_modes: list[ModeSpec]
     picard_tol: float = 1e-10
     picard_max: int = 30
-    dtau: float | None = None
     snapshots: list[float] = field(default_factory=list)
-
-    @property
-    def backtrack_step(self) -> float:
-        return self.dt if self.dtau is None else self.dtau
 
 
 _REQUIRED = ("N", "M", "dt", "T", "density.kind", "u0.modes")
-_KNOWN = set(_REQUIRED) | {
-    "picard_tol",
-    "picard_max",
-    "dtau",
-    "snapshots",
-}
+_KNOWN = set(_REQUIRED) | {"picard_tol", "picard_max", "snapshots"}
 
 
 def _parse_modes(text: str) -> list[ModeSpec]:
@@ -175,7 +164,6 @@ def parse_config_text(text: str) -> RunConfig:
         u0_modes=_parse_modes(raw["u0.modes"]),
         picard_tol=_float("picard_tol") if "picard_tol" in raw else 1e-10,
         picard_max=_int("picard_max") if "picard_max" in raw else 30,
-        dtau=_float("dtau") if "dtau" in raw else None,
         snapshots=snapshots,
     )
     if cfg.T < cfg.dt:

@@ -105,7 +105,7 @@ def _within(name: str, key: str, observed: float, tol: float) -> dict:
 
 
 def node_diagnostics(
-    src: DensitySource, history, basis: BasisSet, M: int, dtau: float
+    src: DensitySource, history, basis: BasisSet, M: int
 ) -> EstimateLedger:
     """Walk a converged trajectory once into the run's per-node table.
 
@@ -134,7 +134,7 @@ def node_diagnostics(
         )
     }
     size = max(1, WALK_POINTS // (M * M))
-    for lo, r in carried_densities(src, history, M, times, dtau, size):
+    for lo, r in carried_densities(src, history, M, times, size):
         nodes = slice(lo, lo + len(r))
         state = build_state(basis, M, f[nodes], r)
         u, gu, ut = state.u, state.grad_u, state.ut
@@ -176,12 +176,11 @@ def run_simulation(
     ledger and the inline verification checks."""
     basis = build_basis(config)
     src = source if source is not None else build_source(config)
-    dtau = config.backtrack_step
     history, picard = picard_solve(
-        src, build_u0(config, basis), basis, config.M, config.dt, config.T, dtau,
+        src, build_u0(config, basis), basis, config.M, config.dt, config.T,
         config.picard_tol, config.picard_max, seed=seed
     )
-    led = node_diagnostics(src, history, basis, config.M, dtau)
+    led = node_diagnostics(src, history, basis, config.M)
 
     times = history.times
     m1 = 1.0 + src.upper
@@ -297,16 +296,14 @@ def momentum_probes(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
     u0 = grid.synthesize(result.history.coeffs[0])
     mom0 = rho0[..., None] * u0
 
-    probe_t, probe_n = [], []
-    for j in range(MOMENTUM_PROBES):
-        t = T * 2.0 ** (-j)
-        f = result.history.coeffs_at(t)
+    probe_t = T * 2.0 ** -np.arange(MOMENTUM_PROBES)
+    probe_n = np.empty(MOMENTUM_PROBES)
+    for j, f in enumerate(result.history.coeffs_at(probe_t)):
         u = grid.synthesize(f)
-        rho = density_at(result.source, result.history, cfg.M, t, cfg.backtrack_step)
+        rho = density_at(result.source, result.history, cfg.M, probe_t[j], cfg.dt)
         diff = rho[..., None] * u - mom0
-        probe_t.append(t)
-        probe_n.append(math.sqrt(w * (diff * diff).sum()))
-    return np.array(probe_t), np.array(probe_n)
+        probe_n[j] = math.sqrt(w * (diff * diff).sum())
+    return probe_t, probe_n
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +537,7 @@ def taylor_benchmark(config: RunConfig, dt_values=None) -> Study:
     errors = []
     for dt in dts:
         history, _ = picard_solve(
-            src, u0, basis, config.M, dt, config.T, config.backtrack_step,
-            config.picard_tol, config.picard_max
+            src, u0, basis, config.M, dt, config.T, config.picard_tol, config.picard_max
         )
         exact = a * np.exp(-lam * history.times)
         err = float(np.abs(history.coeffs[:, idx] - exact).max() / abs(a))
@@ -570,7 +566,7 @@ def write_run_outputs(result: RunResult, outdir) -> None:
     cfg = result.config
     for t in cfg.snapshots:
         f = result.history.coeffs_at(t)
-        rho = density_at(result.source, result.history, cfg.M, t, cfg.backtrack_step)
+        rho = density_at(result.source, result.history, cfg.M, t, cfg.dt)
         state = build_state(result.basis, cfg.M, f[None], rho[None])
         tag = snapshot_tag(t)
         save_snapshot(state.u[0], out / f"u_t{tag}.dat")

@@ -158,7 +158,7 @@ def _node_times(T: float, dt: float) -> np.ndarray:
 
 
 def _stage_operators(
-    v_hist, source: DensitySource, basis: BasisSet, M: int, stage_times, dtau: float
+    v_hist, source: DensitySource, basis: BasisSet, M: int, stage_times
 ) -> Iterator[np.ndarray]:
     """RK4 operators at the increasing `stage_times`, assembled `_BLOCK` at a
     time from one carried density sweep.
@@ -168,8 +168,8 @@ def _stage_operators(
     time or at its first non-finite displacement, after every earlier stage
     has been yielded."""
     points = basis.grid(M).points
-    for lo, rho in carried_densities(source, v_hist, M, stage_times, dtau, _BLOCK):
-        coeffs = np.stack([v_hist.coeffs_at(t) for t in stage_times[lo : lo + len(rho)]])
+    for lo, rho in carried_densities(source, v_hist, M, stage_times, _BLOCK):
+        coeffs = v_hist.coeffs_at(stage_times[lo : lo + len(rho)])
         # Named, so that the samples outlive assemble while the sweep fills
         # the next block.  Freed at once, they let glibc malloc trim the heap
         # top and fault it back in every block: 7-10x the minor page faults
@@ -188,7 +188,6 @@ def solve_linearized(
     M: int,
     dt: float,
     T: float,
-    dtau: float,
 ) -> VelocityHistory:
     """One linearized pass: advect the density along `v_hist`, then integrate
     the coefficient ODE with classical RK4 on operators assembled at every
@@ -199,7 +198,7 @@ def solve_linearized(
     stage_times = np.empty(2 * len(times) - 1)
     stage_times[0::2] = times
     stage_times[1::2] = times[:-1] + 0.5 * np.diff(times)
-    ops = _stage_operators(v_hist, source, basis, M, stage_times, dtau)
+    ops = _stage_operators(v_hist, source, basis, M, stage_times)
 
     coeffs = np.empty((len(times), N))
     derivs = np.empty((len(times), N))
@@ -242,7 +241,6 @@ def picard_solve(
     M: int,
     dt: float,
     T: float,
-    dtau: float,
     tol: float,
     max_iter: int,
     seed: str = "initial",
@@ -266,13 +264,9 @@ def picard_solve(
 
     deltas: list[float] = []
     for _ in range(max_iter):
-        u = solve_linearized(v, source, u0, basis, M, dt, T, dtau)
-        if np.array_equal(v.times, u.times):
-            # Dense output at a node returns the node's coefficients exactly.
-            prev = v.coeffs
-        else:
-            prev = np.stack([v.coeffs_at(t) for t in u.times])
-        delta = float(np.max(np.linalg.norm(u.coeffs - prev, axis=1)))
+        u = solve_linearized(v, source, u0, basis, M, dt, T)
+        # Dense output at a node returns the node's coefficients exactly.
+        delta = float(np.max(np.linalg.norm(u.coeffs - v.coeffs_at(u.times), axis=1)))
         deltas.append(delta)
         v = u
         if delta <= tol:

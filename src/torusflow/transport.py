@@ -11,23 +11,25 @@ Two ways compute the feet Phi(0; x, t) on the M x M grid:
 * `carried_densities` walks a trajectory forward through increasing times
   t_1 < t_2 < ... and carries the periodic displacement D = X - x of the
   back-to-label map X = Phi(0; x, t), which solves d_t X + (v . grad) X = 0
-  (Constantin 2001, J. AMS 14), so d_t D = -(v . grad) D - v.  One label
-  step per interval integrates that with RK4 in time, sub-stepped to at
-  most `dtau`, on the grid nodes: v is sampled there and grad D is
-  pseudo-spectral, D_x + i D_y through one fft2 and one inverse with the
-  Nyquist row and column dropped (Canuto, Hussaini, Quarteroni & Zang,
-  Spectral Methods, 2006).  That is O(M^2 log M) per step, nothing off the
-  grid, and linear in the number of times.
-* `backtrack` integrates the characteristic ODE dPhi/dtau = v(Phi, tau) at
-  arbitrary points from tau = t down to tau = 0.  `density_at` uses it for a
-  single time off the walk (snapshots, momentum probes); it is also the
-  exact oracle for the carried map.
+  (Constantin 2001, J. AMS 14), so d_t D = -(v . grad) D - v.  Each
+  interval of the given times is one label step, a single RK4 step in time
+  on the grid nodes: v is sampled there and grad D is pseudo-spectral,
+  D_x + i D_y through one fft2 and one inverse with the Nyquist row and
+  column dropped (Canuto, Hussaini, Quarteroni & Zang, Spectral Methods,
+  2006).  That is O(M^2 log M) per step, nothing off the grid, and linear
+  in the number of times.
+* `backtrack` integrates the characteristic ODE d_tau Phi = v(Phi, tau) at
+  arbitrary points from tau = t down to tau = 0, in equal RK4 steps no
+  longer than the step it is given: the only path with a step size of its
+  own.  `density_at` uses it for a single time off the walk (snapshots,
+  momentum probes, in steps of at most dt); it is also the exact oracle
+  for the carried map.
 
 The two are independent discretizations of one map, Eulerian on the grid
-and Lagrangian per point, with the same RK4 steps in time.  At the end of
-every walk, or as soon as the displacement stops being finite, eight grid
-nodes are integrated back exactly through the walked times, with the
-walk's own steps; a carried foot further than DRIFT_LIMIT from its exact
+and Lagrangian per point.  At the end of every walk, or as soon as the
+displacement stops being finite, eight grid nodes are integrated back
+exactly through the walked times, one RK4 step per walked interval as the
+walk took them; a carried foot further than DRIFT_LIMIT from its exact
 foot raises TransportDriftError: the grid under-resolves the displacement,
 or an unstable time step has blown the velocity up.
 
@@ -198,32 +200,37 @@ class VelocityHistory:
     def t_final(self) -> float:
         return float(self.times[-1])
 
-    def coeffs_at(self, t: float) -> np.ndarray:
-        """Hermite dense output at t in [t0, T]; a t outside by more than
-        rounding (1e-12 max(1, |T|)) raises ValueError."""
+    def coeffs_at(self, t) -> np.ndarray:
+        """Hermite dense output at one time t in [t0, T], shape (N,), or at a
+        1-d array of times, shape (S, N).  Node times, and the ends overshot
+        by rounding (1e-12 max(1, |T|)), give the node coefficients exactly;
+        a time further out raises ValueError."""
         ts = self.times
+        t = np.asarray(t, dtype=float)[()]  # one time stays a scalar
         slack = 1e-12 * max(1.0, abs(ts[-1]))
-        if not ts[0] - slack <= t <= ts[-1] + slack:
+        inside = (ts[0] - slack <= t) & (t <= ts[-1] + slack)
+        if not inside.all():
             raise ValueError(
-                f"t={t!r} is outside the history's time range [{ts[0]:g}, {ts[-1]:g}]"
+                f"t={float(np.extract(~inside, t)[0])!r} is outside the "
+                f"history's time range [{ts[0]:g}, {ts[-1]:g}]"
             )
-        if t <= ts[0]:
-            return self.coeffs[0].copy()
-        if t >= ts[-1]:
-            return self.coeffs[-1].copy()
-        k = int(np.searchsorted(ts, t, side="right") - 1)
+        t = np.minimum(np.maximum(t, ts[0]), ts[-1])
+        # k in [0, K - 2]: the last node closes the last interval.
+        k = np.searchsorted(ts[1:-1], t, side="right")
         h = ts[k + 1] - ts[k]
         s = (t - ts[k]) / h
         h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
         h10 = s * (1.0 - s) ** 2
         h01 = s * s * (3.0 - 2.0 * s)
         h11 = s * s * (s - 1.0)
+        # Transposed, the node rows take the weights of their times along
+        # the last axis: plain scalars for one time.
         return (
-            h00 * self.coeffs[k]
-            + h10 * h * self.derivs[k]
-            + h01 * self.coeffs[k + 1]
-            + h11 * h * self.derivs[k + 1]
-        )
+            h00 * self.coeffs[k].T
+            + h10 * h * self.derivs[k].T
+            + h01 * self.coeffs[k + 1].T
+            + h11 * h * self.derivs[k + 1].T
+        ).T
 
     def field_at(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
         """The velocity at time t as a function of points (..., 2): the
@@ -236,32 +243,29 @@ class VelocityHistory:
         return self.basis.grid(M).synthesize(self.coeffs_at(t))
 
 
-def _rk4(y, rate, field, t_from: float, t_to: float, dtau: float, start=None):
-    """Classical RK4 for dy/dtau = rate(y, v(tau)) from tau = t_from to t_to,
-    either way in time, in equal steps of at most `dtau`; `field(tau)` gives
-    v(tau).  Each time's field is taken once: k2 and k3 share the midpoint
-    field, and a step's end field is the next step's start.  Takes v(t_from)
-    as `start` when the caller has it; returns y and v(t_to)."""
-    steps = max(1, int(np.ceil(abs(t_to - t_from) / dtau - 1e-12)))
-    h = (t_to - t_from) / steps
-    tau = t_from
+def _rk4(y, rate, field, taus, start=None):
+    """Classical RK4 for d_tau y = rate(y, v(tau)), one step per interval of
+    the times `taus`, increasing or decreasing; `field(tau)` gives v(tau).
+    Each time's field is taken once: k2 and k3 share the midpoint field, and
+    a step's end field is the next step's start.  Takes v(taus[0]) as
+    `start` when the caller has it; returns y and v(taus[-1])."""
     if start is None:
-        start = field(tau)
-    for _ in range(steps):
+        start = field(taus[0])
+    for tau, tau_next in zip(taus[:-1], taus[1:]):
+        h = tau_next - tau
         mid = field(tau + 0.5 * h)
-        end = field(tau + h)
+        end = field(tau_next)
         k1 = rate(y, start)
         k2 = rate(y + 0.5 * h * k1, mid)
         k3 = rate(y + 0.5 * h * k2, mid)
         k4 = rate(y + h * k3, end)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau += h
         start = end
     return y, start
 
 
 def _characteristic_rate(points: np.ndarray, field) -> np.ndarray:
-    """dPhi/dtau = v(Phi, tau) for a field given as a function of points."""
+    """d_tau Phi = v(Phi, tau) for a field given as a function of points."""
     return field(points)
 
 
@@ -291,15 +295,17 @@ def _label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
 def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
     """Feet of the backward characteristics through `points` at time `t`.
 
-    Integrates dPhi/dtau = v(Phi, tau) from tau = t to tau = 0 with RK4 using
-    at most `dtau` per step.  Results are raw coordinates (no mod 2pi).
+    Integrates d_tau Phi = v(Phi, tau) from tau = t to tau = 0 with RK4 in
+    equal steps of at most `dtau`, the only transport path with a step size
+    of its own.  Results are raw coordinates (no mod 2pi).
     """
     pts = np.asarray(points, dtype=float).copy()
     if t == 0.0:
         return pts
     if t < 0.0 or dtau <= 0.0:
         raise ValueError("need t >= 0 and dtau > 0")
-    return _rk4(pts, _characteristic_rate, history.field_at, t, 0.0, dtau)[0]
+    steps = max(1, int(np.ceil(t / dtau - 1e-12)))
+    return _rk4(pts, _characteristic_rate, history.field_at, np.linspace(t, 0.0, steps + 1))[0]
 
 
 def density_at(
@@ -313,23 +319,21 @@ def density_at(
 
 
 def carried_densities(
-    source: DensitySource, history, M: int, times: Sequence[float], dtau: float, size: int
+    source: DensitySource, history, M: int, times: Sequence[float], size: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Densities on the M x M grid at each of the increasing `times`, with the
     back-to-label map carried from one time to the next, in consecutive
     blocks: yields (lo, rho) with rho (S, M, M) the densities at times
     lo .. lo + S - 1, S at most `size`, each block filled in place.
 
-    Each density costs one label step from the previous time (0 before the
-    first) instead of a backtrack all the way to 0.  At the last time, or at
-    the first non-finite displacement, the drift guard compares carried and
-    exact feet; its TransportDriftError comes after the block of every
-    earlier density has been yielded, so that a caller's failure at an
-    earlier time surfaces first.  Constant sources take `density_at` at
-    each time.
+    Each density costs one label step, a single RK4 step from the previous
+    time (0 before the first), instead of a backtrack all the way to 0.  At
+    the last time, or at the first non-finite displacement, the drift guard
+    compares carried and exact feet; its TransportDriftError comes after
+    the block of every earlier density has been yielded, so that a caller's
+    failure at an earlier time surfaces first.  Constant sources take
+    `density_at` at each time.
     """
-    if dtau <= 0.0 and not source.constant:
-        raise ValueError("need dtau > 0")
     x = grid_points(M)
     disp = np.zeros((M, M), dtype=complex)  # D_x + i D_y
     walked = [0.0]
@@ -340,17 +344,18 @@ def carried_densities(
         block = np.empty((min(size, len(times) - lo), M, M))
         for s, t in enumerate(times[lo : lo + size]):
             if source.constant:
-                block[s] = density_at(source, history, M, t, dtau)
+                # A constant density takes no characteristics: no step size.
+                block[s] = density_at(source, history, M, t, None)
                 continue
             if t < walked[-1]:
                 raise ValueError("need increasing times from t >= 0")
             if t > walked[-1]:
-                disp, field = _rk4(disp, _label_rate, grid_field, walked[-1], t, dtau, field)
+                disp, field = _rk4(disp, _label_rate, grid_field, (walked[-1], t), field)
                 walked.append(t)
             feet = x + np.stack([disp.real, disp.imag], axis=-1)
             if lo + s == last or not np.isfinite(disp).all():
                 try:
-                    _check_drift(history, feet, walked, dtau)
+                    _check_drift(history, feet, walked)
                 except TransportDriftError:
                     if s:
                         yield lo, block[:s]
@@ -359,18 +364,18 @@ def carried_densities(
         yield lo, block
 
 
-def _check_drift(history, feet: np.ndarray, walked: list, dtau: float) -> None:
+def _check_drift(history, feet: np.ndarray, walked: list) -> None:
     """Compare carried feet at the last walked time with exact feet at eight
     grid nodes, one per eighth of the rows, on distinct columns.  The exact
-    feet follow the characteristic ODE back through the walked times with
-    the walk's own RK4 steps, so that the difference is the gap between the
-    two discretizations, not between two time partitions."""
+    feet follow the characteristic ODE back through the walked times, one
+    RK4 step per walked interval as the walk took them, so that the
+    difference is the gap between the two discretizations, not between two
+    time partitions."""
     M = feet.shape[0]
     rows = np.arange(8) * M // 8
     cols = (3 * rows) % M
-    exact, field = grid_points(M)[rows, cols], None
-    for hi, lo in zip(walked[:0:-1], walked[-2::-1]):
-        exact, field = _rk4(exact, _characteristic_rate, history.field_at, hi, lo, dtau, field)
+    nodes = grid_points(M)[rows, cols]
+    exact = _rk4(nodes, _characteristic_rate, history.field_at, walked[::-1])[0]
     drift = float(np.abs(feet[rows, cols] - exact).max())
     if not drift <= DRIFT_LIMIT:
         v = np.array([history.grid_velocity(t, M) for t in walked])

@@ -143,7 +143,7 @@ def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
     return a, b
 
 
-def node_diagnostics_per_node(src, history, basis, M: int, dtau: float) -> EstimateLedger:
+def node_diagnostics_per_node(src, history, basis, M: int) -> EstimateLedger:
     """The run's per-node table walked one node at a time: per node a
     `build_state` and `residual_diagnostics` on a stack of one, and every
     grid column reduced over that node's fields alone."""
@@ -161,7 +161,7 @@ def node_diagnostics_per_node(src, history, basis, M: int, dtau: float) -> Estim
             "w1gamma", "orthogonality_max", "projection_rel",
         )
     }
-    for k, (r,) in carried_densities(src, history, M, times, dtau, 1):
+    for k, (r,) in carried_densities(src, history, M, times, 1):
         state = build_state(basis, M, f[k : k + 1], r[None])
         u, gu, ut = state.u[0], state.grad_u[0], state.ut[0]
         rho[k], fdot[k] = r, state.fdot[0]

@@ -61,7 +61,6 @@ N = 8
 M = 32
 dt = 0.0025
 T = 0.15
-dtau = 0.0025
 density.kind = bump
 u0.modes = 1,0,cos:0.3, 0,1,cos:0.2
 picard_tol = 1e-11
@@ -72,7 +71,6 @@ N = 8
 M = 40
 dt = 0.0025
 T = 0.2
-dtau = 0.0025
 density.kind = vacuum-well
 u0.modes = 1,0,cos:0.3, 0,1,cos:0.2
 """
@@ -133,7 +131,7 @@ def test_energy_identity_residual_and_order(single_mode_run, verdict):
     base = replace(parse_config_text(TWO_MODE), T=0.2)
     resids = []
     for dt in (0.04, 0.02, 0.01):
-        res = run_simulation(replace(base, dt=dt, dtau=dt))
+        res = run_simulation(replace(base, dt=dt))
         resids.append(
             energy_identity_check(
                 res.ledger.t,
@@ -178,7 +176,7 @@ def test_max_principle_and_mass_conservation(single_mode_run, two_mode_run, verd
         two_mode_run
     )
 
-    mass_cfg = replace(parse_config_text(TWO_MODE), T=0.1, dtau=0.001)
+    mass_cfg = replace(parse_config_text(TWO_MODE), T=0.1, dt=0.001)
     mass_run = run_simulation(mass_cfg)
     mass = mass_run.ledger.mass
     mass_rel = float(np.abs(mass - mass[0]).max() / mass[0])
@@ -188,7 +186,7 @@ def test_max_principle_and_mass_conservation(single_mode_run, two_mode_run, verd
         ok,
         "density max principle and mass",
         f"min/max columns exactly constant, samples inside bounds, "
-        f"mass drift {mass_rel:.3e} <= 1e-6 at dtau=1e-3",
+        f"mass drift {mass_rel:.3e} <= 1e-6 at dt=1e-3",
     )
 
 

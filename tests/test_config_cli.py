@@ -16,6 +16,7 @@ from torusflow.config import (
     ConfigError,
     build_basis,
     build_u0,
+    parse_config,
     parse_config_text,
 )
 from torusflow.estimates import write_ndjson
@@ -42,17 +43,29 @@ def test_parse_good_config():
     assert cfg.u0_modes[0].k1 == 1 and cfg.u0_modes[0].parity == "cos"
     assert cfg.u0_modes[1].amplitude == 0.2
     assert cfg.picard_tol == 1e-10  # default
-    assert cfg.backtrack_step == cfg.dt  # dtau defaults to dt
 
 
 def test_parse_optional_keys():
     cfg = parse_config_text(
-        GOOD + "picard_tol = 1e-12\npicard_max = 5\ndtau = 0.002\nsnapshots = 0.0, 0.05\n"
+        GOOD + "picard_tol = 1e-12\npicard_max = 5\nsnapshots = 0.0, 0.05\n"
     )
     assert cfg.picard_tol == 1e-12
     assert cfg.picard_max == 5
-    assert cfg.backtrack_step == 0.002
     assert cfg.snapshots == [0.0, 0.05]
+
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+def test_configs_are_shipped():
+    assert SHIPPED
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[path.name for path in SHIPPED])
+def test_shipped_config_parses(path):
+    # Every file in configs/, found by glob: a stale key in a config that no
+    # other test runs (uniqueness.cfg) fails here, not at a user's command.
+    build_basis(parse_config(path))
 
 
 def test_missing_key_names_the_key():
@@ -64,8 +77,9 @@ def test_missing_key_names_the_key():
 
 def test_unknown_and_duplicate_keys_rejected(tmp_path, capsys):
     # density.floor_n is not a key: a single run solves the density as
-    # given, and floors come from `vacuum-sweep --n-list`.
-    for key in ("bogus", "density.floor_n"):
+    # given, and floors come from `vacuum-sweep --n-list`.  Nor is dtau:
+    # the carried sweep steps the solver's own times.
+    for key in ("bogus", "density.floor_n", "dtau"):
         with pytest.raises(ConfigError) as err:
             parse_config_text(GOOD + f"{key} = 20\n")
         assert err.value.key == key
@@ -179,7 +193,7 @@ def test_snapshot_files_hold_the_state(tmp_path):
     expected_u = result.basis.velocity_at(grid.points, result.history.coeffs_at(t))
     np.testing.assert_allclose(u, expected_u, rtol=0.0, atol=1e-13)
     rho = load_snapshot(tmp_path / "rho_t0.050000.dat")
-    expected_rho = density_at(result.source, result.history, config.M, t, config.backtrack_step)
+    expected_rho = density_at(result.source, result.history, config.M, t, config.dt)
     np.testing.assert_array_equal(rho, expected_rho)
     assert rho.min() < rho.max()  # a transported bump, not a constant
     p = load_snapshot(tmp_path / "p_t0.050000.dat")
@@ -252,7 +266,7 @@ def test_cli_rejects_snapshot_outside_horizon(tmp_path, capsys, snapshot):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("key", ["dt", "T", "dtau", "picard_tol"])
+@pytest.mark.parametrize("key", ["dt", "T", "picard_tol"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     # nan and inf used to pass validation: dt=nan and T=inf crashed with a
     # traceback, picard_tol=nan ran every Picard pass and exited 4.

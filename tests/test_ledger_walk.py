@@ -32,7 +32,7 @@ def converged(source, M, nodes, dt=0.005):
     basis = BasisSet(8)
     u0 = np.zeros(8)
     u0[0], u0[2], u0[5] = 0.3, 0.2, -0.1
-    history, _ = picard_solve(source, u0, basis, M, dt, (nodes - 1) * dt, dt, 1e-11, 40)
+    history, _ = picard_solve(source, u0, basis, M, dt, (nodes - 1) * dt, 1e-11, 40)
     assert len(history.times) == nodes
     return basis, history
 
@@ -51,8 +51,8 @@ def test_block_walk_matches_walk_per_node(source, M, nodes):
     K = nodes(size)
     assert K < size or K % size != 0
     basis, history = converged(source, M, K)
-    block = pipeline.node_diagnostics(source, history, basis, M, 0.005)
-    oracle = node_diagnostics_per_node(source, history, basis, M, 0.005)
+    block = pipeline.node_diagnostics(source, history, basis, M)
+    oracle = node_diagnostics_per_node(source, history, basis, M)
     for field in dataclasses.fields(EstimateLedger):
         np.testing.assert_allclose(
             getattr(block, field.name), getattr(oracle, field.name),
@@ -97,7 +97,7 @@ def test_walk_reports_first_failure_in_node_order(monkeypatch, degenerate, drift
     )
     if drift:
 
-        def drifted(history, feet, walked, dtau):
+        def drifted(history, feet, walked):
             raise TransportDriftError(float(walked[-1]), 1.0, 0.0)
 
         monkeypatch.setattr(transport, "_check_drift", drifted)
@@ -112,7 +112,7 @@ def test_walk_reports_first_failure_in_node_order(monkeypatch, degenerate, drift
     monkeypatch.setattr(pipeline, "build_state", recording_build_state)
     errors = {"vacuum": VacuumDegenerateError, "drift": TransportDriftError}
     with pytest.raises(errors[expected]) as err:
-        pipeline.node_diagnostics(source, history, basis, M, 0.01)
+        pipeline.node_diagnostics(source, history, basis, M)
     if expected == "vacuum":
         first = min(bad)
         mats = assemble(degenerate_density(M, first)[None], np.zeros((1, M, M, 2)), basis, M)

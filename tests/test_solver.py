@@ -184,7 +184,7 @@ def test_stokes_decay_order():
     u0[0] = 0.7
     errors = []
     for dt in (0.05, 0.025, 0.0125):
-        hist = solve_linearized(zero, constant_density(), u0, basis, 16, dt, 0.5, dt)
+        hist = solve_linearized(zero, constant_density(), u0, basis, 16, dt, 0.5)
         exact = 0.7 * np.exp(-hist.times)
         errors.append(np.abs(hist.coeffs[:, 0] - exact).max())
     assert errors[-1] < 1e-8
@@ -194,9 +194,7 @@ def test_stokes_decay_order():
 def test_zero_data_stays_zero():
     basis = BasisSet(4)
     zero = VelocityHistory.constant(basis, np.zeros(4), 0.2)
-    hist = solve_linearized(
-        zero, bump_density(), np.zeros(4), basis, 16, 0.05, 0.2, 0.05
-    )
+    hist = solve_linearized(zero, bump_density(), np.zeros(4), basis, 16, 0.05, 0.2)
     assert np.all(hist.coeffs == 0.0)
     assert np.all(hist.derivs == 0.0)
 
@@ -206,7 +204,7 @@ def test_nodal_derivatives_match_ode():
     zero = VelocityHistory.constant(basis, np.zeros(4), 0.2)
     u0 = np.zeros(4)
     u0[0] = 1.0
-    hist = solve_linearized(zero, constant_density(), u0, basis, 16, 0.05, 0.2, 0.05)
+    hist = solve_linearized(zero, constant_density(), u0, basis, 16, 0.05, 0.2)
     # With identity mass matrix and no advection, fdot = -lam f at each node.
     np.testing.assert_allclose(
         hist.derivs, -basis.lambdas * hist.coeffs, atol=1e-12
@@ -245,7 +243,7 @@ def test_pass_reports_first_failure_in_stage_order(
     )
     if drift:
 
-        def drifted(history, feet, walked, dtau):
+        def drifted(history, feet, walked):
             raise TransportDriftError(float(walked[-1]), 1.0, 0.0)
 
         monkeypatch.setattr(transport, "_check_drift", drifted)
@@ -258,7 +256,7 @@ def test_pass_reports_first_failure_in_stage_order(
         "diverge": DivergenceError,
     }
     with pytest.raises(errors[kind]) as err:
-        solve_linearized(zero, source, u0, basis, M, 0.01, 0.1, 0.01)
+        solve_linearized(zero, source, u0, basis, M, 0.01, 0.1)
     if kind == "vacuum":
         mats = assemble(degenerate_density(M, stage)[None], still(M), basis, M)
         assert (err.value.min_eig, err.value.threshold) == (mats.min_eig[0], mats.threshold[0])
@@ -277,18 +275,14 @@ def test_picard_single_mode_two_iterations():
     basis = BasisSet(4)
     u0 = np.zeros(4)
     u0[0] = 0.1
-    hist, report = picard_solve(
-        constant_density(), u0, basis, 16, 0.01, 0.1, 0.01, 1e-10, 30
-    )
+    hist, report = picard_solve(constant_density(), u0, basis, 16, 0.01, 0.1, 1e-10, 30)
     assert report.iterations == 2
     assert report.deltas[-1] <= 1e-12
 
 
 def test_picard_zero_data_one_iteration():
     basis = BasisSet(4)
-    hist, report = picard_solve(
-        bump_density(), np.zeros(4), basis, 16, 0.05, 0.1, 0.05, 1e-10, 30
-    )
+    hist, report = picard_solve(bump_density(), np.zeros(4), basis, 16, 0.05, 0.1, 1e-10, 30)
     assert report.iterations == 1
     assert np.all(hist.coeffs == 0.0)
 
@@ -298,12 +292,8 @@ def test_picard_zero_seed_matches_initial_seed():
     u0 = np.zeros(8)
     u0[0], u0[2] = 0.3, 0.2
     kwargs = dict(tol=1e-12, max_iter=40)
-    h1, _ = picard_solve(
-        bump_density(), u0, basis, 32, 0.01, 0.05, 0.01, seed="initial", **kwargs
-    )
-    h2, _ = picard_solve(
-        bump_density(), u0, basis, 32, 0.01, 0.05, 0.01, seed="zero", **kwargs
-    )
+    h1, _ = picard_solve(bump_density(), u0, basis, 32, 0.01, 0.05, seed="initial", **kwargs)
+    h2, _ = picard_solve(bump_density(), u0, basis, 32, 0.01, 0.05, seed="zero", **kwargs)
     assert np.abs(h1.coeffs - h2.coeffs).max() <= 1e-10
 
 
@@ -313,18 +303,17 @@ def test_picard_contraction_improves_with_shorter_horizon():
     u0[0], u0[2] = 0.4, 0.3
 
     def first_factor(T):
-        _, report = picard_solve(
-            bump_density(), u0, basis, 32, T / 10, T, T / 10, 1e-12, 40
-        )
+        _, report = picard_solve(bump_density(), u0, basis, 32, T / 10, T, 1e-12, 40)
         return report.factors[0]
 
     assert first_factor(0.05) < first_factor(0.2)
 
 
 def test_picard_delta_reads_node_coefficients(monkeypatch):
-    # Passes on the same node times are compared node by node without dense
-    # output: only the first delta, against the two-node seed, calls
-    # coeffs_at.  The deltas equal the dense-output ones exactly.
+    # Each delta reads the previous pass at the new node times with one
+    # coeffs_at call; on the same node times that returns the node
+    # coefficients, so the deltas equal the per-time dense-output ones
+    # exactly.
     basis = BasisSet(4)
     rng = np.random.default_rng(7)
     times = np.linspace(0.0, 0.1, 6)
@@ -344,9 +333,9 @@ def test_picard_delta_reads_node_coefficients(monkeypatch):
         VelocityHistory, "coeffs_at", lambda self, t: calls.append(t) or original(self, t)
     )
     u0 = np.full(4, 0.1)
-    hist, report = picard_solve(constant_density(), u0, basis, 16, 0.02, 0.1, 0.02, 1e-10, 5)
+    hist, report = picard_solve(constant_density(), u0, basis, 16, 0.02, 0.1, 1e-10, 5)
     assert hist is passes[-1] and report.iterations == 3
-    assert len(calls) == len(times)
+    assert len(calls) == report.iterations
     seed = VelocityHistory.constant(basis, u0, 0.1)
     expected = [
         np.max(np.linalg.norm(u.coeffs - np.stack([original(v, t) for t in times]), axis=1))
@@ -365,7 +354,7 @@ from torusflow.solver import picard_solve
 cfg = parse_config({config!r})
 basis = build_basis(cfg)
 args = (build_source(cfg), build_u0(cfg, basis), basis, cfg.M, cfg.dt, cfg.T,
-        cfg.backtrack_step, cfg.picard_tol, cfg.picard_max)
+        cfg.picard_tol, cfg.picard_max)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 picard_solve(*args)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -393,15 +382,13 @@ def test_picard_rejects_unknown_seed_and_narrow_support():
     u0 = np.zeros(4)
     u0[0] = 0.1
     with pytest.raises(ValueError):
-        picard_solve(
-            constant_density(), u0, basis, 16, 0.05, 0.1, 0.05, 1e-10, 30, seed="bogus"
-        )
+        picard_solve(constant_density(), u0, basis, 16, 0.05, 0.1, 1e-10, 30, seed="bogus")
     # The well, bare or floored, solves: its mass matrices pass the guard.
     for source in (vacuum_well_density(), lift_floor(vacuum_well_density(), 10)):
-        picard_solve(source, u0, basis, 16, 0.05, 0.1, 0.05, 1e-10, 30)
+        picard_solve(source, u0, basis, 16, 0.05, 0.1, 1e-10, 30)
     # A support the grid sees at one node fails it, with the stage's numbers.
     with pytest.raises(VacuumDegenerateError) as err:
-        picard_solve(narrow_density(), u0, basis, 16, 0.05, 0.1, 0.05, 1e-10, 30)
+        picard_solve(narrow_density(), u0, basis, 16, 0.05, 0.1, 1e-10, 30)
     assert 0.0 < err.value.threshold and err.value.min_eig <= err.value.threshold
 
 
@@ -415,9 +402,7 @@ def converged_bump_run():
     basis = BasisSet(8)
     u0 = np.zeros(8)
     u0[0], u0[2] = 0.3, 0.2
-    hist, report = picard_solve(
-        bump_density(), u0, basis, 32, 0.005, 0.05, 0.005, 1e-11, 40
-    )
+    hist, report = picard_solve(bump_density(), u0, basis, 32, 0.005, 0.05, 1e-11, 40)
     return basis, hist
 
 

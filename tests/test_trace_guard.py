@@ -62,17 +62,15 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, workloads, worklo
     # Each stack of states is synthesized once: u, grad u and u_t in
     # build_state, lap u in residual_diagnostics, 4 calls per build_state.
     # The carried sweeps add one grid velocity per RK4 time: a start field,
-    # then a midpoint and an end field per label sub-step of at most dtau.
-    # Each Picard pass walks 2 * steps stage intervals of dt/2, the ledger
-    # walk steps node intervals of dt (two_mode: 4 passes x (1 + 2 x 120)
-    # + (1 + 2 x 60) = 1,085).  A constant density (taylor) walks nothing.
+    # then a midpoint and an end field per label step, one per interval.
+    # Each Picard pass walks 2 * steps stage intervals, the ledger walk
+    # steps node intervals (two_mode: 4 passes x (1 + 4 x 60) + (1 + 2 x 60)
+    # = 1,085).  A constant density (taylor) walks nothing.
     steps = round(cfg.T / cfg.dt)
-    sub_steps = lambda span: math.ceil(span / cfg.backtrack_step - 1e-12)
     sweeps = 0
     if cfg.density_kind != "constant":
         passes = tracer.calls["solver.solve_linearized"]
-        sweeps = passes * (1 + 2 * 2 * steps * sub_steps(cfg.dt / 2))
-        sweeps += 1 + 2 * steps * sub_steps(cfg.dt)
+        sweeps = passes * (1 + 4 * steps) + 1 + 2 * steps
     assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"] + sweeps
 
 

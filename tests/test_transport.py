@@ -100,6 +100,37 @@ def test_coeffs_at_rejects_times_outside_the_history(edge, side):
             history.coeffs_at(t)
 
 
+def test_coeffs_at_takes_an_array_of_times():
+    # An array of times gives, bit for bit, the cubic Hermite formula taken
+    # one time at a time; node times and both ends give the node
+    # coefficients exactly, and one time outside the range fails the call.
+    basis = BasisSet(4)
+    rng = np.random.default_rng(6)
+    ts = np.array([0.0, 0.3, 0.5, 1.0])
+    c, d = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+    history = VelocityHistory(basis, ts, c, d)
+
+    def hermite(t):
+        k = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
+        h = ts[k + 1] - ts[k]
+        s = (t - ts[k]) / h
+        return (
+            (1.0 + 2.0 * s) * (1.0 - s) ** 2 * c[k]
+            + s * (1.0 - s) ** 2 * h * d[k]
+            + s * s * (3.0 - 2.0 * s) * c[k + 1]
+            + s * s * (s - 1.0) * h * d[k + 1]
+        )
+
+    times = np.array([0.0, 0.1, 0.3, 0.42, 0.5, 0.99, 1.0])
+    stacked = history.coeffs_at(times)
+    assert stacked.shape == (len(times), 4)
+    np.testing.assert_array_equal(stacked, np.stack([hermite(t) for t in times]))
+    np.testing.assert_array_equal(stacked, np.stack([history.coeffs_at(t) for t in times]))
+    np.testing.assert_array_equal(history.coeffs_at(ts), c)
+    with pytest.raises(ValueError, match="t=1.5 is outside"):
+        history.coeffs_at(np.array([0.2, 1.5, 0.4]))
+
+
 def test_backtrack_zero_time_and_zero_field():
     basis = BasisSet(4)
     zero = VelocityHistory.constant(basis, np.zeros(4), 1.0)
@@ -210,7 +241,7 @@ def test_density_time_derivative_oracle():
     # (sqrt(2) pi), whose L2 norm is 1 / (2 sqrt(2)).
     basis = BasisSet(4)
     history = VelocityHistory.constant(basis, np.array([1.0, 0.0, 0.0, 0.0]), 0.01)
-    ledger = node_diagnostics(bump_density(), history, basis, 128, 0.01)
+    ledger = node_diagnostics(bump_density(), history, basis, 128)
     val = ledger.rho_t_lgamma[0]
     exact = 1.0 / (2.0 * np.sqrt(2.0))
     assert abs(val - exact) < 1e-3 * exact
@@ -221,26 +252,28 @@ def test_density_time_derivative_oracle():
 # ---------------------------------------------------------------------------
 
 
-def sweep(source, velocity, M, times, dtau, size=5):
+def sweep(source, velocity, M, times, size=5):
     """A carried sweep's blocks stacked in time order; the blocks must be
     consecutive and all but the last of the full size."""
-    blocks = list(carried_densities(source, velocity, M, times, dtau, size))
+    blocks = list(carried_densities(source, velocity, M, times, size))
     assert [lo for lo, _ in blocks] == list(range(0, len(times), size))
     assert all(len(rho) == size for _, rho in blocks[:-1])
     return np.concatenate([rho for _, rho in blocks])
 
 
 def carried_and_exact(source, velocity, M, times, dtau):
+    """The carried densities at `times` and the oracle's, backtracked in
+    steps of at most `dtau`."""
     exact = [density_at(source, velocity, M, t, dtau) for t in times]
-    return sweep(source, velocity, M, times, dtau), np.array(exact)
+    return sweep(source, velocity, M, times), np.array(exact)
 
 
-def carried_feet(velocity, M, times, dtau):
+def carried_feet(velocity, M, times):
     """The carried feet (len(times), M, M, 2), read through the sweep's own
     density evaluations."""
     feet = []
     source = DensitySource(lambda p: feet.append(p) or np.zeros(p.shape[:-1]), 0.0, 0.0)
-    sweep(source, velocity, M, times, dtau)
+    sweep(source, velocity, M, times)
     return np.array(feet)
 
 
@@ -265,19 +298,20 @@ def test_label_step_reproduces_resolved_modes(M):
     # closed-form ones: RK4 integrates a constant rate exactly.
     shear = ShearVelocity(amplitude=0.9)
     times = np.linspace(0.0, 0.6, 7)
-    feet = carried_feet(shear, M, times, 0.05)
+    feet = carried_feet(shear, M, times)
     exact = np.array([shear.feet(grid_points(M), t) for t in times])
     assert np.abs(feet - exact).max() <= 1e-13
 
 
 @pytest.mark.parametrize("M, omega, rk4_error", [(16, 0.0, 1e-13), (15, 2.0, 1e-9)])
 def test_carried_density_matches_oracle_on_shear(M, omega, rk4_error):
-    # dtau = spacing / 3 sub-steps every interval; both walks then take the
-    # same RK4 steps, and the displacement (-a sin y S(t), 0) is one resolved
-    # mode, so they agree to rounding.  Against the analytic feet only the
-    # RK4 quadrature of cos(omega t) is left, exact for the steady shear.
+    # The walk's intervals and the oracle's step are both 0.05/3, so the two
+    # take the same RK4 steps, and the displacement (-a sin y S(t), 0) is one
+    # resolved mode, so they agree to rounding.  Against the analytic feet
+    # only the RK4 quadrature of cos(omega t) is left, exact for the steady
+    # shear.
     shear = ShearVelocity(amplitude=0.9, omega=omega)
-    times = np.linspace(0.0, 0.6, 13)
+    times = np.linspace(0.0, 0.6, 37)
     carried, exact = carried_and_exact(bump_density(), shear, M, times, 0.05 / 3)
     assert np.abs(carried - exact).max() <= 1e-13
     analytic = bump_density().value(shear.feet(grid_points(M), times[-1]))
@@ -290,43 +324,43 @@ def linearized_history(M, steps=24, T=0.12):
     u0[[0, 2, 5]] = [0.3, 0.2, -0.15]
     seed = VelocityHistory.constant(basis, u0, T)
     dt = T / steps
-    return solve_linearized(seed, bump_density(), u0, basis, M, dt, T, dt), dt
+    return solve_linearized(seed, bump_density(), u0, basis, M, dt, T), dt
 
 
 @pytest.mark.parametrize("M", [17, 16])
 def test_carried_density_matches_oracle_on_velocity_history(M):
     history, dt = linearized_history(M)
-    # Stage times of a pass, sub-stepped: dtau = dt/4 < dt/2.
-    times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
+    # Times dt/4 apart, finer than a pass's stages, walked and backtracked
+    # in the same steps.
+    times = np.arange(4 * len(history.times) - 3) * (0.25 * dt)
     carried, exact = carried_and_exact(vacuum_well_density(), history, M, times, dt / 4)
     assert np.abs(carried - exact).max() <= 1e-13
-    # Same trajectory with dtau = dt: the walk and the oracle now split time
-    # differently, which still agrees far below the drift limit.
+    # The ledger walk's node times, backtracked in steps of dt.
     carried, exact = carried_and_exact(bump_density(), history, M, history.times, dt)
     assert np.abs(carried - exact).max() <= 1e-13
 
 
 def test_carried_density_constant_source_and_validation():
-    rhos = sweep(constant_density(2.0), ShearVelocity(5.0), 8, [0.0, 0.3, 0.4], 0.1, size=2)
+    rhos = sweep(constant_density(2.0), ShearVelocity(5.0), 8, [0.0, 0.3, 0.4], size=2)
     assert rhos.shape == (3, 8, 8) and np.all(rhos == 2.0)
     with pytest.raises(ValueError):
-        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.2, 0.1], 0.1, 4))
+        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.2, 0.1], 4))
     with pytest.raises(ValueError):
-        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [-0.1], 0.1, 4))
+        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [-0.1], 4))
 
 
 def test_drift_guard_fires_on_under_resolved_displacement():
     # The same strong flow carried by a linearized pass on a fine and a
     # coarse grid: at M=8 the displacement has harmonics the grid cannot
-    # hold.  With dtau = dt the pass walks stage times dt/2 apart, where a
-    # backtrack in steps of dt would differ by ~4e-10 of RK4 error alone;
-    # the guard takes the walk's own steps, so M=32 passes.
+    # hold.  The pass walks stage times dt/2 apart, where a backtrack in
+    # steps of dt would differ by ~4e-10 of RK4 error alone; the guard takes
+    # the walk's own steps, so M=32 passes.
     basis = BasisSet(4)
     u0 = np.array([2.0, 0.0, 0.0, 1.5])
     seed = VelocityHistory.constant(basis, u0, 1.0)
-    solve_linearized(seed, bump_density(), u0, basis, 32, 0.05, 1.0, 0.05)
+    solve_linearized(seed, bump_density(), u0, basis, 32, 0.05, 1.0)
     with pytest.raises(TransportDriftError) as err:
-        solve_linearized(seed, bump_density(), u0, basis, 8, 0.05, 1.0, 0.05)
+        solve_linearized(seed, bump_density(), u0, basis, 8, 0.05, 1.0)
     assert isinstance(err.value, DivergenceError)
     assert err.value.drift > 1e-10 and err.value.t == 1.0
 
@@ -335,8 +369,9 @@ def test_drift_guard_fires_on_under_resolved_displacement():
 def test_carried_feet_match_backtrack(flow):
     # The label steps (Eulerian, on the grid) against the exact backtrack
     # (Lagrangian, per node) along a linearized pass, at every stage time.
-    # dtau = dt/2 is the stage spacing, so both take the same RK4 steps and
-    # differ only by the two discretizations, far below DRIFT_LIMIT.
+    # The backtrack's step dt/2 is the stage spacing, so both take the same
+    # RK4 steps and differ only by the two discretizations, far below
+    # DRIFT_LIMIT.
     if flow == "many-mode":
         basis, M, dt, T = BasisSet(32), 48, 0.01, 0.05
         u0 = 0.3 * basis.lambdas**-1.125  # 0.3 |k|^-2.25
@@ -345,9 +380,9 @@ def test_carried_feet_match_backtrack(flow):
         u0 = np.zeros(8)
         u0[[0, 3, 5]] = [1.5, 1.0, 0.7]
     seed = VelocityHistory.constant(basis, u0, T)
-    history = solve_linearized(seed, bump_density(), u0, basis, M, dt, T, dt)
+    history = solve_linearized(seed, bump_density(), u0, basis, M, dt, T)
     times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
-    feet = carried_feet(history, M, times, dt / 2)
+    feet = carried_feet(history, M, times)
     exact = np.array([backtrack(history, grid_points(M), t, dt / 2) for t in times])
     assert np.abs(feet - exact).max() <= 1e-12
 
@@ -363,7 +398,7 @@ def test_drift_error_names_a_blown_up_velocity():
     times = np.linspace(0.0, 1.0, 101)
     blocks = []
     with pytest.raises(TransportDriftError) as err, np.errstate(over="ignore", invalid="ignore"):
-        for _, rho in carried_densities(bump_density(), history, 8, times, 0.01, 4):
+        for _, rho in carried_densities(bump_density(), history, 8, times, 4):
             blocks.append(rho.copy())
     assert err.value.t < 1.0 and all(np.isfinite(rho).all() for rho in blocks)
     assert sum(len(rho) for rho in blocks) == np.searchsorted(times, err.value.t)
@@ -397,7 +432,7 @@ def test_linearized_pass_cost_is_linear_in_steps(monkeypatch):
     for steps in (30, 60, 120):
         calls["n"] = 0
         dt = T / steps
-        solve_linearized(seed, bump_density(), u0, basis, 16, dt, T, dt)
+        solve_linearized(seed, bump_density(), u0, basis, 16, dt, T)
         counts.append(calls["n"])
     ratios = [counts[1] / counts[0], counts[2] / counts[1]]
     assert max(ratios) <= 2.3, (counts, ratios)
