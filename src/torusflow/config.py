@@ -96,6 +96,8 @@ def _parse_modes(text: str) -> list[ModeSpec]:
                 "(k1>0, or k1=0 and k2>0)",
                 key="u0.modes",
             )
+        if any((m.k1, m.k2, m.parity) == (k1, k2, parity) for m in modes):
+            raise ConfigError(f"u0.modes lists ({k1},{k2},{parity}) twice", key="u0.modes")
         modes.append(ModeSpec(k1, k2, parity, amp))
     if not modes:
         raise ConfigError("u0.modes lists no modes", key="u0.modes")
@@ -225,5 +227,5 @@ def build_u0(config: RunConfig, basis: BasisSet) -> np.ndarray:
     for spec in config.u0_modes:
         i = index.get(((spec.k1, spec.k2), spec.parity))
         if i is not None:
-            coeffs[i] += spec.amplitude
+            coeffs[i] = spec.amplitude
     return coeffs

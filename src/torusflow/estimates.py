@@ -1,12 +1,12 @@
-"""A priori estimate monitors: energy, Riccati, Gronwall, continuity.
+"""A priori monitors: energy, Riccati, Gronwall, transport growth, continuity.
 
 Everything here is plain array math over time series sampled from a run:
 the columns of its EstimateLedger, the per-node table whose written columns
 are the ledger files.
-Time integrals use the trapezoid rule on the sample grid; the energy identity
-additionally accepts nodal derivatives of the integrand, turning trapezoid
-into its Hermite-corrected variant (fourth order) so that the residual
-reflects the integrator error rather than the quadrature error.
+Time integrals use the trapezoid rule on the sample grid, `cumtrapz`; the
+energy identity takes nodal derivatives of its integrand as well, for the
+Hermite-corrected variant (fourth order) `hermite_cumtrapz`, so that its
+residual reflects the integrator error rather than the quadrature error.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ def write_ndjson(path, rows: list[dict]) -> None:
 
 
 def cumtrapz(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of g from t[0] to each t[k], 0 at t[0]."""
     t = np.asarray(t, dtype=float)
     g = np.asarray(g, dtype=float)
     out = np.zeros_like(g)
@@ -146,22 +147,20 @@ def convergence_orders(values) -> np.ndarray:
 
 def _energy_terms(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot):
     """Q = ||sqrt(rho) u||^2 and I = int_0^t ||grad u||^2 ds per prefix, the
-    integral Hermite-corrected when the rate d/dt ||grad u||^2 is given."""
+    integral Hermite-corrected with the rate d/dt ||grad u||^2."""
     Q = np.asarray(sqrt_rho_u_l2, dtype=float) ** 2
     g = np.asarray(grad_u_l2, dtype=float) ** 2
-    if grad_u_sq_dot is None:
-        return Q, cumtrapz(times, g)
     return Q, hermite_cumtrapz(times, g, grad_u_sq_dot)
 
 
-def energy_identity_check(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot=None) -> float:
+def energy_identity_check(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot) -> float:
     """Worst residual of 1/2 d/dt ||sqrt(rho) u||^2 + ||grad u||^2 = 0 in
     integral form over all prefixes [0, t_k]."""
     Q, I = _energy_terms(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot)
     return float(np.abs(0.5 * (Q - Q[0]) + I).max())
 
 
-def energy_functional(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot=None) -> np.ndarray:
+def energy_functional(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot) -> np.ndarray:
     """E(t) = ||sqrt(rho) u||^2(t) + 2 int_0^t ||grad u||^2 ds, which the
     continuous dynamics keeps exactly equal to its initial value."""
     Q, I = _energy_terms(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot)
@@ -398,8 +397,35 @@ def fit_gronwall_constants(t, f, g, G, alpha_base, beta_base) -> tuple[float, fl
 
 
 # ---------------------------------------------------------------------------
-# momentum continuity at t = 0
+# transport growth and momentum continuity at t = 0
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class TransportGrowthReport:
+    passed: bool
+    worst_margin: float
+    worst_time: float
+
+
+def transport_growth_check(times, w1gamma, gradv_inf, eps: float) -> TransportGrowthReport:
+    """Check ||rho(t)||_{W^{1,gamma}} <= exp(int_0^t ||grad v||_inf) ||rho0||.
+
+    The exponent integral is trapezoid on the sample grid; `eps` is the
+    multiplicative tolerance absorbing finite-difference gradient error.
+    Margin is bound/actual, so exact equality (zero velocity) reports 1.
+    """
+    w1 = np.asarray(w1gamma, dtype=float)
+    bounds = w1[0] * np.exp(cumtrapz(times, gradv_inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margins = np.where(w1 > 0, bounds / np.where(w1 > 0, w1, 1.0), np.inf)
+    worst = int(np.argmin(margins))
+    passed = bool(np.all(w1 <= bounds * (1.0 + eps)))
+    return TransportGrowthReport(
+        passed=passed,
+        worst_margin=float(margins[worst]),
+        worst_time=float(times[worst]),
+    )
 
 
 @dataclass

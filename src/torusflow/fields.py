@@ -1,4 +1,4 @@
-"""The grid, grid fields, their norms, pressure recovery, and snapshots.
+"""The grid, grid fields, their norms and derivatives, pressure, snapshots.
 
 Velocities live in the span of a BasisSet as coefficient vectors; fields
 sampled on the uniform M x M grid are plain arrays, (M, M) for a scalar and
@@ -7,7 +7,10 @@ indexing is periodic (index mod M); `grid_points` is the one construction of
 these nodes that the basis tables, the transport and the tests all share.
 All integrals over the torus use the trapezoid rule with weight
 `quadrature_weight(M)` = (2pi/M)^2, which is exact for trigonometric
-polynomials whose wavenumbers stay below the grid Nyquist limit.  The L^p
+polynomials whose wavenumbers stay below the grid Nyquist limit.
+`spectral_derivative(M)` is the one table of i k on the fft2 spectrum, with
+the Nyquist row and column of an even M dropped; the carried label step of
+`transport` and `leray_pressure` both differentiate with it.  The L^p
 norms of grid fields (`lp_norm`, `w1gamma_norm`, with the density gradient
 from `fd_gradient`) are the ones the run ledger reports.  They and
 `leray_pressure` also take a stack of fields along a leading axis and
@@ -71,6 +74,18 @@ def w1gamma_norm(
     return total ** (1.0 / gamma)
 
 
+@functools.lru_cache(maxsize=None)
+def spectral_derivative(M: int) -> np.ndarray:
+    """i k_alpha on the fft2 spectrum of an M x M grid field, shape (2, M, M)
+    for alpha = x, y, zero on the Nyquist row and column of an even M, so
+    that the derivative of a real field stays real and every wavenumber
+    |k| < M/2 is differentiated exactly."""
+    k = np.fft.fftfreq(M, 1.0 / M)
+    keep = np.abs(k) < M / 2  # drops the Nyquist wavenumber -M/2 of an even M
+    mask = keep[:, None] & keep[None, :]
+    return np.stack([1j * k[:, None] * mask, 1j * k[None, :] * mask])
+
+
 def leray_pressure(residual: np.ndarray) -> np.ndarray:
     """Pressure part of a Helmholtz decomposition: solve lap p = div g.
 
@@ -78,9 +93,9 @@ def leray_pressure(residual: np.ndarray) -> np.ndarray:
     solved field by field into (..., M, M).  Each field must have zero mean
     per component up to LERAY_MEAN_TOL times its scale; a nonzero mean
     admits no gradient representation and is rejected.  The solve runs in
-    trigonometric space with the zero-mean gauge for p.  Nyquist rows are
-    dropped for even M, which only matters for content at exactly the grid
-    limit.
+    trigonometric space with `spectral_derivative`, in the zero-mean gauge
+    for p; the Nyquist row and column of an even M, where the table is zero,
+    do not reach p.
     """
     if residual.ndim < 3 or residual.shape[-1] != 2:
         raise ValueError("leray_pressure expects a vector field")
@@ -92,18 +107,10 @@ def leray_pressure(residual: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input mean {means[nonzero][0]} is not zero; no gradient field matches it"
         )
-    k = np.fft.fftfreq(M, d=1.0 / M)
-    kx, ky = k[:, None], k[None, :]
-    gx = np.fft.fft2(residual[..., 0])
-    gy = np.fft.fft2(residual[..., 1])
-    div_hat = 1j * (kx * gx + ky * gy)
-    lap = -(kx * kx + ky * ky)
-    lap[0, 0] = 1.0
-    p_hat = div_hat / lap
-    p_hat[..., 0, 0] = 0.0
-    if M % 2 == 0:
-        p_hat[..., M // 2, :] = 0.0
-        p_hat[..., :, M // 2] = 0.0
+    d = spectral_derivative(M)
+    lap = (d * d).real.sum(axis=0)
+    div_hat = d[0] * np.fft.fft2(residual[..., 0]) + d[1] * np.fft.fft2(residual[..., 1])
+    p_hat = np.divide(div_hat, lap, out=np.zeros_like(div_hat), where=lap != 0)
     return np.real(np.fft.ifft2(p_hat))
 
 

@@ -18,9 +18,10 @@ w_n = MODE_NORM d_n T_n(x) and G_ij = h^2 MODE_NORM^2 (d_i . d_j),
 
 two matrix products per stage on the scalar tables of `BasisGrid`.  One call
 guards a block's mass matrices (batched eigvalsh) and forms its RK4 operators
-A^{-1}(B + Lam) (batched solve); the RK4 loop itself only does mat-vecs.  The
-nonlinear problem is the fixed point v = u, reached by Picard iteration
-starting from the constant-in-time initial velocity.
+A^{-1}(B + Lam) (batched solve); the RK4 loop itself, `transport.rk4_step`
+with `ode_rhs` as its rate, only does mat-vecs.  The nonlinear problem is
+the fixed point v = u, reached by Picard iteration starting from the
+constant-in-time initial velocity.
 
 `build_state` gives the self-consistent states of a stack of node
 coefficients and densities, one assembly block for all of them, with their
@@ -43,6 +44,7 @@ from .transport import (
     DivergenceError,
     VelocityHistory,
     carried_densities,
+    rk4_step,
 )
 
 
@@ -207,17 +209,9 @@ def solve_linearized(
     op_start = next(ops)
     for k in range(len(times) - 1):
         h = times[k + 1] - times[k]
-        f = coeffs[k]
         op_mid = next(ops)
         op_end = next(ops)
-
-        k1 = ode_rhs(f, op_start)
-        k2 = ode_rhs(f + 0.5 * h * k1, op_mid)
-        k3 = ode_rhs(f + 0.5 * h * k2, op_mid)
-        k4 = ode_rhs(f + h * k3, op_end)
-
-        derivs[k] = k1
-        coeffs[k + 1] = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        coeffs[k + 1], derivs[k] = rk4_step(coeffs[k], ode_rhs, h, op_start, op_mid, op_end)
         if not np.all(np.isfinite(coeffs[k + 1])):
             raise DivergenceError(float(times[k + 1]))
         op_start = op_end

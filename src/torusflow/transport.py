@@ -14,10 +14,11 @@ Two ways compute the feet Phi(0; x, t) on the M x M grid:
   (Constantin 2001, J. AMS 14), so d_t D = -(v . grad) D - v.  Each
   interval of the given times is one label step, a single RK4 step in time
   on the grid nodes: v is sampled there and grad D is pseudo-spectral,
-  D_x + i D_y through one fft2 and one inverse with the Nyquist row and
-  column dropped (Canuto, Hussaini, Quarteroni & Zang, Spectral Methods,
-  2006).  That is O(M^2 log M) per step, nothing off the grid, and linear
-  in the number of times.
+  D_x + i D_y through one fft2 and one inverse with the table
+  `fields.spectral_derivative`, Nyquist row and column dropped (Canuto,
+  Hussaini, Quarteroni & Zang, Spectral Methods, 2006).  That is
+  O(M^2 log M) per step, nothing off the grid, and linear in the number of
+  times.
 * `backtrack` integrates the characteristic ODE d_tau Phi = v(Phi, tau) at
   arbitrary points from tau = t down to tau = 0, in equal RK4 steps no
   longer than the step it is given: the only path with a step size of its
@@ -35,11 +36,12 @@ or an unstable time step has blown the velocity up.
 
 A trajectory is anything with `grid_velocity(t, M)` and `field_at(t)`, the
 velocity at time t on the M x M grid and as a function of points, like a
-VelocityHistory.  Each RK4 step takes the field of each of its three times
-once; a step's end field starts the next step, across intervals too.  A
-sweep hands its densities to the Picard assembly and to the ledger walk in
-stacked blocks, and raises a drift error only after the block of every
-earlier density has been handed on.
+VelocityHistory.  Every RK4 step here, and the solver's, is `rk4_step`,
+which takes the field of each of its three times once; a step's end field
+starts the next step, across intervals too.  A sweep hands its densities
+to the Picard assembly and to the ledger walk in stacked blocks, and
+raises a drift error only after the block of every earlier density has
+been handed on.
 
 Constant sources skip the characteristics altogether.  Feet are reported
 without modular reduction, which is harmless because every initial density
@@ -57,7 +59,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .basis import BasisSet
-from .fields import grid_points
+from .fields import grid_points, spectral_derivative
 
 # Largest distance allowed between a carried foot and its exact backtrack.
 # On resolved flows the label steps match the exact feet to ~1e-14; under a
@@ -243,10 +245,20 @@ class VelocityHistory:
         return self.basis.grid(M).synthesize(self.coeffs_at(t))
 
 
+def rk4_step(y, rate, h, start, mid, end):
+    """One classical RK4 step of length h for d_t y = rate(y, v), with v
+    given at the start, midpoint and end of the step: k2 and k3 share the
+    midpoint.  Returns the new y and k1 = rate(y, start)."""
+    k1 = rate(y, start)
+    k2 = rate(y + 0.5 * h * k1, mid)
+    k3 = rate(y + 0.5 * h * k2, mid)
+    k4 = rate(y + h * k3, end)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+
+
 def _rk4(y, rate, field, taus, start=None):
-    """Classical RK4 for d_tau y = rate(y, v(tau)), one step per interval of
-    the times `taus`, increasing or decreasing; `field(tau)` gives v(tau).
-    Each time's field is taken once: k2 and k3 share the midpoint field, and
+    """`rk4_step` once per interval of the times `taus`, increasing or
+    decreasing; `field(tau)` gives v(tau).  Each time's field is taken once:
     a step's end field is the next step's start.  Takes v(taus[0]) as
     `start` when the caller has it; returns y and v(taus[-1])."""
     if start is None:
@@ -255,11 +267,7 @@ def _rk4(y, rate, field, taus, start=None):
         h = tau_next - tau
         mid = field(tau + 0.5 * h)
         end = field(tau_next)
-        k1 = rate(y, start)
-        k2 = rate(y + 0.5 * h * k1, mid)
-        k3 = rate(y + 0.5 * h * k2, mid)
-        k4 = rate(y + h * k3, end)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y, _ = rk4_step(y, rate, h, start, mid, end)
         start = end
     return y, start
 
@@ -269,25 +277,13 @@ def _characteristic_rate(points: np.ndarray, field) -> np.ndarray:
     return field(points)
 
 
-@functools.lru_cache(maxsize=None)
-def _spectral_derivative(M: int) -> np.ndarray:
-    """i k_alpha on the fft2 spectrum of an M x M grid field, shape (2, M, M)
-    for alpha = x, y, zero on the Nyquist row and column of an even M, so
-    that the derivative of a real field stays real and every wavenumber
-    |k| < M/2 is differentiated exactly."""
-    k = np.fft.fftfreq(M, 1.0 / M)
-    keep = np.abs(k) < M / 2  # drops the Nyquist wavenumber -M/2 of an even M
-    mask = keep[:, None] & keep[None, :]
-    return np.stack([1j * k[:, None] * mask, 1j * k[None, :] * mask])
-
-
 def _label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
     """d_t D = -(v . grad) D - v on the grid, for the displacement packed as
     D = D_x + i D_y, (M, M) complex, and the velocity v (M, M, 2).  The
     spectral derivative maps real fields to real fields, so one complex
     fft2 and one inverse of the two derivatives differentiate both
     components at once."""
-    grad = np.fft.ifft2(_spectral_derivative(disp.shape[0]) * np.fft.fft2(disp))
+    grad = np.fft.ifft2(spectral_derivative(disp.shape[0]) * np.fft.fft2(disp))
     vx, vy = v[..., 0], v[..., 1]
     return -(vx * grad[0] + vy * grad[1]) - (vx + 1j * vy)
 
@@ -381,35 +377,3 @@ def _check_drift(history, feet: np.ndarray, walked: list) -> None:
         v = np.array([history.grid_velocity(t, M) for t in walked])
         speed = float(np.sqrt((v * v).sum(axis=-1)).max())
         raise TransportDriftError(float(walked[-1]), drift, speed)
-
-
-@dataclass
-class TransportGrowthReport:
-    passed: bool
-    worst_margin: float
-    worst_time: float
-
-
-def transport_growth_check(times, w1gamma, gradv_inf, eps: float) -> TransportGrowthReport:
-    """Check ||rho(t)||_{W^{1,gamma}} <= exp(int_0^t ||grad v||_inf) ||rho0||.
-
-    The exponent integral is trapezoid on the sample grid; `eps` is the
-    multiplicative tolerance absorbing finite-difference gradient error.
-    Margin is bound/actual, so exact equality (zero velocity) reports 1.
-    """
-    times = np.asarray(times, dtype=float)
-    w1 = np.asarray(w1gamma, dtype=float)
-    gv = np.asarray(gradv_inf, dtype=float)
-    exponents = np.concatenate(
-        [[0.0], np.cumsum(0.5 * np.diff(times) * (gv[1:] + gv[:-1]))]
-    )
-    bounds = w1[0] * np.exp(exponents)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margins = np.where(w1 > 0, bounds / np.where(w1 > 0, w1, 1.0), np.inf)
-    worst = int(np.argmin(margins))
-    passed = bool(np.all(w1 <= bounds * (1.0 + eps)))
-    return TransportGrowthReport(
-        passed=passed,
-        worst_margin=float(margins[worst]),
-        worst_time=float(times[worst]),
-    )

@@ -22,6 +22,7 @@ from torusflow.estimates import (
     existence_time,
     gronwall_bounds,
     gronwall_verify,
+    transport_growth_check,
 )
 from torusflow.fields import grid_points, w1gamma_norm
 from torusflow.pipeline import (
@@ -31,7 +32,7 @@ from torusflow.pipeline import (
     uniqueness_study,
     vacuum_sweep,
 )
-from torusflow.transport import bump_density, transport_growth_check
+from torusflow.transport import bump_density
 
 
 @pytest.fixture

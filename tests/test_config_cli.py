@@ -99,6 +99,9 @@ def test_mode_spec_validation():
         with pytest.raises(ConfigError) as err:
             parse_config_text(GOOD.replace("1,0,cos:0.3", f"1,0,cos:{amplitude}"))
         assert err.value.key == "u0.modes"
+    with pytest.raises(ConfigError) as err:  # one mode listed twice
+        parse_config_text(GOOD.replace("1,0,cos:0.3", "1,0,cos:0.3, 1,0,cos:0.2"))
+    assert err.value.key == "u0.modes"
     with pytest.raises(ConfigError):
         parse_config_text(GOOD.replace("density.kind = bump", "density.kind = jelly"))
 
@@ -291,10 +294,11 @@ def no_solve(*args, **kwargs):
         ["converge", "--N-list", "0,2,4"],
         ["uniqueness", "--delta", "nan"],
         ["uniqueness", "--delta", "-2"],
+        ["taylor", "--dt-list", "0.5"],
     ],
     ids=[
         "taylor-zero-dt", "taylor-negative-dt", "taylor-nan-dt", "converge-zero-N",
-        "uniqueness-nan-delta", "uniqueness-negative-density",
+        "uniqueness-nan-delta", "uniqueness-negative-density", "taylor-dt-over-T",
     ],
 )
 def test_cli_rejects_bad_study_numbers_before_solving(tmp_path, capsys, monkeypatch, argv):

@@ -83,9 +83,8 @@ def test_energy_identity_flags_corruption():
 
 def test_hermite_correction_beats_plain_trapezoid():
     t, q, grad, gdot = exact_decay_series()
-    assert energy_identity_check(t, q, grad, gdot) < 0.01 * energy_identity_check(
-        t, q, grad, None
-    )
+    plain = np.abs(0.5 * (q * q - q[0] * q[0]) + cumtrapz(t, grad * grad)).max()
+    assert energy_identity_check(t, q, grad, gdot) < 0.01 * plain
 
 
 # ---------------------------------------------------------------------------

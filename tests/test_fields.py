@@ -91,12 +91,17 @@ def test_spectral_gradient_oracle():
     np.testing.assert_allclose(g[..., 1], -2.0 * s, atol=1e-12)
 
 
-def test_leray_pressure_recovers_gradient():
-    M = 32
+@pytest.mark.parametrize("M", [7, 8, 15, 32])
+def test_leray_pressure_recovers_gradient(M):
     pts = grid_points(M)
     x, y = pts[..., 0], pts[..., 1]
     p_exact = np.cos(x) + np.sin(2.0 * y)
     g = np.stack([-np.sin(x), 2.0 * np.cos(2.0 * y)], axis=-1)
+    if M % 2 == 0:
+        # Nyquist content with a real, nonzero divergence on the nodes:
+        # kept, it would reach p as cos(M/2 x) cos y and cos x cos(M/2 y).
+        g[..., 0] += np.sin(x) * np.cos(M / 2 * y)
+        g[..., 1] += np.cos(M / 2 * x) * np.sin(y)
     p = leray_pressure(g)
     np.testing.assert_allclose(p, p_exact, atol=1e-12)
 

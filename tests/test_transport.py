@@ -6,7 +6,7 @@ from oracles import ConstantVelocity, ShearVelocity
 
 from torusflow import transport
 from torusflow.basis import MODE_NORM, BasisGrid, BasisSet
-from torusflow.estimates import GAMMA, convergence_orders
+from torusflow.estimates import GAMMA, convergence_orders, transport_growth_check
 from torusflow.fields import fd_gradient, grid_points, lp_norm, w1gamma_norm
 from torusflow.pipeline import node_diagnostics
 from torusflow.solver import DivergenceError, solve_linearized
@@ -22,7 +22,6 @@ from torusflow.transport import (
     density_at,
     lift_floor,
     shift_density,
-    transport_growth_check,
     vacuum_well_density,
 )
 
@@ -129,6 +128,22 @@ def test_coeffs_at_takes_an_array_of_times():
     np.testing.assert_array_equal(history.coeffs_at(ts), c)
     with pytest.raises(ValueError, match="t=1.5 is outside"):
         history.coeffs_at(np.array([0.2, 1.5, 0.4]))
+
+
+def test_rk4_step_is_simpson_on_a_cubic():
+    # With rate(y, v) = v the step is Simpson's rule on v(t), exact for a
+    # cubic; k1 is the rate at the start.
+    def v(t):
+        return np.array([1.0 + 2.0 * t - 3.0 * t**2 + 4.0 * t**3, -t**3])
+
+    def integral(t):
+        return np.array([t + t**2 - t**3 + t**4, -0.25 * t**4])
+
+    t0, h = 0.3, 0.7
+    y0 = np.array([0.5, -2.0])
+    y, k1 = transport.rk4_step(y0, lambda y, vt: vt, h, v(t0), v(t0 + 0.5 * h), v(t0 + h))
+    np.testing.assert_allclose(y, y0 + integral(t0 + h) - integral(t0), rtol=1e-14, atol=1e-15)
+    np.testing.assert_array_equal(k1, v(t0))
 
 
 def test_backtrack_zero_time_and_zero_field():
