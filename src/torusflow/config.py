@@ -4,7 +4,7 @@ Recognized keys:
 
     N             number of basis modes
     M             quadrature grid resolution per axis
-    dt            target time step for the coefficient ODE
+    dt            time step for the coefficient ODE; must divide T
     T             final time
     picard_tol    fixed-point stopping tolerance (default 1e-10)
     picard_max    iteration cap (default 30)
@@ -14,8 +14,8 @@ Recognized keys:
     snapshots     comma-separated times in [0, T] for field snapshots (optional);
                   no two may share a file tag (`snapshot_tag`)
 
-Blank lines and `#` comments are ignored.  Unknown or missing required keys
-and numbers that are not finite raise ConfigError naming the offender.
+Blank lines and `#` comments are ignored.  Unknown or missing required keys,
+non-finite numbers and a dt not dividing T raise ConfigError naming the offender.
 """
 
 from __future__ import annotations
@@ -170,6 +170,8 @@ def parse_config_text(text: str) -> RunConfig:
     )
     if cfg.T < cfg.dt:
         raise ConfigError("T must be at least one time step", key="T")
+    if not math.isclose(cfg.T / cfg.dt, round(cfg.T / cfg.dt), rel_tol=1e-12):
+        raise ConfigError(f"dt must divide T, got T/dt = {cfg.T / cfg.dt!r}", key="dt")
     outside = [t for t in cfg.snapshots if not 0.0 <= t <= cfg.T]
     if outside:
         raise ConfigError(

@@ -9,12 +9,12 @@ All integrals over the torus use the trapezoid rule with weight
 `quadrature_weight(M)` = (2pi/M)^2, which is exact for trigonometric
 polynomials whose wavenumbers stay below the grid Nyquist limit.
 `spectral_derivative(M)` is the one table of i k on the fft2 spectrum, with
-the Nyquist row and column of an even M dropped; the carried label step of
-`transport` and `leray_pressure` both differentiate with it.  The L^p
-norms of grid fields (`lp_norm`, `w1gamma_norm`, with the density gradient
-from `fd_gradient`) are the ones the run ledger reports.  They and
-`leray_pressure` also take a stack of fields along a leading axis and
-reduce each field of it, which is how the ledger walk calls them on a
+the Nyquist row and column of an even M dropped; `leray_pressure` solves with
+it, the label step with its real-matrix form `derivative_matrices` (Trefethen
+2000, ch. 3).  The L^p norms of grid fields (`lp_norm`, `w1gamma_norm`, with
+the density gradient from `fd_gradient`) are the ones the run ledger reports.
+They and `leray_pressure` also take a stack of fields along a leading axis
+and reduce each field of it, which is how the ledger walk calls them on a
 block of nodes.  `lp_norm` takes scalar fields only, so that its last two
 axes are always the grid; a vector field passes its magnitude.
 """
@@ -84,6 +84,17 @@ def spectral_derivative(M: int) -> np.ndarray:
     keep = np.abs(k) < M / 2  # drops the Nyquist wavenumber -M/2 of an even M
     mask = keep[:, None] & keep[None, :]
     return np.stack([1j * k[:, None] * mask, 1j * k[None, :] * mask])
+
+
+@functools.lru_cache(maxsize=None)
+def derivative_matrices(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """`spectral_derivative` as real matrices (D, P), read-only: d_x f = D f P,
+    d_y f = P f D^T, where P = I - n n^T/M, n_a = (-1)^a, drops an even M's Nyquist mode."""
+    D = np.fft.ifft(spectral_derivative(M)[0][:, :1] * np.fft.fft(np.eye(M), axis=0), axis=0).real
+    n = (-1.0) ** np.arange(M) * (M % 2 == 0)
+    P = np.eye(M) - np.outer(n, n) / M
+    D.flags.writeable = P.flags.writeable = False
+    return D, P
 
 
 def leray_pressure(residual: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ constant-in-time initial velocity.
 `build_state` gives the self-consistent states of a stack of node
 coefficients and densities, one assembly block for all of them, with their
 grid fields u, grad u and u_t synthesized once for every reader;
-`residual_diagnostics` reduces the same stack.  The ledger walk calls both on a block of nodes, the snapshot
-writer on a stack of one.
+`residual_diagnostics` reduces the same stack.  The ledger walk calls both
+on a block of nodes, the snapshot writer on a stack of one.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet, M: int) -> Ga
     grid = basis.grid(M)
     N = basis.size
     S = rho.shape[0]
-    rho_trig = rho.reshape(S, 1, -1) * grid.trig
-    a = grid.gram * (rho_trig @ grid.trig.T)
+    a = grid.gram * ((rho.reshape(S, 1, -1) * grid.trig) @ grid.trig.T)
     a = 0.5 * (a + a.transpose(0, 2, 1))
 
     threshold = 1e-10 * np.trace(a, axis1=1, axis2=2) / N
@@ -139,10 +138,13 @@ def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet, M: int) -> Ga
     passed = min_eig > threshold
     usable = S if passed.all() else int(np.argmin(passed))
 
-    # (v . grad) w_j = MODE_NORM d_j T'_j (v . k_j)
+    # (v . grad) w_j = MODE_NORM d_j T'_j (v . k_j), weighted by rho in place:
+    # with one (S, M*M, N) temporary alive at a time, glibc malloc does not
+    # trim the heap top and fault it back in every block.
     v_dot_k = v_grid.reshape(S, -1, 2) @ basis.kvecs.T
     v_dot_k *= grid.dtrig.T
-    b = grid.gram * (rho_trig @ v_dot_k)
+    v_dot_k *= rho.reshape(S, -1, 1)
+    b = grid.gram * (grid.trig @ v_dot_k)
 
     op = np.linalg.solve(a[:usable], b[:usable] + np.diag(basis.lambdas))
     return GalerkinMatrices(a=a, b=b, min_eig=min_eig, threshold=threshold, op=op)
@@ -172,12 +174,7 @@ def _stage_operators(
     points = basis.grid(M).points
     for lo, rho in carried_densities(source, v_hist, M, stage_times, _BLOCK):
         coeffs = v_hist.coeffs_at(stage_times[lo : lo + len(rho)])
-        # Named, so that the samples outlive assemble while the sweep fills
-        # the next block.  Freed at once, they let glibc malloc trim the heap
-        # top and fault it back in every block: 7-10x the minor page faults
-        # of a Picard solve on two_mode and vacuum, ~4% of their wall time.
-        v_grid = basis.velocity_at(points, coeffs)
-        mats = assemble(rho, v_grid, basis, M)
+        mats = assemble(rho, basis.velocity_at(points, coeffs), basis, M)
         yield from mats.op
         mats.operators(len(rho))
 

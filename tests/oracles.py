@@ -3,11 +3,12 @@
 Velocity fields with explicit characteristics (anything with
 `field_at(t)`, the velocity at time t as a function of points, and
 `grid_velocity(t, M)`, its samples on the M x M grid, can be backtracked or
-carried like a VelocityHistory), a spectral gradient for
-(M, M) grid fields, the one-stage Galerkin assembly from vector mode tables
-that it builds itself with `BasisSet.velocity_at` and `gradient_at`
-(per-point evaluation, independent of the scalar grid tables that the
-solver assembles from), the ledger walk one node at a time, which the
+carried like a VelocityHistory), a spectral gradient for (M, M) grid
+fields, the carried label rate through the FFT instead of the derivative
+matrices, the one-stage Galerkin assembly from vector mode tables that it
+builds itself with `BasisSet.velocity_at` and `gradient_at` (per-point
+evaluation, independent of the scalar grid tables that the solver
+assembles from), the ledger walk one node at a time, which the
 block walk of `pipeline.node_diagnostics` must reproduce, a scripted
 density source that puts chosen densities through the real carried sweep,
 and a density of narrow support that fails the mass-matrix guard.
@@ -20,7 +21,13 @@ import numpy as np
 
 from torusflow.basis import MODE_NORM
 from torusflow.estimates import GAMMA, EstimateLedger
-from torusflow.fields import fd_gradient, grid_points, lp_norm, w1gamma_norm
+from torusflow.fields import (
+    fd_gradient,
+    grid_points,
+    lp_norm,
+    spectral_derivative,
+    w1gamma_norm,
+)
 from torusflow.solver import build_state, residual_diagnostics
 from torusflow.transport import DensitySource, carried_densities
 
@@ -112,6 +119,16 @@ def spectral_gradient(scalar: np.ndarray) -> np.ndarray:
     gx = np.real(np.fft.ifft2(1j * kx * f_hat))
     gy = np.real(np.fft.ifft2(1j * ky * f_hat))
     return np.stack([gx, gy], axis=-1)
+
+
+def fft_label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The label rate -(v . grad) D - v of `transport._label_rate`, with the
+    displacement [D_x, D_y] (2, M, M) differentiated in trigonometric space:
+    D_x + i D_y through one fft2 and one inverse with `spectral_derivative`."""
+    grad = np.fft.ifft2(spectral_derivative(disp.shape[-1]) * np.fft.fft2(disp[0] + 1j * disp[1]))
+    vx, vy = v[..., 0], v[..., 1]
+    rate = -(vx * grad[0] + vy * grad[1]) - (vx + 1j * vy)
+    return np.stack([rate.real, rate.imag])
 
 
 def gradient_at(basis, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -281,6 +281,25 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_cli_rejects_dt_that_does_not_divide_t(tmp_path, capsys):
+    # taylor.cfg with dt = 0.3 used to run with steps of 0.25 (ledger times
+    # 0, 0.25, 0.5) and exit 0.
+    text = (SHIPPED[0].parent / "taylor.cfg").read_text()
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text.replace("dt = 0.001", "dt = 0.3"))
+    assert err.value.key == "dt"
+    cfg = write_config(tmp_path, text.replace("dt = 0.001", "dt = 0.3"))
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "dt must divide T" in capsys.readouterr().err
+    assert not out.exists()
+    # Round-off in T/dt is not a remainder: 0.3/0.1 = 2.9999999999999996.
+    for T in (0.3, 0.7):
+        assert T / 0.1 != round(T / 0.1)
+        edited = text.replace("dt = 0.001", "dt = 0.1").replace("T = 0.5", f"T = {T}")
+        assert parse_config_text(edited).T == T
+
+
 def no_solve(*args, **kwargs):
     raise AssertionError("solved before validating the command line")
 

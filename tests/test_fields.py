@@ -6,12 +6,14 @@ from oracles import spectral_gradient
 
 from torusflow.basis import BasisSet
 from torusflow.fields import (
+    derivative_matrices,
     fd_gradient,
     grid_points,
     leray_pressure,
     load_snapshot,
     lp_norm,
     save_snapshot,
+    spectral_derivative,
     w1gamma_norm,
 )
 from torusflow.pipeline import node_diagnostics
@@ -79,6 +81,22 @@ def test_grid_points_shared_and_read_only():
     assert BasisSet(4).grid(12).points is pts
     with pytest.raises(ValueError):
         pts[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("M", [7, 8, 15, 16, 32, 64])
+def test_derivative_matrices_are_the_spectral_table(M):
+    # D f P and P f D^T are the table's derivatives of a real field, the
+    # Nyquist row and column of an even M dropped as the table drops them.
+    x, y = grid_points(M)[..., 0], grid_points(M)[..., 1]
+    f = np.random.default_rng(M).standard_normal((M, M))
+    if M % 2 == 0:
+        f += 3.0 * np.cos(M / 2 * x) * (1.0 + np.sin(y)) + 2.0 * np.cos(M / 2 * y)
+    D, P = derivative_matrices(M)
+    assert not (D.flags.writeable or P.flags.writeable)
+    table = spectral_derivative(M)
+    for got, d in ((D @ f @ P, table[0]), (P @ f @ D.T, table[1])):
+        expected = np.real(np.fft.ifft2(d * np.fft.fft2(f)))
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_spectral_gradient_oracle():

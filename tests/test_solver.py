@@ -362,10 +362,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def test_picard_solve_keeps_its_heap():
-    # Temporaries freed before the carried sweep fills its next block let
-    # glibc malloc trim the heap top and fault it back in every block.  With
-    # one BLAS thread a solve takes ~2,300 minor faults, ~16,400 when the
-    # stage velocity samples die inside the block (2-vCPU x86-64 host).
+    # Block temporaries that together pass glibc's trim threshold let malloc
+    # trim the heap top and fault it back in every block.  With one BLAS
+    # thread a solve takes ~300 minor faults, ~14,500 when it trims every
+    # block (2-vCPU x86-64 host).
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import ConstantVelocity, ShearVelocity
+from oracles import ConstantVelocity, ShearVelocity, fft_label_rate
 
 from torusflow import transport
 from torusflow.basis import MODE_NORM, BasisGrid, BasisSet
@@ -307,8 +307,8 @@ def test_label_step_reproduces_resolved_modes(M):
     grad[..., 1, 0], grad[..., 1, 1] = -np.sin(x - 2 * y), 2 * np.sin(x - 2 * y)
     v = np.stack([np.cos(y) + 0.3, np.sin(2 * x)], -1)
     expected = -np.einsum("abij,abj->abi", grad, v) - v
-    rate = transport._label_rate(disp[..., 0] + 1j * disp[..., 1], v)
-    np.testing.assert_allclose(np.stack([rate.real, rate.imag], -1), expected, rtol=0, atol=1e-13)
+    rate = transport._label_rate(np.moveaxis(disp, -1, 0), v)
+    np.testing.assert_allclose(np.moveaxis(rate, 0, -1), expected, rtol=0, atol=1e-13)
     # Carried along a steady shear, one resolved mode, the feet are the
     # closed-form ones: RK4 integrates a constant rate exactly.
     shear = ShearVelocity(amplitude=0.9)
@@ -400,6 +400,26 @@ def test_carried_feet_match_backtrack(flow):
     feet = carried_feet(history, M, times)
     exact = np.array([backtrack(history, grid_points(M), t, dt / 2) for t in times])
     assert np.abs(feet - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("flow", ["two_mode", "many-mode"])
+def test_label_steps_match_the_fft_rate(flow, monkeypatch):
+    # One carried sweep along a linearized pass with the derivative matrices
+    # and one with the FFT pair they replaced: the same rule in other
+    # arithmetic, so the feet agree to rounding at every stage time.
+    if flow == "two_mode":
+        basis, M, dt, T = BasisSet(8), 32, 0.0025, 0.15
+        u0 = np.zeros(8)
+        u0[[0, 2]] = [0.3, 0.2]  # 1,0,cos:0.3 and 0,1,cos:0.2
+    else:
+        basis, M, dt, T = BasisSet(32), 48, 0.01, 0.05
+        u0 = 0.3 * basis.lambdas**-1.125
+    seed = VelocityHistory.constant(basis, u0, T)
+    history = solve_linearized(seed, bump_density(), u0, basis, M, dt, T)
+    times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
+    feet = carried_feet(history, M, times)
+    monkeypatch.setattr(transport, "_label_rate", fft_label_rate)
+    assert np.abs(carried_feet(history, M, times) - feet).max() <= 1e-13
 
 
 def test_drift_error_names_a_blown_up_velocity():
