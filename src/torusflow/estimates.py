@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,8 @@ class EstimateLedger:
         return np.stack([getattr(self, k) for k in LEDGER_FIELDS], axis=1, dtype=float).tolist()
 
     def write_ndjson(self, path) -> None:
-        write_ndjson(path, [dict(zip(LEDGER_FIELDS, row)) for row in self._rows()])
+        # Streamed: a list of every row dict (501 on taylor) raised peak memory.
+        write_ndjson(path, (dict(zip(LEDGER_FIELDS, row)) for row in self._rows()))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -102,11 +104,14 @@ def _json_safe(value):
     return value
 
 
-def write_ndjson(path, rows: list[dict]) -> None:
-    """One JSON object per line; non-finite floats are written as strings."""
+def write_ndjson(path, rows: Iterable[dict]) -> None:
+    """One JSON object per line; non-finite floats, where a row has one, as strings."""
     with open(path, "w") as fh:
         for row in rows:
-            fh.write(json.dumps(_json_safe(row), allow_nan=False) + "\n")
+            try:
+                fh.write(json.dumps(row, allow_nan=False) + "\n")
+            except ValueError:
+                fh.write(json.dumps(_json_safe(row), allow_nan=False) + "\n")
 
 
 def cumtrapz(t: np.ndarray, g: np.ndarray) -> np.ndarray:

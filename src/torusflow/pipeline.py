@@ -287,20 +287,26 @@ def _build_checks(src, picard, led: EstimateLedger, ric, t0_est) -> list[dict]:
 
 
 def momentum_probes(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
-    """Norms ||(rho u)(t_j) - rho0 u0||_2 at t_j = T 2^{-j}, j < MOMENTUM_PROBES."""
+    """Norms ||(rho u)(t_j) - rho0 u0||_2 at t_j = T 2^{-j}, j < MOMENTUM_PROBES.
+
+    A probe at a node time reads the density the ledger walk carried there,
+    as rho0 is read; any other probe backtracks its density to t = 0."""
     cfg = result.config
     grid = result.basis.grid(cfg.M)
     w = grid.weight
-    T = result.history.t_final
+    times = result.history.times
     rho0 = result.ledger.rho[0]
     u0 = grid.synthesize(result.history.coeffs[0])
     mom0 = rho0[..., None] * u0
 
-    probe_t = T * 2.0 ** -np.arange(MOMENTUM_PROBES)
+    carried = dict(zip(times.tolist(), result.ledger.rho))
+    probe_t = times[-1] * 2.0 ** -np.arange(MOMENTUM_PROBES)
     probe_n = np.empty(MOMENTUM_PROBES)
     for j, f in enumerate(result.history.coeffs_at(probe_t)):
         u = grid.synthesize(f)
-        rho = density_at(result.source, result.history, cfg.M, probe_t[j], cfg.dt)
+        rho = carried.get(probe_t[j])
+        if rho is None:
+            rho = density_at(result.source, result.history, cfg.M, probe_t[j], cfg.dt)
         diff = rho[..., None] * u - mom0
         probe_n[j] = math.sqrt(w * (diff * diff).sum())
     return probe_t, probe_n

@@ -22,8 +22,8 @@ Two ways compute the feet Phi(0; x, t) on the M x M grid:
   arbitrary points from tau = t down to tau = 0, in equal RK4 steps no
   longer than the step it is given: the only path with a step size of its
   own.  `density_at` uses it for a single time off the walk (snapshots,
-  momentum probes, in steps of at most dt); it is also the exact oracle
-  for the carried map.
+  momentum probes between nodes, in steps of at most dt); it is also the
+  exact oracle for the carried map.
 
 The two are independent discretizations of one map, Eulerian on the grid
 and Lagrangian per point.  At the end of every walk, or as soon as the
@@ -33,14 +33,14 @@ walk took them; a carried foot further than DRIFT_LIMIT from its exact
 foot raises TransportDriftError: the grid under-resolves the displacement,
 or an unstable time step has blown the velocity up.
 
-A trajectory is anything with `grid_velocity(t, M)` and `field_at(t)`, the
-velocity at time t on the M x M grid and as a function of points, like a
-VelocityHistory.  Every RK4 step here, and the solver's, is `rk4_step`,
-which takes the field of each of its three times once; a step's end field
-starts the next step, across intervals too.  A sweep hands its densities
-to the Picard assembly and to the ledger walk in stacked blocks, and
-raises a drift error only after the block of every earlier density has
-been handed on.
+A trajectory is anything with `coeffs_at(times)`, its velocity rows at an
+array of times, `velocity_at(points, row)` and `grid_velocity(rows, M)`,
+like a VelocityHistory.  Every RK4 step, here and in the solver, is
+`rk4_step`; a step's end field starts the next.  A backtrack or a drift
+guard takes its rows from one `coeffs_at` call, a sweep from one per
+block, synthesizing each grid field as its step comes.  A sweep hands its
+densities on in stacked blocks; its drift error follows the block of
+every earlier density.
 
 Constant sources skip the characteristics altogether.  Feet are reported
 without modular reduction, which is harmless because every initial density
@@ -51,7 +51,6 @@ are taken with the `fields` norm functions in the pipeline's ledger walk.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -233,15 +232,13 @@ class VelocityHistory:
             + h11 * h * self.derivs[k + 1].T
         ).T
 
-    def field_at(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The velocity at time t as a function of points (..., 2): the
-        dense output is computed once for every evaluation at t."""
-        coeffs = self.coeffs_at(t)
-        return lambda points: self.basis.velocity_at(points, coeffs)
+    def velocity_at(self, points: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """The velocity of one row of `coeffs_at` at points (..., 2)."""
+        return self.basis.velocity_at(points, row)
 
-    def grid_velocity(self, t: float, M: int) -> np.ndarray:
-        """The velocity at time t on the M x M grid nodes, (M, M, 2)."""
-        return self.basis.grid(M).synthesize(self.coeffs_at(t))
+    def grid_velocity(self, rows: np.ndarray, M: int) -> np.ndarray:
+        """The velocity of a row or stack of rows on the grid, (..., M, M, 2)."""
+        return self.basis.grid(M).synthesize(rows)
 
 
 def rk4_step(y, rate, h, start, mid, end):
@@ -255,25 +252,22 @@ def rk4_step(y, rate, h, start, mid, end):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
 
 
-def _rk4(y, rate, field, taus, start=None):
+def _rk4_times(taus) -> np.ndarray:
+    """The field times of one RK4 step per interval of the times `taus`:
+    tau_0, its midpoint, tau_1, ..., tau_n, 2n + 1 of them."""
+    taus = np.asarray(taus, dtype=float)
+    out = np.empty(2 * len(taus) - 1)
+    out[0::2], out[1::2] = taus, taus[:-1] + 0.5 * np.diff(taus)
+    return out
+
+
+def _rk4(y, rate, taus, rows):
     """`rk4_step` once per interval of the times `taus`, increasing or
-    decreasing; `field(tau)` gives v(tau).  Each time's field is taken once:
-    a step's end field is the next step's start.  Takes v(taus[0]) as
-    `start` when the caller has it; returns y and v(taus[-1])."""
-    if start is None:
-        start = field(taus[0])
-    for tau, tau_next in zip(taus[:-1], taus[1:]):
-        h = tau_next - tau
-        mid = field(tau + 0.5 * h)
-        end = field(tau_next)
-        y, _ = rk4_step(y, rate, h, start, mid, end)
-        start = end
-    return y, start
-
-
-def _characteristic_rate(points: np.ndarray, field) -> np.ndarray:
-    """d_tau Phi = v(Phi, tau) for a field given as a function of points."""
-    return field(points)
+    decreasing, for d_tau y = rate(y, row), with the rows of the velocity at
+    the `_rk4_times` of `taus`: the end row of a step starts the next."""
+    for i, h in enumerate(np.diff(taus)):
+        y, _ = rk4_step(y, rate, h, *rows[2 * i : 2 * i + 3])
+    return y
 
 
 def _label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -299,7 +293,8 @@ def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
     if t < 0.0 or dtau <= 0.0:
         raise ValueError("need t >= 0 and dtau > 0")
     steps = max(1, int(np.ceil(t / dtau - 1e-12)))
-    return _rk4(pts, _characteristic_rate, history.field_at, np.linspace(t, 0.0, steps + 1))[0]
+    taus = np.linspace(t, 0.0, steps + 1)
+    return _rk4(pts, history.velocity_at, taus, history.coeffs_at(_rk4_times(taus)))
 
 
 def density_at(
@@ -328,22 +323,36 @@ def carried_densities(
     failure at an earlier time surfaces first.  Constant sources take
     `density_at` at each time.
     """
+    if source.constant:
+        # A constant density takes no characteristics: no step size.
+        for lo in range(0, len(times), size):
+            ts = times[lo : lo + size]
+            yield lo, np.array([density_at(source, history, M, t, None) for t in ts])
+        return
     disp = np.zeros((2, M, M))  # [D_x, D_y]
     walked = [0.0]
-    grid_field = functools.partial(history.grid_velocity, M=M)
-    field = None
+    start = None  # the grid velocity at walked[-1], once a step needs it
     last = len(times) - 1
     for lo in range(0, len(times), size):
-        block = np.empty((min(size, len(times) - lo), M, M))
-        for s, t in enumerate(times[lo : lo + size]):
-            if source.constant:
-                # A constant density takes no characteristics: no step size.
-                block[s] = density_at(source, history, M, t, None)
-                continue
-            if t < walked[-1]:
+        ts = times[lo : lo + size]
+        block = np.empty((len(ts), M, M))
+        # One dense-output call for the block's label steps; a grid field is
+        # synthesized when its step comes.
+        taus = [walked[-1]]
+        for t in ts:
+            if t < taus[-1]:
                 raise ValueError("need increasing times from t >= 0")
+            if t > taus[-1]:
+                taus.append(t)
+        rows = iter(history.coeffs_at(_rk4_times(taus)))
+        first = next(rows)
+        for s, t in enumerate(ts):
             if t > walked[-1]:
-                disp, field = _rk4(disp, _label_rate, grid_field, (walked[-1], t), field)
+                if start is None:
+                    start = history.grid_velocity(first, M)
+                mid, end = (history.grid_velocity(next(rows), M) for _ in range(2))
+                disp, _ = rk4_step(disp, _label_rate, t - walked[-1], start, mid, end)
+                start = end
                 walked.append(t)
             feet = grid_points(M) + disp.transpose(1, 2, 0)
             if lo + s == last or not np.isfinite(disp).all():
@@ -368,9 +377,11 @@ def _check_drift(history, feet: np.ndarray, walked: list) -> None:
     rows = np.arange(8) * M // 8
     cols = (3 * rows) % M
     nodes = grid_points(M)[rows, cols]
-    exact = _rk4(nodes, _characteristic_rate, history.field_at, walked[::-1])[0]
+    taus = walked[::-1]
+    velocity = history.coeffs_at(_rk4_times(taus))
+    exact = _rk4(nodes, history.velocity_at, taus, velocity)
     drift = float(np.abs(feet[rows, cols] - exact).max())
     if not drift <= DRIFT_LIMIT:
-        v = np.array([history.grid_velocity(t, M) for t in walked])
+        v = history.grid_velocity(velocity[::2], M)  # the rows of the walked times
         speed = float(np.sqrt((v * v).sum(axis=-1)).max())
         raise TransportDriftError(float(walked[-1]), drift, speed)

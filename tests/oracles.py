@@ -1,9 +1,10 @@
 """Closed-form oracles the tests compare torusflow against.
 
 Velocity fields with explicit characteristics (anything with
-`field_at(t)`, the velocity at time t as a function of points, and
-`grid_velocity(t, M)`, its samples on the M x M grid, can be backtracked or
-carried like a VelocityHistory), a spectral gradient for (M, M) grid
+`coeffs_at(times)`, `velocity_at(points, t)` and `grid_velocity(t, M)` can
+be backtracked or carried like a VelocityHistory), the backtrack and the
+carried sweep with one dense-output call per RK4 time, which the batched
+ones of `transport` must reproduce, a spectral gradient for (M, M) grid
 fields, the carried label rate through the FFT instead of the derivative
 matrices, the one-stage Galerkin assembly from vector mode tables that it
 builds itself with `BasisSet.velocity_at` and `gradient_at` (per-point
@@ -29,17 +30,20 @@ from torusflow.fields import (
     w1gamma_norm,
 )
 from torusflow.solver import build_state, residual_diagnostics
-from torusflow.transport import DensitySource, carried_densities
+from torusflow.transport import DensitySource, _label_rate, carried_densities, rk4_step
 
 
 class PointwiseVelocity:
-    """A velocity given by `velocity_at(points, t)`; `field_at` and
-    `grid_velocity` are the history interface that transport integrates."""
+    """A velocity given by `velocity_at(points, t)`: with `coeffs_at` and
+    `grid_velocity` it has the trajectory interface that transport
+    integrates, its rows the times themselves."""
 
-    def field_at(self, t: float):
-        return lambda points: self.velocity_at(points, t)
+    def coeffs_at(self, times) -> np.ndarray:
+        return np.asarray(times, dtype=float)
 
-    def grid_velocity(self, t: float, M: int) -> np.ndarray:
+    def grid_velocity(self, t, M: int) -> np.ndarray:
+        if np.ndim(t):
+            return np.stack([self.grid_velocity(s, M) for s in t])
         return self.velocity_at(grid_points(M), t)
 
 
@@ -81,6 +85,38 @@ class ShearVelocity(PointwiseVelocity):
         out = pts.copy()
         out[..., 0] -= self.amplitude * np.sin(pts[..., 1]) * S
         return out
+
+
+def backtrack_per_time(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
+    """`transport.backtrack` with one `coeffs_at` call per RK4 time."""
+    y = np.asarray(points, dtype=float).copy()
+    taus = np.linspace(t, 0.0, max(1, int(np.ceil(t / dtau - 1e-12))) + 1)
+    for tau, tau_next in zip(taus[:-1], taus[1:]):
+        h = tau_next - tau
+        rows = [history.coeffs_at(s) for s in (tau, tau + 0.5 * h, tau_next)]
+        y, _ = rk4_step(y, history.velocity_at, h, *rows)
+    return y
+
+
+def carried_densities_per_time(source: DensitySource, history, M: int, times) -> np.ndarray:
+    """The densities (len(times), M, M) of `transport.carried_densities`,
+    with one `coeffs_at` and one `grid_velocity` call per RK4 time and no
+    blocks: a label step per time past the previous one, none at a
+    repeated time."""
+    def field(t):
+        return history.grid_velocity(history.coeffs_at(t), M)
+
+    disp = np.zeros((2, M, M))
+    prev, start = 0.0, field(0.0)
+    out = []
+    for t in times:
+        if t > prev:
+            h = t - prev
+            end = field(t)
+            disp, _ = rk4_step(disp, _label_rate, h, start, field(prev + 0.5 * h), end)
+            prev, start = t, end
+        out.append(source.value(grid_points(M) + disp.transpose(1, 2, 0)))
+    return np.array(out)
 
 
 def scripted_density(density, lower=1.0, upper=1.0) -> DensitySource:

@@ -4,9 +4,13 @@
 WALK_POINTS grid points; `oracles.node_diagnostics_per_node` walks the same
 trajectory one node at a time.  Both must give the same table, and a
 failure must surface at the node where a walk one node at a time meets it.
+The vacuum sweep's momentum probes read the walk's densities at node times.
 """
 
 import dataclasses
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from oracles import node_diagnostics_per_node, scripted_density
 
 from torusflow import pipeline, transport
 from torusflow.basis import BasisSet
+from torusflow.config import build_source, parse_config_text
 from torusflow.estimates import EstimateLedger
 from torusflow.solver import VacuumDegenerateError, assemble, picard_solve
 from torusflow.transport import (
@@ -21,7 +26,10 @@ from torusflow.transport import (
     VelocityHistory,
     bump_density,
     constant_density,
+    lift_floor,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def block_size(M):
@@ -121,3 +129,39 @@ def test_walk_reports_first_failure_in_node_order(monkeypatch, degenerate, drift
         assert err.value.t == times[-1]
         # Every node but the last was walked, in blocks of the walk's size.
         assert stacks == [size, size, 1]
+
+
+def test_momentum_probes_read_the_walk_at_node_times(monkeypatch):
+    # The vacuum workload's run at floor n = 1000, cut to T = 0.02 (8
+    # steps): probes t_j = T 2^-j for j = 0, 1, 2, 3 fall on nodes and read
+    # the ledger's carried density exactly; the other 9 backtrack.  Every
+    # norm matches the probe with its density backtracked.
+    text = re.sub(r"(?m)^T = .*$", "T = 0.02", (ROOT / "configs" / "vacuum.cfg").read_text())
+    cfg = parse_config_text(text)
+    result = pipeline.run_simulation(cfg, source=lift_floor(build_source(cfg), 1000))
+    backtracked = []
+    density_at = pipeline.density_at
+
+    def recording_density_at(source, history, M, t, dtau):
+        backtracked.append(t)
+        return density_at(source, history, M, t, dtau)
+
+    monkeypatch.setattr(pipeline, "density_at", recording_density_at)
+    probe_t, norms = pipeline.momentum_probes(result)
+    times = result.history.times
+    on_node = np.isin(probe_t, times)
+    assert on_node.sum() == 4 and np.array_equal(backtracked, probe_t[~on_node])
+
+    grid = result.basis.grid(cfg.M)
+    mom0 = result.ledger.rho[0][..., None] * grid.synthesize(result.history.coeffs[0])
+    for t, norm in zip(probe_t, norms):
+        u = grid.synthesize(result.history.coeffs_at(t))
+
+        def probe(rho):
+            diff = rho[..., None] * u - mom0
+            return math.sqrt(grid.weight * (diff * diff).sum())
+
+        exact = density_at(result.source, result.history, cfg.M, t, cfg.dt)
+        assert abs(norm - probe(exact)) <= 1e-13
+        if t in times:
+            assert norm == probe(result.ledger.rho[np.searchsorted(times, t)])

@@ -7,8 +7,9 @@ required layer fails here, in-process, instead of only under the
 benchmark's `--trace 1`: `run` over the configs of the taylor and two_mode
 workloads, and the vacuum workload's own sweep call on its config with a
 shorter horizon.  The `run` cases also pin the ledger walk to blocks of
-nodes, one `build_state` per block, and the carried sweeps to one grid
-velocity per RK4 time.  perfbench/ is only read.
+nodes, one `build_state` per block, the carried sweeps to one grid
+velocity per RK4 time, and two_mode's dense output to one `coeffs_at` call
+per block of times.  perfbench/ is only read.
 """
 
 import importlib
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from torusflow import pipeline
+from torusflow import pipeline, solver
 from torusflow.cli import main
 from torusflow.config import parse_config
 
@@ -72,6 +73,16 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, workloads, worklo
         passes = tracer.calls["solver.solve_linearized"]
         sweeps = passes * (1 + 4 * steps) + 1 + 2 * steps
     assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"] + sweeps
+    if workload == "two_mode":
+        # Dense output comes one call per block of times, never one per RK4
+        # time.  Each Picard pass: 16 sweep blocks and 16 assembly blocks of
+        # its 121 stage times (_BLOCK = 8), 1 drift guard and 1 Picard
+        # delta; the ledger walk: 31 blocks of its 61 nodes and 1 guard;
+        # each snapshot: its coefficients and its backtrack.  4 x 34 + 32 + 2
+        # = 170.
+        stage_blocks = math.ceil((2 * steps + 1) / solver._BLOCK)
+        expected = passes * (2 * stage_blocks + 2) + blocks + 1 + 2 * len(cfg.snapshots)
+        assert tracer.calls["transport.coeffs_at"] == expected == 170
 
 
 def test_tracer_reaches_every_vacuum_layer(tmp_path, capsys, workloads):

@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
-from oracles import ConstantVelocity, ShearVelocity, fft_label_rate
+from oracles import (
+    ConstantVelocity,
+    ShearVelocity,
+    backtrack_per_time,
+    carried_densities_per_time,
+    fft_label_rate,
+)
 
 from torusflow import transport
 from torusflow.basis import MODE_NORM, BasisGrid, BasisSet
 from torusflow.estimates import GAMMA, convergence_orders, transport_growth_check
 from torusflow.fields import fd_gradient, grid_points, lp_norm, w1gamma_norm
 from torusflow.pipeline import node_diagnostics
-from torusflow.solver import DivergenceError, solve_linearized
+from torusflow.solver import _BLOCK, DivergenceError, solve_linearized
 from torusflow.transport import (
     DENSITY_CATALOG,
     DensitySource,
@@ -420,6 +426,62 @@ def test_label_steps_match_the_fft_rate(flow, monkeypatch):
     feet = carried_feet(history, M, times)
     monkeypatch.setattr(transport, "_label_rate", fft_label_rate)
     assert np.abs(carried_feet(history, M, times) - feet).max() <= 1e-13
+
+
+def two_mode_pass(M=32, dt=0.0025, T=0.15):
+    """A linearized pass from the two_mode config's u0 (1,0,cos:0.3 and
+    0,1,cos:0.2)."""
+    basis = BasisSet(8)
+    u0 = np.zeros(8)
+    u0[[0, 2]] = [0.3, 0.2]
+    seed = VelocityHistory.constant(basis, u0, T)
+    return solve_linearized(seed, bump_density(), u0, basis, M, dt, T)
+
+
+def test_block_sweep_is_the_sweep_per_time():
+    # One dense-output call per block, grid fields synthesized as their
+    # steps come: bit for bit the densities of one coeffs_at and one
+    # grid_velocity call per RK4 time.  At a pass's own stage times in the
+    # solver's blocks, and at node times with repeats in blocks of 3; the
+    # block size divides neither.
+    history = two_mode_pass()
+    times = history.times
+    stage_times = np.empty(2 * len(times) - 1)
+    stage_times[0::2] = times
+    stage_times[1::2] = times[:-1] + 0.5 * np.diff(times)
+    repeated = np.repeat(times[:10], [2, 1, 3, 1, 1, 2, 1, 1, 1, 3])
+    for t, size in ((stage_times, _BLOCK), (repeated, 3)):
+        assert len(t) % size
+        np.testing.assert_array_equal(
+            sweep(bump_density(), history, 32, t, size),
+            carried_densities_per_time(bump_density(), history, 32, t),
+        )
+
+
+def test_decreasing_time_raises_after_the_earlier_blocks():
+    # The sweep reads a block's times before it steps through them: a
+    # decreasing time raises when its block comes, after every earlier block.
+    shear = ShearVelocity(amplitude=0.9, omega=2.0)
+    times = [0.0, 0.1, 0.2, 0.3, 0.25, 0.4]
+    blocks = []
+    with pytest.raises(ValueError, match="need increasing times"):
+        for lo, rho in carried_densities(bump_density(), shear, 8, times, 3):
+            blocks.append((lo, rho))
+    assert [lo for lo, _ in blocks] == [0]
+    np.testing.assert_array_equal(
+        blocks[0][1], carried_densities_per_time(bump_density(), shear, 8, times[:3])
+    )
+
+
+@pytest.mark.parametrize("t, dtau", [(0.15, 0.0025), (0.1, 0.003), (0.0025, 0.01)])
+def test_backtrack_is_the_backtrack_per_time(t, dtau):
+    # The rows of every RK4 time from one coeffs_at call give the feet of
+    # one call per time, bit for bit, on a pass and on an oracle flow.
+    pts = grid_points(16)
+    for flow in (two_mode_pass(), ShearVelocity(amplitude=0.9, omega=2.0)):
+        np.testing.assert_array_equal(
+            backtrack(flow, pts, t, dtau), backtrack_per_time(flow, pts, t, dtau)
+        )
 
 
 def test_drift_error_names_a_blown_up_velocity():
