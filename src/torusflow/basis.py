@@ -2,24 +2,27 @@
 
 Each basis field has the form
 
-    w(x) = (-k2, k1)/|k| * trig(k.x) / (sqrt(2)*pi),   trig in {cos, sin},
+    w(x) = (-k2, k1)/|k| * cos(k.x - s) / (sqrt(2)*pi),   s in {0, pi/2},
 
 with integer wavevector k = (k1, k2) != 0 drawn from the canonical half-space
-k1 > 0, or (k1 = 0 and k2 > 0).  Every such field is 2pi-periodic, solenoidal
-(the direction is orthogonal to k), unit-norm in L2, and an eigenfield of the
-Stokes operator with eigenvalue lam = |k|^2 and vanishing eigenpressure.
+k1 > 0, or (k1 = 0 and k2 > 0), and shift s = 0 for a "cos" mode, pi/2 for a
+"sin" mode.  Every such field is 2pi-periodic, solenoidal (the direction is
+orthogonal to k), unit-norm in L2, and an eigenfield of the Stokes operator
+with eigenvalue lam = |k|^2 and vanishing eigenpressure.
 
 Modes are enumerated by increasing eigenvalue; ties are broken by k1
 descending, then k2 ascending, cosine before sine, which makes the enumeration
 deterministic and keeps k=(1,0) cosine the first mode.
 
-On the M x M grid (`BasisGrid`) the modes are scalar tables and every
-synthesis or projection is a matrix product on them; `BasisSet.velocity_at`
-evaluates at arbitrary points from its own trig table.
+`BasisSet.phases` is the one home of the rule: the phases k.x - s of every
+mode at any points.  The tables on the M x M grid (`BasisGrid`) and the
+off-grid values of `BasisSet.velocity_at` are cosines of those phases, and
+every synthesis, evaluation or projection is a matrix product on them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,36 +49,27 @@ class BasisMode:
         return np.array([-k2 / norm, k1 / norm])
 
 
-def _canonical(k1: int, k2: int) -> bool:
-    return k1 > 0 or (k1 == 0 and k2 > 0)
-
-
 def enumerate_modes(count: int) -> list[BasisMode]:
-    """First `count` modes ordered by (lam, -k1, k2, cos-before-sin)."""
+    """First `count` modes ordered by (lam, -k1, k2, cos-before-sin).
+
+    Every canonical k with lam <= r^2 carries two modes, and for
+    r = isqrt(count) + 1 the disk holds at least `count` of them, so the
+    sorted prefix lists every mode up to the count-th."""
     if count < 1:
         raise ValueError("mode count must be >= 1")
-    radius = 2
-    while True:
-        candidates = []
-        for k1 in range(0, radius + 1):
-            for k2 in range(-radius, radius + 1):
-                if not _canonical(k1, k2):
-                    continue
-                lam = k1 * k1 + k2 * k2
-                if lam > radius * radius:
-                    continue
-                for pidx, parity in enumerate(("cos", "sin")):
-                    candidates.append((lam, -k1, k2, pidx, parity, (k1, k2)))
-        if len(candidates) >= count:
-            candidates.sort(key=lambda c: c[:4])
-            # All modes with lam <= radius^2 are present, so the prefix is
-            # complete as long as the count stays within that shell.
-            if candidates[count - 1][0] <= radius * radius:
-                return [
-                    BasisMode(k=k, parity=parity, lam=lam)
-                    for lam, _, _, _, parity, k in candidates[:count]
-                ]
-        radius *= 2
+    r = math.isqrt(count) + 1
+    # "cos" sorts before "sin", so the tuples sort in the stated order.
+    keys = sorted(
+        (k1 * k1 + k2 * k2, -k1, k2, parity)
+        for k1 in range(r + 1)
+        for k2 in range(-r, r + 1)
+        if (k1 > 0 or (k1 == 0 and k2 > 0)) and k1 * k1 + k2 * k2 <= r * r
+        for parity in ("cos", "sin")
+    )
+    return [
+        BasisMode(k=(-neg_k1, k2), parity=parity, lam=lam)
+        for lam, neg_k1, k2, parity in keys[:count]
+    ]
 
 
 class BasisGrid:
@@ -85,8 +79,9 @@ class BasisGrid:
     to a*M + b; `points` is the shared `fields.grid_points` array and
     `weight` the trapezoid quadrature weight (2pi/M)^2.
 
-    Every mode factors as w_n = MODE_NORM d_n T_n(x), with gradient
-    MODE_NORM (d_n x k_n) T'_n(x), so the grid holds only the scalar tables
+    Every mode factors as w_n = MODE_NORM d_n T_n(x), with T_n the cosine
+    of its `BasisSet.phases` and gradient MODE_NORM (d_n x k_n) T'_n(x),
+    T'_n = -sin of the same phase, so the grid holds only the scalar tables
     `trig` (T_n) and `dtrig` (T'_n), shape (N, M*M), the factors `vec` =
     MODE_NORM d_n (N, 2) and `grad_vec` = MODE_NORM d_n x k_n (N, 2, 2), and
     `gram` = h^2 MODE_NORM^2 (d_i . d_j) (N, N) for the Galerkin matrices.
@@ -101,20 +96,9 @@ class BasisGrid:
         self.M = int(M)
         self.weight = quadrature_weight(self.M)
         self.points = grid_points(self.M)
-        X, Y = self.points[..., 0], self.points[..., 1]
-
-        N = basis.size
-        self.trig = np.empty((N, M * M))
-        self.dtrig = np.empty((N, M * M))
-        for n, mode in enumerate(basis.modes):
-            k1, k2 = mode.k
-            phase = k1 * X + k2 * Y
-            if mode.parity == "cos":
-                trig, trig_d = np.cos(phase), -np.sin(phase)
-            else:
-                trig, trig_d = np.sin(phase), np.cos(phase)
-            self.trig[n] = trig.reshape(-1)
-            self.dtrig[n] = trig_d.reshape(-1)
+        phases = basis.phases(self.points.reshape(-1, 2)).T
+        self.trig = np.cos(phases, order="C")
+        self.dtrig = -np.sin(phases, order="C")
         self.vec = MODE_NORM * basis.dirs
         self.grad_vec = self.vec[:, :, None] * basis.kvecs[:, None, :]
         self.gram = self.weight * MODE_NORM**2 * (basis.dirs @ basis.dirs.T)
@@ -152,10 +136,8 @@ class BasisSet:
         self.lambdas = np.array([m.lam for m in self.modes], dtype=float)
         self.kvecs = np.array([m.k for m in self.modes], dtype=float)
         self.dirs = np.array([m.direction for m in self.modes])
-        self.is_cos = np.array([m.parity == "cos" for m in self.modes])
+        self.shifts = np.array([0.0 if m.parity == "cos" else 0.5 * np.pi for m in self.modes])
         self.kmax = int(np.abs(self.kvecs).max())
-        self._cos_idx = np.nonzero(self.is_cos)[0]
-        self._sin_idx = np.nonzero(~self.is_cos)[0]
         self._grids: dict[int, BasisGrid] = {}
 
     def grid(self, M: int) -> BasisGrid:
@@ -163,23 +145,18 @@ class BasisSet:
             self._grids[M] = BasisGrid(self, M)
         return self._grids[M]
 
-    def _trig_table(self, points: np.ndarray) -> np.ndarray:
-        """trig(k_n . x) for all modes at flat points (P, 2) -> (P, N)."""
-        phases = points @ self.kvecs.T
-        table = np.empty_like(phases)
-        table[:, self._cos_idx] = np.cos(phases[:, self._cos_idx])
-        table[:, self._sin_idx] = np.sin(phases[:, self._sin_idx])
-        return table
+    def phases(self, points: np.ndarray) -> np.ndarray:
+        """k_n . x - s_n for all modes at flat points (P, 2) -> (P, N): mode n
+        is cos of its phase, its derivative along k_n -sin of it."""
+        return points @ self.kvecs.T - self.shifts
 
     def velocity_at(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """Velocity samples at arbitrary points (..., 2) -> (..., 2).
 
         A stack of coefficient vectors (S, N) gives (S, ..., 2), one field
-        per row, from a single trig table of the points."""
+        per row, from the product `BasisGrid.synthesize` takes on the grid."""
         pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(-1, 2)
-        table = self._trig_table(flat)
+        table = np.cos(self.phases(pts.reshape(-1, 2)))
         c = np.asarray(coeffs, dtype=float)
-        u = (table * c[..., None, :]) @ (self.dirs * MODE_NORM)
+        u = table @ (c[..., :, None] * (MODE_NORM * self.dirs))
         return u.reshape(c.shape[:-1] + pts.shape)
-

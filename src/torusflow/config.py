@@ -210,11 +210,10 @@ def build_basis(config: RunConfig) -> BasisSet:
             key="M",
         )
     basis = BasisSet(config.N)
-    minimum = 2 * basis.kmax + 1
-    if config.M < minimum:
-        raise ConfigError(
-            f"M={config.M} aliases this basis; need M >= {minimum}", key="M"
-        )
+    try:
+        basis.grid(config.M)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="M") from None
     return basis
 
 

@@ -43,6 +43,7 @@ from .transport import (
     DensitySource,
     DivergenceError,
     VelocityHistory,
+    _rk4_times,
     carried_densities,
     rk4_step,
 )
@@ -194,10 +195,7 @@ def solve_linearized(
     one carried sweep.  Returns the full trajectory with nodal derivatives."""
     times = _node_times(T, dt)
     N = basis.size
-    stage_times = np.empty(2 * len(times) - 1)
-    stage_times[0::2] = times
-    stage_times[1::2] = times[:-1] + 0.5 * np.diff(times)
-    ops = _stage_operators(v_hist, source, basis, M, stage_times)
+    ops = _stage_operators(v_hist, source, basis, M, _rk4_times(times))
 
     coeffs = np.empty((len(times), N))
     derivs = np.empty((len(times), N))

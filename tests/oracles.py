@@ -172,7 +172,8 @@ def gradient_at(basis, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     entry [..., i, alpha] = d_alpha u_i, from its own derivative trig table."""
     pts = np.asarray(points, dtype=float)
     phases = pts.reshape(-1, 2) @ basis.kvecs.T
-    dtrig = np.where(basis.is_cos, -np.sin(phases), np.cos(phases))
+    is_cos = np.array([m.parity == "cos" for m in basis.modes])
+    dtrig = np.where(is_cos, -np.sin(phases), np.cos(phases))
     grad = np.einsum("pn,ni,na->pia", dtrig * coeffs, basis.dirs * MODE_NORM, basis.kvecs)
     return grad.reshape(pts.shape[:-1] + (2, 2))
 

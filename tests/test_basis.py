@@ -53,6 +53,20 @@ def test_ordering_is_deterministic():
     assert enumerate_modes(25)[:9] == modes
 
 
+def test_listing_matches_a_wide_search():
+    # Every mode with |k| <= 30 (lam up to 900), sorted by the stated order:
+    # the first 400 all have lam < 150, so each prefix is complete.
+    wide = sorted(
+        (k1 * k1 + k2 * k2, -k1, k2, p, (k1, k2), parity)
+        for k1, k2 in itertools.product(range(0, 31), range(-30, 31))
+        if k1 > 0 or (k1 == 0 and k2 > 0)
+        for p, parity in enumerate(("cos", "sin"))
+    )
+    for count in range(1, 401):
+        listed = [(m.lam, m.k, m.parity) for m in enumerate_modes(count)]
+        assert listed == [(lam, k, parity) for lam, _, _, _, k, parity in wide[:count]]
+
+
 def test_canonical_halfspace():
     for m in enumerate_modes(40):
         k1, k2 = m.k
@@ -78,6 +92,21 @@ def test_evaluate_oracle_values():
     np.testing.assert_allclose(
         v, [1.0 / (2.0 * np.pi), -1.0 / (2.0 * np.pi)], atol=1e-15
     )
+    # Sine modes at raw, unreduced coordinates, as backtrack feet are.
+    norm = 1.0 / (np.sqrt(2.0) * np.pi)
+    cases = [
+        # k=(1,0): phase -7pi/2, sin = 1, direction (0,1).
+        ((1, 0), [-3.5 * np.pi, 3.9 * np.pi], [0.0, norm]),
+        # k=(0,1): phase -23pi/6, sin = 1/2, direction (-1,0).
+        ((0, 1), [4.0 * np.pi, -23.0 * np.pi / 6.0], [-0.5 * norm, 0.0]),
+        # k=(1,1): phase -19pi/4, sin = -1/sqrt(2), direction (-1,1)/sqrt(2).
+        ((1, 1), [-13.0 * np.pi / 4.0, -1.5 * np.pi], [0.5 * norm, -0.5 * norm]),
+        # k=(1,-1): phase -22pi/3, sin = sqrt(3)/2, direction (1,1)/sqrt(2).
+        ((1, -1), [-11.0 * np.pi / 3.0, 11.0 * np.pi / 3.0], [np.sqrt(6.0) / 4.0 * norm] * 2),
+    ]
+    for k, x, expected in cases:
+        n = next(n for n, m in enumerate(basis.modes) if m.k == k and m.parity == "sin")
+        np.testing.assert_allclose(basis.velocity_at(np.array(x), unit(n)), expected, atol=1e-13)
 
 
 def test_directions_are_unit_and_orthogonal_to_k():

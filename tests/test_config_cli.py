@@ -115,6 +115,13 @@ def test_horizon_and_grid_validation():
     with pytest.raises(ConfigError) as err:
         build_basis(cfg)
     assert err.value.key == "M"
+    # M = 7 resolves 48 modes, but the first 45 reach k = (4, 0) (needs
+    # M >= 9): the grid's own alias check refuses it.
+    cfg = parse_config_text(GOOD.replace("M = 16", "M = 7").replace("N = 4", "N = 45"))
+    with pytest.raises(ConfigError) as err:
+        build_basis(cfg)
+    assert err.value.key == "M"
+    assert "alias-free minimum 9" in str(err.value)
 
 
 @pytest.mark.parametrize("N", [225, 10**8])
