@@ -18,6 +18,11 @@ deterministic and keeps k=(1,0) cosine the first mode.
 mode at any points.  The tables on the M x M grid (`BasisGrid`) and the
 off-grid values of `BasisSet.velocity_at` are cosines of those phases, and
 every synthesis, evaluation or projection is a matrix product on them.
+`BasisSet.vec` = MODE_NORM d_n is the one home of the mode directions: a
+coefficient row c weighs into the factors c_n MODE_NORM d_n (N, 2)
+(`BasisSet.weigh`), and a velocity is the cosine table times those factors,
+at points (`BasisSet.weighted_at`) or on the grid as component planes
+(`BasisGrid.planes`).
 """
 
 from __future__ import annotations
@@ -82,9 +87,10 @@ class BasisGrid:
     Every mode factors as w_n = MODE_NORM d_n T_n(x), with T_n the cosine
     of its `BasisSet.phases` and gradient MODE_NORM (d_n x k_n) T'_n(x),
     T'_n = -sin of the same phase, so the grid holds only the scalar tables
-    `trig` (T_n) and `dtrig` (T'_n), shape (N, M*M), the factors `vec` =
-    MODE_NORM d_n (N, 2) and `grad_vec` = MODE_NORM d_n x k_n (N, 2, 2), and
-    `gram` = h^2 MODE_NORM^2 (d_i . d_j) (N, N) for the Galerkin matrices.
+    `trig` (T_n), shape (N, M*M), and `dtrig` (T'_n), shape (M*M, N), the
+    layout each one's products read, the factors `vec` = `BasisSet.vec`
+    (N, 2) and `grad_vec` = MODE_NORM d_n x k_n (N, 2, 2), and `gram` =
+    h^2 MODE_NORM^2 (d_i . d_j) (N, N) for the Galerkin matrices.
     """
 
     def __init__(self, basis: "BasisSet", M: int):
@@ -96,10 +102,10 @@ class BasisGrid:
         self.M = int(M)
         self.weight = quadrature_weight(self.M)
         self.points = grid_points(self.M)
-        phases = basis.phases(self.points.reshape(-1, 2)).T
-        self.trig = np.cos(phases, order="C")
-        self.dtrig = -np.sin(phases, order="C")
-        self.vec = MODE_NORM * basis.dirs
+        phases = basis.phases(self.points.reshape(-1, 2))
+        self.trig = np.cos(phases.T, order="C")
+        self.dtrig = -np.sin(phases)
+        self.vec = basis.vec
         self.grad_vec = self.vec[:, :, None] * basis.kvecs[:, None, :]
         self.gram = self.weight * MODE_NORM**2 * (basis.dirs @ basis.dirs.T)
 
@@ -114,7 +120,14 @@ class BasisGrid:
         for coefficient vectors (..., N)."""
         lead = coeffs.shape[:-1]
         factors = (coeffs[..., :, None, None] * self.grad_vec).reshape(lead + (-1, 4))
-        return (self.dtrig.T @ factors).reshape(lead + (self.M, self.M, 2, 2))
+        return (self.dtrig @ factors).reshape(lead + (self.M, self.M, 2, 2))
+
+    def planes(self, weights: np.ndarray) -> np.ndarray:
+        """Velocity component planes (..., 2, M, M), [v_x, v_y], of weighted
+        rows (..., N, 2) from `BasisSet.weigh`: the product `synthesize`
+        takes, transposed so that its rows are the planes."""
+        u = weights.swapaxes(-1, -2) @ self.trig
+        return u.reshape(weights.shape[:-2] + (2, self.M, self.M))
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products (values, w_n) for all modes of vector
@@ -137,6 +150,7 @@ class BasisSet:
         self.kvecs = np.array([m.k for m in self.modes], dtype=float)
         self.dirs = np.array([m.direction for m in self.modes])
         self.shifts = np.array([0.0 if m.parity == "cos" else 0.5 * np.pi for m in self.modes])
+        self.vec = MODE_NORM * self.dirs
         self.kmax = int(np.abs(self.kvecs).max())
         self._grids: dict[int, BasisGrid] = {}
 
@@ -146,7 +160,7 @@ class BasisSet:
         return self._grids[M]
 
     def phases(self, points: np.ndarray) -> np.ndarray:
-        """k_n . x - s_n for all modes at flat points (P, 2) -> (P, N): mode n
+        """k_n . x - s_n for all modes at points (..., 2) -> (..., N): mode n
         is cos of its phase, its derivative along k_n -sin of it."""
         return points @ self.kvecs.T - self.shifts
 
@@ -156,7 +170,16 @@ class BasisSet:
         A stack of coefficient vectors (S, N) gives (S, ..., 2), one field
         per row, from the product `BasisGrid.synthesize` takes on the grid."""
         pts = np.asarray(points, dtype=float)
-        table = np.cos(self.phases(pts.reshape(-1, 2)))
-        c = np.asarray(coeffs, dtype=float)
-        u = table @ (c[..., :, None] * (MODE_NORM * self.dirs))
-        return u.reshape(c.shape[:-1] + pts.shape)
+        return self.weighted_at(pts, self.weigh(np.asarray(coeffs, dtype=float)))
+
+    def weigh(self, coeffs: np.ndarray) -> np.ndarray:
+        """The factors c_n MODE_NORM d_n (..., N, 2) of coefficient rows
+        (..., N): the velocity of a row is sum_n T_n(x) times its factors."""
+        return coeffs[..., :, None] * self.vec
+
+    def weighted_at(self, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """`velocity_at` for rows already weighed, (N, 2) or (S, N, 2): a
+        caller that evaluates one row at many sets of points weighs it
+        once."""
+        u = np.cos(self.phases(points.reshape(-1, 2))) @ weights
+        return u.reshape(weights.shape[:-2] + points.shape)

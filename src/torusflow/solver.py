@@ -143,7 +143,7 @@ def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet, M: int) -> Ga
     # with one (S, M*M, N) temporary alive at a time, glibc malloc does not
     # trim the heap top and fault it back in every block.
     v_dot_k = v_grid.reshape(S, -1, 2) @ basis.kvecs.T
-    v_dot_k *= grid.dtrig.T
+    v_dot_k *= grid.dtrig
     v_dot_k *= rho.reshape(S, -1, 1)
     b = grid.gram * (grid.trig @ v_dot_k)
 

@@ -33,14 +33,18 @@ walk took them; a carried foot further than DRIFT_LIMIT from its exact
 foot raises TransportDriftError: the grid under-resolves the displacement,
 or an unstable time step has blown the velocity up.
 
-A trajectory is anything with `coeffs_at(times)`, its velocity rows at an
+A trajectory is anything with `rows_at(times)`, its velocity rows at an
 array of times, `velocity_at(points, row)` and `grid_velocity(rows, M)`,
-like a VelocityHistory.  Every RK4 step, here and in the solver, is
-`rk4_step`; a step's end field starts the next.  A backtrack or a drift
-guard takes its rows from one `coeffs_at` call, a sweep from one per
-block, synthesizing each grid field as its step comes.  A sweep hands its
-densities on in stacked blocks; its drift error follows the block of
-every earlier density.
+the velocity of a row at points (..., 2) and of rows on the grid as
+component planes (..., 2, M, M), [v_x, v_y], like a VelocityHistory.  A
+VelocityHistory's row is its dense output weighed once into the factors
+c_n MODE_NORM d_n (N, 2) of `BasisSet.weigh`, so that each evaluation is
+one cosine table times the row, with no per-call weighing.  Every RK4
+step, here and in the solver, is `rk4_step`; a step's end field starts the
+next.  A backtrack or a drift guard takes its rows from one `rows_at` call,
+a sweep from one per block, synthesizing each grid field as its step
+comes.  A sweep hands its densities on in stacked blocks; its drift error
+follows the block of every earlier density.
 
 Constant sources skip the characteristics altogether.  Feet are reported
 without modular reduction, which is harmless because every initial density
@@ -130,17 +134,21 @@ def vacuum_well_density() -> DensitySource:
     rho0 = c * max(0, q - 1/2)^2 with q = (1 - cos(x - pi))/2 +
     (1 - cos(y - pi))/2.  The square keeps the gradient continuous across the
     vacuum boundary; c = 2/3 normalizes the peak value (at the origin) to 1.5.
+    Since cos(x - pi) = -cos x, q - 1/2 = (1 + cos x + cos y)/2, evaluated
+    in one buffer: a single point gives a 0-d array.
     """
     c = 2.0 / 3.0
 
-    def _q(p):
-        return 0.5 * (1.0 - np.cos(p[..., 0] - np.pi)) + 0.5 * (
-            1.0 - np.cos(p[..., 1] - np.pi)
-        )
-
     def value(points):
         p = np.asarray(points)
-        return c * np.maximum(0.0, _q(p) - 0.5) ** 2
+        r = np.empty(p.shape[:-1])
+        np.cos(p[..., 0], out=r)
+        r += np.cos(p[..., 1])
+        r += 1.0
+        np.maximum(r, 0.0, out=r)
+        r *= r
+        r *= 0.25 * c
+        return r
 
     return DensitySource(value, 0.0, 1.5)
 
@@ -200,6 +208,12 @@ class VelocityHistory:
     def t_final(self) -> float:
         return float(self.times[-1])
 
+    def rows_at(self, times) -> np.ndarray:
+        """The velocity rows at a 1-d array of times, (S, N, 2), or at one
+        time, (N, 2): the dense output of `coeffs_at` weighed once into the
+        factors of `BasisSet.weigh`."""
+        return self.basis.weigh(self.coeffs_at(times))
+
     def coeffs_at(self, t) -> np.ndarray:
         """Hermite dense output at one time t in [t0, T], shape (N,), or at a
         1-d array of times, shape (S, N).  Node times, and the ends overshot
@@ -233,23 +247,31 @@ class VelocityHistory:
         ).T
 
     def velocity_at(self, points: np.ndarray, row: np.ndarray) -> np.ndarray:
-        """The velocity of one row of `coeffs_at` at points (..., 2)."""
-        return self.basis.velocity_at(points, row)
+        """The velocity of one row of `rows_at` at points (..., 2)."""
+        return self.basis.weighted_at(points, row)
 
     def grid_velocity(self, rows: np.ndarray, M: int) -> np.ndarray:
-        """The velocity of a row or stack of rows on the grid, (..., M, M, 2)."""
-        return self.basis.grid(M).synthesize(rows)
+        """The velocity component planes (..., 2, M, M) of a row or stack of
+        rows of `rows_at` on the grid."""
+        return self.basis.grid(M).planes(rows)
 
 
 def rk4_step(y, rate, h, start, mid, end):
     """One classical RK4 step of length h for d_t y = rate(y, v), with v
     given at the start, midpoint and end of the step: k2 and k3 share the
-    midpoint.  Returns the new y and k1 = rate(y, start)."""
+    midpoint.  Returns the new y and k1 = rate(y, start).  The sum
+    k1 + 2 k2 + 2 k3 + k4 is built, in that order, in one buffer of its own:
+    the rate's values, k1 among them, are read and never overwritten."""
     k1 = rate(y, start)
-    k2 = rate(y + 0.5 * h * k1, mid)
-    k3 = rate(y + 0.5 * h * k2, mid)
-    k4 = rate(y + h * k3, end)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+    k = rate(y + 0.5 * h * k1, mid)
+    acc = 2.0 * k
+    acc += k1
+    k = rate(y + 0.5 * h * k, mid)
+    acc += 2.0 * k
+    acc += rate(y + h * k, end)
+    acc *= h / 6.0
+    acc += y
+    return acc, k1
 
 
 def _rk4_times(taus) -> np.ndarray:
@@ -271,13 +293,21 @@ def _rk4(y, rate, taus, rows):
 
 
 def _label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """d_t D = -(v . grad) D - v on the grid, for D = [D_x, D_y] (2, M, M) and
-    v (M, M, 2).  Four stacked products with `fields.derivative_matrices`
-    cost ~32 us at M = 32 against ~80 us for an fft2 pair of D_x + i D_y (one
-    BLAS thread); the two are about even at M = 128, the FFT cheaper above."""
+    """d_t D = -(v . grad) D - v on the grid, for D = [D_x, D_y] and
+    v = [v_x, v_y], component planes (2, M, M), built in the buffer of
+    d_x D.  Four stacked products with `fields.derivative_matrices` cost
+    ~24 us at M = 32 and ~36 us at M = 40 against ~100 us for an fft2 pair
+    of D_x + i D_y at M = 32 (one BLAS thread, best of 25 x 300 calls); the
+    two are about even at M = 128, the FFT cheaper above."""
     D, P = derivative_matrices(disp.shape[-1])
     E = P @ disp @ P
-    return -(v[..., 0] * (D @ E) + v[..., 1] * (E @ D.T) + v.transpose(2, 0, 1))
+    out = D @ E
+    out *= v[0]
+    d_y = E @ D.T
+    d_y *= v[1]
+    out += d_y
+    out += v
+    return np.negative(out, out=out)
 
 
 def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
@@ -294,7 +324,7 @@ def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
         raise ValueError("need t >= 0 and dtau > 0")
     steps = max(1, int(np.ceil(t / dtau - 1e-12)))
     taus = np.linspace(t, 0.0, steps + 1)
-    return _rk4(pts, history.velocity_at, taus, history.coeffs_at(_rk4_times(taus)))
+    return _rk4(pts, history.velocity_at, taus, history.rows_at(_rk4_times(taus)))
 
 
 def density_at(
@@ -344,7 +374,7 @@ def carried_densities(
                 raise ValueError("need increasing times from t >= 0")
             if t > taus[-1]:
                 taus.append(t)
-        rows = iter(history.coeffs_at(_rk4_times(taus)))
+        rows = iter(history.rows_at(_rk4_times(taus)))
         first = next(rows)
         for s, t in enumerate(ts):
             if t > walked[-1]:
@@ -378,10 +408,10 @@ def _check_drift(history, feet: np.ndarray, walked: list) -> None:
     cols = (3 * rows) % M
     nodes = grid_points(M)[rows, cols]
     taus = walked[::-1]
-    velocity = history.coeffs_at(_rk4_times(taus))
+    velocity = history.rows_at(_rk4_times(taus))
     exact = _rk4(nodes, history.velocity_at, taus, velocity)
     drift = float(np.abs(feet[rows, cols] - exact).max())
     if not drift <= DRIFT_LIMIT:
         v = history.grid_velocity(velocity[::2], M)  # the rows of the walked times
-        speed = float(np.sqrt((v * v).sum(axis=-1)).max())
+        speed = float(np.sqrt((v * v).sum(axis=-3)).max())
         raise TransportDriftError(float(walked[-1]), drift, speed)

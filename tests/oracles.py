@@ -1,15 +1,16 @@
 """Closed-form oracles the tests compare torusflow against.
 
 Velocity fields with explicit characteristics (anything with
-`coeffs_at(times)`, `velocity_at(points, t)` and `grid_velocity(t, M)` can
+`rows_at(times)`, `velocity_at(points, t)` and `grid_velocity(t, M)` can
 be backtracked or carried like a VelocityHistory), the backtrack and the
 carried sweep with one dense-output call per RK4 time, which the batched
 ones of `transport` must reproduce, a spectral gradient for (M, M) grid
 fields, the carried label rate through the FFT instead of the derivative
-matrices, the one-stage Galerkin assembly from vector mode tables that it
-builds itself with `BasisSet.velocity_at` and `gradient_at` (per-point
-evaluation, independent of the scalar grid tables that the solver
-assembles from), the ledger walk one node at a time, which the
+matrices, the vacuum well's density in the form of its definition, the
+one-stage Galerkin assembly from vector mode tables that it builds itself
+with `BasisSet.velocity_at` and `gradient_at` (per-point evaluation,
+independent of the scalar grid tables that the solver assembles from),
+the ledger walk one node at a time, which the
 block walk of `pipeline.node_diagnostics` must reproduce, a scripted
 density source that puts chosen densities through the real carried sweep,
 and a density of narrow support that fails the mass-matrix guard.
@@ -34,17 +35,17 @@ from torusflow.transport import DensitySource, _label_rate, carried_densities, r
 
 
 class PointwiseVelocity:
-    """A velocity given by `velocity_at(points, t)`: with `coeffs_at` and
-    `grid_velocity` it has the trajectory interface that transport
-    integrates, its rows the times themselves."""
+    """A velocity given by `velocity_at(points, t)`: with `rows_at` and
+    `grid_velocity` (component planes (2, M, M)) it has the trajectory
+    interface that transport integrates, its rows the times themselves."""
 
-    def coeffs_at(self, times) -> np.ndarray:
+    def rows_at(self, times) -> np.ndarray:
         return np.asarray(times, dtype=float)
 
     def grid_velocity(self, t, M: int) -> np.ndarray:
         if np.ndim(t):
             return np.stack([self.grid_velocity(s, M) for s in t])
-        return self.velocity_at(grid_points(M), t)
+        return self.velocity_at(grid_points(M), t).transpose(2, 0, 1)
 
 
 class ConstantVelocity(PointwiseVelocity):
@@ -88,23 +89,23 @@ class ShearVelocity(PointwiseVelocity):
 
 
 def backtrack_per_time(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
-    """`transport.backtrack` with one `coeffs_at` call per RK4 time."""
+    """`transport.backtrack` with one `rows_at` call per RK4 time."""
     y = np.asarray(points, dtype=float).copy()
     taus = np.linspace(t, 0.0, max(1, int(np.ceil(t / dtau - 1e-12))) + 1)
     for tau, tau_next in zip(taus[:-1], taus[1:]):
         h = tau_next - tau
-        rows = [history.coeffs_at(s) for s in (tau, tau + 0.5 * h, tau_next)]
+        rows = [history.rows_at(s) for s in (tau, tau + 0.5 * h, tau_next)]
         y, _ = rk4_step(y, history.velocity_at, h, *rows)
     return y
 
 
 def carried_densities_per_time(source: DensitySource, history, M: int, times) -> np.ndarray:
     """The densities (len(times), M, M) of `transport.carried_densities`,
-    with one `coeffs_at` and one `grid_velocity` call per RK4 time and no
+    with one `rows_at` and one `grid_velocity` call per RK4 time and no
     blocks: a label step per time past the previous one, none at a
     repeated time."""
     def field(t):
-        return history.grid_velocity(history.coeffs_at(t), M)
+        return history.grid_velocity(history.rows_at(t), M)
 
     disp = np.zeros((2, M, M))
     prev, start = 0.0, field(0.0)
@@ -117,6 +118,14 @@ def carried_densities_per_time(source: DensitySource, history, M: int, times) ->
             prev, start = t, end
         out.append(source.value(grid_points(M) + disp.transpose(1, 2, 0)))
     return np.array(out)
+
+
+def vacuum_well_value(points: np.ndarray) -> np.ndarray:
+    """rho0 of `transport.vacuum_well_density` as defined: 2/3 max(0,
+    q - 1/2)^2 with q = (1 - cos(x - pi))/2 + (1 - cos(y - pi))/2."""
+    p = np.asarray(points)
+    q = 0.5 * (1.0 - np.cos(p[..., 0] - np.pi)) + 0.5 * (1.0 - np.cos(p[..., 1] - np.pi))
+    return 2.0 / 3.0 * np.maximum(0.0, q - 0.5) ** 2
 
 
 def scripted_density(density, lower=1.0, upper=1.0) -> DensitySource:
@@ -160,9 +169,10 @@ def spectral_gradient(scalar: np.ndarray) -> np.ndarray:
 def fft_label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The label rate -(v . grad) D - v of `transport._label_rate`, with the
     displacement [D_x, D_y] (2, M, M) differentiated in trigonometric space:
-    D_x + i D_y through one fft2 and one inverse with `spectral_derivative`."""
+    D_x + i D_y through one fft2 and one inverse with `spectral_derivative`;
+    v = [v_x, v_y] (2, M, M) as well."""
     grad = np.fft.ifft2(spectral_derivative(disp.shape[-1]) * np.fft.fft2(disp[0] + 1j * disp[1]))
-    vx, vy = v[..., 0], v[..., 1]
+    vx, vy = v
     rate = -(vx * grad[0] + vy * grad[1]) - (vx + 1j * vy)
     return np.stack([rate.real, rate.imag])
 

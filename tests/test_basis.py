@@ -191,6 +191,34 @@ def test_velocity_at_matches_grid_tables():
         np.testing.assert_allclose(row, grid.synthesize(c), atol=1e-13)
 
 
+def test_weighed_rows_evaluate_like_coefficients():
+    # A row weighed once, c_n MODE_NORM d_n, gives at points and on the grid
+    # (as component planes) the velocity of its coefficients, one row or a
+    # stack of rows.
+    basis = BasisSet(9)
+    grid = basis.grid(16)
+    assert grid.vec is basis.vec
+    stack = RNG.standard_normal((3, 9))
+    weights = basis.weigh(stack)
+    assert weights.shape == (3, 9, 2)
+    np.testing.assert_array_equal(weights, stack[:, :, None] * (MODE_NORM * basis.dirs))
+    points = RNG.uniform(-5.0, 11.0, size=(7, 2))
+    np.testing.assert_allclose(
+        basis.weighted_at(points, weights), basis.velocity_at(points, stack), rtol=0, atol=1e-15
+    )
+    planes = grid.planes(weights)
+    assert planes.shape == (3, 2, 16, 16)
+    np.testing.assert_allclose(
+        planes, np.moveaxis(grid.synthesize(stack), -1, -3), rtol=0, atol=1e-15
+    )
+    shaped = points.reshape(7, 1, 2)
+    for c, w, p in zip(stack, weights, planes):
+        np.testing.assert_allclose(
+            basis.weighted_at(shaped, w), basis.velocity_at(shaped, c), rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(grid.planes(w), p, rtol=0, atol=1e-15)
+
+
 def test_stacked_synthesis_and_projection_match_per_field_loops():
     # A leading stack axis gives, field by field, what one call per field
     # gives: the block walk synthesizes and projects whole blocks of nodes.

@@ -8,7 +8,8 @@ benchmark's `--trace 1`: `run` over the configs of the taylor and two_mode
 workloads, and the vacuum workload's own sweep call on its config with a
 shorter horizon.  The `run` cases also pin the ledger walk to blocks of
 nodes, one `build_state` per block, the carried sweeps to one grid
-velocity per RK4 time, and two_mode's dense output to one `coeffs_at` call
+velocity per RK4 time (`BasisGrid.planes`, which the tracer does not
+patch, counted here), and two_mode's dense output to one `coeffs_at` call
 per block of times.  perfbench/ is only read.
 """
 
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from torusflow import pipeline, solver
+from torusflow.basis import BasisGrid
 from torusflow.cli import main
 from torusflow.config import parse_config
 
@@ -47,9 +49,14 @@ def traced_layers_missing(workload, argv, capsys):
 
 
 @pytest.mark.parametrize("workload", ["taylor", "two_mode"])
-def test_tracer_reaches_every_required_layer(tmp_path, capsys, workloads, workload):
+def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, workloads, workload):
     config = ROOT / workloads.WORKLOADS[workload].config
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "run")]
+    planes = []
+    original = BasisGrid.planes
+    monkeypatch.setattr(
+        BasisGrid, "planes", lambda grid, rows: planes.append(rows.shape) or original(grid, rows)
+    )
     tracer, missing = traced_layers_missing(workloads.WORKLOADS[workload], argv, capsys)
     assert not missing, missing
     # The ledger walk takes one build_state per block of nodes, plus one per
@@ -62,17 +69,20 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, workloads, worklo
     assert tracer.calls["solver.build_state"] == blocks + len(cfg.snapshots)
     # Each stack of states is synthesized once: u, grad u and u_t in
     # build_state, lap u in residual_diagnostics, 4 calls per build_state.
-    # The carried sweeps add one grid velocity per RK4 time: a start field,
-    # then a midpoint and an end field per label step, one per interval.
-    # Each Picard pass walks 2 * steps stage intervals, the ledger walk
-    # steps node intervals (two_mode: 4 passes x (1 + 4 x 60) + (1 + 2 x 60)
-    # = 1,085).  A constant density (taylor) walks nothing.
+    assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"]
+    # The carried sweeps take one grid velocity per RK4 time, each the
+    # planes of one weighed row: a start field, then a midpoint and an end
+    # field per label step, one per interval.  Each Picard pass walks
+    # 2 * steps stage intervals, the ledger walk steps node intervals
+    # (two_mode: 4 passes x (1 + 4 x 60) + (1 + 2 x 60) = 1,085).  A
+    # constant density (taylor) walks nothing.
     steps = round(cfg.T / cfg.dt)
     sweeps = 0
     if cfg.density_kind != "constant":
         passes = tracer.calls["solver.solve_linearized"]
         sweeps = passes * (1 + 4 * steps) + 1 + 2 * steps
-    assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"] + sweeps
+    assert len(planes) == sweeps
+    assert all(shape == (cfg.N, 2) for shape in planes)
     if workload == "two_mode":
         # Dense output comes one call per block of times, never one per RK4
         # time.  Each Picard pass: 16 sweep blocks and 16 assembly blocks of

@@ -8,6 +8,7 @@ from oracles import (
     backtrack_per_time,
     carried_densities_per_time,
     fft_label_rate,
+    vacuum_well_value,
 )
 
 from torusflow import transport
@@ -54,8 +55,22 @@ def test_density_catalog_values_and_bounds():
     well = vacuum_well_density()
     assert well.lower == 0.0
     assert well.value(np.array([np.pi, np.pi])) == 0.0
+    assert well.value(np.array([np.pi, np.pi])).shape == ()
     assert abs(well.value(np.array([0.0, 0.0])) - 1.5) < 1e-14
     assert set(DENSITY_CATALOG) == {"constant", "bump", "vacuum-well"}
+
+
+def test_vacuum_well_is_its_definition():
+    # (1 + cos x + cos y)/2 is q - 1/2 with cos(x - pi) = -cos x: the same
+    # values to rounding, on the grid, off it and on a stack of point sets,
+    # and exactly 0 wherever q <= 1/2, the vacuum core around (pi, pi).
+    well = vacuum_well_density()
+    points = [grid_points(40), RNG.uniform(-7.0, 13.0, size=(3, 50, 2))]
+    for pts in points:
+        np.testing.assert_allclose(well.value(pts), vacuum_well_value(pts), rtol=0, atol=1e-15)
+    core = np.pi + RNG.uniform(-1.0, 1.0, size=(200, 2))  # q <= 1 - cos 1 < 1/2
+    assert np.all(well.value(core) == 0.0)
+    assert np.all(well.value(grid_points(40)) >= 0.0)
 
 
 def test_lift_floor_and_shift():
@@ -303,18 +318,20 @@ def test_label_step_reproduces_resolved_modes(M):
     # The rate -(v . grad) D - v of a displacement of resolved modes in both
     # directions, against its closed form: for even M the Nyquist row and
     # column are dropped, and every |k| < M/2 stays exact.
+    # D and v are component planes (2, M, M).
     x, y = grid_points(M)[..., 0], grid_points(M)[..., 1]
-    disp = np.stack([np.sin(2 * x + y) + np.cos(3 * y), np.cos(x - 2 * y) - 0.5], -1)
+    disp = np.stack([np.sin(2 * x + y) + np.cos(3 * y), np.cos(x - 2 * y) - 0.5])
     if M % 2 == 0:
         # Nyquist modes, flat on the nodes: kept, they would leak into D_y.
-        disp[..., 0] += np.cos(M / 2 * x) + np.cos(M / 2 * y)
-    grad = np.empty((M, M, 2, 2))
-    grad[..., 0, 0], grad[..., 0, 1] = 2 * np.cos(2 * x + y), np.cos(2 * x + y) - 3 * np.sin(3 * y)
-    grad[..., 1, 0], grad[..., 1, 1] = -np.sin(x - 2 * y), 2 * np.sin(x - 2 * y)
-    v = np.stack([np.cos(y) + 0.3, np.sin(2 * x)], -1)
-    expected = -np.einsum("abij,abj->abi", grad, v) - v
-    rate = transport._label_rate(np.moveaxis(disp, -1, 0), v)
-    np.testing.assert_allclose(np.moveaxis(rate, 0, -1), expected, rtol=0, atol=1e-13)
+        disp[0] += np.cos(M / 2 * x) + np.cos(M / 2 * y)
+    grad = np.empty((2, 2, M, M))
+    grad[0, 0], grad[0, 1] = 2 * np.cos(2 * x + y), np.cos(2 * x + y) - 3 * np.sin(3 * y)
+    grad[1, 0], grad[1, 1] = -np.sin(x - 2 * y), 2 * np.sin(x - 2 * y)
+    v = np.stack([np.cos(y) + 0.3, np.sin(2 * x)])
+    expected = -np.einsum("ijab,jab->iab", grad, v) - v
+    rate = transport._label_rate(disp, v)
+    np.testing.assert_allclose(rate, expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(fft_label_rate(disp, v), expected, rtol=0, atol=1e-13)
     # Carried along a steady shear, one resolved mode, the feet are the
     # closed-form ones: RK4 integrates a constant rate exactly.
     shear = ShearVelocity(amplitude=0.9)
@@ -518,8 +535,15 @@ def test_linearized_pass_cost_is_linear_in_steps(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(BasisSet, "velocity_at", counting(BasisSet.velocity_at))
-    monkeypatch.setattr(BasisGrid, "synthesize", counting(BasisGrid.synthesize))
+    # The drift guard evaluates weighed rows at its nodes and the sweep
+    # synthesizes weighed rows as planes; assembly goes through velocity_at.
+    for cls, name in (
+        (BasisSet, "velocity_at"),
+        (BasisSet, "weighted_at"),
+        (BasisGrid, "synthesize"),
+        (BasisGrid, "planes"),
+    ):
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
     basis = BasisSet(8)
     u0 = np.zeros(8)
     u0[[0, 2]] = [0.3, 0.2]
