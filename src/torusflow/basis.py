@@ -86,11 +86,32 @@ class BasisGrid:
 
     Every mode factors as w_n = MODE_NORM d_n T_n(x), with T_n the cosine
     of its `BasisSet.phases` and gradient MODE_NORM (d_n x k_n) T'_n(x),
-    T'_n = -sin of the same phase, so the grid holds only the scalar tables
-    `trig` (T_n), shape (N, M*M), and `dtrig` (T'_n), shape (M*M, N), the
-    layout each one's products read, the factors `vec` = `BasisSet.vec`
-    (N, 2) and `grad_vec` = MODE_NORM d_n x k_n (N, 2, 2), and `gram` =
-    h^2 MODE_NORM^2 (d_i . d_j) (N, N) for the Galerkin matrices.
+    T'_n = -sin of the same phase, so the grid holds only the scalar table
+    `trig` (T_n), shape (N, M*M), and the factors `vec` = `BasisSet.vec`
+    (N, 2) and `grad_vec` = MODE_NORM d_n x k_n (N, 2, 2).  T'_n is
+    evaluated when a gradient is synthesized, once per block of the ledger
+    walk and per snapshot, rather than kept as a second table for the run.
+
+    The Galerkin matrices read a pruned DFT instead (`moments`): the sums
+    F_q = sum_x f(x) e^{-i q.x} at the wavevectors q = k_i +- k_j, from two
+    per-axis tables, `dft_y` (M, 2 (2 kmax + 1)), the real and imaginary
+    parts of e^{-i q2 y} for q2 = 0 .. 2 kmax, interleaved, and `dft_x`
+    (2 (4 kmax + 1), M), cos(q1 x) then sin(q1 x) for q1 = -2 kmax ..
+    2 kmax.  Every q = k_i +- k_j or its negative lies in that rectangle,
+    and F_{-q} = conj F_q.  With phi_n = k_n.x - s_n,
+
+        T_i T_j = (cos(phi_i + phi_j) + cos(phi_i - phi_j)) / 2,
+        T_i T'_j = (sin(phi_i - phi_j) - sin(phi_i + phi_j)) / 2,
+
+    and s_i +- s_j a multiple of pi/2, so each quadrature sum of f T_i T_j
+    or f T_i T'_j is one signed real or imaginary part of F at each of
+    k_i + k_j and k_i - k_j, the same sum at every grid point, aliasing
+    included.  The moments of rho, rho v_x and rho v_y, flattened to one
+    real row per stage, hold those parts; `a_cols` (2, N, N) and `b_cols`
+    (4, N, N) are their columns, and `a_weights` and `b_weights` their signs
+    times G_ij / 2, G_ij = h^2 MODE_NORM^2 (d_i . d_j): for A the sums at
+    k_i + k_j and k_i - k_j in rho; for B the same two in rho v_x, then in
+    rho v_y, times the component of k_j.
     """
 
     def __init__(self, basis: "BasisSet", M: int):
@@ -104,10 +125,29 @@ class BasisGrid:
         self.points = grid_points(self.M)
         phases = basis.phases(self.points.reshape(-1, 2))
         self.trig = np.cos(phases.T, order="C")
-        self.dtrig = -np.sin(phases)
+        self._phases = basis.phases
         self.vec = basis.vec
         self.grad_vec = self.vec[:, :, None] * basis.kvecs[:, None, :]
-        self.gram = self.weight * MODE_NORM**2 * (basis.dirs @ basis.dirs.T)
+
+        reach = 2 * basis.kmax
+        nodes = np.arange(self.M, dtype=float)
+        turn = 2.0 * np.pi / self.M
+        y = turn * np.remainder(np.outer(nodes, np.arange(reach + 1.0)), self.M)
+        self.dft_y = np.stack([np.cos(y), -np.sin(y)], axis=-1).reshape(self.M, -1)
+        x = turn * np.remainder(np.outer(np.arange(-reach, reach + 1.0), nodes), self.M)
+        self.dft_x = np.concatenate([np.cos(x), np.sin(x)])
+
+        half_gram = 0.5 * self.weight * MODE_NORM**2 * (basis.dirs @ basis.dirs.T)
+        (cos_plus, sin_plus), (cos_minus, sin_minus) = (
+            _pair_terms(basis, sign) for sign in (1.0, -1.0)
+        )
+        width = 2 * (2 * reach + 1) * (reach + 1)  # floats per field in a moment row
+        self.a_cols = np.stack([cos_plus[0], cos_minus[0]]).astype(np.intp)
+        self.a_weights = half_gram * np.stack([cos_plus[1], cos_minus[1]])
+        sin_cols = np.stack([sin_plus[0], sin_minus[0]])
+        sin_weights = half_gram * np.stack([-sin_plus[1], sin_minus[1]])
+        self.b_cols = np.concatenate([sin_cols + width, sin_cols + 2 * width]).astype(np.intp)
+        self.b_weights = np.concatenate([sin_weights * basis.kvecs[:, c] for c in (0, 1)])
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Velocity samples (..., M, M, 2) for coefficient vectors (..., N):
@@ -120,7 +160,8 @@ class BasisGrid:
         for coefficient vectors (..., N)."""
         lead = coeffs.shape[:-1]
         factors = (coeffs[..., :, None, None] * self.grad_vec).reshape(lead + (-1, 4))
-        return (self.dtrig @ factors).reshape(lead + (self.M, self.M, 2, 2))
+        dtrig = -np.sin(self._phases(self.points.reshape(-1, 2)))
+        return (dtrig @ factors).reshape(lead + (self.M, self.M, 2, 2))
 
     def planes(self, weights: np.ndarray) -> np.ndarray:
         """Velocity component planes (..., 2, M, M), [v_x, v_y], of weighted
@@ -129,11 +170,53 @@ class BasisGrid:
         u = weights.swapaxes(-1, -2) @ self.trig
         return u.reshape(weights.shape[:-2] + (2, self.M, self.M))
 
+    def moments(self, fields: np.ndarray) -> np.ndarray:
+        """The pruned DFT F_q = sum_x f(x) e^{-i q.x} of real grid fields
+        (..., M, M) at q = (q1, q2), q1 = -2 kmax .. 2 kmax, q2 = 0 ..
+        2 kmax, as real and imaginary parts (..., 4 kmax + 1, 2 kmax + 1, 2):
+        np.fft.fft2 at q mod M, from two per-axis products in real
+        arithmetic, field by field, so that a field's moments do not depend
+        on the stack it comes in."""
+        lead, M = fields.shape[:-2], self.M
+        # Per field: rows[a] = sum_b f e^{-i q2 y_b}, then cos(q1 x) and
+        # sin(q1 x) times rows, so e^{-i q1 x} = cos - i sin combines them.
+        rows = np.matmul(fields.reshape(-1, M, M), self.dft_y)
+        both = np.matmul(self.dft_x, rows)
+        both = both.reshape(len(rows), 2, len(self.dft_x) // 2, -1, 2)
+        cos_x, sin_x = both[:, 0], both[:, 1]
+        out = np.empty(cos_x.shape)
+        np.add(cos_x[..., 0], sin_x[..., 1], out=out[..., 0])
+        np.subtract(cos_x[..., 1], sin_x[..., 0], out=out[..., 1])
+        return out.reshape(lead + out.shape[1:])
+
     def project(self, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products (values, w_n) for all modes of vector
         fields (..., M, M, 2); a stack of fields gives (..., N)."""
         moments = self.trig @ values.reshape(values.shape[:-3] + (-1, 2))
         return self.weight * (moments * self.vec).sum(axis=-1)
+
+
+def _pair_terms(basis: "BasisSet", sign: float):
+    """Where the pruned DFT holds the sums of f cos and f sin of
+    phi_i + sign phi_j = q.x - sigma, q = k_i + sign k_j, for every mode
+    pair: ((cols, signs) of the cos sum, (cols, signs) of the sin sum), each
+    (N, N), columns into the flat real view of `moments` as whole floats.
+
+    With F_q = C_q - i S_q and sigma a multiple of pi/2, sum f cos =
+    cos(sigma) C_q + sin(sigma) S_q and sum f sin = cos(sigma) S_q -
+    sin(sigma) C_q, one term each.  A q outside the table's half-plane
+    (q2 < 0, or q2 = 0 and q1 < 0) reads F_{-q} = conj F_q instead.  Float
+    arithmetic throughout: every value is a small whole number or pi/2
+    times one."""
+    reach = 2 * basis.kmax
+    q = basis.kvecs[:, None, :] + sign * basis.kvecs[None, :, :]
+    sigma = basis.shifts[:, None] + sign * basis.shifts[None, :]
+    conj = np.sign(q[..., 1] * (2 * reach + 1) + q[..., 0] + 0.5)  # S_q = -conj Im F
+    real = 2 * ((conj * q[..., 0] + reach) * (reach + 1) + conj * q[..., 1])
+    c, s = np.rint(np.cos(sigma)), np.rint(np.sin(sigma))
+    cos_sum = (real + 1 - np.abs(c), c - conj * s)
+    sin_sum = (real + 1 - np.abs(s), -s - conj * c)
+    return cos_sum, sin_sum
 
 
 class BasisSet:

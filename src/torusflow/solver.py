@@ -14,10 +14,16 @@ Both matrices are assembled by trapezoid quadrature on the M x M grid for
 every Runge-Kutta stage time, in blocks of stage times: with
 w_n = MODE_NORM d_n T_n(x) and G_ij = h^2 MODE_NORM^2 (d_i . d_j),
 
-    A_ij = G_ij sum_x rho T_i T_j,    B_ij = G_ij sum_x rho T_i T'_j (v . k_j),
+    A_ij = G_ij sum_x rho T_i T_j,    B_ij = G_ij sum_x rho T_i T'_j (v . k_j).
 
-two matrix products per stage on the scalar tables of `BasisGrid`.  One call
-guards a block's mass matrices (batched eigvalsh) and forms its RK4 operators
+Each product T_i T_j or T_i T'_j is half a sum of the cosines or sines of
+(k_i +- k_j).x - (s_i +- s_j) (Orszag 1971, J. Atmos. Sci. 28; Canuto,
+Hussaini, Quarteroni & Zang, Spectral Methods, 2006), so each quadrature
+sum is two signed moments of rho (for B of rho v_x and rho v_y, contracted
+with k_j) at the wavevectors k_i +- k_j: the same sums, aliasing included.
+A stage costs a pruned DFT of three grid fields (`BasisGrid.moments`) and
+two gathers, O(M^2 kmax + N^2) instead of O(N^2 M^2).  One call guards a
+block's mass matrices (batched eigvalsh) and forms its RK4 operators
 A^{-1}(B + Lam) (batched solve); the RK4 loop itself, `transport.rk4_step`
 with `ode_rhs` as its rate, only does mat-vecs.  The nonlinear problem is
 the fixed point v = u, reached by Picard iteration starting from the
@@ -69,10 +75,13 @@ class VacuumDegenerateError(RuntimeError):
         self.threshold = threshold
 
 
-# Stage times assembled per block in `solve_linearized`: the block's
-# (S, N, M*M) temporaries stay near 1 MB at N = 8, M = 40, and larger blocks
-# raise peak memory for no further gain.
-_BLOCK = 8
+# Grid points per block of stage times in `solve_linearized`: 50 stages at
+# M = 16, 12 at M = 32, 8 at M = 40.  A block's widest temporaries are its
+# grid fields, the (S, M, M, 2) velocity samples and the (S, M, M) density
+# and flux planes that `assemble` transforms, so their size follows the
+# block's grid points, not its stage count, like the ledger walk's
+# WALK_POINTS; a larger block saves per-block calls.
+STAGE_POINTS = 12_800
 
 
 @dataclass
@@ -121,15 +130,25 @@ def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet, M: int) -> Ga
     """Build A, B and the RK4 operators for a block of S stage times.
 
     `rho` holds densities (S, M, M), `v_grid` advecting-velocity samples
-    (S, M, M, 2).  A stage fails the guard when the smallest eigenvalue of
-    its A is not above 1e-10 * trace(A)/N (or A is not finite);
-    `GalerkinMatrices.operators` raises VacuumDegenerateError once that
-    stage is asked for.
+    (S, M, M, 2).  A and B are read off the moments of rho, rho v_x and
+    rho v_y at k_i +- k_j, one gather each, with the signs and G_ij / 2 of
+    the `BasisGrid` tables folded in.  A stage fails the guard when the
+    smallest eigenvalue of its A is not above 1e-10 * trace(A)/N (or A is
+    not finite); `GalerkinMatrices.operators` raises VacuumDegenerateError
+    once that stage is asked for.
     """
     grid = basis.grid(M)
     N = basis.size
     S = rho.shape[0]
-    a = grid.gram * ((rho.reshape(S, 1, -1) * grid.trig) @ grid.trig.T)
+    # The moments of rho, rho v_x and rho v_y, one field at a time: with no
+    # (S, 3, M, M) stack, glibc malloc does not trim the heap top and fault
+    # it back in every block.
+    flow = rho * v_grid[..., 0]
+    moments = [grid.moments(rho), grid.moments(flow)]
+    np.multiply(rho, v_grid[..., 1], out=flow)
+    moments.append(grid.moments(flow))
+    moments = np.stack(moments, axis=1).reshape(S, -1)
+    a = _gather(moments, grid.a_cols, grid.a_weights)
     a = 0.5 * (a + a.transpose(0, 2, 1))
 
     threshold = 1e-10 * np.trace(a, axis1=1, axis2=2) / N
@@ -139,16 +158,19 @@ def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet, M: int) -> Ga
     passed = min_eig > threshold
     usable = S if passed.all() else int(np.argmin(passed))
 
-    # (v . grad) w_j = MODE_NORM d_j T'_j (v . k_j), weighted by rho in place:
-    # with one (S, M*M, N) temporary alive at a time, glibc malloc does not
-    # trim the heap top and fault it back in every block.
-    v_dot_k = v_grid.reshape(S, -1, 2) @ basis.kvecs.T
-    v_dot_k *= grid.dtrig
-    v_dot_k *= rho.reshape(S, -1, 1)
-    b = grid.gram * (grid.trig @ v_dot_k)
+    b = _gather(moments, grid.b_cols, grid.b_weights)
 
     op = np.linalg.solve(a[:usable], b[:usable] + np.diag(basis.lambdas))
     return GalerkinMatrices(a=a, b=b, min_eig=min_eig, threshold=threshold, op=op)
+
+
+def _gather(moments: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_t weights[t] * moments[:, cols[t]] (S, N, N) for flat moment rows
+    (S, W) and term tables (T, N, N), summed in term order for every stage
+    alike."""
+    terms = moments[:, cols]
+    terms *= weights
+    return terms.sum(axis=1)
 
 
 def ode_rhs(f: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -165,19 +187,24 @@ def _node_times(T: float, dt: float) -> np.ndarray:
 def _stage_operators(
     v_hist, source: DensitySource, basis: BasisSet, M: int, stage_times
 ) -> Iterator[np.ndarray]:
-    """RK4 operators at the increasing `stage_times`, assembled `_BLOCK` at a
-    time from one carried density sweep.
+    """RK4 operators at the increasing `stage_times`, assembled in blocks of
+    about STAGE_POINTS grid points from one carried density sweep.
 
     Failures surface in stage order: a block's VacuumDegenerateError when its
     stage is reached, and the sweep's TransportDriftError, raised at its last
     time or at its first non-finite displacement, after every earlier stage
     has been yielded."""
     points = basis.grid(M).points
-    for lo, rho in carried_densities(source, v_hist, M, stage_times, _BLOCK):
+    size = max(1, STAGE_POINTS // (M * M))
+    for lo, rho in carried_densities(source, v_hist, M, stage_times, size):
         coeffs = v_hist.coeffs_at(stage_times[lo : lo + len(rho)])
         mats = assemble(rho, basis.velocity_at(points, coeffs), basis, M)
+        # Drop the block's fields before its operators are used, so that the
+        # sweep's next block reuses their memory instead of growing the heap.
+        count = len(rho)
+        del rho, coeffs
         yield from mats.op
-        mats.operators(len(rho))
+        mats.operators(count)
 
 
 def solve_linearized(

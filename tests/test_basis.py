@@ -258,6 +258,24 @@ def test_eigenfield_relation_on_grid():
         np.testing.assert_allclose(lap, -mode.lam * W, atol=0.1 * mode.lam)
 
 
+@pytest.mark.parametrize("N, M", [(8, 3), (8, 16), (13, 5), (13, 21), (32, 7), (32, 24)])
+def test_grid_moments_are_the_fft(N, M):
+    # The pruned DFT against numpy's full FFT at q mod M, F_q = C_q - i S_q:
+    # odd and even M, and M = 2 kmax + 1 (3 at N = 8, 5 at N = 13, 7 at
+    # N = 32), where q = k_i + k_j wraps past M / 2.
+    basis = BasisSet(N)
+    assert M >= 2 * basis.kmax + 1
+    reach = 2 * basis.kmax
+    fields = RNG.standard_normal((2, 3, M, M))
+    parts = basis.grid(M).moments(fields)
+    moments = parts[..., 0] + 1j * parts[..., 1]
+    q1 = np.arange(-reach, reach + 1)[:, None] % M
+    q2 = np.arange(reach + 1)[None, :] % M
+    expected = np.fft.fft2(fields)[..., q1, q2]
+    assert moments.shape == expected.shape == (2, 3, 2 * reach + 1, reach + 1)
+    assert np.abs(moments - expected).max() <= 1e-13 * np.abs(fields).sum(axis=(-2, -1)).max()
+
+
 def test_alias_guard_and_validation():
     with pytest.raises(ValueError):
         BasisSet(9).grid(4)

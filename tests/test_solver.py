@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import assemble_stage, narrow_density, scripted_density
 
@@ -122,6 +122,10 @@ def test_block_guard_reports_first_failing_stage():
 
 
 @settings(max_examples=40, deadline=None)
+@example(N=32, extra=3, S=3, near_vacuum=False, flowing=True, seed=32)
+@example(N=32, extra=0, S=2, near_vacuum=True, flowing=True, seed=33)
+@example(N=64, extra=5, S=2, near_vacuum=False, flowing=True, seed=64)
+@example(N=64, extra=0, S=2, near_vacuum=True, flowing=True, seed=65)
 @given(
     N=st.sampled_from([1, 4, 8, 13]),
     extra=st.integers(0, 6),
@@ -149,6 +153,22 @@ def test_block_assembly_matches_stage_oracle(N, extra, S, near_vacuum, flowing, 
         assert np.abs(mats.a[s] - a).max() <= 1e-13 * bound
         bound *= np.abs(v[s]).max() * np.abs(basis.kvecs).max()
         assert np.abs(mats.b[s] - b).max() <= 1e-13 * bound
+
+
+def test_block_assembly_does_not_depend_on_the_block():
+    # A stage's matrices and operator are bit for bit the same assembled
+    # alone or in any block, so the ledger walk and the stage blocks give the
+    # same numbers whatever their block size.
+    basis = BasisSet(13)
+    M = 21
+    rho = RNG.uniform(0.5, 2.0, (5, M, M))
+    v = RNG.standard_normal((5, M, M, 2))
+    block = assemble(rho, v, basis, M)
+    for s in range(5):
+        for lo in (0, s):
+            part = assemble(rho[lo : s + 1], v[lo : s + 1], basis, M)
+            for name in ("a", "b", "op"):
+                np.testing.assert_array_equal(getattr(part, name)[s - lo], getattr(block, name)[s])
 
 
 def test_ode_rhs_stokes_and_zero():
@@ -232,12 +252,13 @@ def test_pass_reports_first_failure_in_stage_order(
     monkeypatch, degenerate, drift, u0_scale, expected
 ):
     # 10 steps, 21 stage times 0.005 apart, assembled in blocks of 8, 8 and
-    # 5 from the real carried sweep, with scripted densities and, for a
-    # drift, a failing drift check at the last stage.  Every failure must
-    # surface where a stage-by-stage pass raises it: `expected` names the
-    # error and the stage it belongs to.
+    # 5 (the block rule at 8 M^2 grid points) from the real carried sweep,
+    # with scripted densities and, for a drift, a failing drift check at the
+    # last stage.  Every failure must surface where a stage-by-stage pass
+    # raises it: `expected` names the error and the stage it belongs to.
     basis = BasisSet(4)
     M = 16
+    monkeypatch.setattr(solver, "STAGE_POINTS", 8 * M * M)
     source = scripted_density(
         lambda j: degenerate_density(M, j) if j in degenerate else np.ones((M, M))
     )
@@ -361,15 +382,16 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def test_picard_solve_keeps_its_heap():
+@pytest.mark.parametrize("config", ["two_mode", "vacuum"])
+def test_picard_solve_keeps_its_heap(config):
     # Block temporaries that together pass glibc's trim threshold let malloc
     # trim the heap top and fault it back in every block.  With one BLAS
-    # thread a solve takes ~300 minor faults, ~14,500 when it trims every
-    # block (2-vCPU x86-64 host).
+    # thread a solve takes ~800 minor faults on two_mode and ~300 on vacuum,
+    # ~3,600 and ~9,400 when it trims every block (2-vCPU x86-64 host).
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
-    script = _FAULTS_SCRIPT.format(config=str(root / "configs" / "two_mode.cfg"))
+    script = _FAULTS_SCRIPT.format(config=str(root / "configs" / f"{config}.cfg"))
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )

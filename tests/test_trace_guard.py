@@ -85,14 +85,14 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
     assert all(shape == (cfg.N, 2) for shape in planes)
     if workload == "two_mode":
         # Dense output comes one call per block of times, never one per RK4
-        # time.  Each Picard pass: 16 sweep blocks and 16 assembly blocks of
-        # its 121 stage times (_BLOCK = 8), 1 drift guard and 1 Picard
-        # delta; the ledger walk: 31 blocks of its 61 nodes and 1 guard;
-        # each snapshot: its coefficients and its backtrack.  4 x 34 + 32 + 2
-        # = 170.
-        stage_blocks = math.ceil((2 * steps + 1) / solver._BLOCK)
+        # time.  Each Picard pass: 11 sweep blocks and 11 assembly blocks of
+        # its 121 stage times (STAGE_POINTS 12,800 // 32^2 = 12 stages a
+        # block), 1 drift guard and 1 Picard delta; the ledger walk: 31
+        # blocks of its 61 nodes and 1 guard; each snapshot: its
+        # coefficients and its backtrack.  4 x 24 + 32 + 2 = 130.
+        stage_blocks = math.ceil((2 * steps + 1) / (solver.STAGE_POINTS // cfg.M**2))
         expected = passes * (2 * stage_blocks + 2) + blocks + 1 + 2 * len(cfg.snapshots)
-        assert tracer.calls["transport.coeffs_at"] == expected == 170
+        assert tracer.calls["transport.coeffs_at"] == expected == 130
 
 
 def test_tracer_reaches_every_vacuum_layer(tmp_path, capsys, workloads):

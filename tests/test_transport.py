@@ -16,7 +16,7 @@ from torusflow.basis import MODE_NORM, BasisGrid, BasisSet
 from torusflow.estimates import GAMMA, convergence_orders, transport_growth_check
 from torusflow.fields import fd_gradient, grid_points, lp_norm, w1gamma_norm
 from torusflow.pipeline import node_diagnostics
-from torusflow.solver import _BLOCK, DivergenceError, solve_linearized
+from torusflow.solver import STAGE_POINTS, DivergenceError, solve_linearized
 from torusflow.transport import (
     DENSITY_CATALOG,
     DensitySource,
@@ -467,7 +467,7 @@ def test_block_sweep_is_the_sweep_per_time():
     stage_times[0::2] = times
     stage_times[1::2] = times[:-1] + 0.5 * np.diff(times)
     repeated = np.repeat(times[:10], [2, 1, 3, 1, 1, 2, 1, 1, 1, 3])
-    for t, size in ((stage_times, _BLOCK), (repeated, 3)):
+    for t, size in ((stage_times, STAGE_POINTS // 32**2), (repeated, 3)):
         assert len(t) % size
         np.testing.assert_array_equal(
             sweep(bump_density(), history, 32, t, size),
