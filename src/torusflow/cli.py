@@ -18,13 +18,13 @@ from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .pipeline import (
+    Study,
     converge_study,
     gronwall_check_file,
     run_simulation,
     taylor_benchmark,
     uniqueness_study,
     vacuum_sweep,
-    write_run_outputs,
     write_study,
 )
 from .solver import (
@@ -58,65 +58,68 @@ def _check_out(out: str) -> None:
         raise ConfigError(f"--out {out}: {path} is not a directory")
 
 
-def _print_checks(checks: list[dict]) -> None:
-    for c in checks:
-        status = "PASS" if c["pass"] else "FAIL"
-        print(f"[{status}] {c['check']} margin={c['margin']:.6e}")
+def _verdict(passed) -> str:
+    return "PASS" if passed else "FAIL"
 
 
-def cmd_run(args) -> int:
-    config = parse_config(args.config)
-    result = run_simulation(config)
-    write_run_outputs(result, args.out)
-    _print_checks(result.checks)
+def _run_lines(study):
+    (result,) = study.runs.values()
+    for c in result.checks:
+        yield f"[{_verdict(c['pass'])}] {c['check']} margin={c['margin']:.6e}"
     pic = result.picard
-    print(f"picard: {pic.iterations} iterations, final delta {pic.deltas[-1]:.6e}")
-    print(f"wrote {Path(args.out) / 'ledger.ndjson'}")
-    return 0
+    yield f"picard: {pic.iterations} iterations, final delta {pic.deltas[-1]:.6e}"
 
 
-def cmd_converge(args) -> int:
-    config = parse_config(args.config)
-    study = converge_study(config, _number_list(args.n_list))
-    write_study(study, args.out)
+def _converge_lines(study):
     for row in study.files["converge.ndjson"]:
         if "l2_time_diff" in row:
-            print(
+            yield (
                 f"N={row['n_small']} vs N={row['n_big']}: "
                 f"L2(0,T;L2) diff {row['l2_time_diff']:.6e}"
             )
-    print(f"wrote {Path(args.out) / 'converge.ndjson'}")
-    return 0
 
 
-def cmd_vacuum(args) -> int:
-    config = parse_config(args.config)
-    study = vacuum_sweep(config, _number_list(args.n_list))
-    write_study(study, args.out)
+def _vacuum_lines(study):
     *floors, spread = study.files["vacuum.ndjson"]
     for row in floors:
         if "error" in row:
             continue
         slope = row["momentum_slope"]
         slope = "none" if slope is None else f"{slope:.4f}"
-        print(
+        yield (
             f"n={row['floor_n']}: sup|grad u|^2={row['sup_grad_u_sq']:.6e} "
             f"momentum slope={slope} pass={row['momentum_pass']}"
         )
-    print(f"cross-floor sup|grad u|^2 variation: {spread['sup_grad_variation']:.4%}")
-    print(f"wrote {Path(args.out) / 'vacuum.ndjson'}")
-    return 0
+    yield f"cross-floor sup|grad u|^2 variation: {spread['sup_grad_variation']:.4%}"
 
 
-def cmd_uniqueness(args) -> int:
-    config = parse_config(args.config)
-    study = uniqueness_study(config, delta=args.delta)
-    write_study(study, args.out)
+def _uniqueness_lines(study):
     (summary,) = study.files["uniqueness.ndjson"]
-    print(f"[{'PASS' if summary['seed_pass'] else 'FAIL'}] seed independence")
-    print(f"[{'PASS' if summary['perturb_pass'] else 'FAIL'}] perturbation bound "
-          f"(A={summary['fitted_A']:.4e}, C={summary['fitted_C']:.4e})")
-    print(f"wrote {Path(args.out) / 'uniqueness.ndjson'}")
+    yield f"[{_verdict(summary['seed_pass'])}] seed independence"
+    yield (
+        f"[{_verdict(summary['perturb_pass'])}] perturbation bound "
+        f"(A={summary['fitted_A']:.4e}, C={summary['fitted_C']:.4e})"
+    )
+
+
+def _taylor_lines(study):
+    *steps, verdict = study.files["taylor.ndjson"]
+    for row in steps:
+        yield f"dt={row['dt']:g}: max relative error {row['max_rel_error']:.6e}"
+    if verdict["orders"]:
+        yield "observed orders: " + ", ".join(f"{o:.3f}" for o in verdict["orders"])
+    yield f"[{_verdict(verdict['pass'])}] single-mode decay benchmark"
+
+
+def cmd_study(args) -> int:
+    """Every solving command: build its Study from the config (parsed before
+    any list option), write it under --out, print its lines and the first
+    file written."""
+    study = args.study(parse_config(args.config), args)
+    first = write_study(study, args.out)
+    for line in args.lines(study):
+        print(line)
+    print(f"wrote {first}")
     return 0
 
 
@@ -130,21 +133,6 @@ def cmd_gronwall(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_taylor(args) -> int:
-    config = parse_config(args.config)
-    dts = _number_list(args.dt_list, float) if args.dt_list else None
-    study = taylor_benchmark(config, dts)
-    write_study(study, args.out)
-    *steps, verdict = study.files["taylor.ndjson"]
-    for row in steps:
-        print(f"dt={row['dt']:g}: max relative error {row['max_rel_error']:.6e}")
-    if verdict["orders"]:
-        print("observed orders: " + ", ".join(f"{o:.3f}" for o in verdict["orders"]))
-    print(f"[{'PASS' if verdict['pass'] else 'FAIL'}] single-mode decay benchmark")
-    print(f"wrote {Path(args.out) / 'taylor.ndjson'}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusflow",
@@ -154,47 +142,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_study(name, help, lines, study):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="path to a run config file")
         p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=cmd_study, lines=lines, study=study)
+        return p
 
-    p_run = sub.add_parser("run", help="solve one configuration and write its ledger")
-    add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
+    # `run` is a study of one run, written under "": --out itself.
+    add_study("run", "solve one configuration and write its ledger", _run_lines,
+              lambda config, args: Study({}, {"": run_simulation(config)}))
+    p = add_study("converge", "mode-count refinement study", _converge_lines,
+                  lambda config, args: converge_study(config, _number_list(args.n_list)))
+    p.add_argument("--N-list", dest="n_list", required=True, help="comma-separated mode counts")
+    p = add_study("vacuum-sweep", "vacuum floor sweep", _vacuum_lines,
+                  lambda config, args: vacuum_sweep(config, _number_list(args.n_list)))
+    p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated floor values n")
+    p = add_study("uniqueness", "seed independence and perturbation bound", _uniqueness_lines,
+                  lambda config, args: uniqueness_study(config, delta=args.delta))
+    p.add_argument("--delta", type=float, default=1e-3, help="initial density shift")
 
-    p_conv = sub.add_parser("converge", help="mode-count refinement study")
-    add_common(p_conv)
-    p_conv.add_argument(
-        "--N-list", dest="n_list", required=True, help="comma-separated mode counts"
-    )
-    p_conv.set_defaults(func=cmd_converge)
+    p = sub.add_parser("gronwall-check", help="verify a discrete comparison inequality from JSON")
+    p.add_argument("--input", required=True, help="JSON file with t,f,g,G,alpha,beta,A,g0")
+    p.set_defaults(func=cmd_gronwall)
 
-    p_vac = sub.add_parser("vacuum-sweep", help="vacuum floor sweep")
-    add_common(p_vac)
-    p_vac.add_argument(
-        "--n-list", dest="n_list", required=True, help="comma-separated floor values n"
-    )
-    p_vac.set_defaults(func=cmd_vacuum)
-
-    p_uni = sub.add_parser("uniqueness", help="seed independence and perturbation bound")
-    add_common(p_uni)
-    p_uni.add_argument(
-        "--delta", type=float, default=1e-3, help="initial density shift"
-    )
-    p_uni.set_defaults(func=cmd_uniqueness)
-
-    p_gro = sub.add_parser(
-        "gronwall-check", help="verify a discrete comparison inequality from JSON"
-    )
-    p_gro.add_argument("--input", required=True, help="JSON file with t,f,g,G,alpha,beta,A,g0")
-    p_gro.set_defaults(func=cmd_gronwall)
-
-    p_tay = sub.add_parser("taylor", help="exact single-mode decay benchmark")
-    add_common(p_tay)
-    p_tay.add_argument(
-        "--dt-list", default=None, help="comma-separated steps for an order study"
-    )
-    p_tay.set_defaults(func=cmd_taylor)
+    p = add_study("taylor", "exact single-mode decay benchmark", _taylor_lines,
+                  lambda config, args: taylor_benchmark(
+                      config, _number_list(args.dt_list, float) if args.dt_list else None))
+    p.add_argument("--dt-list", default=None, help="comma-separated steps for an order study")
 
     return parser
 

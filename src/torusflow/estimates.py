@@ -15,7 +15,7 @@ import csv
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,33 +28,16 @@ GRONWALL_FIT_FLOOR = 1e-14  # fit_gronwall_constants: skipped-interval threshold
 MOMENTUM_SLOPE_FLOOR = 0.15  # momentum_continuity_report: least log-log slope
 MOMENTUM_DECAY_TARGET = 1e-3  # momentum_continuity_report: largest decay ratio
 
-LEDGER_FIELDS = [
-    "t",
-    "sqrt_rho_u_l2",
-    "grad_u_l2",
-    "hess_u_l2",
-    "sqrt_rho_ut_l2",
-    "grad_ut_l2",
-    "u_linf",
-    "grad_u_linf",
-    "grad_rho_lgamma",
-    "rho_t_lgamma",
-    "rho_min",
-    "rho_max",
-    "mass",
-    "momentum_l2",
-    "t_weighted_h2",
-]
-
 
 @dataclass(eq=False)
 class EstimateLedger:
     """One run's per-node table: each column a float array whose index k is
-    node k.  The LEDGER_FIELDS columns are the ones written, in that order;
-    the others stay in memory for the checks and studies: `rho` (K, M, M)
-    the carried densities, `w1gamma` their W^{1,gamma} norms,
-    `grad_u_sq_dot` the rate d/dt ||grad u||^2 = 2 sum lam f fdot, and
-    `orthogonality_max`, `projection_rel` the modal residuals."""
+    node k, and the one list of its columns.  Every column but the IN_MEMORY
+    ones is written, in field order (LEDGER_FIELDS); those stay in memory
+    for the checks and studies: `rho` (K, M, M) the carried densities,
+    `w1gamma` their W^{1,gamma} norms, `grad_u_sq_dot` the rate
+    d/dt ||grad u||^2 = 2 sum lam f fdot, and `orthogonality_max`,
+    `projection_rel` the modal residuals."""
 
     t: np.ndarray
     sqrt_rho_u_l2: np.ndarray
@@ -77,6 +60,15 @@ class EstimateLedger:
     orthogonality_max: np.ndarray
     projection_rel: np.ndarray
 
+    IN_MEMORY = ("rho", "w1gamma", "grad_u_sq_dot", "orthogonality_max", "projection_rel")
+
+    @classmethod
+    def allocate(cls, K: int, M: int) -> EstimateLedger:
+        """Every column of a walk over K nodes on an M x M grid, unfilled:
+        the densities `rho` (K, M, M) first, then one (K,) array per column."""
+        rho = np.empty((K, M, M))
+        return cls(rho=rho, **{f.name: np.empty(K) for f in fields(cls) if f.name != "rho"})
+
     def _rows(self) -> list[list[float]]:
         """The written columns as one list of Python floats per node."""
         return np.stack([getattr(self, k) for k in LEDGER_FIELDS], axis=1, dtype=float).tolist()
@@ -90,6 +82,9 @@ class EstimateLedger:
             writer = csv.writer(fh)
             writer.writerow(LEDGER_FIELDS)
             writer.writerows([repr(v) for v in row] for row in self._rows())
+
+
+LEDGER_FIELDS = [f.name for f in fields(EstimateLedger) if f.name not in EstimateLedger.IN_MEMORY]
 
 
 def _json_safe(value):

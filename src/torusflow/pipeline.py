@@ -122,51 +122,37 @@ def node_diagnostics(
     lam = basis.lambdas
     w = basis.grid(M).weight
     times, f = history.times, history.coeffs
-    K = len(times)
-    rho = np.empty((K, M, M))
+    led = EstimateLedger.allocate(len(times), M)
     fdot = np.empty_like(f)
-    col = {
-        name: np.empty(K)
-        for name in (
-            "sqrt_rho_u_l2", "sqrt_rho_ut_l2", "u_linf", "grad_u_linf",
-            "grad_rho_lgamma", "rho_t_lgamma", "mass", "momentum_l2",
-            "w1gamma", "orthogonality_max", "projection_rel",
-        )
-    }
     size = max(1, WALK_POINTS // (M * M))
     for lo, r in carried_densities(src, history, M, times, size):
         nodes = slice(lo, lo + len(r))
         state = build_state(basis, M, f[nodes], r)
         u, gu, ut = state.u, state.grad_u, state.ut
-        rho[nodes], fdot[nodes] = r, state.fdot
+        led.rho[nodes], fdot[nodes] = r, state.fdot
         umag2 = (u * u).sum(axis=-1)
         grad_rho = fd_gradient(r)
-        col["sqrt_rho_u_l2"][nodes] = np.sqrt(w * (r * umag2).sum(axis=(1, 2)))
-        col["sqrt_rho_ut_l2"][nodes] = np.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum(axis=(1, 2)))
-        col["u_linf"][nodes] = np.sqrt(umag2).max(axis=(1, 2))
-        col["grad_u_linf"][nodes] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max(axis=(1, 2))
-        col["grad_rho_lgamma"][nodes] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=-1)), GAMMA)
-        col["rho_t_lgamma"][nodes] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
-        col["mass"][nodes] = w * r.sum(axis=(1, 2))
-        col["momentum_l2"][nodes] = np.sqrt(w * (r * r * umag2).sum(axis=(1, 2)))
-        col["w1gamma"][nodes] = w1gamma_norm(r, GAMMA, grad_rho)
+        led.sqrt_rho_u_l2[nodes] = np.sqrt(w * (r * umag2).sum(axis=(1, 2)))
+        led.sqrt_rho_ut_l2[nodes] = np.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum(axis=(1, 2)))
+        led.u_linf[nodes] = np.sqrt(umag2).max(axis=(1, 2))
+        led.grad_u_linf[nodes] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max(axis=(1, 2))
+        led.grad_rho_lgamma[nodes] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=-1)), GAMMA)
+        led.rho_t_lgamma[nodes] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
+        led.mass[nodes] = w * r.sum(axis=(1, 2))
+        led.momentum_l2[nodes] = np.sqrt(w * (r * r * umag2).sum(axis=(1, 2)))
+        led.w1gamma[nodes] = w1gamma_norm(r, GAMMA, grad_rho)
         resid = residual_diagnostics(state, basis, M)
-        col["orthogonality_max"][nodes] = resid.orthogonality_max
-        col["projection_rel"][nodes] = resid.projection_rel
+        led.orthogonality_max[nodes] = resid.orthogonality_max
+        led.projection_rel[nodes] = resid.projection_rel
 
-    hess_u = np.sqrt((lam * lam * f * f).sum(axis=1))
-    return EstimateLedger(
-        t=times,
-        grad_u_l2=np.sqrt((lam * f * f).sum(axis=1)),
-        hess_u_l2=hess_u,
-        grad_ut_l2=np.sqrt((lam * fdot * fdot).sum(axis=1)),
-        rho_min=np.full(K, src.lower),
-        rho_max=np.full(K, src.upper),
-        t_weighted_h2=times * (hess_u**2 + col["sqrt_rho_ut_l2"] ** 2),
-        rho=rho,
-        grad_u_sq_dot=2.0 * (lam * f * fdot).sum(axis=1),
-        **col,
-    )
+    led.t[:] = times
+    led.grad_u_l2[:] = np.sqrt((lam * f * f).sum(axis=1))
+    led.hess_u_l2[:] = np.sqrt((lam * lam * f * f).sum(axis=1))
+    led.grad_ut_l2[:] = np.sqrt((lam * fdot * fdot).sum(axis=1))
+    led.rho_min[:], led.rho_max[:] = src.lower, src.upper
+    led.t_weighted_h2[:] = times * (led.hess_u_l2**2 + led.sqrt_rho_ut_l2**2)
+    led.grad_u_sq_dot[:] = 2.0 * (lam * f * fdot).sum(axis=1)
+    return led
 
 
 def run_simulation(
@@ -320,7 +306,8 @@ def momentum_probes(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class Study:
     """What a study writes: `files` maps each ndjson file name to its rows,
-    `runs` each run subdirectory to the RunResult written there."""
+    `runs` each run subdirectory ("" for the output directory itself) to
+    the RunResult written there."""
 
     files: dict
     runs: dict
@@ -582,15 +569,19 @@ def write_run_outputs(result: RunResult, outdir) -> None:
         save_snapshot(resid.pressure[0], out / f"p_t{tag}.dat")
 
 
-def write_study(study: Study, outdir) -> None:
+def write_study(study: Study, outdir) -> Path:
     """Write each of a study's ndjson files and each of its runs under
-    `outdir`."""
+    `outdir` (a run under "" into `outdir` itself); returns the first file
+    written: the first ndjson file, or the first run's ledger."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for name, rows in study.files.items():
         write_ndjson(out / name, rows)
     for subdir, result in study.runs.items():
         write_run_outputs(result, out / subdir)
+    if study.files:
+        return out / next(iter(study.files))
+    return out / next(iter(study.runs)) / "ledger.ndjson"
 
 
 def gronwall_check_file(path) -> tuple[GronwallInput, GronwallReport]:

@@ -350,14 +350,15 @@ def carried_densities(
     the last time, or at the first non-finite displacement, the drift guard
     compares carried and exact feet; its TransportDriftError comes after
     the block of every earlier density has been yielded, so that a caller's
-    failure at an earlier time surfaces first.  Constant sources take
-    `density_at` at each time.
+    failure at an earlier time surfaces first.  A constant source takes
+    `density_at` once, at t = 0.
     """
     if source.constant:
-        # A constant density takes no characteristics: no step size.
+        # A constant density takes no characteristics (no step size): rho0
+        # once per sweep, copied into a fresh array per block.
+        rho0 = density_at(source, history, M, 0.0, None)
         for lo in range(0, len(times), size):
-            ts = times[lo : lo + size]
-            yield lo, np.array([density_at(source, history, M, t, None) for t in ts])
+            yield lo, np.repeat(rho0[None], len(times[lo : lo + size]), axis=0)
         return
     disp = np.zeros((2, M, M))  # [D_x, D_y]
     walked = [0.0]

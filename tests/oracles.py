@@ -214,46 +214,32 @@ def node_diagnostics_per_node(src, history, basis, M: int) -> EstimateLedger:
     lam = basis.lambdas
     w = basis.grid(M).weight
     times, f = history.times, history.coeffs
-    K = len(times)
-    rho = np.empty((K, M, M))
+    led = EstimateLedger.allocate(len(times), M)
     fdot = np.empty_like(f)
-    col = {
-        name: np.empty(K)
-        for name in (
-            "sqrt_rho_u_l2", "sqrt_rho_ut_l2", "u_linf", "grad_u_linf",
-            "grad_rho_lgamma", "rho_t_lgamma", "mass", "momentum_l2",
-            "w1gamma", "orthogonality_max", "projection_rel",
-        )
-    }
     for k, (r,) in carried_densities(src, history, M, times, 1):
         state = build_state(basis, M, f[k : k + 1], r[None])
         u, gu, ut = state.u[0], state.grad_u[0], state.ut[0]
-        rho[k], fdot[k] = r, state.fdot[0]
+        led.rho[k], fdot[k] = r, state.fdot[0]
         umag2 = (u * u).sum(axis=-1)
         grad_rho = fd_gradient(r)
-        col["sqrt_rho_u_l2"][k] = math.sqrt(w * (r * umag2).sum())
-        col["sqrt_rho_ut_l2"][k] = math.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum())
-        col["u_linf"][k] = np.sqrt(umag2).max()
-        col["grad_u_linf"][k] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max()
-        col["grad_rho_lgamma"][k] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=-1)), GAMMA)
-        col["rho_t_lgamma"][k] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
-        col["mass"][k] = w * r.sum()
-        col["momentum_l2"][k] = math.sqrt(w * (r * r * umag2).sum())
-        col["w1gamma"][k] = w1gamma_norm(r, GAMMA, grad_rho)
+        led.sqrt_rho_u_l2[k] = math.sqrt(w * (r * umag2).sum())
+        led.sqrt_rho_ut_l2[k] = math.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum())
+        led.u_linf[k] = np.sqrt(umag2).max()
+        led.grad_u_linf[k] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max()
+        led.grad_rho_lgamma[k] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=-1)), GAMMA)
+        led.rho_t_lgamma[k] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
+        led.mass[k] = w * r.sum()
+        led.momentum_l2[k] = math.sqrt(w * (r * r * umag2).sum())
+        led.w1gamma[k] = w1gamma_norm(r, GAMMA, grad_rho)
         resid = residual_diagnostics(state, basis, M)
-        col["orthogonality_max"][k] = resid.orthogonality_max[0]
-        col["projection_rel"][k] = resid.projection_rel[0]
+        led.orthogonality_max[k] = resid.orthogonality_max[0]
+        led.projection_rel[k] = resid.projection_rel[0]
 
-    hess_u = np.sqrt((lam * lam * f * f).sum(axis=1))
-    return EstimateLedger(
-        t=times,
-        grad_u_l2=np.sqrt((lam * f * f).sum(axis=1)),
-        hess_u_l2=hess_u,
-        grad_ut_l2=np.sqrt((lam * fdot * fdot).sum(axis=1)),
-        rho_min=np.full(K, src.lower),
-        rho_max=np.full(K, src.upper),
-        t_weighted_h2=times * (hess_u**2 + col["sqrt_rho_ut_l2"] ** 2),
-        rho=rho,
-        grad_u_sq_dot=2.0 * (lam * f * fdot).sum(axis=1),
-        **col,
-    )
+    led.t[:] = times
+    led.grad_u_l2[:] = np.sqrt((lam * f * f).sum(axis=1))
+    led.hess_u_l2[:] = np.sqrt((lam * lam * f * f).sum(axis=1))
+    led.grad_ut_l2[:] = np.sqrt((lam * fdot * fdot).sum(axis=1))
+    led.rho_min[:], led.rho_max[:] = src.lower, src.upper
+    led.t_weighted_h2[:] = times * (led.hess_u_l2**2 + led.sqrt_rho_ut_l2**2)
+    led.grad_u_sq_dot[:] = 2.0 * (lam * f * fdot).sum(axis=1)
+    return led

@@ -21,6 +21,7 @@ from torusflow.config import (
 )
 from torusflow.estimates import write_ndjson
 from torusflow.fields import load_snapshot
+from torusflow.solver import VacuumDegenerateError
 from torusflow.transport import density_at
 
 GOOD = """
@@ -357,6 +358,49 @@ def test_cli_rejects_empty_study_list_before_solving(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, argv, named",
+    [
+        (("1,0,cos:0.1", "1,0"), ["run"], "u0.modes needs k1,k2,parity:amplitude triples"),
+        (("1,0,cos:0.1", "1,0,cos"), ["run"], "u0.modes entry missing `parity:amplitude`"),
+        (("1,0,cos:0.1", "1.5,0,cos:0.1"), ["run"], "bad u0.modes entry"),
+        (("1,0,cos:0.1", ","), ["run"], "u0.modes lists no modes"),
+        (("N = 4", "N 4"), ["run"], "expected `key = value`: 'N 4'"),
+        (("N = 4", "N = four"), ["run"], "N must be an integer"),
+        (("N = 4", "N = 0"), ["run"], "N must be >= 1"),
+        (("M = 16", "M = 2"), ["run"], "M must be >= 3"),
+        (("dt = 0.005", "dt = soon"), ["run"], "dt must be a number"),
+        (("dt = 0.005", "dt = 0"), ["run"], "dt must be positive"),
+        (("T = 0.1", "T = later"), ["run"], "T must be a number"),
+        (("T = 0.1", "T = -0.1"), ["run"], "T must be positive"),
+        (("0.05", "0.05, soon"), ["run"], "bad snapshots list"),
+        ((), ["converge", "--N-list", "2,x,4"], "comma-separated int list, got '2,x,4'"),
+        ((), ["taylor", "--dt-list", "0.01,x"], "comma-separated float list, got '0.01,x'"),
+        # The config is parsed before the list option.
+        (("N = 4", "N = four"), ["converge", "--N-list", "x"], "N must be an integer"),
+        (("constant", "vacuum-well"), ["vacuum-sweep", "--n-list", "0"],
+         "floor values must be positive integers"),
+    ],
+    ids=[
+        "modes-triples", "modes-parity", "modes-int-k", "modes-empty", "no-equals",
+        "N-not-int", "N-small", "M-small", "dt-not-number", "dt-zero", "T-not-number",
+        "T-negative", "snapshots", "N-list-not-int", "dt-list-not-float", "config-first",
+        "n-list-zero",
+    ],
+)
+def test_cli_names_each_rejection(tmp_path, capsys, monkeypatch, edit, argv, named):
+    monkeypatch.setattr(pipeline, "picard_solve", no_solve)
+    text = TAYLOR.replace(*edit) if edit else TAYLOR
+    assert (text != TAYLOR) == bool(edit)
+    cfg = write_config(tmp_path, text)
+    command, *flags = argv
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "taylor"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_cli_rejects_out_that_is_not_a_directory(tmp_path, capsys, monkeypatch, command, under):
@@ -482,6 +526,59 @@ def test_sweep_variation_cases():
     assert spread([0.0, 0.0]) == 0.0 and spread([2.0]) == 0.0
     assert spread([0.0, 1e-3]) == math.inf  # above a zero minimum
     assert spread([]) == math.inf  # every floor failed
+
+
+def test_cli_vacuum_sweep_records_a_failing_floor(tmp_path, capsys, monkeypatch):
+    # Floor n = 5 fails the stage guard; the sweep records it and goes on.
+    original = pipeline.run_simulation
+
+    def degenerate_at_5(config, source=None, **kwargs):
+        if source.lower == 1.0 / 5:
+            raise VacuumDegenerateError(-1.0, 2.0)
+        return original(config, source=source, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_simulation", degenerate_at_5)
+    cfg = write_config(tmp_path, TAYLOR.replace("constant", "vacuum-well"))
+    out = tmp_path / "sweep"
+    argv = ["vacuum-sweep", "--config", str(cfg), "--out", str(out), "--n-list", "50,5,500"]
+    assert main(argv) == 0
+    failed, *done, spread = read_rows(out / "vacuum.ndjson")
+    assert failed == {
+        "floor_n": 5,
+        "error": "VacuumDegenerateError",
+        "message": "mass matrix min eigenvalue -1.000e+00 <= threshold 2.000e+00",
+    }
+    assert [row["floor_n"] for row in done] == [50, 500]
+    sup_grads = [row["sup_grad_u_sq"] for row in done]
+    assert spread == {"sup_grad_variation": pipeline._relative_spread(sup_grads)}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "momentum_n50.ndjson", "momentum_n500.ndjson", "n50", "n500", "vacuum.ndjson",
+    ]
+    for n in (50, 500):
+        assert len(read_rows(out / f"momentum_n{n}.ndjson")) == pipeline.MOMENTUM_PROBES
+        assert len(read_rows(out / f"n{n}" / "ledger.ndjson")) == 21
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "n=50", "n=500", "cross-floor sup|grad u|^2 variation", f"wrote {out / 'vacuum.ndjson'}",
+    ]
+
+
+def test_cli_vacuum_sweep_with_every_floor_failing(tmp_path, capsys):
+    # One Picard pass cannot confirm a fixed point: every floor fails, no run
+    # is written and the cross-floor spread over no floors is inf.
+    cfg = write_config(tmp_path, TAYLOR.replace("constant", "vacuum-well") + "picard_max = 1\n")
+    out = tmp_path / "sweep"
+    assert main(["vacuum-sweep", "--config", str(cfg), "--out", str(out), "--n-list", "5,50"]) == 0
+    *failed, spread = read_rows(out / "vacuum.ndjson")
+    assert [(row["floor_n"], row["error"]) for row in failed] == [
+        (5, "PicardNonConvergenceError"), (50, "PicardNonConvergenceError"),
+    ]
+    assert all(row["message"].startswith("Picard iteration did not reach") for row in failed)
+    assert spread == {"sup_grad_variation": "inf"}
+    assert [p.name for p in out.iterdir()] == ["vacuum.ndjson"]
+    assert capsys.readouterr().out.splitlines() == [
+        "cross-floor sup|grad u|^2 variation: inf%", f"wrote {out / 'vacuum.ndjson'}",
+    ]
 
 
 def test_cli_converge_zero_velocity_writes_standard_json(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Estimate monitors: quadrature, energy, Riccati, Gronwall, momentum."""
 
+import dataclasses
 import json
 import math
 
@@ -305,11 +306,17 @@ def test_momentum_report_rejects_flat_or_negative():
 
 def test_ledger_writes_columns(tmp_path):
     K = 3
+    led = EstimateLedger.allocate(K, 2)
+    assert led.rho.shape == (K, 2, 2)
     written = {k: np.arange(K) / 7.0 + i for i, k in enumerate(LEDGER_FIELDS)}
-    unwritten = ("w1gamma", "grad_u_sq_dot", "orthogonality_max", "projection_rel")
-    led = EstimateLedger(
-        **written, rho=np.ones((K, 2, 2)), **{k: np.full(K, -1.0) for k in unwritten}
-    )
+    for name, col in written.items():
+        getattr(led, name)[:] = col
+    for name in EstimateLedger.IN_MEMORY:
+        getattr(led, name)[...] = -1.0
+    # The written and the in-memory columns split the fields between them.
+    names = [f.name for f in dataclasses.fields(EstimateLedger)]
+    assert sorted(LEDGER_FIELDS + list(EstimateLedger.IN_MEMORY)) == sorted(names)
+    assert LEDGER_FIELDS == [name for name in names if name in written]
     nd, cs = tmp_path / "ledger.ndjson", tmp_path / "ledger.csv"
     led.write_ndjson(nd)
     led.write_csv(cs)
@@ -318,7 +325,7 @@ def test_ledger_writes_columns(tmp_path):
     assert len(rows) == K
     for k, row in enumerate(rows):
         assert list(row) == LEDGER_FIELDS
-        assert not {"rho", *unwritten} & set(row)
+        assert not set(EstimateLedger.IN_MEMORY) & set(row)
         assert row == {name: float(col[k]) for name, col in written.items()}
     header, *lines = cs.read_text().splitlines()
     assert header == ",".join(LEDGER_FIELDS)
