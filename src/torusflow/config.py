@@ -1,28 +1,32 @@
 """Run configuration: line-oriented `key = value` files.
 
-Recognized keys:
+Recognized keys, in the order of `RunConfig`'s fields, which declare each
+key's name, parser and, for an optional key, its default:
 
     N             number of basis modes
     M             quadrature grid resolution per axis
     dt            time step for the coefficient ODE; must divide T
     T             final time
-    picard_tol    fixed-point stopping tolerance (default 1e-10)
-    picard_max    iteration cap (default 30)
     density.kind  constant | bump | vacuum-well (vacuum is solved as given)
     u0.modes      initial velocity, entries `k1,k2,parity:amplitude`
                   joined by commas, e.g. `1,0,cos:0.3,0,1,cos:0.2`
+    picard_tol    fixed-point stopping tolerance (default 1e-10)
+    picard_max    iteration cap (default 30)
     snapshots     comma-separated times in [0, T] for field snapshots (optional);
                   no two may share a file tag (`snapshot_tag`)
 
 Blank lines and `#` comments are ignored.  Unknown or missing required keys,
-non-finite numbers and a dt not dividing T raise ConfigError naming the offender.
+non-finite numbers and a dt not dividing T raise ConfigError naming the
+offender: the first line without `=` or unknown or repeated key, else the
+first missing or bad key in field order, else the first failed cross-key
+check.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -44,64 +48,103 @@ class ModeSpec:
     amplitude: float
 
 
-@dataclass
-class RunConfig:
-    N: int
-    M: int
-    dt: float
-    T: float
-    density_kind: str
-    u0_modes: list[ModeSpec]
-    picard_tol: float = 1e-10
-    picard_max: int = 30
-    snapshots: list[float] = field(default_factory=list)
+def _int(minimum):
+    def parse(key, text):
+        try:
+            v = int(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key} must be an integer: {exc}", key=key) from exc
+        if v < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}", key=key)
+        return v
+
+    return parse
 
 
-_REQUIRED = ("N", "M", "dt", "T", "density.kind", "u0.modes")
-_KNOWN = set(_REQUIRED) | {"picard_tol", "picard_max", "snapshots"}
+def _float(key, text):
+    try:
+        v = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be a number: {exc}", key=key) from exc
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be finite, got {text!r}", key=key)
+    if v <= 0:
+        raise ConfigError(f"{key} must be positive", key=key)
+    return v
 
 
-def _parse_modes(text: str) -> list[ModeSpec]:
+def _kind(key, text):
+    if text not in DENSITY_CATALOG:
+        raise ConfigError(
+            f"{key} must be one of {sorted(DENSITY_CATALOG)}, got {text!r}", key=key
+        )
+    return text
+
+
+def _times(key, text):
+    if not text:
+        return []
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad {key} list: {exc}", key=key) from exc
+
+
+def _parse_modes(key, text):
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if len(tokens) % 3 != 0:
         raise ConfigError(
-            f"u0.modes needs k1,k2,parity:amplitude triples, got {text!r}",
-            key="u0.modes",
+            f"{key} needs k1,k2,parity:amplitude triples, got {text!r}", key=key
         )
     modes = []
     for i in range(0, len(tokens), 3):
         k1_s, k2_s, tail = tokens[i : i + 3]
         if ":" not in tail:
-            raise ConfigError(
-                f"u0.modes entry missing `parity:amplitude` in {text!r}",
-                key="u0.modes",
-            )
+            raise ConfigError(f"{key} entry missing `parity:amplitude` in {text!r}", key=key)
         parity, amp_s = tail.split(":", 1)
         parity = parity.strip()
         try:
             k1, k2, amp = int(k1_s), int(k2_s), float(amp_s)
         except ValueError as exc:
-            raise ConfigError(f"bad u0.modes entry: {exc}", key="u0.modes") from exc
+            raise ConfigError(f"bad {key} entry: {exc}", key=key) from exc
         if not math.isfinite(amp):
-            raise ConfigError(
-                f"u0.modes amplitude must be finite, got {amp_s!r}", key="u0.modes"
-            )
+            raise ConfigError(f"{key} amplitude must be finite, got {amp_s!r}", key=key)
         if parity not in ("cos", "sin"):
-            raise ConfigError(
-                f"parity must be cos or sin, got {parity!r}", key="u0.modes"
-            )
+            raise ConfigError(f"parity must be cos or sin, got {parity!r}", key=key)
         if not (k1 > 0 or (k1 == 0 and k2 > 0)):
             raise ConfigError(
                 f"wavevector ({k1},{k2}) is not in the canonical half-space "
                 "(k1>0, or k1=0 and k2>0)",
-                key="u0.modes",
+                key=key,
             )
         if any((m.k1, m.k2, m.parity) == (k1, k2, parity) for m in modes):
-            raise ConfigError(f"u0.modes lists ({k1},{k2},{parity}) twice", key="u0.modes")
+            raise ConfigError(f"{key} lists ({k1},{k2},{parity}) twice", key=key)
         modes.append(ModeSpec(k1, k2, parity, amp))
     if not modes:
-        raise ConfigError("u0.modes lists no modes", key="u0.modes")
+        raise ConfigError(f"{key} lists no modes", key=key)
     return modes
+
+
+def _key(name, parse, **default):
+    """A RunConfig field read from file key `name` by `parse(name, text)`;
+    a field with a default is an optional key."""
+    return field(metadata={"key": name, "parse": parse}, **default)
+
+
+@dataclass
+class RunConfig:
+    N: int = _key("N", _int(1))
+    M: int = _key("M", _int(3))
+    dt: float = _key("dt", _float)
+    T: float = _key("T", _float)
+    density_kind: str = _key("density.kind", _kind)
+    u0_modes: list[ModeSpec] = _key("u0.modes", _parse_modes)
+    picard_tol: float = _key("picard_tol", _float, default=1e-10)
+    picard_max: int = _key("picard_max", _int(1), default=30)
+    snapshots: list[float] = _key("snapshots", _times, default_factory=list)
+
+
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -113,61 +156,19 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected `key = value`: {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown configuration key {key!r}", key=key)
         if key in raw:
             raise ConfigError(f"duplicate configuration key {key!r}", key=key)
         raw[key] = value
 
-    for key in _REQUIRED:
-        if key not in raw:
+    values = {}
+    for key, f in _FIELDS.items():
+        if key in raw:
+            values[f.name] = f.metadata["parse"](key, raw[key])
+        elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing required configuration key {key!r}", key=key)
-
-    def _int(key, minimum=1):
-        try:
-            v = int(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer: {exc}", key=key) from exc
-        if v < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}", key=key)
-        return v
-
-    def _float(key):
-        try:
-            v = float(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number: {exc}", key=key) from exc
-        if not math.isfinite(v):
-            raise ConfigError(f"{key} must be finite, got {raw[key]!r}", key=key)
-        if v <= 0:
-            raise ConfigError(f"{key} must be positive", key=key)
-        return v
-
-    kind = raw["density.kind"]
-    if kind not in DENSITY_CATALOG:
-        raise ConfigError(
-            f"density.kind must be one of {sorted(DENSITY_CATALOG)}, got {kind!r}",
-            key="density.kind",
-        )
-
-    snapshots: list[float] = []
-    if "snapshots" in raw and raw["snapshots"].strip():
-        try:
-            snapshots = [float(tok) for tok in raw["snapshots"].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad snapshots list: {exc}", key="snapshots") from exc
-
-    cfg = RunConfig(
-        N=_int("N"),
-        M=_int("M", minimum=3),
-        dt=_float("dt"),
-        T=_float("T"),
-        density_kind=kind,
-        u0_modes=_parse_modes(raw["u0.modes"]),
-        picard_tol=_float("picard_tol") if "picard_tol" in raw else 1e-10,
-        picard_max=_int("picard_max") if "picard_max" in raw else 30,
-        snapshots=snapshots,
-    )
+    cfg = RunConfig(**values)
     if cfg.T < cfg.dt:
         raise ConfigError("T must be at least one time step", key="T")
     if not math.isclose(cfg.T / cfg.dt, round(cfg.T / cfg.dt), rel_tol=1e-12):

@@ -149,7 +149,6 @@ def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet, M: int) -> Ga
     moments.append(grid.moments(flow))
     moments = np.stack(moments, axis=1).reshape(S, -1)
     a = _gather(moments, grid.a_cols, grid.a_weights)
-    a = 0.5 * (a + a.transpose(0, 2, 1))
 
     threshold = 1e-10 * np.trace(a, axis1=1, axis2=2) / N
     min_eig = np.full(S, np.nan)

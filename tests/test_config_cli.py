@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ from oracles import narrow_density
 
 from torusflow import basis as basis_module
 from torusflow import cli, pipeline, transport
+from torusflow import config as config_module
 from torusflow.cli import main
 from torusflow.config import (
     ConfigError,
+    RunConfig,
     build_basis,
     build_u0,
     parse_config,
@@ -55,7 +58,8 @@ def test_parse_optional_keys():
     assert cfg.snapshots == [0.0, 0.05]
 
 
-SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "configs").glob("*.cfg"))
 
 
 def test_configs_are_shipped():
@@ -69,8 +73,34 @@ def test_shipped_config_parses(path):
     build_basis(parse_config(path))
 
 
+def test_config_docs_follow_the_declaration():
+    # RunConfig's fields declare the file keys and defaults: README's table
+    # lists those keys in field order, config.py's docstring the same set,
+    # and both state each default that is a plain value.
+    declared = [f.metadata["key"] for f in fields(RunConfig)]
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+    table = dict(re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, re.M))
+    assert list(table) == declared
+    doc = dict(re.findall(r"^    (\S+) +(.*)$", config_module.__doc__, re.M))
+    assert set(doc) == set(declared)
+    for f in fields(RunConfig):
+        if f.default is not MISSING:
+            key = f.metadata["key"]
+            for text in (table[key].replace("`", ""), doc[key]):
+                assert f"(default {f.default!r})" in text, key
+
+
 def test_missing_key_names_the_key():
     bad = GOOD.replace("N = 4\n", "")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(bad)
+    assert err.value.key == "N"
+
+
+def test_several_errors_report_the_first_key_in_field_order():
+    # N is malformed, density.kind unknown and u0.modes missing: N is named.
+    bad = GOOD.replace("N = 4", "N = four").replace("bump", "bogus").replace("u0.", "# u0.")
     with pytest.raises(ConfigError) as err:
         parse_config_text(bad)
     assert err.value.key == "N"
@@ -380,12 +410,15 @@ def test_cli_rejects_empty_study_list_before_solving(tmp_path, capsys, monkeypat
         (("N = 4", "N = four"), ["converge", "--N-list", "x"], "N must be an integer"),
         (("constant", "vacuum-well"), ["vacuum-sweep", "--n-list", "0"],
          "floor values must be positive integers"),
+        (("1,0,cos:0.1", "1,0,cos:0.1, 0,1,cos:0.1"), ["taylor"],
+         "taylor benchmark needs exactly one u0 mode"),
+        (("1,0,cos:0.1", "3,0,cos:0.1"), ["taylor"], "the listed u0 mode is outside the basis"),
     ],
     ids=[
         "modes-triples", "modes-parity", "modes-int-k", "modes-empty", "no-equals",
         "N-not-int", "N-small", "M-small", "dt-not-number", "dt-zero", "T-not-number",
         "T-negative", "snapshots", "N-list-not-int", "dt-list-not-float", "config-first",
-        "n-list-zero",
+        "n-list-zero", "taylor-two-modes", "taylor-mode-outside-basis",
     ],
 )
 def test_cli_names_each_rejection(tmp_path, capsys, monkeypatch, edit, argv, named):

@@ -120,6 +120,25 @@ def test_coeffs_at_rejects_times_outside_the_history(edge, side):
             history.coeffs_at(t)
 
 
+@pytest.mark.parametrize(
+    "times, coeff_shape, deriv_shape, match",
+    [
+        ([0.0, 1.0], (2, 3), (2, 3), "coefficient array shape"),
+        ([0.0, 0.5, 1.0], (2, 4), (2, 4), "coefficient array shape"),
+        ([0.0, 1.0], (2, 4), (2, 3), "derivative array shape"),
+        ([0.0, 1.0], (2, 4), (1, 4), "derivative array shape"),
+        ([0.0], (1, 4), (1, 4), "strictly increasing"),
+        ([0.0, 0.0], (2, 4), (2, 4), "strictly increasing"),
+        ([0.0, 1.0, 0.5], (3, 4), (3, 4), "strictly increasing"),
+    ],
+    ids=["coeff-modes", "coeff-times", "deriv-modes", "deriv-times", "one-node",
+         "repeated-time", "decreasing-time"],
+)
+def test_velocity_history_rejects_inconsistent_samples(times, coeff_shape, deriv_shape, match):
+    with pytest.raises(ValueError, match=match):
+        VelocityHistory(BasisSet(4), times, np.zeros(coeff_shape), np.zeros(deriv_shape))
+
+
 def test_coeffs_at_takes_an_array_of_times():
     # An array of times gives, bit for bit, the cubic Hermite formula taken
     # one time at a time; node times and both ends give the node
