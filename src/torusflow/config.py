@@ -222,12 +222,16 @@ def build_source(config: RunConfig) -> DensitySource:
     return DENSITY_CATALOG[config.density_kind]()
 
 
+def u0_indices(config: RunConfig, basis: BasisSet) -> list:
+    """The basis index of each listed u0 mode, None for a mode outside it."""
+    index = {(m.k, m.parity): i for i, m in enumerate(basis.modes)}
+    return [index.get(((spec.k1, spec.k2), spec.parity)) for spec in config.u0_modes]
+
+
 def build_u0(config: RunConfig, basis: BasisSet) -> np.ndarray:
     """Initial coefficient vector.  Modes outside the basis span project away."""
     coeffs = np.zeros(basis.size)
-    index = {(m.k, m.parity): i for i, m in enumerate(basis.modes)}
-    for spec in config.u0_modes:
-        i = index.get(((spec.k1, spec.k2), spec.parity))
+    for spec, i in zip(config.u0_modes, u0_indices(config, basis)):
         if i is not None:
             coeffs[i] = spec.amplitude
     return coeffs

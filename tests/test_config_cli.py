@@ -413,12 +413,14 @@ def test_cli_rejects_empty_study_list_before_solving(tmp_path, capsys, monkeypat
         (("1,0,cos:0.1", "1,0,cos:0.1, 0,1,cos:0.1"), ["taylor"],
          "taylor benchmark needs exactly one u0 mode"),
         (("1,0,cos:0.1", "3,0,cos:0.1"), ["taylor"], "the listed u0 mode is outside the basis"),
+        (("1,0,cos:0.1", "1,0,cos:0"), ["taylor"], "taylor benchmark needs a nonzero u0 amplitude"),
     ],
     ids=[
         "modes-triples", "modes-parity", "modes-int-k", "modes-empty", "no-equals",
         "N-not-int", "N-small", "M-small", "dt-not-number", "dt-zero", "T-not-number",
         "T-negative", "snapshots", "N-list-not-int", "dt-list-not-float", "config-first",
         "n-list-zero", "taylor-two-modes", "taylor-mode-outside-basis",
+        "taylor-zero-amplitude",
     ],
 )
 def test_cli_names_each_rejection(tmp_path, capsys, monkeypatch, edit, argv, named):
