@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gronwall)
 
     p = add_study("taylor", "exact single-mode decay benchmark", _taylor_lines,
-                  lambda config, args: taylor_benchmark(
-                      config, _number_list(args.dt_list, float) if args.dt_list else None))
+                  lambda config, args: taylor_benchmark(config, None if args.dt_list is None
+                                                        else _number_list(args.dt_list, float)))
     p.add_argument("--dt-list", default=None, help="comma-separated steps for an order study")
 
     return parser

@@ -160,13 +160,6 @@ def energy_functional(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RiccatiFit:
-    c1: float
-    m1: float
-    satisfied_fraction: float
-
-
 def h1_functional(times, grad_u_l2, sqrt_rho_ut_l2, hess_u_l2, m1: float = 1.0) -> np.ndarray:
     """F(t) = 2 M1 ||grad u||^2(t) + int_0^t (M1 ||sqrt(rho) d_t u||^2
     + 1/2 ||grad^2 u||^2) ds."""
@@ -178,26 +171,26 @@ def h1_functional(times, grad_u_l2, sqrt_rho_ut_l2, hess_u_l2, m1: float = 1.0) 
     return 2.0 * m1 * g1 + cumtrapz(times, integrand)
 
 
-def riccati_fit(times, F, m1: float = 1.0) -> RiccatiFit:
-    """Smallest C1 (with 1 percent slack) such that F' <= C1 F^3 at interior
-    samples, derivatives by centered differences.  Monotone decay gives 0.
+def riccati_fit(times, F) -> tuple[float, float]:
+    """(C1, fraction): the smallest C1 (with 1 percent slack) such that
+    F' <= C1 F^3 at interior samples, derivatives by centered differences,
+    and the fraction of those samples where the bound holds.  Monotone decay
+    gives C1 = 0; fewer than 3 samples have no interior and give (0, 1).
 
     Where F = 0 the ratio F'/F^3 is taken as 0 when F' <= 0 (any C1 bounds
     it) and as inf when F' > 0 (no finite C1 does)."""
     t = np.asarray(times, dtype=float)
     F = np.asarray(F, dtype=float)
     if len(t) < 3:
-        raise ValueError("riccati_fit needs at least 3 samples")
+        return 0.0, 1.0
     dF = (F[2:] - F[:-2]) / (t[2:] - t[:-2])
     F3 = F[1:-1] ** 3
     at_zero = np.where(dF > 0.0, math.inf, 0.0)
     ratios = np.divide(dF, F3, out=at_zero, where=F3 != 0.0)
     c1 = float(max(0.0, ratios.max()) * (1.0 + RICCATI_SLACK))
     if c1 > 0:
-        satisfied = float(np.mean(ratios <= c1))
-    else:
-        satisfied = float(np.mean(dF <= 0.0))
-    return RiccatiFit(c1=c1, m1=float(m1), satisfied_fraction=satisfied)
+        return c1, float(np.mean(ratios <= c1))
+    return c1, float(np.mean(dF <= 0.0))
 
 
 def existence_time(c1: float, m1: float, grad_u0_l2: float) -> float:
@@ -252,41 +245,30 @@ class GronwallInput:
             raise ValueError("g and G must be nonnegative")
 
 
-def gronwall_bounds(inp: GronwallInput) -> tuple[np.ndarray, np.ndarray]:
+def gronwall_bounds(inp: GronwallInput, f0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Bound curves for f and for g + int G under the hypotheses
-    f' <= A sqrt(G), g' + G <= alpha g + beta f^2, f(0) = 0:
+    f' <= A sqrt(G), g' + G <= alpha g + beta f^2, f(0) = f0 >= 0.  The
+    exact form at f0 = 0:
 
         f(t)          <= A sqrt(g(0)) sqrt(t) exp(1/2 int (alpha + A^2 s beta))
         g(t) + int G  <= g(0) exp(int (alpha + A^2 s beta))
-    """
-    mu = inp.alpha + inp.A**2 * inp.t * inp.beta
-    Mt = cumtrapz(inp.t, mu)
-    eta_bound = inp.g0 * np.exp(Mt)
-    f_bound = inp.A * np.sqrt(inp.g0) * np.sqrt(inp.t) * np.exp(0.5 * Mt)
-    return f_bound, eta_bound
 
-
-def gronwall_bounds_offset(
-    inp: GronwallInput, f0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extension to f(0) = f0 >= 0 (same hypotheses otherwise):
+    and above it the extension obtained from (f0 + x)^2 <= 2 f0^2 + 2 x^2:
 
         f(t) <= f0 + A sqrt(t) exp(M/2) sqrt(g(0) + 2 f0^2 int beta)
         g + int G <= exp(M) (g(0) + 2 f0^2 int beta),
-        M(t) = int_0^t (alpha + 2 A^2 s beta) ds,
-
-    obtained from (f0 + x)^2 <= 2 f0^2 + 2 x^2.  Reduces to the exact f0 = 0
-    form when f0 = 0."""
+        M(t) = int_0^t (alpha + 2 A^2 s beta) ds.
+    """
     if f0 < 0:
         raise ValueError("f0 must be nonnegative")
     if f0 == 0.0:
-        return gronwall_bounds(inp)
-    mu = inp.alpha + 2.0 * inp.A**2 * inp.t * inp.beta
-    Mt = cumtrapz(inp.t, mu)
+        Mt = cumtrapz(inp.t, inp.alpha + inp.A**2 * inp.t * inp.beta)
+        f_bound = inp.A * np.sqrt(inp.g0) * np.sqrt(inp.t) * np.exp(0.5 * Mt)
+        return f_bound, inp.g0 * np.exp(Mt)
+    Mt = cumtrapz(inp.t, inp.alpha + 2.0 * inp.A**2 * inp.t * inp.beta)
     forcing = inp.g0 + 2.0 * f0 * f0 * cumtrapz(inp.t, inp.beta)
-    eta_bound = np.exp(Mt) * forcing
     f_bound = f0 + inp.A * np.sqrt(inp.t) * np.exp(0.5 * Mt) * np.sqrt(forcing)
-    return f_bound, eta_bound
+    return f_bound, np.exp(Mt) * forcing
 
 
 @dataclass
@@ -306,8 +288,8 @@ def gronwall_verify(inp: GronwallInput) -> GronwallReport:
     A hypothesis violation is reported as such (distinct from a conclusion
     failure).  Margins are signed (bound - observed), normalized by the local
     scale; negative means violated.  Every comparison allows GRONWALL_RTOL
-    relative and GRONWALL_ATOL absolute slack.  f[0] selects the exact bound
-    (f[0] = 0, up to GRONWALL_ATOL) or the offset extension."""
+    relative and GRONWALL_ATOL absolute slack.  The bounds start from
+    f0 = f[0], taken as 0 (the exact form) up to GRONWALL_ATOL."""
     rtol, atol = GRONWALL_RTOL, GRONWALL_ATOL
     t, f, g, G = inp.t, inp.f, inp.g, inp.G
     IG = cumtrapz(t, G)
@@ -328,10 +310,7 @@ def gronwall_verify(inp: GronwallInput) -> GronwallReport:
     hyp_margin = min(h1, h2)
     hypotheses_ok = hyp_margin >= 0.0
 
-    if f[0] <= atol:
-        f_bound, eta_bound = gronwall_bounds(inp)
-    else:
-        f_bound, eta_bound = gronwall_bounds_offset(inp, float(f[0]))
+    f_bound, eta_bound = gronwall_bounds(inp, float(f[0]) if f[0] > atol else 0.0)
 
     eta = g + IG
     f_margin = margin(f_bound + rtol * np.maximum(np.abs(f_bound), 1.0) + atol, f)
@@ -365,22 +344,15 @@ def fit_gronwall_constants(t, f, g, G, alpha_base, beta_base) -> tuple[float, fl
     denominator falls below GRONWALL_FIT_FLOOR times the global scale are
     skipped (the hypothesis is vacuous there up to noise)."""
     slack, floor = GRONWALL_FIT_SLACK, GRONWALL_FIT_FLOOR
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    G = np.asarray(G, dtype=float)
-    ab = np.asarray(alpha_base, dtype=float)
-    bb = np.asarray(beta_base, dtype=float)
+    t, f, g, G, ab, bb = (np.asarray(a, dtype=float) for a in (t, f, g, G, alpha_base, beta_base))
 
-    df = np.diff(f)
-    denA = np.diff(cumtrapz(t, np.sqrt(G)))
-    maskA = denA > floor * max(denA.max(initial=0.0), 1e-300)
-    A = float(max(0.0, (df[maskA] / denA[maskA]).max(initial=0.0)) * (1.0 + slack))
+    def ratio(num, den):
+        # The largest num/den over the intervals above the floor, at least 0.
+        mask = den > floor * max(den.max(initial=0.0), 1e-300)
+        return float(max(0.0, (num[mask] / den[mask]).max(initial=0.0)) * (1.0 + slack))
 
-    num = np.diff(g) + np.diff(cumtrapz(t, G))
-    denC = np.diff(cumtrapz(t, ab * g + bb * f * f))
-    maskC = denC > floor * max(denC.max(initial=0.0), 1e-300)
-    C = float(max(0.0, (num[maskC] / denC[maskC]).max(initial=0.0)) * (1.0 + slack))
+    A = ratio(np.diff(f), np.diff(cumtrapz(t, np.sqrt(G))))
+    C = ratio(np.diff(g) + np.diff(cumtrapz(t, G)), np.diff(cumtrapz(t, ab * g + bb * f * f)))
     return A, C
 
 

@@ -54,20 +54,23 @@ def lp_norm(field: np.ndarray, p: float) -> float | np.ndarray:
 
 def fd_gradient(rho: np.ndarray) -> np.ndarray:
     """Second-order centered periodic finite-difference gradient of scalar
-    fields (..., M, M), shape (..., M, M, 2)."""
-    h = 2.0 * np.pi / rho.shape[-1]
-    gx = (np.roll(rho, -1, axis=-2) - np.roll(rho, 1, axis=-2)) / (2.0 * h)
-    gy = (np.roll(rho, -1, axis=-1) - np.roll(rho, 1, axis=-1)) / (2.0 * h)
-    return np.stack([gx, gy], axis=-1)
+    fields (..., M, M), shape (..., M, M, 2).  The periodic neighbours are
+    gathered by index, cheaper than np.roll, whose per-call overhead
+    dominates on the ledger walk's small blocks."""
+    M = rho.shape[-1]
+    h = 2.0 * np.pi / M
+    up, down = np.arange(1, M + 1) % M, np.arange(-1, M - 1) % M
+    grad = np.empty(rho.shape + (2,))
+    np.subtract(rho[..., up, :], rho[..., down, :], out=grad[..., 0])
+    np.subtract(rho[..., up], rho[..., down], out=grad[..., 1])
+    grad /= 2.0 * h
+    return grad
 
 
-def w1gamma_norm(
-    rho: np.ndarray, gamma: float, grad: np.ndarray | None = None
-) -> float | np.ndarray:
+def w1gamma_norm(rho: np.ndarray, gamma: float) -> float | np.ndarray:
     """Sobolev norm (||rho||_gamma^gamma + ||grad rho||_gamma^gamma)^(1/gamma)
-    with the finite-difference gradient, one per field of a stack (..., M, M);
-    `grad` is `fd_gradient(rho)` when the caller already holds it."""
-    g = fd_gradient(rho) if grad is None else grad
+    with the finite-difference gradient, one per field of a stack (..., M, M)."""
+    g = fd_gradient(rho)
     mag = np.sqrt((g * g).sum(axis=-1))
     w = quadrature_weight(rho.shape[-1])
     total = w * (np.abs(rho) ** gamma).sum(axis=(-2, -1)) + w * (mag**gamma).sum(axis=(-2, -1))

@@ -41,10 +41,11 @@ VelocityHistory's row is its dense output weighed once into the factors
 c_n MODE_NORM d_n (N, 2) of `BasisSet.weigh`, so that each evaluation is
 one cosine table times the row, with no per-call weighing.  Every RK4
 step, here and in the solver, is `rk4_step`; a step's end field starts the
-next.  A backtrack or a drift guard takes its rows from one `rows_at` call,
-a sweep from one per block, synthesizing each grid field as its step
-comes.  A sweep hands its densities on in stacked blocks; its drift error
-follows the block of every earlier density.
+next.  A backtrack and the drift guard carry their points with one
+integrator, `_characteristics`, its rows from one `rows_at` call; a sweep
+takes one call per block, synthesizing each grid field as its step comes.
+A sweep hands its densities on in stacked blocks; its drift error follows
+the block of every earlier density.
 
 Constant sources skip the characteristics altogether.  Feet are reported
 without modular reduction, which is harmless because every initial density
@@ -171,13 +172,6 @@ def shift_density(source: DensitySource, shift: float) -> DensitySource:
     )
 
 
-def lift_floor(source: DensitySource, n: int) -> DensitySource:
-    """Additive vacuum floor: rho0 + 1/n."""
-    if n < 1:
-        raise ValueError("floor parameter n must be a positive integer")
-    return shift_density(source, 1.0 / n)
-
-
 class VelocityHistory:
     """Time-sampled coefficient trajectory with cubic Hermite dense output.
 
@@ -203,10 +197,6 @@ class VelocityHistory:
     def constant(cls, basis: BasisSet, coeffs: np.ndarray, T: float) -> "VelocityHistory":
         c = np.asarray(coeffs, dtype=float)
         return cls(basis, [0.0, float(T)], np.stack([c, c]), np.zeros((2, basis.size)))
-
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
 
     def rows_at(self, times) -> np.ndarray:
         """The velocity rows at a 1-d array of times, (S, N, 2), or at one
@@ -283,13 +273,15 @@ def _rk4_times(taus) -> np.ndarray:
     return out
 
 
-def _rk4(y, rate, taus, rows):
-    """`rk4_step` once per interval of the times `taus`, increasing or
-    decreasing, for d_tau y = rate(y, row), with the rows of the velocity at
-    the `_rk4_times` of `taus`: the end row of a step starts the next."""
+def _characteristics(history, points: np.ndarray, taus) -> np.ndarray:
+    """`points` carried along d_tau y = v(y, tau) through the times `taus`,
+    increasing or decreasing, one `rk4_step` per interval, with the velocity
+    rows at the `_rk4_times` of `taus` from one `rows_at` call: the end row
+    of a step starts the next."""
+    rows = history.rows_at(_rk4_times(taus))
     for i, h in enumerate(np.diff(taus)):
-        y, _ = rk4_step(y, rate, h, *rows[2 * i : 2 * i + 3])
-    return y
+        points, _ = rk4_step(points, history.velocity_at, h, *rows[2 * i : 2 * i + 3])
+    return points
 
 
 def _label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -323,8 +315,7 @@ def backtrack(history, points: np.ndarray, t: float, dtau: float) -> np.ndarray:
     if t < 0.0 or dtau <= 0.0:
         raise ValueError("need t >= 0 and dtau > 0")
     steps = max(1, int(np.ceil(t / dtau - 1e-12)))
-    taus = np.linspace(t, 0.0, steps + 1)
-    return _rk4(pts, history.velocity_at, taus, history.rows_at(_rk4_times(taus)))
+    return _characteristics(history, pts, np.linspace(t, 0.0, steps + 1))
 
 
 def density_at(
@@ -408,11 +399,9 @@ def _check_drift(history, feet: np.ndarray, walked: list) -> None:
     rows = np.arange(8) * M // 8
     cols = (3 * rows) % M
     nodes = grid_points(M)[rows, cols]
-    taus = walked[::-1]
-    velocity = history.rows_at(_rk4_times(taus))
-    exact = _rk4(nodes, history.velocity_at, taus, velocity)
+    exact = _characteristics(history, nodes, walked[::-1])
     drift = float(np.abs(feet[rows, cols] - exact).max())
     if not drift <= DRIFT_LIMIT:
-        v = history.grid_velocity(velocity[::2], M)  # the rows of the walked times
+        v = history.grid_velocity(history.rows_at(walked), M)
         speed = float(np.sqrt((v * v).sum(axis=-3)).max())
         raise TransportDriftError(float(walked[-1]), drift, speed)

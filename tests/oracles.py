@@ -230,7 +230,7 @@ def node_diagnostics_per_node(src, history, basis, M: int) -> EstimateLedger:
         led.rho_t_lgamma[k] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
         led.mass[k] = w * r.sum()
         led.momentum_l2[k] = math.sqrt(w * (r * r * umag2).sum())
-        led.w1gamma[k] = w1gamma_norm(r, GAMMA, grad_rho)
+        led.w1gamma[k] = w1gamma_norm(r, GAMMA)
         resid = residual_diagnostics(state, basis, M)
         led.orthogonality_max[k] = resid.orthogonality_max[0]
         led.projection_rel[k] = resid.projection_rel[0]

@@ -282,7 +282,7 @@ def test_vacuum_floor_sweep(vacuum_results, verdict):
     variation = spread["sup_grad_variation"]
     T = 0.2
     complete = len(runs) == 3 and all(
-        abs(r.history.t_final - T) < 1e-12 and r.t0_estimate >= T for r in runs
+        abs(r.history.times[-1] - T) < 1e-12 and r.t0_estimate >= T for r in runs
     )
     bounds = all(exact_density_bounds_ok(r) for r in runs)
     uniform = variation <= 0.10

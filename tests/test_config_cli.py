@@ -369,23 +369,29 @@ def test_cli_rejects_bad_study_numbers_before_solving(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize(
-    "argv, density",
+    "command, option, values, density, named",
     [
-        (["taylor", "--dt-list", ","], "constant"),
-        (["vacuum-sweep", "--n-list", ","], "vacuum-well"),
+        ("taylor", "--dt-list", [",", ""], "constant",
+         "taylor benchmark needs at least one time step"),
+        ("vacuum-sweep", "--n-list", [","], "vacuum-well",
+         "vacuum sweep needs at least one floor value"),
     ],
     ids=["taylor-empty-dt-list", "vacuum-sweep-empty-n-list"],
 )
-def test_cli_rejects_empty_study_list_before_solving(tmp_path, capsys, monkeypatch, argv, density):
-    # Both lists parse to no values: taylor ended in an IndexError traceback
-    # and vacuum-sweep exited 0 with only the summary row written.
+def test_cli_rejects_empty_study_list_before_solving(
+    tmp_path, capsys, monkeypatch, command, option, values, density, named
+):
+    # Each list parses to no values: taylor ended in an IndexError traceback
+    # and vacuum-sweep exited 0 with only the summary row written.  An empty
+    # --dt-list is a list with no steps too, not a missing option: taylor ran
+    # the config's dt on it.
     monkeypatch.setattr(pipeline, "picard_solve", no_solve)
     cfg = write_config(tmp_path, TAYLOR.replace("density.kind = constant", f"density.kind = {density}"))
-    command, *flags = argv
     out = tmp_path / "x"
-    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
-    assert "config error:" in capsys.readouterr().err
-    assert not out.exists()
+    for value in values:
+        assert main([command, "--config", str(cfg), "--out", str(out), option, value]) == 2
+        assert f"config error: {named}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from torusflow.estimates import (
     existence_time,
     fit_gronwall_constants,
     gronwall_bounds,
-    gronwall_bounds_offset,
     gronwall_verify,
     h1_functional,
     hermite_cumtrapz,
@@ -103,27 +102,28 @@ def test_riccati_fit_synthetic_blowup():
     # F(t) = (1 - 2t)^(-1/2) solves F' = F^3 exactly, so C1 ~= 1.
     t = np.linspace(0.0, 0.3, 601)
     F = (1.0 - 2.0 * t) ** -0.5
-    fit = riccati_fit(t, F)
-    assert 1.0 <= fit.c1 <= 1.03
-    assert fit.satisfied_fraction == 1.0
+    c1, fraction = riccati_fit(t, F)
+    assert 1.0 <= c1 <= 1.03
+    assert fraction == 1.0
 
 
 def test_riccati_fit_decay_gives_zero():
     t = np.linspace(0.0, 1.0, 101)
-    fit = riccati_fit(t, np.exp(-t))
-    assert fit.c1 == 0.0
-    assert fit.satisfied_fraction == 1.0
+    assert riccati_fit(t, np.exp(-t)) == (0.0, 1.0)
 
 
 def test_riccati_fit_zero_flow_is_explicit():
     # F = 0 with F' <= 0 is bounded by any C1; growth out of F = 0 by none.
     t = np.linspace(0.0, 1.0, 11)
-    fit = riccati_fit(t, np.zeros_like(t))
-    assert fit.c1 == 0.0
-    assert fit.satisfied_fraction == 1.0
+    assert riccati_fit(t, np.zeros_like(t)) == (0.0, 1.0)
     F = np.zeros_like(t)
     F[-1] = 1.0
-    assert math.isinf(riccati_fit(t, F).c1)
+    assert math.isinf(riccati_fit(t, F)[0])
+
+
+def test_riccati_fit_without_interior_samples_is_vacuous():
+    # Two nodes (T = dt) have no centered difference: no C1 is needed.
+    assert riccati_fit([0.0, 0.1], [1.0, 5.0]) == (0.0, 1.0)
 
 
 def test_existence_time_hand_arithmetic():
@@ -185,11 +185,16 @@ def test_gronwall_offset_reduces_to_exact_form():
     t = np.linspace(0.0, 1.0, 21)
     z = np.zeros_like(t)
     inp = GronwallInput(t=t, f=z, g=z, G=z, alpha=t, beta=t, A=1.5, g0=0.7)
-    np.testing.assert_array_equal(
-        gronwall_bounds_offset(inp, 0.0)[0], gronwall_bounds(inp)[0]
-    )
+    f_exact, eta_exact = gronwall_bounds(inp)
+    np.testing.assert_array_equal(gronwall_bounds(inp, 0.0)[0], f_exact)
+    # The extension doubles A^2 in the exponent, so at beta >= 0 it bounds
+    # above the exact form even as f0 -> 0.
+    f_tiny, eta_tiny = gronwall_bounds(inp, 1e-300)
+    assert np.all(f_tiny >= f_exact) and np.all(eta_tiny >= eta_exact)
+    with pytest.raises(ValueError):
+        gronwall_bounds(inp, -0.1)
     # With f0 > 0 the bound exceeds f0 everywhere and starts at f0.
-    f_bound, eta_bound = gronwall_bounds_offset(inp, 0.3)
+    f_bound, eta_bound = gronwall_bounds(inp, 0.3)
     assert f_bound[0] == 0.3
     assert np.all(f_bound >= 0.3)
     assert np.all(eta_bound >= inp.g0)

@@ -4,11 +4,13 @@ A mutant is a monkeypatch of a `torusflow.solver` or `torusflow.pipeline`
 name, never a switch in the package.  Each one runs on two_mode and vacuum
 cut to T = 0.05 (0.1-0.2 s a run), and the exact set of failing checks is
 pinned, so a change that blinds a check, or makes one fail on correct code,
-shows up as a changed row.  Abbreviations in the comments: orth =
-galerkin_orthogonality, proj = projection_identity, E-id / E-ineq = energy
-identity / inequality.
+shows up as a changed row.  README's kill matrix is checked against KILLED.
+Abbreviations in the comments: orth = galerkin_orthogonality, proj =
+projection_identity, E-id / E-ineq = energy identity / inequality.
 """
 
+import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _assemble = solver.assemble
 _carried = solver.carried_densities
+_picard = pipeline.picard_solve
 
 
 def _operators(b_scale, lam_scale):
@@ -63,6 +66,13 @@ def _lagged(source, history, M, times, size):
         yield lo, out
 
 
+def _one_pass(source, u0, basis, M, dt, T, tol, max_iter, seed="initial"):
+    """The Picard loop stopped after its first pass, whatever its delta;
+    the report keeps the configured tol."""
+    history, report = _picard(source, u0, basis, M, dt, T, math.inf, 1, seed=seed)
+    return history, replace(report, tol=tol)
+
+
 # mutant: the (module, name, replacement) patches that make it
 MUTANTS = {
     "none": [],
@@ -77,13 +87,16 @@ MUTANTS = {
     ],
     # Picard passes only: the stage densities lag one stage.
     "stage_density_lagged": [(solver, "carried_densities", _lagged)],
+    "picard_one_pass": [(pipeline, "picard_solve", _one_pass)],
 }
 
 RESIDUALS = {"galerkin_orthogonality", "projection_identity", "energy_identity"}
 
 # The failing checks per mutant, the same on both configs at T = 0.05.  The
 # frozen density kills nothing here; on vacuum at its full T = 0.2 it fails
-# E-id.  The lagged stage density kills nothing on either.
+# E-id.  The lagged stage density kills nothing on either.  The one-pass
+# Picard loop fails picard_convergence only through the tol its report
+# keeps; reporting tol = inf, it fails nothing.
 KILLED = {
     "none": set(),
     "b_sign": RESIDUALS,
@@ -92,6 +105,7 @@ KILLED = {
     "forward_euler": {"energy_identity"},
     "density_frozen": set(),
     "stage_density_lagged": set(),
+    "picard_one_pass": {"picard_convergence"},
 }
 
 
@@ -106,3 +120,14 @@ def test_kill_matrix(monkeypatch, config, mutant):
     for check in checks:
         assert check["pass"] == (check["margin"] >= 0.0), check
     assert {c["check"] for c in checks if not c["pass"]} == KILLED[mutant]
+
+
+def test_readme_kill_matrix_follows_the_test():
+    # README's table lists the mutants in this file's order, each with the
+    # checks KILLED pins; "none" is the empty set.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n### Kill matrix\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| [^|]+ \| (.*) \|$", section, re.M)
+    table = {mutant: set(re.findall(r"`([^`]+)`", killed)) for mutant, killed in rows}
+    assert list(table) == list(KILLED)
+    assert table == KILLED

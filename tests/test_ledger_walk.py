@@ -26,7 +26,7 @@ from torusflow.transport import (
     VelocityHistory,
     bump_density,
     constant_density,
-    lift_floor,
+    shift_density,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -138,7 +138,7 @@ def test_momentum_probes_read_the_walk_at_node_times(monkeypatch):
     # norm matches the probe with its density backtracked.
     text = re.sub(r"(?m)^T = .*$", "T = 0.02", (ROOT / "configs" / "vacuum.cfg").read_text())
     cfg = parse_config_text(text)
-    result = pipeline.run_simulation(cfg, source=lift_floor(build_source(cfg), 1000))
+    result = pipeline.run_simulation(cfg, source=shift_density(build_source(cfg), 1.0 / 1000))
     backtracked = []
     density_at = pipeline.density_at
 

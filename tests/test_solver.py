@@ -31,7 +31,7 @@ from torusflow.transport import (
     bump_density,
     constant_density,
     density_at,
-    lift_floor,
+    shift_density,
     vacuum_well_density,
 )
 
@@ -408,7 +408,7 @@ def test_picard_rejects_unknown_seed_and_narrow_support():
     with pytest.raises(ValueError):
         picard_solve(constant_density(), u0, basis, 16, 0.05, 0.1, 1e-10, 30, seed="bogus")
     # The well, bare or floored, solves: its mass matrices pass the guard.
-    for source in (vacuum_well_density(), lift_floor(vacuum_well_density(), 10)):
+    for source in (vacuum_well_density(), shift_density(vacuum_well_density(), 0.1)):
         picard_solve(source, u0, basis, 16, 0.05, 0.1, 1e-10, 30)
     # A support the grid sees at one node fails it, with the stage's numbers.
     with pytest.raises(VacuumDegenerateError) as err:

@@ -27,7 +27,6 @@ from torusflow.transport import (
     carried_densities,
     constant_density,
     density_at,
-    lift_floor,
     shift_density,
     vacuum_well_density,
 )
@@ -73,14 +72,13 @@ def test_vacuum_well_is_its_definition():
     assert np.all(well.value(grid_points(40)) >= 0.0)
 
 
-def test_lift_floor_and_shift():
+def test_vacuum_floor_and_shift():
     bump = bump_density()
-    lifted = lift_floor(bump, 10)
+    # The vacuum sweep's floor 1/n is a shift by 1/n.
+    lifted = shift_density(bump, 1.0 / 10)
     assert (lifted.lower, lifted.upper) == (1.1, 3.1)
     pts = grid_points(8)
     np.testing.assert_allclose(lifted.value(pts), bump.value(pts) + 0.1, atol=1e-15)
-    with pytest.raises(ValueError):
-        lift_floor(bump, 0)
 
     shifted = shift_density(bump, -0.25)
     assert (shifted.lower, shifted.upper) == (0.75, 2.75)
@@ -93,7 +91,7 @@ def test_floor_distance_in_sobolev_norm():
     pts = grid_points(32)
     base = bump_density().value(pts)
     for n in (10, 100):
-        lifted = lift_floor(bump_density(), n).value(pts)
+        lifted = shift_density(bump_density(), 1.0 / n).value(pts)
         diff = lifted - base
         dist = w1gamma_norm(diff, GAMMA)
         assert abs(dist - (1.0 / n) * (4.0 * np.pi**2) ** (1.0 / GAMMA)) < 1e-12
@@ -276,8 +274,15 @@ def test_fd_gradient_oracle_and_order():
     exact_norm = np.sqrt(2.0 * np.pi**2)
     errs = []
     for M in (64, 128):
-        rho = f0(grid_points(M))
+        pts = grid_points(M)
+        rho = f0(pts)
         errs.append(abs(lp_norm(np.linalg.norm(fd_gradient(rho), axis=-1), GAMMA) - exact_norm))
+        # Pointwise, with the periodic wrap: the exact gradient times sin(h)/h.
+        x, y = pts[..., 0], pts[..., 1]
+        exact = np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)], axis=-1)
+        h = 2.0 * np.pi / M
+        np.testing.assert_allclose(fd_gradient(rho), np.sin(h) / h * exact, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(fd_gradient(np.stack([rho, 2.0 * rho]))[1], fd_gradient(2.0 * rho))
     # The centered difference scales each component by sin(h)/h, so the
     # relative error is h^2/6 ~= 4e-4 at M=128.
     assert errs[1] < 5e-4 * exact_norm
