@@ -160,7 +160,7 @@ def energy_functional(times, sqrt_rho_u_l2, grad_u_l2, grad_u_sq_dot) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def h1_functional(times, grad_u_l2, sqrt_rho_ut_l2, hess_u_l2, m1: float = 1.0) -> np.ndarray:
+def h1_functional(times, grad_u_l2, sqrt_rho_ut_l2, hess_u_l2, m1: float) -> np.ndarray:
     """F(t) = 2 M1 ||grad u||^2(t) + int_0^t (M1 ||sqrt(rho) d_t u||^2
     + 1/2 ||grad^2 u||^2) ds."""
     g1 = np.asarray(grad_u_l2, dtype=float) ** 2

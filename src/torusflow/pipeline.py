@@ -102,10 +102,9 @@ def _check(name: str, margins, **details) -> dict:
     return {"check": name, "pass": margin >= 0.0, "margin": margin, "details": details}
 
 
-def node_diagnostics(
-    src: DensitySource, history, basis: BasisSet, M: int
-) -> EstimateLedger:
-    """Walk a converged trajectory once into the run's per-node table.
+def node_diagnostics(src: DensitySource, history, M: int) -> EstimateLedger:
+    """Walk a converged trajectory once into the run's per-node table, in
+    the basis of `history`, on the M x M grid.
 
     The densities come from their own carried sweep along `history`, not
     from the last Picard pass, which advected the density by the previous
@@ -117,6 +116,7 @@ def node_diagnostics(
     eigenvalue guard before the sweep's drift error.  The columns of the
     node coefficients f = history.coeffs and their rates fdot are
     whole-array expressions after the walk."""
+    basis = history.basis
     lam = basis.lambdas
     w = basis.grid(M).weight
     times, f = history.times, history.coeffs
@@ -125,7 +125,7 @@ def node_diagnostics(
     size = max(1, WALK_POINTS // (M * M))
     for lo, r in carried_densities(src, history, M, times, size):
         nodes = slice(lo, lo + len(r))
-        state = build_state(basis, M, f[nodes], r)
+        state = build_state(basis, f[nodes], r)
         u, gu, ut = state.u, state.grad_u, state.ut
         led.rho[nodes], fdot[nodes] = r, state.fdot
         umag2 = (u * u).sum(axis=-1)
@@ -139,7 +139,7 @@ def node_diagnostics(
         led.mass[nodes] = w * r.sum(axis=(1, 2))
         led.momentum_l2[nodes] = np.sqrt(w * (r * r * umag2).sum(axis=(1, 2)))
         led.w1gamma[nodes] = w1gamma_norm(r, GAMMA)
-        resid = residual_diagnostics(state, basis, M)
+        resid = residual_diagnostics(state, basis)
         led.orthogonality_max[nodes] = resid.orthogonality_max
         led.projection_rel[nodes] = resid.projection_rel
 
@@ -164,7 +164,7 @@ def run_simulation(
         src, build_u0(config, basis), basis, config.M, config.dt, config.T,
         config.picard_tol, config.picard_max, seed=seed
     )
-    led = node_diagnostics(src, history, basis, config.M)
+    led = node_diagnostics(src, history, config.M)
 
     times = history.times
     m1 = 1.0 + src.upper
@@ -429,7 +429,7 @@ def _difference_curves(ref: RunResult, other: RunResult) -> dict:
     }
 
 
-def uniqueness_study(config: RunConfig, delta: float = 1e-3) -> Study:
+def uniqueness_study(config: RunConfig, delta: float) -> Study:
     """Two diagnostics: Picard-seed independence and a perturbation bound.
 
     Seed independence: the same data solved from the constant-in-time seed
@@ -555,11 +555,11 @@ def write_run_outputs(result: RunResult, outdir) -> None:
     for t in cfg.snapshots:
         f = result.history.coeffs_at(t)
         rho = density_at(result.source, result.history, cfg.M, t, cfg.dt)
-        state = build_state(result.basis, cfg.M, f[None], rho[None])
+        state = build_state(result.basis, f[None], rho[None])
         tag = snapshot_tag(t)
         save_snapshot(state.u[0], out / f"u_t{tag}.dat")
         save_snapshot(state.rho[0], out / f"rho_t{tag}.dat")
-        resid = residual_diagnostics(state, result.basis, cfg.M)
+        resid = residual_diagnostics(state, result.basis)
         save_snapshot(resid.pressure[0], out / f"p_t{tag}.dat")
 
 

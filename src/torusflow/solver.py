@@ -33,7 +33,10 @@ constant-in-time initial velocity.
 coefficients and densities, one assembly block for all of them, with their
 grid fields u, grad u and u_t synthesized once for every reader;
 `residual_diagnostics` reduces the same stack.  The ledger walk calls both
-on a block of nodes, the snapshot writer on a stack of one.
+on a block of nodes, the snapshot writer on a stack of one.  No function
+takes an input that another of its inputs fixes: the grid size M is read
+off the density stack, and a pass's basis off the velocity history it
+advects along.
 """
 
 from __future__ import annotations
@@ -126,18 +129,18 @@ class SolverState:
     ut: np.ndarray
 
 
-def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet, M: int) -> GalerkinMatrices:
+def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet) -> GalerkinMatrices:
     """Build A, B and the RK4 operators for a block of S stage times.
 
-    `rho` holds densities (S, M, M), `v_grid` advecting-velocity samples
-    (S, M, M, 2).  A and B are read off the moments of rho, rho v_x and
-    rho v_y at k_i +- k_j, one gather each, with the signs and G_ij / 2 of
-    the `BasisGrid` tables folded in.  A stage fails the guard when the
+    `rho` holds densities (S, M, M), whose shape fixes the grid, and
+    `v_grid` advecting-velocity samples (S, M, M, 2).  A and B are read off
+    the moments of rho, rho v_x and rho v_y at k_i +- k_j, one gather each,
+    with the signs and G_ij / 2 of the `BasisGrid` tables folded in.  A stage fails the guard when the
     smallest eigenvalue of its A is not above 1e-10 * trace(A)/N (or A is
     not finite); `GalerkinMatrices.operators` raises VacuumDegenerateError
     once that stage is asked for.
     """
-    grid = basis.grid(M)
+    grid = basis.grid(rho.shape[-1])
     N = basis.size
     S = rho.shape[0]
     # The moments of rho, rho v_x and rho v_y, one field at a time: with no
@@ -184,20 +187,22 @@ def _node_times(T: float, dt: float) -> np.ndarray:
 
 
 def _stage_operators(
-    v_hist, source: DensitySource, basis: BasisSet, M: int, stage_times
+    v_hist, source: DensitySource, M: int, stage_times
 ) -> Iterator[np.ndarray]:
     """RK4 operators at the increasing `stage_times`, assembled in blocks of
-    about STAGE_POINTS grid points from one carried density sweep.
+    about STAGE_POINTS grid points from one carried density sweep, in the
+    basis of `v_hist`.
 
     Failures surface in stage order: a block's VacuumDegenerateError when its
     stage is reached, and the sweep's TransportDriftError, raised at its last
     time or at its first non-finite displacement, after every earlier stage
     has been yielded."""
+    basis = v_hist.basis
     points = basis.grid(M).points
     size = max(1, STAGE_POINTS // (M * M))
     for lo, rho in carried_densities(source, v_hist, M, stage_times, size):
         coeffs = v_hist.coeffs_at(stage_times[lo : lo + len(rho)])
-        mats = assemble(rho, basis.velocity_at(points, coeffs), basis, M)
+        mats = assemble(rho, basis.velocity_at(points, coeffs), basis)
         # Drop the block's fields before its operators are used, so that the
         # sweep's next block reuses their memory instead of growing the heap.
         count = len(rho)
@@ -210,7 +215,6 @@ def solve_linearized(
     v_hist,
     source: DensitySource,
     u0_coeffs: np.ndarray,
-    basis: BasisSet,
     M: int,
     dt: float,
     T: float,
@@ -218,13 +222,13 @@ def solve_linearized(
     """One linearized pass: advect the density along `v_hist`, then integrate
     the coefficient ODE with classical RK4 on operators assembled at every
     stage time t0, t0 + h/2, t1, ...; the densities there are streamed from
-    one carried sweep.  Returns the full trajectory with nodal derivatives."""
+    one carried sweep.  Returns the full trajectory with nodal derivatives,
+    in the basis of `v_hist`."""
     times = _node_times(T, dt)
-    N = basis.size
-    ops = _stage_operators(v_hist, source, basis, M, _rk4_times(times))
+    ops = _stage_operators(v_hist, source, M, _rk4_times(times))
 
-    coeffs = np.empty((len(times), N))
-    derivs = np.empty((len(times), N))
+    coeffs = np.empty((len(times), len(u0_coeffs)))
+    derivs = np.empty_like(coeffs)
     coeffs[0] = np.asarray(u0_coeffs, dtype=float)
 
     op_start = next(ops)
@@ -238,7 +242,7 @@ def solve_linearized(
         op_start = op_end
 
     derivs[-1] = ode_rhs(coeffs[-1], op_start)
-    return VelocityHistory(basis, times, coeffs, derivs)
+    return VelocityHistory(v_hist.basis, times, coeffs, derivs)
 
 
 @dataclass
@@ -279,7 +283,7 @@ def picard_solve(
 
     deltas: list[float] = []
     for _ in range(max_iter):
-        u = solve_linearized(v, source, u0, basis, M, dt, T)
+        u = solve_linearized(v, source, u0, M, dt, T)
         # Dense output at a node returns the node's coefficients exactly.
         delta = float(np.max(np.linalg.norm(u.coeffs - v.coeffs_at(u.times), axis=1)))
         deltas.append(delta)
@@ -299,17 +303,17 @@ def picard_solve(
     raise PicardNonConvergenceError(deltas, tol)
 
 
-def build_state(basis: BasisSet, M: int, f: np.ndarray, rho: np.ndarray) -> SolverState:
+def build_state(basis: BasisSet, f: np.ndarray, rho: np.ndarray) -> SolverState:
     """Self-consistent states of a trajectory at a stack of times, from its
-    coefficients f (S, N) and its densities rho (S, M, M) there: fdot is
-    recomputed from fresh matrices, one assembly block for the stack, so
-    each state satisfies the modal system at its time.  The velocity u is
-    also the advecting field of the assembly.  A state that fails the
-    eigenvalue guard raises VacuumDegenerateError for the first such
-    state."""
-    grid = basis.grid(M)
+    coefficients f (S, N) and its densities rho (S, M, M) there, whose shape
+    fixes the grid: fdot is recomputed from fresh matrices, one assembly
+    block for the stack, so each state satisfies the modal system at its
+    time.  The velocity u is also the advecting field of the assembly.  A
+    state that fails the eigenvalue guard raises VacuumDegenerateError for
+    the first such state."""
+    grid = basis.grid(rho.shape[-1])
     u = grid.synthesize(f)
-    mats = assemble(rho, u, basis, M)
+    mats = assemble(rho, u, basis)
     fdot = ode_rhs(f[:, :, None], mats.operators(len(f)))[:, :, 0]
     grad_u, ut = grid.synthesize_gradient(f), grid.synthesize(fdot)
     return SolverState(f=f, fdot=fdot, rho=rho, u=u, grad_u=grad_u, ut=ut)
@@ -333,8 +337,8 @@ class ResidualReport:
     pressure: np.ndarray
 
 
-def residual_diagnostics(state: SolverState, basis: BasisSet, M: int) -> ResidualReport:
-    grid = basis.grid(M)
+def residual_diagnostics(state: SolverState, basis: BasisSet) -> ResidualReport:
+    grid = basis.grid(state.rho.shape[-1])
     udot = state.ut + np.einsum("sabk,sabik->sabi", state.u, state.grad_u)
     g = state.rho[..., None] * udot
 

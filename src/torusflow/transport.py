@@ -47,7 +47,8 @@ takes one call per block, synthesizing each grid field as its step comes.
 A sweep hands its densities on in stacked blocks; its drift error follows
 the block of every earlier density.
 
-Constant sources skip the characteristics altogether.  Feet are reported
+A source whose exact bounds meet is constant and skips the characteristics
+altogether; no other source does.  Feet are reported
 without modular reduction, which is harmless because every initial density
 is 2pi-periodic.  The grid points come from `fields.grid_points`; the norms
 of the transported density (W^{1,gamma}, ||grad rho||_gamma, ||d_t rho||_gamma)
@@ -101,22 +102,25 @@ class TransportDriftError(DivergenceError):
 class DensitySource:
     """Initial density: an analytic 2pi-periodic value function.
 
-    `lower` and `upper` are the exact range bounds over the torus.
-    `constant` marks sources whose value does not depend on position, which
-    lets density evaluation skip the characteristic solve entirely.
+    `lower` and `upper` are the exact range bounds over the torus, so the
+    source is `constant`, its value independent of position, exactly when
+    they meet: density evaluation then skips the characteristic solve.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
-    constant: bool = False
+
+    @property
+    def constant(self) -> bool:
+        return self.lower == self.upper
 
 
 def constant_density(c: float = 1.0) -> DensitySource:
     def value(points):
         return np.full(np.asarray(points).shape[:-1], float(c))
 
-    return DensitySource(value, float(c), float(c), constant=True)
+    return DensitySource(value, float(c), float(c))
 
 
 def bump_density() -> DensitySource:

@@ -128,12 +128,13 @@ def vacuum_well_value(points: np.ndarray) -> np.ndarray:
     return 2.0 / 3.0 * np.maximum(0.0, q - 0.5) ** 2
 
 
-def scripted_density(density, lower=1.0, upper=1.0) -> DensitySource:
+def scripted_density(density) -> DensitySource:
     """A non-constant source whose j-th value call returns `density(j)`: a
     carried sweep evaluates it once per time, in time order, so its j-th
-    time gets density(j) whatever the feet."""
+    time gets density(j) whatever the feet.  Its bounds [0, inf) hold any
+    nonnegative script and do not meet, so the sweep walks its feet."""
     calls = itertools.count()
-    return DensitySource(lambda feet: density(next(calls)), lower, upper)
+    return DensitySource(lambda feet: density(next(calls)), 0.0, math.inf)
 
 
 def narrow_density(r: float = 0.2) -> DensitySource:
@@ -188,11 +189,11 @@ def gradient_at(basis, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return grad.reshape(pts.shape[:-1] + (2, 2))
 
 
-def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
+def assemble_stage(rho: np.ndarray, v_grid, basis):
     """A and B at one stage from the vector tables: A_ij = h^2 sum rho w_i.w_j
     and B_ij = h^2 sum rho w_i.(v . grad) w_j, with `rho` (M, M) and `v_grid`
     (M, M, 2)."""
-    grid = basis.grid(M)
+    grid = basis.grid(rho.shape[-1])
     N = basis.size
     unit = np.eye(N)
     W = basis.velocity_at(grid.points, unit)  # (N, M, M, 2)
@@ -207,17 +208,18 @@ def assemble_stage(rho: np.ndarray, v_grid, basis, M: int):
     return a, b
 
 
-def node_diagnostics_per_node(src, history, basis, M: int) -> EstimateLedger:
+def node_diagnostics_per_node(src, history, M: int) -> EstimateLedger:
     """The run's per-node table walked one node at a time: per node a
     `build_state` and `residual_diagnostics` on a stack of one, and every
     grid column reduced over that node's fields alone."""
+    basis = history.basis
     lam = basis.lambdas
     w = basis.grid(M).weight
     times, f = history.times, history.coeffs
     led = EstimateLedger.allocate(len(times), M)
     fdot = np.empty_like(f)
     for k, (r,) in carried_densities(src, history, M, times, 1):
-        state = build_state(basis, M, f[k : k + 1], r[None])
+        state = build_state(basis, f[k : k + 1], r[None])
         u, gu, ut = state.u[0], state.grad_u[0], state.ut[0]
         led.rho[k], fdot[k] = r, state.fdot[0]
         umag2 = (u * u).sum(axis=-1)
@@ -231,7 +233,7 @@ def node_diagnostics_per_node(src, history, basis, M: int) -> EstimateLedger:
         led.mass[k] = w * r.sum()
         led.momentum_l2[k] = math.sqrt(w * (r * r * umag2).sum())
         led.w1gamma[k] = w1gamma_norm(r, GAMMA)
-        resid = residual_diagnostics(state, basis, M)
+        resid = residual_diagnostics(state, basis)
         led.orthogonality_max[k] = resid.orthogonality_max[0]
         led.projection_rel[k] = resid.projection_rel[0]
 

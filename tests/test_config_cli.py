@@ -68,8 +68,9 @@ def test_configs_are_shipped():
 
 @pytest.mark.parametrize("path", SHIPPED, ids=[path.name for path in SHIPPED])
 def test_shipped_config_parses(path):
-    # Every file in configs/, found by glob: a stale key in a config that no
-    # other test runs (uniqueness.cfg) fails here, not at a user's command.
+    # Every file in configs/, found by glob: a stale key in a shipped config
+    # fails here, not at a user's command (README's `uniqueness` line, for
+    # one, reads two_mode.cfg).
     build_basis(parse_config(path))
 
 

@@ -28,7 +28,7 @@ def single_mode_ledger(count, index, M=16):
     e = np.zeros(count)
     e[index] = 1.0
     history = VelocityHistory.constant(basis, e, 0.1)
-    ledger = node_diagnostics(constant_density(), history, basis, M)
+    ledger = node_diagnostics(constant_density(), history, M)
     return ledger
 
 

@@ -30,8 +30,8 @@ _picard = pipeline.picard_solve
 def _operators(b_scale, lam_scale):
     """`assemble` with the RK4 operators A^{-1}(b_scale B + lam_scale Lam)."""
 
-    def assemble(rho, v_grid, basis, M):
-        mats = _assemble(rho, v_grid, basis, M)
+    def assemble(rho, v_grid, basis):
+        mats = _assemble(rho, v_grid, basis)
         n = len(mats.op)
         lam = lam_scale * np.diag(basis.lambdas)
         mats.op = np.linalg.solve(mats.a[:n], b_scale * mats.b[:n] + lam)

@@ -42,7 +42,7 @@ def converged(source, M, nodes, dt=0.005):
     u0[0], u0[2], u0[5] = 0.3, 0.2, -0.1
     history, _ = picard_solve(source, u0, basis, M, dt, (nodes - 1) * dt, 1e-11, 40)
     assert len(history.times) == nodes
-    return basis, history
+    return history
 
 
 @pytest.mark.parametrize(
@@ -58,9 +58,9 @@ def test_block_walk_matches_walk_per_node(source, M, nodes):
     size = block_size(M)
     K = nodes(size)
     assert K < size or K % size != 0
-    basis, history = converged(source, M, K)
-    block = pipeline.node_diagnostics(source, history, basis, M)
-    oracle = node_diagnostics_per_node(source, history, basis, M)
+    history = converged(source, M, K)
+    block = pipeline.node_diagnostics(source, history, M)
+    oracle = node_diagnostics_per_node(source, history, M)
     for field in dataclasses.fields(EstimateLedger):
         np.testing.assert_allclose(
             getattr(block, field.name), getattr(oracle, field.name),
@@ -113,17 +113,17 @@ def test_walk_reports_first_failure_in_node_order(monkeypatch, degenerate, drift
     stacks = []
     build_state = pipeline.build_state
 
-    def recording_build_state(basis, M, f, rho):
+    def recording_build_state(basis, f, rho):
         stacks.append(len(f))
-        return build_state(basis, M, f, rho)
+        return build_state(basis, f, rho)
 
     monkeypatch.setattr(pipeline, "build_state", recording_build_state)
     errors = {"vacuum": VacuumDegenerateError, "drift": TransportDriftError}
     with pytest.raises(errors[expected]) as err:
-        pipeline.node_diagnostics(source, history, basis, M)
+        pipeline.node_diagnostics(source, history, M)
     if expected == "vacuum":
         first = min(bad)
-        mats = assemble(degenerate_density(M, first)[None], np.zeros((1, M, M, 2)), basis, M)
+        mats = assemble(degenerate_density(M, first)[None], np.zeros((1, M, M, 2)), basis)
         assert (err.value.min_eig, err.value.threshold) == (mats.min_eig[0], mats.threshold[0])
     else:
         assert err.value.t == times[-1]

@@ -61,7 +61,7 @@ def bump_grid(M):
 
 def test_mass_matrix_identity_for_unit_density():
     basis = BasisSet(9)
-    mats = assemble(ones_density(16, S=3), still(16, S=3), basis, 16)
+    mats = assemble(ones_density(16, S=3), still(16, S=3), basis)
     assert mats.a.shape == mats.b.shape == mats.op.shape == (3, 9, 9)
     np.testing.assert_allclose(mats.a, np.broadcast_to(np.eye(9), (3, 9, 9)), atol=1e-12)
     assert np.all(mats.b == 0.0)
@@ -69,13 +69,13 @@ def test_mass_matrix_identity_for_unit_density():
 
 def test_mass_matrix_scales_with_constant_density():
     basis = BasisSet(4)
-    mats = assemble(np.full((1, 16, 16), 2.5), still(16), basis, 16)
+    mats = assemble(np.full((1, 16, 16), 2.5), still(16), basis)
     np.testing.assert_allclose(mats.a[0], 2.5 * np.eye(4), atol=1e-12)
 
 
 def test_mass_matrix_coercivity():
     basis = BasisSet(9)
-    mats = assemble(bump_grid(32), still(32), basis, 32)
+    mats = assemble(bump_grid(32), still(32), basis)
     assert mats.min_eig[0] >= 1.0 - 1e-10  # density lower bound is 1
     np.testing.assert_allclose(mats.a[0], mats.a[0].T, atol=0)  # symmetric as gathered
 
@@ -85,13 +85,13 @@ def test_advection_matrix_skew_for_unit_density():
     basis = BasisSet(9)
     grid = basis.grid(32)
     v = grid.synthesize(RNG.standard_normal(9))
-    mats = assemble(ones_density(32), v[None], basis, 32)
+    mats = assemble(ones_density(32), v[None], basis)
     np.testing.assert_allclose(mats.b[0] + mats.b[0].T, np.zeros((9, 9)), atol=1e-12)
 
 
 def test_assemble_rejects_zero_density():
     basis = BasisSet(4)
-    mats = assemble(np.zeros((1, 16, 16)), still(16), basis, 16)
+    mats = assemble(np.zeros((1, 16, 16)), still(16), basis)
     assert len(mats.op) == 0
     with pytest.raises(VacuumDegenerateError):
         mats.operators(1)
@@ -109,7 +109,7 @@ def test_block_guard_reports_first_failing_stage():
     rho[2, 0] = 1.0
     rho[3] = np.nan
     rho[4] = 0.0
-    mats = assemble(rho, still(M, S=6), basis, M)
+    mats = assemble(rho, still(M, S=6), basis)
     assert len(mats.op) == 2
     np.testing.assert_array_equal(mats.operators(2), mats.op)
     first, threshold = mats.min_eig[2], mats.threshold[2]
@@ -146,11 +146,11 @@ def test_block_assembly_matches_stage_oracle(N, extra, S, near_vacuum, flowing, 
     if near_vacuum:
         rho = np.where(rng.random((S, M, M)) < 0.8, 1e-6, rho)
     v = rng.standard_normal((S, M, M, 2)) if flowing else still(M, S)
-    mats = assemble(rho, v, basis, M)
+    mats = assemble(rho, v, basis)
     # The gather gives a symmetric A bit for bit; nothing averages it.
     np.testing.assert_array_equal(mats.a, mats.a.transpose(0, 2, 1))
     for s in range(S):
-        a, b = assemble_stage(rho[s], v[s], basis, M)
+        a, b = assemble_stage(rho[s], v[s], basis)
         bound = 2.0 * rho[s].max()
         assert np.abs(mats.a[s] - a).max() <= 1e-13 * bound
         bound *= np.abs(v[s]).max() * np.abs(basis.kvecs).max()
@@ -165,17 +165,17 @@ def test_block_assembly_does_not_depend_on_the_block():
     M = 21
     rho = RNG.uniform(0.5, 2.0, (5, M, M))
     v = RNG.standard_normal((5, M, M, 2))
-    block = assemble(rho, v, basis, M)
+    block = assemble(rho, v, basis)
     for s in range(5):
         for lo in (0, s):
-            part = assemble(rho[lo : s + 1], v[lo : s + 1], basis, M)
+            part = assemble(rho[lo : s + 1], v[lo : s + 1], basis)
             for name in ("a", "b", "op"):
                 np.testing.assert_array_equal(getattr(part, name)[s - lo], getattr(block, name)[s])
 
 
 def test_ode_rhs_stokes_and_zero():
     basis = BasisSet(9)
-    (op,) = assemble(ones_density(16), still(16), basis, 16).operators(1)
+    (op,) = assemble(ones_density(16), still(16), basis).operators(1)
     for i in range(9):
         e = np.zeros(9)
         e[i] = 1.0
@@ -187,7 +187,7 @@ def test_ode_rhs_back_substitution():
     basis = BasisSet(9)
     grid = basis.grid(32)
     v = grid.synthesize(RNG.standard_normal(9))
-    mats = assemble(bump_grid(32), v[None], basis, 32)
+    mats = assemble(bump_grid(32), v[None], basis)
     f = RNG.standard_normal(9)
     fdot = ode_rhs(f, mats.op[0])
     resid = mats.a[0] @ fdot + (mats.b[0] @ f + basis.lambdas * f)
@@ -206,7 +206,7 @@ def test_stokes_decay_order():
     u0[0] = 0.7
     errors = []
     for dt in (0.05, 0.025, 0.0125):
-        hist = solve_linearized(zero, constant_density(), u0, basis, 16, dt, 0.5)
+        hist = solve_linearized(zero, constant_density(), u0, 16, dt, 0.5)
         exact = 0.7 * np.exp(-hist.times)
         errors.append(np.abs(hist.coeffs[:, 0] - exact).max())
     assert errors[-1] < 1e-8
@@ -216,7 +216,7 @@ def test_stokes_decay_order():
 def test_zero_data_stays_zero():
     basis = BasisSet(4)
     zero = VelocityHistory.constant(basis, np.zeros(4), 0.2)
-    hist = solve_linearized(zero, bump_density(), np.zeros(4), basis, 16, 0.05, 0.2)
+    hist = solve_linearized(zero, bump_density(), np.zeros(4), 16, 0.05, 0.2)
     assert np.all(hist.coeffs == 0.0)
     assert np.all(hist.derivs == 0.0)
 
@@ -226,7 +226,7 @@ def test_nodal_derivatives_match_ode():
     zero = VelocityHistory.constant(basis, np.zeros(4), 0.2)
     u0 = np.zeros(4)
     u0[0] = 1.0
-    hist = solve_linearized(zero, constant_density(), u0, basis, 16, 0.05, 0.2)
+    hist = solve_linearized(zero, constant_density(), u0, 16, 0.05, 0.2)
     # With identity mass matrix and no advection, fdot = -lam f at each node.
     np.testing.assert_allclose(
         hist.derivs, -basis.lambdas * hist.coeffs, atol=1e-12
@@ -279,9 +279,9 @@ def test_pass_reports_first_failure_in_stage_order(
         "diverge": DivergenceError,
     }
     with pytest.raises(errors[kind]) as err:
-        solve_linearized(zero, source, u0, basis, M, 0.01, 0.1)
+        solve_linearized(zero, source, u0, M, 0.01, 0.1)
     if kind == "vacuum":
-        mats = assemble(degenerate_density(M, stage)[None], still(M), basis, M)
+        mats = assemble(degenerate_density(M, stage)[None], still(M), basis)
         assert (err.value.min_eig, err.value.threshold) == (mats.min_eig[0], mats.threshold[0])
     else:
         assert err.value.t == pytest.approx(0.005 * stage)
@@ -433,13 +433,13 @@ def converged_bump_run():
 def bump_states(hist, basis, nodes):
     """build_state at the given node indices, densities backtracked."""
     rho = np.stack([density_at(bump_density(), hist, 32, tk, 0.005) for tk in hist.times[nodes]])
-    return build_state(basis, 32, hist.coeffs[nodes], rho)
+    return build_state(basis, hist.coeffs[nodes], rho)
 
 
 def test_orthogonality_and_projection_residuals(converged_bump_run):
     basis, hist = converged_bump_run
     state = bump_states(hist, basis, slice(None, None, max(1, len(hist.times) // 5)))
-    resid = residual_diagnostics(state, basis, 32)
+    resid = residual_diagnostics(state, basis)
     assert resid.orthogonality_max.shape == resid.projection_rel.shape == (len(state.f),)
     assert resid.orthogonality_max.max() <= 1e-8
     assert resid.projection_rel.max() <= 1e-8
@@ -450,7 +450,7 @@ def test_residual_detects_wrong_derivative(converged_bump_run):
     state = bump_states(hist, basis, [3])
     bad = state.fdot + 1e-3
     state = replace(state, fdot=bad, ut=basis.grid(32).synthesize(bad))
-    resid = residual_diagnostics(state, basis, 32)
+    resid = residual_diagnostics(state, basis)
     assert resid.orthogonality_max[0] > 1e-6
 
 
@@ -459,7 +459,7 @@ def test_pressure_field_is_plausible(converged_bump_run):
     # must be mean-zero and reproduce that field's divergence.
     basis, hist = converged_bump_run
     state = bump_states(hist, basis, [-1])
-    resid = residual_diagnostics(state, basis, 32)
+    resid = residual_diagnostics(state, basis)
     assert resid.pressure.shape == (1, 32, 32)
     p = resid.pressure[0]
     assert abs(p.mean()) < 1e-12

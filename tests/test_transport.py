@@ -1,5 +1,7 @@
 """Characteristics transport tests against closed-form flows."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from oracles import (
@@ -57,6 +59,24 @@ def test_density_catalog_values_and_bounds():
     assert well.value(np.array([np.pi, np.pi])).shape == ()
     assert abs(well.value(np.array([0.0, 0.0])) - 1.5) < 1e-14
     assert set(DENSITY_CATALOG) == {"constant", "bump", "vacuum-well"}
+
+    # Constancy is no field of its own: a source is constant exactly when its
+    # exact bounds meet, and a sweep over it then reads no velocity at all,
+    # while any other source walks the characteristics.
+    assert [f.name for f in fields(DensitySource)] == ["value", "lower", "upper"]
+    history = VelocityHistory.constant(BasisSet(4), np.full(4, 0.1), 0.1)
+    rows_at, calls = history.rows_at, []
+    history.rows_at = lambda times: calls.append(times) or rows_at(times)
+    times = [0.0, 0.05, 0.1]
+    for make in DENSITY_CATALOG.values():
+        for source in (make(), shift_density(make(), 0.25)):
+            assert source.constant == (source.lower == source.upper)
+            assert source.constant == (make is constant_density)
+            calls.clear()
+            blocks = [rho for _, rho in carried_densities(source, history, 8, times, 2)]
+            np.testing.assert_array_equal(blocks[0][0], source.value(grid_points(8)))
+            assert sum(map(len, blocks)) == len(times)
+            assert bool(calls) != source.constant
 
 
 def test_vacuum_well_is_its_definition():
@@ -301,7 +321,7 @@ def test_density_time_derivative_oracle():
     # (sqrt(2) pi), whose L2 norm is 1 / (2 sqrt(2)).
     basis = BasisSet(4)
     history = VelocityHistory.constant(basis, np.array([1.0, 0.0, 0.0, 0.0]), 0.01)
-    ledger = node_diagnostics(bump_density(), history, basis, 128)
+    ledger = node_diagnostics(bump_density(), history, 128)
     val = ledger.rho_t_lgamma[0]
     exact = 1.0 / (2.0 * np.sqrt(2.0))
     assert abs(val - exact) < 1e-3 * exact
@@ -332,7 +352,8 @@ def carried_feet(velocity, M, times):
     """The carried feet (len(times), M, M, 2), read through the sweep's own
     density evaluations."""
     feet = []
-    source = DensitySource(lambda p: feet.append(p) or np.zeros(p.shape[:-1]), 0.0, 0.0)
+    # Unequal bounds: a source whose bounds meet is constant and sees no feet.
+    source = DensitySource(lambda p: feet.append(p) or np.zeros(p.shape[:-1]), 0.0, 1.0)
     sweep(source, velocity, M, times)
     return np.array(feet)
 
@@ -386,7 +407,7 @@ def linearized_history(M, steps=24, T=0.12):
     u0[[0, 2, 5]] = [0.3, 0.2, -0.15]
     seed = VelocityHistory.constant(basis, u0, T)
     dt = T / steps
-    return solve_linearized(seed, bump_density(), u0, basis, M, dt, T), dt
+    return solve_linearized(seed, bump_density(), u0, M, dt, T), dt
 
 
 @pytest.mark.parametrize("M", [17, 16])
@@ -420,9 +441,9 @@ def test_drift_guard_fires_on_under_resolved_displacement():
     basis = BasisSet(4)
     u0 = np.array([2.0, 0.0, 0.0, 1.5])
     seed = VelocityHistory.constant(basis, u0, 1.0)
-    solve_linearized(seed, bump_density(), u0, basis, 32, 0.05, 1.0)
+    solve_linearized(seed, bump_density(), u0, 32, 0.05, 1.0)
     with pytest.raises(TransportDriftError) as err:
-        solve_linearized(seed, bump_density(), u0, basis, 8, 0.05, 1.0)
+        solve_linearized(seed, bump_density(), u0, 8, 0.05, 1.0)
     assert isinstance(err.value, DivergenceError)
     assert err.value.drift > 1e-10 and err.value.t == 1.0
 
@@ -442,7 +463,7 @@ def test_carried_feet_match_backtrack(flow):
         u0 = np.zeros(8)
         u0[[0, 3, 5]] = [1.5, 1.0, 0.7]
     seed = VelocityHistory.constant(basis, u0, T)
-    history = solve_linearized(seed, bump_density(), u0, basis, M, dt, T)
+    history = solve_linearized(seed, bump_density(), u0, M, dt, T)
     times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
     feet = carried_feet(history, M, times)
     exact = np.array([backtrack(history, grid_points(M), t, dt / 2) for t in times])
@@ -462,7 +483,7 @@ def test_label_steps_match_the_fft_rate(flow, monkeypatch):
         basis, M, dt, T = BasisSet(32), 48, 0.01, 0.05
         u0 = 0.3 * basis.lambdas**-1.125
     seed = VelocityHistory.constant(basis, u0, T)
-    history = solve_linearized(seed, bump_density(), u0, basis, M, dt, T)
+    history = solve_linearized(seed, bump_density(), u0, M, dt, T)
     times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
     feet = carried_feet(history, M, times)
     monkeypatch.setattr(transport, "_label_rate", fft_label_rate)
@@ -476,7 +497,7 @@ def two_mode_pass(M=32, dt=0.0025, T=0.15):
     u0 = np.zeros(8)
     u0[[0, 2]] = [0.3, 0.2]
     seed = VelocityHistory.constant(basis, u0, T)
-    return solve_linearized(seed, bump_density(), u0, basis, M, dt, T)
+    return solve_linearized(seed, bump_density(), u0, M, dt, T)
 
 
 def test_block_sweep_is_the_sweep_per_time():
@@ -577,7 +598,7 @@ def test_linearized_pass_cost_is_linear_in_steps(monkeypatch):
     for steps in (30, 60, 120):
         calls["n"] = 0
         dt = T / steps
-        solve_linearized(seed, bump_density(), u0, basis, 16, dt, T)
+        solve_linearized(seed, bump_density(), u0, 16, dt, T)
         counts.append(calls["n"])
     ratios = [counts[1] / counts[0], counts[2] / counts[1]]
     assert max(ratios) <= 2.3, (counts, ratios)
