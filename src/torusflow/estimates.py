@@ -241,8 +241,8 @@ class GronwallInput:
             raise ValueError("t must be strictly increasing")
         if self.A < 0 or self.g0 < 0:
             raise ValueError("A and g0 must be nonnegative")
-        if np.any(self.G < 0) or np.any(self.g < -1e-15):
-            raise ValueError("g and G must be nonnegative")
+        if np.any(self.f < 0) or np.any(self.G < 0) or np.any(self.g < -1e-15):
+            raise ValueError("f, g and G must be nonnegative")
 
 
 def gronwall_bounds(inp: GronwallInput, f0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -258,28 +258,49 @@ def gronwall_bounds(inp: GronwallInput, f0: float = 0.0) -> tuple[np.ndarray, np
         f(t) <= f0 + A sqrt(t) exp(M/2) sqrt(g(0) + 2 f0^2 int beta)
         g + int G <= exp(M) (g(0) + 2 f0^2 int beta),
         M(t) = int_0^t (alpha + 2 A^2 s beta) ds.
+
+    A bound whose exponential overflows is inf, which holds.
     """
     if f0 < 0:
         raise ValueError("f0 must be nonnegative")
-    if f0 == 0.0:
-        Mt = cumtrapz(inp.t, inp.alpha + inp.A**2 * inp.t * inp.beta)
-        f_bound = inp.A * np.sqrt(inp.g0) * np.sqrt(inp.t) * np.exp(0.5 * Mt)
-        return f_bound, inp.g0 * np.exp(Mt)
-    Mt = cumtrapz(inp.t, inp.alpha + 2.0 * inp.A**2 * inp.t * inp.beta)
-    forcing = inp.g0 + 2.0 * f0 * f0 * cumtrapz(inp.t, inp.beta)
-    f_bound = f0 + inp.A * np.sqrt(inp.t) * np.exp(0.5 * Mt) * np.sqrt(forcing)
-    return f_bound, np.exp(Mt) * forcing
+    with np.errstate(over="ignore"):
+        if f0 == 0.0:
+            Mt = cumtrapz(inp.t, inp.alpha + inp.A**2 * inp.t * inp.beta)
+            f_bound = inp.A * np.sqrt(inp.g0) * np.sqrt(inp.t) * np.exp(0.5 * Mt)
+            return f_bound, inp.g0 * np.exp(Mt)
+        Mt = cumtrapz(inp.t, inp.alpha + 2.0 * inp.A**2 * inp.t * inp.beta)
+        forcing = inp.g0 + 2.0 * f0 * f0 * cumtrapz(inp.t, inp.beta)
+        f_bound = f0 + inp.A * np.sqrt(inp.t) * np.exp(0.5 * Mt) * np.sqrt(forcing)
+        return f_bound, np.exp(Mt) * forcing
 
 
 @dataclass
 class GronwallReport:
-    hypotheses_ok: bool
-    conclusion_ok: bool
-    passed: bool
+    """The signed margins of the hypotheses and of the two conclusions;
+    each holds when its margin is at least 0."""
+
     hypothesis_margin: float
     f_margin: float
     eta_margin: float
-    message: str
+
+    @property
+    def hypotheses_ok(self) -> bool:
+        return self.hypothesis_margin >= 0.0
+
+    @property
+    def conclusion_ok(self) -> bool:
+        # Not min(...) >= 0: a nan margin fails whichever side it is on.
+        return self.f_margin >= 0.0 and self.eta_margin >= 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.hypotheses_ok and self.conclusion_ok
+
+    @property
+    def message(self) -> str:
+        if not self.hypotheses_ok:
+            return "hypotheses fail"
+        return "ok" if self.conclusion_ok else "conclusion fails"
 
 
 def gronwall_verify(inp: GronwallInput) -> GronwallReport:
@@ -297,8 +318,11 @@ def gronwall_verify(inp: GronwallInput) -> GronwallReport:
     rhs2 = cumtrapz(t, inp.alpha * g + inp.beta * f * f)
 
     def margin(bound, observed):
+        # An infinite bound holds: its margin is 1, the limit of
+        # (bound - observed) / bound.
+        held = np.isposinf(bound)
         scale = np.maximum(np.maximum(np.abs(bound), np.abs(observed)), 1.0)
-        return float(((bound - observed) / scale).min())
+        return float(np.where(held, 1.0, (np.where(held, 0.0, bound) - observed) / scale).min())
 
     # hypothesis 1: f(t) - f(0) <= A int sqrt(G)
     h1 = margin(f[0] + inp.A * sqrtG_int + rtol * np.abs(f) + atol, f)
@@ -307,30 +331,14 @@ def gronwall_verify(inp: GronwallInput) -> GronwallReport:
     rhs = np.diff(rhs2)
     scale2 = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     h2 = float(((rhs + rtol * scale2 + atol - lhs) / scale2).min()) if len(lhs) else 0.0
-    hyp_margin = min(h1, h2)
-    hypotheses_ok = hyp_margin >= 0.0
 
     f_bound, eta_bound = gronwall_bounds(inp, float(f[0]) if f[0] > atol else 0.0)
 
     eta = g + IG
-    f_margin = margin(f_bound + rtol * np.maximum(np.abs(f_bound), 1.0) + atol, f)
-    eta_margin = margin(eta_bound + rtol * np.maximum(np.abs(eta_bound), 1.0) + atol, eta)
-    conclusion_ok = f_margin >= 0.0 and eta_margin >= 0.0
-
-    if not hypotheses_ok:
-        message = "hypotheses fail"
-    elif not conclusion_ok:
-        message = "conclusion fails"
-    else:
-        message = "ok"
     return GronwallReport(
-        hypotheses_ok=hypotheses_ok,
-        conclusion_ok=conclusion_ok,
-        passed=hypotheses_ok and conclusion_ok,
-        hypothesis_margin=hyp_margin,
-        f_margin=f_margin,
-        eta_margin=eta_margin,
-        message=message,
+        hypothesis_margin=min(h1, h2),
+        f_margin=margin(f_bound + rtol * np.maximum(np.abs(f_bound), 1.0) + atol, f),
+        eta_margin=margin(eta_bound + rtol * np.maximum(np.abs(eta_bound), 1.0) + atol, eta),
     )
 
 

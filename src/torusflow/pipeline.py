@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisSet
 from .config import (
     ConfigError,
     RunConfig,
@@ -59,6 +58,7 @@ from .solver import (
 )
 from .transport import (
     DensitySource,
+    VelocityHistory,
     carried_densities,
     density_at,
     shift_density,
@@ -85,9 +85,8 @@ WALK_POINTS = 2048
 @dataclass
 class RunResult:
     config: RunConfig
-    basis: BasisSet
     source: DensitySource
-    history: object
+    history: VelocityHistory
     picard: PicardReport
     ledger: EstimateLedger
     t0_estimate: float
@@ -154,15 +153,20 @@ def node_diagnostics(src: DensitySource, history, M: int) -> EstimateLedger:
 
 
 def run_simulation(
-    config: RunConfig, seed: str = "initial", source: DensitySource | None = None
+    config: RunConfig, seed: np.ndarray | None = None, source: DensitySource | None = None
 ) -> RunResult:
     """Picard-converge the flow, then walk the trajectory building the norm
-    ledger and the inline verification checks."""
+    ledger and the inline verification checks.
+
+    The first advecting velocity holds the coefficients `seed` constant in
+    time, those of u0 when it is None; the density is `source`, the
+    config's when it is None."""
     basis = build_basis(config)
     src = source if source is not None else build_source(config)
+    u0 = build_u0(config, basis)
+    v = VelocityHistory.constant(basis, u0 if seed is None else seed, config.T)
     history, picard = picard_solve(
-        src, build_u0(config, basis), basis, config.M, config.dt, config.T,
-        config.picard_tol, config.picard_max, seed=seed
+        v, src, u0, config.M, config.dt, config.picard_tol, config.picard_max
     )
     led = node_diagnostics(src, history, config.M)
 
@@ -175,7 +179,6 @@ def run_simulation(
 
     return RunResult(
         config=config,
-        basis=basis,
         source=src,
         history=history,
         picard=picard,
@@ -269,7 +272,7 @@ def momentum_probes(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
     A probe at a node time reads the density the ledger walk carried there,
     as rho0 is read; any other probe backtracks its density to t = 0."""
     cfg = result.config
-    grid = result.basis.grid(cfg.M)
+    grid = result.history.basis.grid(cfg.M)
     w = grid.weight
     times = result.history.times
     rho0 = result.ledger.rho[0]
@@ -417,7 +420,7 @@ def _difference_curves(ref: RunResult, other: RunResult) -> dict:
 
     f = ||rho_other - rho_ref||_{3/2}; g = ||sqrt(rho_other) (u_other -
     u_ref)||_2^2; G = ||grad(u_other - u_ref)||_2^2."""
-    grid = ref.basis.grid(ref.config.M)
+    grid = ref.history.basis.grid(ref.config.M)
     dc = other.history.coeffs - ref.history.coeffs
     du = grid.synthesize(dc)
     rho = other.ledger.rho
@@ -425,15 +428,16 @@ def _difference_curves(ref: RunResult, other: RunResult) -> dict:
         "t": ref.ledger.t.copy(),
         "f": lp_norm(rho - ref.ledger.rho, 1.5),
         "g": grid.weight * (rho * (du * du).sum(axis=-1)).sum(axis=(1, 2)),
-        "G": (ref.basis.lambdas * dc * dc).sum(axis=1),
+        "G": (ref.history.basis.lambdas * dc * dc).sum(axis=1),
     }
 
 
 def uniqueness_study(config: RunConfig, delta: float) -> Study:
     """Two diagnostics: Picard-seed independence and a perturbation bound.
 
-    Seed independence: the same data solved from the constant-in-time seed
-    and from the zero seed must agree to a small multiple of picard_tol.
+    Seed independence: the same data solved from the initial velocity held
+    constant in time and from the zero velocity must agree to a small
+    multiple of picard_tol.
     Perturbation: shifting the initial density by `delta` produces difference
     curves that must stay below the Gronwall bound with fitted constants.
     Writes the one-row summary `uniqueness.ndjson` and the perturbation's
@@ -447,8 +451,8 @@ def uniqueness_study(config: RunConfig, delta: float) -> Study:
             f"density shift delta={delta} makes the density's lower bound "
             f"{src.lower} + delta negative"
         )
-    run_a = run_simulation(config, seed="initial")
-    run_b = run_simulation(config, seed="zero")
+    run_a = run_simulation(config)
+    run_b = run_simulation(config, seed=np.zeros(config.N))
     seed_curves = _difference_curves(run_a, run_b)
     seed_diff_max = {
         "rho_l32": float(seed_curves["f"].max()),
@@ -511,6 +515,7 @@ def taylor_benchmark(config: RunConfig, dt_values=None) -> Study:
     basis = build_basis(config)
     src = build_source(config)
     u0 = build_u0(config, basis)
+    seed = VelocityHistory.constant(basis, u0, config.T)
     idx = u0_indices(config, basis)[0]
     if idx is None:
         raise ConfigError("the listed u0 mode is outside the basis", key="u0.modes")
@@ -525,7 +530,7 @@ def taylor_benchmark(config: RunConfig, dt_values=None) -> Study:
     errors = []
     for dt in dts:
         history, _ = picard_solve(
-            src, u0, basis, config.M, dt, config.T, config.picard_tol, config.picard_max
+            seed, src, u0, config.M, dt, config.picard_tol, config.picard_max
         )
         exact = a * np.exp(-lam * history.times)
         err = float(np.abs(history.coeffs[:, idx] - exact).max() / abs(a))
@@ -555,11 +560,11 @@ def write_run_outputs(result: RunResult, outdir) -> None:
     for t in cfg.snapshots:
         f = result.history.coeffs_at(t)
         rho = density_at(result.source, result.history, cfg.M, t, cfg.dt)
-        state = build_state(result.basis, f[None], rho[None])
+        state = build_state(result.history.basis, f[None], rho[None])
         tag = snapshot_tag(t)
         save_snapshot(state.u[0], out / f"u_t{tag}.dat")
         save_snapshot(state.rho[0], out / f"rho_t{tag}.dat")
-        resid = residual_diagnostics(state, result.basis)
+        resid = residual_diagnostics(state, result.history.basis)
         save_snapshot(resid.pressure[0], out / f"p_t{tag}.dat")
 
 

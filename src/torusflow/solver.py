@@ -26,8 +26,8 @@ two gathers, O(M^2 kmax + N^2) instead of O(N^2 M^2).  One call guards a
 block's mass matrices (batched eigvalsh) and forms its RK4 operators
 A^{-1}(B + Lam) (batched solve); the RK4 loop itself, `transport.rk4_step`
 with `ode_rhs` as its rate, only does mat-vecs.  The nonlinear problem is
-the fixed point v = u, reached by Picard iteration starting from the
-constant-in-time initial velocity.
+the fixed point v = u, reached by Picard iteration starting from a given
+advecting velocity history, whose basis and horizon the solve keeps.
 
 `build_state` gives the self-consistent states of a stack of node
 coefficients and densities, one assembly block for all of them, with their
@@ -217,14 +217,13 @@ def solve_linearized(
     u0_coeffs: np.ndarray,
     M: int,
     dt: float,
-    T: float,
 ) -> VelocityHistory:
     """One linearized pass: advect the density along `v_hist`, then integrate
     the coefficient ODE with classical RK4 on operators assembled at every
     stage time t0, t0 + h/2, t1, ...; the densities there are streamed from
     one carried sweep.  Returns the full trajectory with nodal derivatives,
-    in the basis of `v_hist`."""
-    times = _node_times(T, dt)
+    in the basis of `v_hist` and over its horizon."""
+    times = _node_times(v_hist.times[-1], dt)
     ops = _stage_operators(v_hist, source, M, _rk4_times(times))
 
     coeffs = np.empty((len(times), len(u0_coeffs)))
@@ -247,59 +246,51 @@ def solve_linearized(
 
 @dataclass
 class PicardReport:
-    iterations: int
+    """The sup-over-nodes coefficient change of each Picard pass, and the
+    tolerance the last of them met."""
+
     deltas: list
-    factors: list
     tol: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.deltas)
+
+    @property
+    def factors(self) -> list:
+        """Contraction factors, the ratio of each delta to a nonzero one
+        before it."""
+        return [b / a for a, b in zip(self.deltas, self.deltas[1:]) if a > 0]
 
 
 def picard_solve(
+    v: VelocityHistory,
     source: DensitySource,
     u0_coeffs: np.ndarray,
-    basis: BasisSet,
     M: int,
     dt: float,
-    T: float,
     tol: float,
     max_iter: int,
-    seed: str = "initial",
 ) -> tuple[VelocityHistory, PicardReport]:
-    """Fixed-point iteration u^{m+1} = solve_linearized(u^m).
+    """Fixed-point iteration u^{m+1} = solve_linearized(u^m) from u^0 = `v`,
+    in the basis of `v` and over its horizon.
 
-    The first advecting field is the initial velocity held constant in time
-    (`seed="initial"`), or the zero field (`seed="zero"`).  Convergence is
-    declared when sup over node times of the coefficient difference falls
-    below `tol`; hitting `max_iter` first raises PicardNonConvergenceError
-    carrying the contraction history.  Vacuum is solved as given; only the
-    stage guard (VacuumDegenerateError) refuses a density.
+    Convergence is declared when sup over node times of the coefficient
+    difference falls below `tol`; hitting `max_iter` first raises
+    PicardNonConvergenceError carrying the contraction history.  Vacuum is
+    solved as given; only the stage guard (VacuumDegenerateError) refuses a
+    density.
     """
     u0 = np.asarray(u0_coeffs, dtype=float)
-    if seed == "initial":
-        v = VelocityHistory.constant(basis, u0, T)
-    elif seed == "zero":
-        v = VelocityHistory.constant(basis, np.zeros_like(u0), T)
-    else:
-        raise ValueError(f"unknown Picard seed {seed!r}")
-
     deltas: list[float] = []
     for _ in range(max_iter):
-        u = solve_linearized(v, source, u0, M, dt, T)
+        u = solve_linearized(v, source, u0, M, dt)
         # Dense output at a node returns the node's coefficients exactly.
         delta = float(np.max(np.linalg.norm(u.coeffs - v.coeffs_at(u.times), axis=1)))
         deltas.append(delta)
         v = u
         if delta <= tol:
-            factors = [
-                deltas[i] / deltas[i - 1]
-                for i in range(1, len(deltas))
-                if deltas[i - 1] > 0
-            ]
-            return u, PicardReport(
-                iterations=len(deltas),
-                deltas=deltas,
-                factors=factors,
-                tol=tol,
-            )
+            return u, PicardReport(deltas=deltas, tol=tol)
     raise PicardNonConvergenceError(deltas, tol)
 
 

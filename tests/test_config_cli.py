@@ -56,6 +56,7 @@ def test_parse_optional_keys():
     assert cfg.picard_tol == 1e-12
     assert cfg.picard_max == 5
     assert cfg.snapshots == [0.0, 0.05]
+    assert parse_config_text(GOOD + "snapshots =\n").snapshots == []
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -230,9 +231,10 @@ def test_snapshot_files_hold_the_state(tmp_path):
     result = pipeline.run_simulation(config)
     pipeline.write_run_outputs(result, tmp_path)
     t = 0.05
-    grid = result.basis.grid(config.M)
+    basis = result.history.basis
+    grid = basis.grid(config.M)
     u = load_snapshot(tmp_path / "u_t0.050000.dat")
-    expected_u = result.basis.velocity_at(grid.points, result.history.coeffs_at(t))
+    expected_u = basis.velocity_at(grid.points, result.history.coeffs_at(t))
     np.testing.assert_allclose(u, expected_u, rtol=0.0, atol=1e-13)
     rho = load_snapshot(tmp_path / "rho_t0.050000.dat")
     expected_rho = density_at(result.source, result.history, config.M, t, config.dt)
@@ -717,6 +719,14 @@ def test_cli_gronwall_check(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["gronwall-check", "--input", str(path)]) == 0
     assert "ok" in capsys.readouterr().out
+    # README's command, on the committed copy of this data.
+    assert main(["gronwall-check", "--input", str(ROOT / "configs" / "gronwall.json")]) == 0
+    # exp(int alpha) overflows past t = 0.5: an infinite bound holds, margin 1
+    # where it overflows and no warning, not a nan margin that fails.
+    path.write_text(gronwall_json(alpha=[1500.0] * 3))
+    assert main(["gronwall-check", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("conclusion: ok (f margin 1.001000e-09, eta margin 1.001000e-09)\nok\n")
 
     data["f"] = [10.0 * x for x in t]
     path.write_text(json.dumps(data))
@@ -749,10 +759,11 @@ def gronwall_json(**changes) -> str:
         gronwall_json(t=[0.0, math.nan, 1.0]),
         gronwall_json(A=math.nan),
         gronwall_json(t=[1.0, 0.5, 0.0]),
+        gronwall_json(f=[0.0, -1.0, 0.0]),
     ],
     ids=[
         "missing-file", "malformed-json", "unequal-lengths", "no-samples",
-        "nan-time", "nan-A", "decreasing-time",
+        "nan-time", "nan-A", "decreasing-time", "negative-f",
     ],
 )
 def test_cli_gronwall_check_bad_input_exits_2(tmp_path, capsys, content):

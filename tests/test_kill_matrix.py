@@ -66,10 +66,10 @@ def _lagged(source, history, M, times, size):
         yield lo, out
 
 
-def _one_pass(source, u0, basis, M, dt, T, tol, max_iter, seed="initial"):
+def _one_pass(v, source, u0, M, dt, tol, max_iter):
     """The Picard loop stopped after its first pass, whatever its delta;
     the report keeps the configured tol."""
-    history, report = _picard(source, u0, basis, M, dt, T, math.inf, 1, seed=seed)
+    history, report = _picard(v, source, u0, M, dt, math.inf, 1)
     return history, replace(report, tol=tol)
 
 

@@ -40,7 +40,8 @@ def converged(source, M, nodes, dt=0.005):
     basis = BasisSet(8)
     u0 = np.zeros(8)
     u0[0], u0[2], u0[5] = 0.3, 0.2, -0.1
-    history, _ = picard_solve(source, u0, basis, M, dt, (nodes - 1) * dt, 1e-11, 40)
+    seed = VelocityHistory.constant(basis, u0, (nodes - 1) * dt)
+    history, _ = picard_solve(seed, source, u0, M, dt, 1e-11, 40)
     assert len(history.times) == nodes
     return history
 
@@ -152,7 +153,7 @@ def test_momentum_probes_read_the_walk_at_node_times(monkeypatch):
     on_node = np.isin(probe_t, times)
     assert on_node.sum() == 4 and np.array_equal(backtracked, probe_t[~on_node])
 
-    grid = result.basis.grid(cfg.M)
+    grid = result.history.basis.grid(cfg.M)
     mom0 = result.ledger.rho[0][..., None] * grid.synthesize(result.history.coeffs[0])
     for t, norm in zip(probe_t, norms):
         u = grid.synthesize(result.history.coeffs_at(t))

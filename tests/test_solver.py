@@ -206,7 +206,7 @@ def test_stokes_decay_order():
     u0[0] = 0.7
     errors = []
     for dt in (0.05, 0.025, 0.0125):
-        hist = solve_linearized(zero, constant_density(), u0, 16, dt, 0.5)
+        hist = solve_linearized(zero, constant_density(), u0, 16, dt)
         exact = 0.7 * np.exp(-hist.times)
         errors.append(np.abs(hist.coeffs[:, 0] - exact).max())
     assert errors[-1] < 1e-8
@@ -216,7 +216,7 @@ def test_stokes_decay_order():
 def test_zero_data_stays_zero():
     basis = BasisSet(4)
     zero = VelocityHistory.constant(basis, np.zeros(4), 0.2)
-    hist = solve_linearized(zero, bump_density(), np.zeros(4), 16, 0.05, 0.2)
+    hist = solve_linearized(zero, bump_density(), np.zeros(4), 16, 0.05)
     assert np.all(hist.coeffs == 0.0)
     assert np.all(hist.derivs == 0.0)
 
@@ -226,7 +226,7 @@ def test_nodal_derivatives_match_ode():
     zero = VelocityHistory.constant(basis, np.zeros(4), 0.2)
     u0 = np.zeros(4)
     u0[0] = 1.0
-    hist = solve_linearized(zero, constant_density(), u0, 16, 0.05, 0.2)
+    hist = solve_linearized(zero, constant_density(), u0, 16, 0.05)
     # With identity mass matrix and no advection, fdot = -lam f at each node.
     np.testing.assert_allclose(
         hist.derivs, -basis.lambdas * hist.coeffs, atol=1e-12
@@ -279,7 +279,7 @@ def test_pass_reports_first_failure_in_stage_order(
         "diverge": DivergenceError,
     }
     with pytest.raises(errors[kind]) as err:
-        solve_linearized(zero, source, u0, M, 0.01, 0.1)
+        solve_linearized(zero, source, u0, M, 0.01)
     if kind == "vacuum":
         mats = assemble(degenerate_density(M, stage)[None], still(M), basis)
         assert (err.value.min_eig, err.value.threshold) == (mats.min_eig[0], mats.threshold[0])
@@ -298,14 +298,16 @@ def test_picard_single_mode_two_iterations():
     basis = BasisSet(4)
     u0 = np.zeros(4)
     u0[0] = 0.1
-    hist, report = picard_solve(constant_density(), u0, basis, 16, 0.01, 0.1, 1e-10, 30)
+    seed = VelocityHistory.constant(basis, u0, 0.1)
+    hist, report = picard_solve(seed, constant_density(), u0, 16, 0.01, 1e-10, 30)
     assert report.iterations == 2
     assert report.deltas[-1] <= 1e-12
 
 
 def test_picard_zero_data_one_iteration():
     basis = BasisSet(4)
-    hist, report = picard_solve(bump_density(), np.zeros(4), basis, 16, 0.05, 0.1, 1e-10, 30)
+    zero = VelocityHistory.constant(basis, np.zeros(4), 0.1)
+    hist, report = picard_solve(zero, bump_density(), np.zeros(4), 16, 0.05, 1e-10, 30)
     assert report.iterations == 1
     assert np.all(hist.coeffs == 0.0)
 
@@ -314,9 +316,12 @@ def test_picard_zero_seed_matches_initial_seed():
     basis = BasisSet(8)
     u0 = np.zeros(8)
     u0[0], u0[2] = 0.3, 0.2
-    kwargs = dict(tol=1e-12, max_iter=40)
-    h1, _ = picard_solve(bump_density(), u0, basis, 32, 0.01, 0.05, seed="initial", **kwargs)
-    h2, _ = picard_solve(bump_density(), u0, basis, 32, 0.01, 0.05, seed="zero", **kwargs)
+
+    def solve(seed_coeffs):
+        seed = VelocityHistory.constant(basis, seed_coeffs, 0.05)
+        return picard_solve(seed, bump_density(), u0, 32, 0.01, 1e-12, 40)[0]
+
+    h1, h2 = solve(u0), solve(np.zeros(8))
     assert np.abs(h1.coeffs - h2.coeffs).max() <= 1e-10
 
 
@@ -326,7 +331,8 @@ def test_picard_contraction_improves_with_shorter_horizon():
     u0[0], u0[2] = 0.4, 0.3
 
     def first_factor(T):
-        _, report = picard_solve(bump_density(), u0, basis, 32, T / 10, T, 1e-12, 40)
+        seed = VelocityHistory.constant(basis, u0, T)
+        _, report = picard_solve(seed, bump_density(), u0, 32, T / 10, 1e-12, 40)
         return report.factors[0]
 
     assert first_factor(0.05) < first_factor(0.2)
@@ -356,10 +362,10 @@ def test_picard_delta_reads_node_coefficients(monkeypatch):
         VelocityHistory, "coeffs_at", lambda self, t: calls.append(t) or original(self, t)
     )
     u0 = np.full(4, 0.1)
-    hist, report = picard_solve(constant_density(), u0, basis, 16, 0.02, 0.1, 1e-10, 5)
+    seed = VelocityHistory.constant(basis, u0, 0.1)
+    hist, report = picard_solve(seed, constant_density(), u0, 16, 0.02, 1e-10, 5)
     assert hist is passes[-1] and report.iterations == 3
     assert len(calls) == report.iterations
-    seed = VelocityHistory.constant(basis, u0, 0.1)
     expected = [
         np.max(np.linalg.norm(u.coeffs - np.stack([original(v, t) for t in times]), axis=1))
         for v, u in zip([seed] + passes[:-1], passes)
@@ -373,10 +379,12 @@ _FAULTS_SCRIPT = """
 import resource
 from torusflow.config import build_basis, build_source, build_u0, parse_config
 from torusflow.solver import picard_solve
+from torusflow.transport import VelocityHistory
 
 cfg = parse_config({config!r})
 basis = build_basis(cfg)
-args = (build_source(cfg), build_u0(cfg, basis), basis, cfg.M, cfg.dt, cfg.T,
+u0 = build_u0(cfg, basis)
+args = (VelocityHistory.constant(basis, u0, cfg.T), build_source(cfg), u0, cfg.M, cfg.dt,
         cfg.picard_tol, cfg.picard_max)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 picard_solve(*args)
@@ -401,18 +409,17 @@ def test_picard_solve_keeps_its_heap(config):
     assert int(done.stdout) < 8_000
 
 
-def test_picard_rejects_unknown_seed_and_narrow_support():
+def test_picard_rejects_narrow_support():
     basis = BasisSet(4)
     u0 = np.zeros(4)
     u0[0] = 0.1
-    with pytest.raises(ValueError):
-        picard_solve(constant_density(), u0, basis, 16, 0.05, 0.1, 1e-10, 30, seed="bogus")
+    seed = VelocityHistory.constant(basis, u0, 0.1)
     # The well, bare or floored, solves: its mass matrices pass the guard.
     for source in (vacuum_well_density(), shift_density(vacuum_well_density(), 0.1)):
-        picard_solve(source, u0, basis, 16, 0.05, 0.1, 1e-10, 30)
+        picard_solve(seed, source, u0, 16, 0.05, 1e-10, 30)
     # A support the grid sees at one node fails it, with the stage's numbers.
     with pytest.raises(VacuumDegenerateError) as err:
-        picard_solve(narrow_density(), u0, basis, 16, 0.05, 0.1, 1e-10, 30)
+        picard_solve(seed, narrow_density(), u0, 16, 0.05, 1e-10, 30)
     assert 0.0 < err.value.threshold and err.value.min_eig <= err.value.threshold
 
 
@@ -426,7 +433,8 @@ def converged_bump_run():
     basis = BasisSet(8)
     u0 = np.zeros(8)
     u0[0], u0[2] = 0.3, 0.2
-    hist, report = picard_solve(bump_density(), u0, basis, 32, 0.005, 0.05, 1e-11, 40)
+    seed = VelocityHistory.constant(basis, u0, 0.05)
+    hist, report = picard_solve(seed, bump_density(), u0, 32, 0.005, 1e-11, 40)
     return basis, hist
 
 

@@ -407,7 +407,7 @@ def linearized_history(M, steps=24, T=0.12):
     u0[[0, 2, 5]] = [0.3, 0.2, -0.15]
     seed = VelocityHistory.constant(basis, u0, T)
     dt = T / steps
-    return solve_linearized(seed, bump_density(), u0, M, dt, T), dt
+    return solve_linearized(seed, bump_density(), u0, M, dt), dt
 
 
 @pytest.mark.parametrize("M", [17, 16])
@@ -441,9 +441,9 @@ def test_drift_guard_fires_on_under_resolved_displacement():
     basis = BasisSet(4)
     u0 = np.array([2.0, 0.0, 0.0, 1.5])
     seed = VelocityHistory.constant(basis, u0, 1.0)
-    solve_linearized(seed, bump_density(), u0, 32, 0.05, 1.0)
+    solve_linearized(seed, bump_density(), u0, 32, 0.05)
     with pytest.raises(TransportDriftError) as err:
-        solve_linearized(seed, bump_density(), u0, 8, 0.05, 1.0)
+        solve_linearized(seed, bump_density(), u0, 8, 0.05)
     assert isinstance(err.value, DivergenceError)
     assert err.value.drift > 1e-10 and err.value.t == 1.0
 
@@ -463,7 +463,7 @@ def test_carried_feet_match_backtrack(flow):
         u0 = np.zeros(8)
         u0[[0, 3, 5]] = [1.5, 1.0, 0.7]
     seed = VelocityHistory.constant(basis, u0, T)
-    history = solve_linearized(seed, bump_density(), u0, M, dt, T)
+    history = solve_linearized(seed, bump_density(), u0, M, dt)
     times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
     feet = carried_feet(history, M, times)
     exact = np.array([backtrack(history, grid_points(M), t, dt / 2) for t in times])
@@ -483,7 +483,7 @@ def test_label_steps_match_the_fft_rate(flow, monkeypatch):
         basis, M, dt, T = BasisSet(32), 48, 0.01, 0.05
         u0 = 0.3 * basis.lambdas**-1.125
     seed = VelocityHistory.constant(basis, u0, T)
-    history = solve_linearized(seed, bump_density(), u0, M, dt, T)
+    history = solve_linearized(seed, bump_density(), u0, M, dt)
     times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
     feet = carried_feet(history, M, times)
     monkeypatch.setattr(transport, "_label_rate", fft_label_rate)
@@ -497,7 +497,7 @@ def two_mode_pass(M=32, dt=0.0025, T=0.15):
     u0 = np.zeros(8)
     u0[[0, 2]] = [0.3, 0.2]
     seed = VelocityHistory.constant(basis, u0, T)
-    return solve_linearized(seed, bump_density(), u0, M, dt, T)
+    return solve_linearized(seed, bump_density(), u0, M, dt)
 
 
 def test_block_sweep_is_the_sweep_per_time():
@@ -598,7 +598,7 @@ def test_linearized_pass_cost_is_linear_in_steps(monkeypatch):
     for steps in (30, 60, 120):
         calls["n"] = 0
         dt = T / steps
-        solve_linearized(seed, bump_density(), u0, 16, dt, T)
+        solve_linearized(seed, bump_density(), u0, 16, dt)
         counts.append(calls["n"])
     ratios = [counts[1] / counts[0], counts[2] / counts[1]]
     assert max(ratios) <= 2.3, (counts, ratios)
