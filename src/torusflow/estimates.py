@@ -237,41 +237,39 @@ class GronwallInput:
         values = (self.t, self.f, self.g, self.G, self.alpha, self.beta, self.A, self.g0)
         if not all(np.isfinite(v).all() for v in values):
             raise ValueError("t, f, g, G, alpha, beta, A and g0 must be finite")
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("t must be strictly increasing")
+        if self.t[0] != 0.0 or np.any(np.diff(self.t) <= 0):
+            raise ValueError("t must start at 0 and increase strictly")
         if self.A < 0 or self.g0 < 0:
             raise ValueError("A and g0 must be nonnegative")
-        if np.any(self.f < 0) or np.any(self.G < 0) or np.any(self.g < -1e-15):
-            raise ValueError("f, g and G must be nonnegative")
+        if any(np.any(a < 0) for a in (self.f, self.G, self.beta)) or np.any(self.g < -1e-15):
+            raise ValueError("f, g, G and beta must be nonnegative")
 
 
-def gronwall_bounds(inp: GronwallInput, f0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def gronwall_bounds(inp: GronwallInput, f0: float) -> tuple[np.ndarray, np.ndarray]:
     """Bound curves for f and for g + int G under the hypotheses
-    f' <= A sqrt(G), g' + G <= alpha g + beta f^2, f(0) = f0 >= 0.  The
-    exact form at f0 = 0:
+    f' <= A sqrt(G), g' + G <= alpha g + beta f^2 from t = 0 with f(0) = f0
+    >= 0 and beta >= 0:
 
-        f(t)          <= A sqrt(g(0)) sqrt(t) exp(1/2 int (alpha + A^2 s beta))
-        g(t) + int G  <= g(0) exp(int (alpha + A^2 s beta))
+        f(t)         <= f0 + A sqrt(t forcing(t)) exp(M(t)/2)
+        g(t) + int G <= forcing(t) exp(M(t))
+        M(t) = int_0^t (alpha + c A^2 s beta) ds,  forcing = g(0) + 2 f0^2 int_0^t beta.
 
-    and above it the extension obtained from (f0 + x)^2 <= 2 f0^2 + 2 x^2:
-
-        f(t) <= f0 + A sqrt(t) exp(M/2) sqrt(g(0) + 2 f0^2 int beta)
-        g + int G <= exp(M) (g(0) + 2 f0^2 int beta),
-        M(t) = int_0^t (alpha + 2 A^2 s beta) ds.
-
-    A bound whose exponential overflows is inf, which holds.
+    At f0 = 0, c = 1 and the form is exact; above it c = 2, the extension
+    obtained from (f0 + x)^2 <= 2 f0^2 + 2 x^2.  Each product is taken as
+    exp(exponent + log factor): a zero factor gives 0 even under an
+    overflowed exponent, and an overflow gives inf; both hold.
     """
     if f0 < 0:
         raise ValueError("f0 must be nonnegative")
-    with np.errstate(over="ignore"):
-        if f0 == 0.0:
-            Mt = cumtrapz(inp.t, inp.alpha + inp.A**2 * inp.t * inp.beta)
-            f_bound = inp.A * np.sqrt(inp.g0) * np.sqrt(inp.t) * np.exp(0.5 * Mt)
-            return f_bound, inp.g0 * np.exp(Mt)
-        Mt = cumtrapz(inp.t, inp.alpha + 2.0 * inp.A**2 * inp.t * inp.beta)
-        forcing = inp.g0 + 2.0 * f0 * f0 * cumtrapz(inp.t, inp.beta)
-        f_bound = f0 + inp.A * np.sqrt(inp.t) * np.exp(0.5 * Mt) * np.sqrt(forcing)
-        return f_bound, np.exp(Mt) * forcing
+    t, A = inp.t, inp.A
+
+    def times_exp(factor, exponent):
+        return np.exp(np.where(factor > 0.0, exponent, -np.inf) + np.log(factor))
+
+    with np.errstate(divide="ignore", over="ignore"):
+        M = cumtrapz(t, inp.alpha + (2.0 if f0 > 0 else 1.0) * (A * t) * (A * inp.beta))
+        forcing = inp.g0 + 2.0 * f0 * f0 * cumtrapz(t, inp.beta)
+        return f0 + times_exp(A * np.sqrt(t * forcing), 0.5 * M), times_exp(forcing, M)
 
 
 @dataclass
@@ -381,15 +379,9 @@ def transport_growth_margins(times, w1gamma, gradv_inf) -> np.ndarray:
         return np.where(w1 > 0, bounds / np.where(w1 > 0, w1, 1.0), np.inf)
 
 
-@dataclass
-class MomentumReport:
-    slope: float | None
-    decay_ratio: float | None
-    passed: bool
-
-
-def momentum_continuity_report(times, norms) -> MomentumReport:
-    """Fit log ||(rho u)(t) - rho0 u0||_2 against log t.
+def momentum_continuity_report(times, norms) -> tuple[float | None, float | None, bool]:
+    """Fit log ||(rho u)(t) - rho0 u0||_2 against log t; returns the slope,
+    the decay ratio and the verdict.
 
     Passes when the norm decreases (5 percent slack per probe against
     wiggle), reaches MOMENTUM_DECAY_TARGET times its value at the largest
@@ -400,9 +392,9 @@ def momentum_continuity_report(times, norms) -> MomentumReport:
     order = np.argsort(t)
     t, n = t[order], n[order]
     if np.all(n <= 1e-300):
-        return MomentumReport(None, None, True)
+        return None, None, True
     if np.any(n <= 0):
-        return MomentumReport(None, None, False)
+        return None, None, False
     x, y = np.log(t), np.log(n)
     dx = x - x.mean()
     slope = float((dx * (y - y.mean())).sum() / (dx * dx).sum())
@@ -413,4 +405,4 @@ def momentum_continuity_report(times, norms) -> MomentumReport:
         and decay_ratio <= MOMENTUM_DECAY_TARGET
         and slope >= MOMENTUM_SLOPE_FLOOR
     )
-    return MomentumReport(slope, decay_ratio, passed)
+    return slope, decay_ratio, passed

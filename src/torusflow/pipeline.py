@@ -383,7 +383,7 @@ def vacuum_sweep(config: RunConfig, floors) -> Study:
             rows.append({"floor_n": n, "error": type(exc).__name__, "message": str(exc)})
             continue
         t, norms = momentum_probes(res)
-        rep = momentum_continuity_report(t, norms)
+        slope, decay_ratio, passed = momentum_continuity_report(t, norms)
         runs[f"n{n}"] = res
         probes[f"momentum_n{n}.ndjson"] = [
             {"t": float(tj), "norm": float(nj)} for tj, nj in zip(t, norms)
@@ -394,9 +394,9 @@ def vacuum_sweep(config: RunConfig, floors) -> Study:
             {
                 "floor_n": n,
                 "sup_grad_u_sq": sup_grad,
-                "momentum_slope": rep.slope,
-                "momentum_decay_ratio": rep.decay_ratio,
-                "momentum_pass": rep.passed,
+                "momentum_slope": slope,
+                "momentum_decay_ratio": decay_ratio,
+                "momentum_pass": passed,
                 "t0_estimate": res.t0_estimate,
                 "completed_T": float(res.history.times[-1]),
             }
@@ -505,9 +505,7 @@ def taylor_benchmark(config: RunConfig, dt_values=None) -> Study:
         )
     if len(config.u0_modes) != 1:
         raise ConfigError("taylor benchmark needs exactly one u0 mode", key="u0.modes")
-    spec = config.u0_modes[0]
-    lam = spec.k1**2 + spec.k2**2
-    a = spec.amplitude
+    a = config.u0_modes[0].amplitude
     if a == 0.0:
         # The error is relative to |a|.
         raise ConfigError("taylor benchmark needs a nonzero u0 amplitude", key="u0.modes")
@@ -519,6 +517,7 @@ def taylor_benchmark(config: RunConfig, dt_values=None) -> Study:
     idx = u0_indices(config, basis)[0]
     if idx is None:
         raise ConfigError("the listed u0 mode is outside the basis", key="u0.modes")
+    lam = basis.lambdas[idx]
 
     dts = list(dt_values) if dt_values is not None else [config.dt]
     if not dts:

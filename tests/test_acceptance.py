@@ -8,12 +8,13 @@ solver, not the test, needs attention.
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import ShearVelocity
 
-from torusflow.config import parse_config_text
+from torusflow.config import parse_config
 from torusflow.estimates import (
     GAMMA,
     GronwallInput,
@@ -47,48 +48,26 @@ def verdict(capsys):
     return _verdict
 
 
-SINGLE_MODE = """
-N = 4
-M = 16
-dt = 0.001
-T = 0.5
-density.kind = constant
-u0.modes = 1,0,cos:0.1
-"""
-
-TWO_MODE = """
-N = 8
-M = 32
-dt = 0.0025
-T = 0.15
-density.kind = bump
-u0.modes = 1,0,cos:0.3, 0,1,cos:0.2
-picard_tol = 1e-11
-"""
-
-VACUUM = """
-N = 8
-M = 40
-dt = 0.0025
-T = 0.2
-density.kind = vacuum-well
-u0.modes = 1,0,cos:0.3, 0,1,cos:0.2
-"""
+# The shipped configs, as CI and the benchmark run them.
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SINGLE_MODE = CONFIGS / "taylor.cfg"
+TWO_MODE = CONFIGS / "two_mode.cfg"
+VACUUM = CONFIGS / "vacuum.cfg"
 
 
 @pytest.fixture(scope="module")
 def single_mode_run():
-    return run_simulation(parse_config_text(SINGLE_MODE))
+    return run_simulation(parse_config(SINGLE_MODE))
 
 
 @pytest.fixture(scope="module")
 def two_mode_run():
-    return run_simulation(parse_config_text(TWO_MODE))
+    return run_simulation(parse_config(TWO_MODE))
 
 
 @pytest.fixture(scope="module")
 def vacuum_results():
-    return vacuum_sweep(parse_config_text(VACUUM), [10, 100, 1000])
+    return vacuum_sweep(parse_config(VACUUM), [10, 100, 1000])
 
 
 def exact_density_bounds_ok(result) -> bool:
@@ -108,7 +87,7 @@ def test_single_mode_decay_benchmark(single_mode_run, verdict):
     exact = a * np.exp(-lam * run.ledger.t)
     rel_err = float(np.abs(run.history.coeffs[:, 0] - exact).max() / a)
 
-    study = taylor_benchmark(parse_config_text(SINGLE_MODE), dt_values=[0.04, 0.02, 0.01])
+    study = taylor_benchmark(parse_config(SINGLE_MODE), dt_values=[0.04, 0.02, 0.01])
     order_rep = study.files["taylor.ndjson"][-1]
     ok = rel_err <= 1e-6 and order_rep["pass"] and min(order_rep["orders"]) >= 3.9
     verdict(
@@ -128,7 +107,7 @@ def energy_residual(run):
 def test_energy_identity_residual_and_order(single_mode_run, verdict):
     bench_resid = energy_residual(single_mode_run)
 
-    base = replace(parse_config_text(TWO_MODE), T=0.2)
+    base = replace(parse_config(TWO_MODE), T=0.2)
     resids = [energy_residual(run_simulation(replace(base, dt=dt))) for dt in (0.04, 0.02, 0.01)]
     orders = convergence_orders(resids)
     ok = bench_resid <= 1e-8 and min(orders) >= 3.5
@@ -166,7 +145,7 @@ def test_max_principle_and_mass_conservation(single_mode_run, two_mode_run, verd
         two_mode_run
     )
 
-    mass_cfg = replace(parse_config_text(TWO_MODE), T=0.1, dt=0.001)
+    mass_cfg = replace(parse_config(TWO_MODE), T=0.1, dt=0.001)
     mass_run = run_simulation(mass_cfg)
     mass = mass_run.ledger.mass
     mass_rel = float(np.abs(mass - mass[0]).max() / mass[0])
@@ -208,13 +187,13 @@ def test_gronwall_property_suite(verdict):
 
     # Zero initial data forces identically zero bounds.
     fb0, eta0 = gronwall_bounds(
-        GronwallInput(t=t, f=z, g=z, G=z, alpha=np.ones_like(t), beta=z, A=2.0, g0=0.0)
+        GronwallInput(t=t, f=z, g=z, G=z, alpha=np.ones_like(t), beta=z, A=2.0, g0=0.0), 0.0
     )
     zero_ok = not fb0.any() and not eta0.any()
 
     # alpha = beta = 0 gives the bare square-root envelope.
     fb, eta = gronwall_bounds(
-        GronwallInput(t=t, f=z, g=z, G=z, alpha=z, beta=z, A=1.5, g0=4.0)
+        GronwallInput(t=t, f=z, g=z, G=z, alpha=z, beta=z, A=1.5, g0=4.0), 0.0
     )
     sqrt_ok = (
         np.abs(fb - 1.5 * 2.0 * np.sqrt(t)).max() <= 1e-10
@@ -225,7 +204,8 @@ def test_gronwall_property_suite(verdict):
     fb, eta = gronwall_bounds(
         GronwallInput(
             t=t, f=z, g=z, G=z, alpha=np.full_like(t, 3.0), beta=z, A=1.0, g0=1.0
-        )
+        ),
+        0.0,
     )
     exp_ok = (
         np.abs(eta - np.exp(3.0 * t)).max() <= 1e-10
@@ -299,7 +279,7 @@ def test_vacuum_floor_sweep(vacuum_results, verdict):
 
 
 def test_uniqueness_diagnostics(verdict):
-    cfg = parse_config_text(TWO_MODE)
+    cfg = parse_config(TWO_MODE)
     (summary,) = uniqueness_study(cfg, delta=1e-3).files["uniqueness.ndjson"]
     seed_worst = max(summary["seed_diff_max"].values())
     seed_ok = summary["seed_pass"] and seed_worst <= 10.0 * cfg.picard_tol
@@ -314,7 +294,7 @@ def test_uniqueness_diagnostics(verdict):
 
 
 def test_mode_refinement_monotonicity(verdict):
-    rows = converge_study(parse_config_text(TWO_MODE), [8, 16, 32]).files["converge.ndjson"]
+    rows = converge_study(parse_config(TWO_MODE), [8, 16, 32]).files["converge.ndjson"]
     diffs = [row["l2_time_diff"] for row in rows if "l2_time_diff" in row]
     monotone = all(d > 0 for d in diffs) and all(
         a > b for a, b in zip(diffs[:-1], diffs[1:])

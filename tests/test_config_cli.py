@@ -727,6 +727,18 @@ def test_cli_gronwall_check(tmp_path, capsys):
     assert main(["gronwall-check", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.endswith("conclusion: ok (f margin 1.001000e-09, eta margin 1.001000e-09)\nok\n")
+    # A zero factor in front of an overflowing exponential gives the bound 0,
+    # and an A whose square overflows gives inf: no nan margin, no warning.
+    for changes in (
+        {"alpha": [1500.0] * 3, "A": 0.0},
+        {"alpha": [1500.0] * 3, "g": [0.0] * 3, "g0": 0.0},
+        {"beta": [1.0] * 3, "A": 1e200},
+        {"beta": [1.0] * 3, "A": 1e200, "f": [0.1] * 3},
+        {"beta": [1.0] * 3, "A": 1e200, "g": [0.0] * 3, "g0": 0.0},
+    ):
+        path.write_text(gronwall_json(**changes))
+        assert main(["gronwall-check", "--input", str(path)]) == 0, changes
+        assert capsys.readouterr().out.endswith("\nok\n"), changes
 
     data["f"] = [10.0 * x for x in t]
     path.write_text(json.dumps(data))
@@ -760,10 +772,14 @@ def gronwall_json(**changes) -> str:
         gronwall_json(A=math.nan),
         gronwall_json(t=[1.0, 0.5, 0.0]),
         gronwall_json(f=[0.0, -1.0, 0.0]),
+        gronwall_json(t=[0.5, 1.0, 1.5]),
+        gronwall_json(t=[-1.0, 0.0, 1.0]),
+        gronwall_json(beta=[0.0, -1.0, -1.0]),
     ],
     ids=[
         "missing-file", "malformed-json", "unequal-lengths", "no-samples",
         "nan-time", "nan-A", "decreasing-time", "negative-f",
+        "late-start", "negative-start", "negative-beta",
     ],
 )
 def test_cli_gronwall_check_bad_input_exits_2(tmp_path, capsys, content):

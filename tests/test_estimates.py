@@ -160,7 +160,7 @@ def test_gronwall_zero_initial_data_forces_zero():
     t = np.linspace(0.0, 1.0, 11)
     z = np.zeros_like(t)
     inp = GronwallInput(t=t, f=z, g=z, G=z, alpha=np.ones_like(t), beta=np.ones_like(t), A=2.0, g0=0.0)
-    f_bound, eta_bound = gronwall_bounds(inp)
+    f_bound, eta_bound = gronwall_bounds(inp, 0.0)
     assert np.all(f_bound == 0.0)
     assert np.all(eta_bound == 0.0)
     report = gronwall_verify(inp)
@@ -172,12 +172,12 @@ def test_gronwall_bounds_closed_forms():
     z = np.zeros_like(t)
     # alpha = beta = 0, A = 1, g0 = 1: f_bound = sqrt(t), eta_bound = 1.
     inp = GronwallInput(t=t, f=z, g=z, G=z, alpha=z, beta=z, A=1.0, g0=1.0)
-    f_bound, eta_bound = gronwall_bounds(inp)
+    f_bound, eta_bound = gronwall_bounds(inp, 0.0)
     np.testing.assert_allclose(f_bound, np.sqrt(t), atol=1e-15)
     np.testing.assert_allclose(eta_bound, np.ones_like(t), atol=1e-15)
     # alpha = 1, beta = 0: eta_bound = g0 e^t (trapezoid of a constant is exact).
     inp = GronwallInput(t=t, f=z, g=z, G=z, alpha=np.ones_like(t), beta=z, A=1.0, g0=2.0)
-    _, eta_bound = gronwall_bounds(inp)
+    _, eta_bound = gronwall_bounds(inp, 0.0)
     np.testing.assert_allclose(eta_bound, 2.0 * np.exp(t), rtol=1e-12)
 
 
@@ -185,8 +185,11 @@ def test_gronwall_offset_reduces_to_exact_form():
     t = np.linspace(0.0, 1.0, 21)
     z = np.zeros_like(t)
     inp = GronwallInput(t=t, f=z, g=z, G=z, alpha=t, beta=t, A=1.5, g0=0.7)
-    f_exact, eta_exact = gronwall_bounds(inp)
-    np.testing.assert_array_equal(gronwall_bounds(inp, 0.0)[0], f_exact)
+    f_exact, eta_exact = gronwall_bounds(inp, 0.0)
+    # At f0 = 0: A sqrt(g0 t) exp(M/2) and g0 exp(M), M = int (alpha + A^2 s beta).
+    M = cumtrapz(t, t + 1.5**2 * t * t)
+    np.testing.assert_allclose(f_exact, 1.5 * np.sqrt(0.7 * t) * np.exp(0.5 * M), rtol=1e-14)
+    np.testing.assert_allclose(eta_exact, 0.7 * np.exp(M), rtol=1e-14)
     # The extension doubles A^2 in the exponent, so at beta >= 0 it bounds
     # above the exact form even as f0 -> 0.
     f_tiny, eta_tiny = gronwall_bounds(inp, 1e-300)
@@ -286,28 +289,26 @@ def probe_times(T=0.2, count=13):
 
 def test_momentum_report_zero_data_passes():
     t = probe_times()
-    report = momentum_continuity_report(t, np.zeros_like(t))
-    assert report.passed
-    assert report.slope is None
+    slope, decay_ratio, passed = momentum_continuity_report(t, np.zeros_like(t))
+    assert passed
+    assert slope is None and decay_ratio is None
 
 
 def test_momentum_report_linear_decay_passes():
     t = probe_times()
-    report = momentum_continuity_report(t, 3.0 * t)
-    assert report.passed
-    assert abs(report.slope - 1.0) < 1e-12
-    assert report.decay_ratio == 2.0 ** (-12)
+    slope, decay_ratio, passed = momentum_continuity_report(t, 3.0 * t)
+    assert passed
+    assert abs(slope - 1.0) < 1e-12
+    assert decay_ratio == 2.0 ** (-12)
 
 
 def test_momentum_report_rejects_flat_or_negative():
     t = probe_times()
-    flat = momentum_continuity_report(t, np.full_like(t, 0.5))
-    assert not flat.passed
-    bad = momentum_continuity_report(t, np.linspace(-0.1, 1.0, len(t)))
-    assert not bad.passed
+    assert not momentum_continuity_report(t, np.full_like(t, 0.5))[2]
+    assert not momentum_continuity_report(t, np.linspace(-0.1, 1.0, len(t)))[2]
     bumpy = 3.0 * t
     bumpy[6] *= 10.0  # non-monotone spike
-    assert not momentum_continuity_report(t, bumpy).passed
+    assert not momentum_continuity_report(t, bumpy)[2]
 
 
 # ---------------------------------------------------------------------------
