@@ -419,6 +419,7 @@ def test_cli_rejects_empty_study_list_before_solving(
         (("N = 4", "N = four"), ["converge", "--N-list", "x"], "N must be an integer"),
         (("constant", "vacuum-well"), ["vacuum-sweep", "--n-list", "0"],
          "floor values must be positive integers"),
+        (("constant", "bump"), ["taylor"], "taylor benchmark needs density.kind = constant"),
         (("1,0,cos:0.1", "1,0,cos:0.1, 0,1,cos:0.1"), ["taylor"],
          "taylor benchmark needs exactly one u0 mode"),
         (("1,0,cos:0.1", "3,0,cos:0.1"), ["taylor"], "the listed u0 mode is outside the basis"),
@@ -428,7 +429,7 @@ def test_cli_rejects_empty_study_list_before_solving(
         "modes-triples", "modes-parity", "modes-int-k", "modes-empty", "no-equals",
         "N-not-int", "N-small", "M-small", "dt-not-number", "dt-zero", "T-not-number",
         "T-negative", "snapshots", "N-list-not-int", "dt-list-not-float", "config-first",
-        "n-list-zero", "taylor-two-modes", "taylor-mode-outside-basis",
+        "n-list-zero", "taylor-varying-density", "taylor-two-modes", "taylor-mode-outside-basis",
         "taylor-zero-amplitude",
     ],
 )

@@ -10,7 +10,9 @@ shorter horizon.  The `run` cases also pin the ledger walk to blocks of
 nodes, one `build_state` per block, the carried sweeps to one grid
 velocity per RK4 time (`BasisGrid.planes`, which the tracer does not
 patch, counted here), and two_mode's dense output to one `coeffs_at` call
-per block of times.  perfbench/ is only read.
+per block of times.  two_mode also pins its transport, velocity, assembly,
+right-hand-side and Picard counts, each derived by hand.  perfbench/ is
+only read.
 """
 
 import importlib
@@ -93,6 +95,24 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
         stage_blocks = math.ceil((2 * steps + 1) / (solver.STAGE_POINTS // cfg.M**2))
         expected = passes * (2 * stage_blocks + 2) + blocks + 1 + 2 * len(cfg.snapshots)
         assert tracer.calls["transport.coeffs_at"] == expected == 130
+        # The Picard loop takes 4 passes.  Only the snapshot backtracks: 1
+        # density_at and 1 backtrack of 0.075 / 0.0025 = 30 RK4 steps.
+        assert tracer.counts["solver.picard_iterations"] == passes == 4
+        assert tracer.calls["transport.density_at"] == len(cfg.snapshots) == 1
+        assert tracer.calls["transport.backtrack"] == len(cfg.snapshots) == 1
+        rk4_steps = round(cfg.snapshots[0] / cfg.dt)
+        assert tracer.counts["transport.backtrack.rk4_steps"] == rk4_steps == 30
+        # Each stage block of a pass takes one advecting field on the 32^2
+        # grid, 4 x 11 = 44 calls of 1,024 points, and one assembly; so does
+        # each build_state: 44 + 31 walk blocks + 1 snapshot = 76.
+        fields = passes * stage_blocks
+        states = tracer.calls["solver.build_state"]
+        assert tracer.calls["basis.velocity_at"] == fields == 44
+        assert tracer.counts["basis.velocity_at.points"] == fields * cfg.M**2 == 45_056
+        assert tracer.calls["solver.assemble"] == fields + states == 76
+        # Each pass: 4 right-hand sides per RK4 step and 1 at the last node;
+        # each build_state one: 4 x (4 x 60 + 1) + 32 = 996.
+        assert tracer.calls["solver.ode_rhs"] == passes * (4 * steps + 1) + states == 996
 
 
 def test_tracer_reaches_every_vacuum_layer(tmp_path, capsys, workloads):
