@@ -21,8 +21,13 @@ every synthesis, evaluation or projection is a matrix product on them.
 `BasisSet.vec` = MODE_NORM d_n is the one home of the mode directions: a
 coefficient row c weighs into the factors c_n MODE_NORM d_n (N, 2)
 (`BasisSet.weigh`), and a velocity is the cosine table times those factors,
-at points (`BasisSet.weighted_at`) or on the grid as component planes
-(`BasisGrid.planes`).
+at points (`BasisSet.weighted_at`) or on the grid (`BasisGrid.planes`,
+which every grid synthesis goes through).
+
+One layout rule holds throughout: a vector field on the grid is a stack of
+component planes, (..., 2, M, M) for a velocity [v_x, v_y] and
+(..., 2, 2, M, M) for its gradient [i, alpha]; an array of points, and a
+velocity at points, ends in its 2 coordinates, (..., 2).
 """
 
 from __future__ import annotations
@@ -88,9 +93,11 @@ class BasisGrid:
     of its `BasisSet.phases` and gradient MODE_NORM (d_n x k_n) T'_n(x),
     T'_n = -sin of the same phase, so the grid holds only the scalar table
     `trig` (T_n), shape (N, M*M), and the factors `vec` = `BasisSet.vec`
-    (N, 2) and `grad_vec` = MODE_NORM d_n x k_n (N, 2, 2).  T'_n is
-    evaluated when a gradient is synthesized, once per block of the ledger
-    walk and per snapshot, rather than kept as a second table for the run.
+    (N, 2) and `grad_vec` = -MODE_NORM d_n x k_n, rows [i, alpha] (4, N),
+    the sign of T'_n folded in.  sin of the phases is evaluated, in the
+    buffer of the phases, when a gradient is synthesized, once per block of
+    the ledger walk and per snapshot, rather than kept as a second table
+    for the run.
 
     The Galerkin matrices read a pruned DFT instead (`moments`): the sums
     F_q = sum_x f(x) e^{-i q.x} at the wavevectors q = k_i +- k_j, from two
@@ -125,9 +132,9 @@ class BasisGrid:
         self.points = grid_points(self.M)
         phases = basis.phases(self.points.reshape(-1, 2))
         self.trig = np.cos(phases.T, order="C")
-        self._phases = basis.phases
+        self._phases, self._weigh = basis.phases, basis.weigh
         self.vec = basis.vec
-        self.grad_vec = self.vec[:, :, None] * basis.kvecs[:, None, :]
+        self.grad_vec = -(self.vec[:, :, None] * basis.kvecs[:, None, :]).reshape(-1, 4).T
 
         reach = 2 * basis.kmax
         nodes = np.arange(self.M, dtype=float)
@@ -150,23 +157,23 @@ class BasisGrid:
         self.b_weights = np.concatenate([sin_weights * basis.kvecs[:, c] for c in (0, 1)])
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Velocity samples (..., M, M, 2) for coefficient vectors (..., N):
-        a stack (S, N) gives one field per row."""
-        u = self.trig.T @ (coeffs[..., :, None] * self.vec)
-        return u.reshape(coeffs.shape[:-1] + (self.M, self.M, 2))
+        """Velocity component planes (..., 2, M, M) of coefficient vectors
+        (..., N): the `planes` of their `BasisSet.weigh` rows, so that a
+        stack (S, N) gives one field per row."""
+        return self.planes(self._weigh(coeffs))
 
     def synthesize_gradient(self, coeffs: np.ndarray) -> np.ndarray:
-        """Gradient samples (..., M, M, 2, 2), index [..., a, b, i, alpha],
-        for coefficient vectors (..., N)."""
+        """Gradient planes (..., 2, 2, M, M), index [..., i, alpha, a, b] for
+        d_alpha u_i, of coefficient vectors (..., N)."""
+        factors = coeffs[..., None, :] * self.grad_vec
+        phases = self._phases(self.points.reshape(-1, 2))
         lead = coeffs.shape[:-1]
-        factors = (coeffs[..., :, None, None] * self.grad_vec).reshape(lead + (-1, 4))
-        dtrig = -np.sin(self._phases(self.points.reshape(-1, 2)))
-        return (dtrig @ factors).reshape(lead + (self.M, self.M, 2, 2))
+        return (factors @ np.sin(phases, out=phases).T).reshape(lead + (2, 2, self.M, self.M))
 
     def planes(self, weights: np.ndarray) -> np.ndarray:
         """Velocity component planes (..., 2, M, M), [v_x, v_y], of weighted
-        rows (..., N, 2) from `BasisSet.weigh`: the product `synthesize`
-        takes, transposed so that its rows are the planes."""
+        rows (..., N, 2) from `BasisSet.weigh`: the one synthesis product,
+        the transposed rows times the cosine table."""
         u = weights.swapaxes(-1, -2) @ self.trig
         return u.reshape(weights.shape[:-2] + (2, self.M, self.M))
 
@@ -191,9 +198,10 @@ class BasisGrid:
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products (values, w_n) for all modes of vector
-        fields (..., M, M, 2); a stack of fields gives (..., N)."""
-        moments = self.trig @ values.reshape(values.shape[:-3] + (-1, 2))
-        return self.weight * (moments * self.vec).sum(axis=-1)
+        fields given as component planes (..., 2, M, M); a stack of fields
+        gives (..., N)."""
+        moments = values.reshape(values.shape[:-2] + (-1,)) @ self.trig.T
+        return self.weight * (moments * self.vec.T).sum(axis=-2)
 
 
 def _pair_terms(basis: "BasisSet", sign: float):

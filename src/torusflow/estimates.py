@@ -69,19 +69,20 @@ class EstimateLedger:
         rho = np.empty((K, M, M))
         return cls(rho=rho, **{f.name: np.empty(K) for f in fields(cls) if f.name != "rho"})
 
-    def _rows(self) -> list[list[float]]:
-        """The written columns as one list of Python floats per node."""
-        return np.stack([getattr(self, k) for k in LEDGER_FIELDS], axis=1, dtype=float).tolist()
+    def _rows(self) -> np.ndarray:
+        """The written columns as one float row per node, (K, len(LEDGER_FIELDS))."""
+        return np.stack([getattr(self, k) for k in LEDGER_FIELDS], axis=1, dtype=float)
 
+    # Both writers stream: Python floats are made one row at a time, since a
+    # list of every row (501 on taylor) raised peak memory.
     def write_ndjson(self, path) -> None:
-        # Streamed: a list of every row dict (501 on taylor) raised peak memory.
-        write_ndjson(path, (dict(zip(LEDGER_FIELDS, row)) for row in self._rows()))
+        write_ndjson(path, (dict(zip(LEDGER_FIELDS, row.tolist())) for row in self._rows()))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(LEDGER_FIELDS)
-            writer.writerows([repr(v) for v in row] for row in self._rows())
+            writer.writerows([repr(v) for v in row.tolist()] for row in self._rows())
 
 
 LEDGER_FIELDS = [f.name for f in fields(EstimateLedger) if f.name not in EstimateLedger.IN_MEMORY]

@@ -2,7 +2,9 @@
 
 Velocities live in the span of a BasisSet as coefficient vectors; fields
 sampled on the uniform M x M grid are plain arrays, (M, M) for a scalar and
-(M, M, 2) for a vector.  Grid node [a, b] sits at x = (2pi a/M, 2pi b/M) and
+component planes (2, M, M), [f_x, f_y], for a vector, with any stack axes in
+front; only arrays of points, `grid_points` among them, end in their 2
+coordinates.  Grid node [a, b] sits at x = (2pi a/M, 2pi b/M) and
 indexing is periodic (index mod M); `grid_points` is the one construction of
 these nodes that the basis tables, the transport and the tests all share.
 All integrals over the torus use the trapezoid rule with weight
@@ -10,13 +12,14 @@ All integrals over the torus use the trapezoid rule with weight
 polynomials whose wavenumbers stay below the grid Nyquist limit.
 `spectral_derivative(M)` is the one table of i k on the fft2 spectrum, with
 the Nyquist row and column of an even M dropped; `leray_pressure` solves with
-it, the label step with its real-matrix form `derivative_matrices` (Trefethen
-2000, ch. 3).  The L^p norms of grid fields (`lp_norm`, `w1gamma_norm`, with
-the density gradient from `fd_gradient`) are the ones the run ledger reports.
-They and `leray_pressure` also take a stack of fields along a leading axis
-and reduce each field of it, which is how the ledger walk calls them on a
-block of nodes.  `lp_norm` takes scalar fields only, so that its last two
-axes are always the grid; a vector field passes its magnitude.
+its quotient by the Laplacian on the rfft2 half-spectrum, the label step with
+its real-matrix form `derivative_matrices` (Trefethen 2000, ch. 3).
+`lp_norm` and the density gradient `fd_gradient` are what the run ledger's
+norms are taken with.  They and `leray_pressure` also take a stack of fields
+along a leading axis and reduce each field of it, which is how the ledger
+walk calls them on a block of nodes.  `lp_norm` takes scalar fields only, so
+that its last two axes are always the grid; a vector field passes its
+magnitude.  Snapshots are written at the grid points, a vector as (M, M, 2).
 """
 
 from __future__ import annotations
@@ -54,27 +57,17 @@ def lp_norm(field: np.ndarray, p: float) -> float | np.ndarray:
 
 def fd_gradient(rho: np.ndarray) -> np.ndarray:
     """Second-order centered periodic finite-difference gradient of scalar
-    fields (..., M, M), shape (..., M, M, 2).  The periodic neighbours are
-    gathered by index, cheaper than np.roll, whose per-call overhead
-    dominates on the ledger walk's small blocks."""
+    fields (..., M, M), as component planes (..., 2, M, M).  The periodic
+    neighbours are gathered by index, cheaper than np.roll, whose per-call
+    overhead dominates on the ledger walk's small blocks."""
     M = rho.shape[-1]
     h = 2.0 * np.pi / M
     up, down = np.arange(1, M + 1) % M, np.arange(-1, M - 1) % M
-    grad = np.empty(rho.shape + (2,))
-    np.subtract(rho[..., up, :], rho[..., down, :], out=grad[..., 0])
-    np.subtract(rho[..., up], rho[..., down], out=grad[..., 1])
+    grad = np.empty(rho.shape[:-2] + (2, M, M))
+    np.subtract(rho[..., up, :], rho[..., down, :], out=grad[..., 0, :, :])
+    np.subtract(rho[..., up], rho[..., down], out=grad[..., 1, :, :])
     grad /= 2.0 * h
     return grad
-
-
-def w1gamma_norm(rho: np.ndarray, gamma: float) -> float | np.ndarray:
-    """Sobolev norm (||rho||_gamma^gamma + ||grad rho||_gamma^gamma)^(1/gamma)
-    with the finite-difference gradient, one per field of a stack (..., M, M)."""
-    g = fd_gradient(rho)
-    mag = np.sqrt((g * g).sum(axis=-1))
-    w = quadrature_weight(rho.shape[-1])
-    total = w * (np.abs(rho) ** gamma).sum(axis=(-2, -1)) + w * (mag**gamma).sum(axis=(-2, -1))
-    return total ** (1.0 / gamma)
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,37 +93,50 @@ def derivative_matrices(M: int) -> tuple[np.ndarray, np.ndarray]:
     return D, P
 
 
+@functools.lru_cache(maxsize=None)
+def _pressure_table(M: int) -> np.ndarray:
+    """i k_alpha / lap(k) = -i k_alpha / |k|^2 on the rfft2 half-spectrum of
+    an M x M grid, shape (2, M, M // 2 + 1), read-only: zero at k = 0 and
+    wherever `spectral_derivative` is zero, the Nyquist row and column of an
+    even M."""
+    d = spectral_derivative(M)[..., : M // 2 + 1]
+    lap = (d * d).real.sum(axis=0)
+    table = np.divide(d, lap, out=np.zeros_like(d), where=lap != 0)
+    table.flags.writeable = False
+    return table
+
+
 def leray_pressure(residual: np.ndarray) -> np.ndarray:
     """Pressure part of a Helmholtz decomposition: solve lap p = div g.
 
-    The input is an (M, M, 2) vector field, or a stack of them (..., M, M, 2)
-    solved field by field into (..., M, M).  Each field must have zero mean
-    per component up to LERAY_MEAN_TOL times its scale; a nonzero mean
-    admits no gradient representation and is rejected.  The solve runs in
-    trigonometric space with `spectral_derivative`, in the zero-mean gauge
-    for p; the Nyquist row and column of an even M, where the table is zero,
-    do not reach p.
+    The input is a vector field as component planes (2, M, M), or a stack of
+    them (..., 2, M, M) solved field by field into (..., M, M).  Each field
+    must have zero mean per component up to LERAY_MEAN_TOL times its scale;
+    a nonzero mean admits no gradient representation and is rejected.  The
+    solve is one real FFT pair: p_hat = sum_alpha `_pressure_table`_alpha
+    g_hat_alpha, in the zero-mean gauge for p; the Nyquist row and column of
+    an even M, where the table is zero, do not reach p.
     """
-    if residual.ndim < 3 or residual.shape[-1] != 2:
-        raise ValueError("leray_pressure expects a vector field")
-    M = residual.shape[-2]
+    if residual.ndim < 3 or residual.shape[-3] != 2:
+        raise ValueError(f"leray_pressure expects planes (..., 2, M, M), not {residual.shape}")
+    M = residual.shape[-1]
+    g_hat = np.fft.rfft2(residual)
     scale = np.maximum(1.0, np.abs(residual).max(axis=(-3, -2, -1)))
-    means = residual.mean(axis=(-3, -2))
+    means = g_hat[..., 0, 0].real / (M * M)
     nonzero = np.abs(means).max(axis=-1) > LERAY_MEAN_TOL * scale
     if np.any(nonzero):
         raise ValueError(
             f"input mean {means[nonzero][0]} is not zero; no gradient field matches it"
         )
-    d = spectral_derivative(M)
-    lap = (d * d).real.sum(axis=0)
-    div_hat = d[0] * np.fft.fft2(residual[..., 0]) + d[1] * np.fft.fft2(residual[..., 1])
-    p_hat = np.divide(div_hat, lap, out=np.zeros_like(div_hat), where=lap != 0)
-    return np.real(np.fft.ifft2(p_hat))
+    g_hat *= _pressure_table(M)
+    return np.fft.irfft2(g_hat.sum(axis=-3), s=(M, M))
 
 
 def save_snapshot(field: np.ndarray, path) -> None:
     """Write the snapshot format: header `M=<int> components=<1|2>`, then
-    M^2 space-separated rows in (a, b) order with a varying fastest."""
+    M^2 space-separated rows in (a, b) order with a varying fastest.  The
+    field is a scalar (M, M) or a vector at the grid points (M, M, 2), the
+    layout `load_snapshot` returns."""
     M = field.shape[0]
     rows = np.swapaxes(field, 0, 1).reshape(M * M, -1)
     with open(path, "w") as fh:

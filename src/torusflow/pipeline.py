@@ -46,7 +46,7 @@ from .estimates import (
     weighted_grad_ut_integral,
     write_ndjson,
 )
-from .fields import fd_gradient, lp_norm, save_snapshot, w1gamma_norm
+from .fields import fd_gradient, lp_norm, save_snapshot
 from .solver import (
     DivergenceError,
     PicardNonConvergenceError,
@@ -133,17 +133,19 @@ def node_diagnostics(src: DensitySource, history, M: int) -> EstimateLedger:
         state = build_state(basis, f[nodes], r)
         u, gu, ut = state.u, state.grad_u, state.ut
         led.rho[nodes], fdot[nodes] = r, state.fdot
-        umag2 = (u * u).sum(axis=-1)
+        umag2 = (u * u).sum(axis=1)
         grad_rho = fd_gradient(r)
+        # The gamma-power integral of |grad rho|, read by both of its norms.
+        grad_pow = w * (np.sqrt((grad_rho * grad_rho).sum(axis=1)) ** GAMMA).sum(axis=(1, 2))
         led.sqrt_rho_u_l2[nodes] = np.sqrt(w * (r * umag2).sum(axis=(1, 2)))
-        led.sqrt_rho_ut_l2[nodes] = np.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum(axis=(1, 2)))
+        led.sqrt_rho_ut_l2[nodes] = np.sqrt(w * (r * (ut * ut).sum(axis=1)).sum(axis=(1, 2)))
         led.u_linf[nodes] = np.sqrt(umag2).max(axis=(1, 2))
-        led.grad_u_linf[nodes] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max(axis=(1, 2))
-        led.grad_rho_lgamma[nodes] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=-1)), GAMMA)
-        led.rho_t_lgamma[nodes] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
+        led.grad_u_linf[nodes] = np.sqrt((gu * gu).sum(axis=(1, 2))).max(axis=(1, 2))
+        led.grad_rho_lgamma[nodes] = grad_pow ** (1.0 / GAMMA)
+        led.rho_t_lgamma[nodes] = lp_norm(-(u * grad_rho).sum(axis=1), GAMMA)
         led.mass[nodes] = w * r.sum(axis=(1, 2))
         led.momentum_l2[nodes] = np.sqrt(w * (r * r * umag2).sum(axis=(1, 2)))
-        led.w1gamma[nodes] = w1gamma_norm(r, GAMMA)
+        led.w1gamma[nodes] = (w * (np.abs(r) ** GAMMA).sum(axis=(1, 2)) + grad_pow) ** (1.0 / GAMMA)
         resid = residual_diagnostics(state, basis)
         led.orthogonality_max[nodes] = resid.orthogonality_max
         led.projection_rel[nodes] = resid.projection_rel
@@ -257,8 +259,7 @@ def momentum_probes(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
     w = grid.weight
     times = result.history.times
     rho0 = result.ledger.rho[0]
-    u0 = grid.synthesize(result.history.coeffs[0])
-    mom0 = rho0[..., None] * u0
+    mom0 = rho0 * grid.synthesize(result.history.coeffs[0])
 
     carried = dict(zip(times.tolist(), result.ledger.rho))
     probe_t = times[-1] * 2.0 ** -np.arange(MOMENTUM_PROBES)
@@ -268,7 +269,7 @@ def momentum_probes(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
         rho = carried.get(probe_t[j])
         if rho is None:
             rho = density_at(result.source, result.history, cfg.M, probe_t[j], cfg.dt)
-        diff = rho[..., None] * u - mom0
+        diff = rho * u - mom0
         probe_n[j] = math.sqrt(w * (diff * diff).sum())
     return probe_t, probe_n
 
@@ -408,7 +409,7 @@ def _difference_curves(ref: RunResult, other: RunResult) -> dict:
     return {
         "t": ref.ledger.t.copy(),
         "f": lp_norm(rho - ref.ledger.rho, 1.5),
-        "g": grid.weight * (rho * (du * du).sum(axis=-1)).sum(axis=(1, 2)),
+        "g": grid.weight * (rho * (du * du).sum(axis=1)).sum(axis=(1, 2)),
         "G": (ref.history.basis.lambdas * dc * dc).sum(axis=1),
     }
 
@@ -542,7 +543,7 @@ def write_run_outputs(result: RunResult, outdir) -> None:
         rho = density_at(result.source, result.history, cfg.M, t, cfg.dt)
         state = build_state(result.history.basis, f[None], rho[None])
         tag = snapshot_tag(t)
-        save_snapshot(state.u[0], out / f"u_t{tag}.dat")
+        save_snapshot(np.moveaxis(state.u[0], 0, -1), out / f"u_t{tag}.dat")
         save_snapshot(state.rho[0], out / f"rho_t{tag}.dat")
         resid = residual_diagnostics(state, result.history.basis)
         save_snapshot(resid.pressure[0], out / f"p_t{tag}.dat")

@@ -31,7 +31,10 @@ advecting velocity history, whose basis and horizon the solve keeps.
 
 `build_state` gives the self-consistent states of a stack of node
 coefficients and densities, one assembly block for all of them, with their
-grid fields u, grad u and u_t synthesized once for every reader;
+grid fields u, grad u and u_t synthesized once for every reader, as
+component planes like every grid vector field; only `velocity_at`'s samples
+at the grid points end in their components, and assembly reads them
+through a plane view;
 `residual_diagnostics` reduces the same stack.  The ledger walk calls both
 on a block of nodes, the snapshot writer on a stack of one.  No function
 takes an input that another of its inputs fixes: the grid size M is read
@@ -80,7 +83,7 @@ class VacuumDegenerateError(RuntimeError):
 
 # Grid points per block of stage times in `solve_linearized`: 50 stages at
 # M = 16, 12 at M = 32, 8 at M = 40.  A block's widest temporaries are its
-# grid fields, the (S, M, M, 2) velocity samples and the (S, M, M) density
+# grid fields, the (S, 2, M, M) velocity planes and the (S, M, M) density
 # and flux planes that `assemble` transforms, so their size follows the
 # block's grid points, not its stage count, like the ledger walk's
 # WALK_POINTS; a larger block saves per-block calls.
@@ -117,9 +120,9 @@ class GalerkinMatrices:
 class SolverState:
     """A stack of S self-consistent states: fdot solves A fdot = -(B + Lam) f
     at (f, rho) for each of them.  Every field has the stack axis first: f
-    and fdot (S, N), the densities rho (S, M, M), and the grid fields u
-    (S, M, M, 2), grad_u (S, M, M, 2, 2) and ut (S, M, M, 2) of f and
-    fdot."""
+    and fdot (S, N), the densities rho (S, M, M), and the grid fields of f
+    and fdot as component planes: u (S, 2, M, M), grad_u (S, 2, 2, M, M),
+    index [s, i, alpha] for d_alpha u_i, and ut (S, 2, M, M)."""
 
     f: np.ndarray
     fdot: np.ndarray
@@ -133,12 +136,13 @@ def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet) -> GalerkinMa
     """Build A, B and the RK4 operators for a block of S stage times.
 
     `rho` holds densities (S, M, M), whose shape fixes the grid, and
-    `v_grid` advecting-velocity samples (S, M, M, 2).  A and B are read off
-    the moments of rho, rho v_x and rho v_y at k_i +- k_j, one gather each,
-    with the signs and G_ij / 2 of the `BasisGrid` tables folded in.  A stage fails the guard when the
-    smallest eigenvalue of its A is not above 1e-10 * trace(A)/N (or A is
-    not finite); `GalerkinMatrices.operators` raises VacuumDegenerateError
-    once that stage is asked for.
+    `v_grid` the advecting velocity's component planes (S, 2, M, M).  A and
+    B are read off the moments of rho, rho v_x and rho v_y at k_i +- k_j,
+    one gather each, with the signs and G_ij / 2 of the `BasisGrid` tables
+    folded in.  A stage fails the guard when the smallest eigenvalue of its
+    A is not above 1e-10 * trace(A)/N (or A is not finite);
+    `GalerkinMatrices.operators` raises VacuumDegenerateError once that
+    stage is asked for.
     """
     grid = basis.grid(rho.shape[-1])
     N = basis.size
@@ -146,9 +150,9 @@ def assemble(rho: np.ndarray, v_grid: np.ndarray, basis: BasisSet) -> GalerkinMa
     # The moments of rho, rho v_x and rho v_y, one field at a time: with no
     # (S, 3, M, M) stack, glibc malloc does not trim the heap top and fault
     # it back in every block.
-    flow = rho * v_grid[..., 0]
+    flow = rho * v_grid[:, 0]
     moments = [grid.moments(rho), grid.moments(flow)]
-    np.multiply(rho, v_grid[..., 1], out=flow)
+    np.multiply(rho, v_grid[:, 1], out=flow)
     moments.append(grid.moments(flow))
     moments = np.stack(moments, axis=1).reshape(S, -1)
     a = _gather(moments, grid.a_cols, grid.a_weights)
@@ -202,7 +206,7 @@ def _stage_operators(
     size = max(1, STAGE_POINTS // (M * M))
     for lo, rho in carried_densities(source, v_hist, M, stage_times, size):
         coeffs = v_hist.coeffs_at(stage_times[lo : lo + len(rho)])
-        mats = assemble(rho, basis.velocity_at(points, coeffs), basis)
+        mats = assemble(rho, np.moveaxis(basis.velocity_at(points, coeffs), -1, 1), basis)
         # Drop the block's fields before its operators are used, so that the
         # sweep's next block reuses their memory instead of growing the heap.
         count = len(rho)
@@ -330,8 +334,13 @@ class ResidualReport:
 
 def residual_diagnostics(state: SolverState, basis: BasisSet) -> ResidualReport:
     grid = basis.grid(state.rho.shape[-1])
-    udot = state.ut + np.einsum("sabk,sabik->sabi", state.u, state.grad_u)
-    g = state.rho[..., None] * udot
+    # g = rho udot, udot_i = d_t u_i + u_x d_x u_i + u_y d_y u_i (i along
+    # axis 1), built in one buffer, and lap u - g in lap u's: fewer block
+    # temporaries leave less heap behind the walk.
+    g = state.u[:, :1] * state.grad_u[:, :, 0]
+    g += state.u[:, 1:] * state.grad_u[:, :, 1]
+    g += state.ut
+    g *= state.rho[:, None]
 
     c = grid.project(g)
     lap_coeffs = -basis.lambdas * state.f
@@ -340,9 +349,9 @@ def residual_diagnostics(state: SolverState, basis: BasisSet) -> ResidualReport:
     proj_l2 = np.linalg.norm(resid_vec, axis=1)
 
     lap_u = grid.synthesize(lap_coeffs)
-    resid_field = lap_u - g
-    resid_field = resid_field - resid_field.mean(axis=(1, 2), keepdims=True)
-    pressure = leray_pressure(resid_field)
+    lap_u -= g
+    lap_u -= lap_u.mean(axis=(2, 3), keepdims=True)
+    pressure = leray_pressure(lap_u)
 
     return ResidualReport(
         orthogonality_max=np.abs(resid_vec).max(axis=1),

@@ -52,7 +52,8 @@ altogether; no other source does.  Feet are reported
 without modular reduction, which is harmless because every initial density
 is 2pi-periodic.  The grid points come from `fields.grid_points`; the norms
 of the transported density (W^{1,gamma}, ||grad rho||_gamma, ||d_t rho||_gamma)
-are taken with the `fields` norm functions in the pipeline's ledger walk.
+are taken in the pipeline's ledger walk, from one `fields.fd_gradient` per
+block of nodes.
 """
 
 from __future__ import annotations

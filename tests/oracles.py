@@ -5,7 +5,7 @@ Velocity fields with explicit characteristics (anything with
 be backtracked or carried like a VelocityHistory), the backtrack and the
 carried sweep with one dense-output call per RK4 time, which the batched
 ones of `transport` must reproduce, a spectral gradient for (M, M) grid
-fields, the carried label rate through the FFT instead of the derivative
+fields, the W^{1,gamma} norm of a density field from its own gradient, the carried label rate through the FFT instead of the derivative
 matrices, the vacuum well's density in the form of its definition, the
 one-stage Galerkin assembly from vector mode tables that it builds itself
 with `BasisSet.velocity_at` and `gradient_at` (per-point evaluation,
@@ -23,13 +23,7 @@ import numpy as np
 
 from torusflow.basis import MODE_NORM
 from torusflow.estimates import GAMMA, EstimateLedger
-from torusflow.fields import (
-    fd_gradient,
-    grid_points,
-    lp_norm,
-    spectral_derivative,
-    w1gamma_norm,
-)
+from torusflow.fields import fd_gradient, grid_points, lp_norm, quadrature_weight, spectral_derivative
 from torusflow.solver import build_state, residual_diagnostics
 from torusflow.transport import DensitySource, _label_rate, carried_densities, rk4_step
 
@@ -151,7 +145,7 @@ def narrow_density(r: float = 0.2) -> DensitySource:
 
 
 def spectral_gradient(scalar: np.ndarray) -> np.ndarray:
-    """Gradient (M, M, 2) of a scalar grid field (M, M) computed in
+    """Gradient planes (2, M, M) of a scalar grid field (M, M) computed in
     trigonometric space."""
     if scalar.ndim != 2:
         raise ValueError("spectral_gradient expects a scalar field")
@@ -164,7 +158,18 @@ def spectral_gradient(scalar: np.ndarray) -> np.ndarray:
         f_hat[:, M // 2] = 0.0
     gx = np.real(np.fft.ifft2(1j * kx * f_hat))
     gy = np.real(np.fft.ifft2(1j * ky * f_hat))
-    return np.stack([gx, gy], axis=-1)
+    return np.stack([gx, gy])
+
+
+def w1gamma_norm(rho: np.ndarray, gamma: float) -> float | np.ndarray:
+    """Sobolev norm (||rho||_gamma^gamma + ||grad rho||_gamma^gamma)^(1/gamma)
+    with the finite-difference gradient, one per field of a stack (..., M, M):
+    the ledger's `w1gamma` column, from a gradient of its own."""
+    g = fd_gradient(rho)
+    mag = np.sqrt((g * g).sum(axis=-3))
+    w = quadrature_weight(rho.shape[-1])
+    total = w * (np.abs(rho) ** gamma).sum(axis=(-2, -1)) + w * (mag**gamma).sum(axis=(-2, -1))
+    return total ** (1.0 / gamma)
 
 
 def fft_label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -192,7 +197,7 @@ def gradient_at(basis, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def assemble_stage(rho: np.ndarray, v_grid, basis):
     """A and B at one stage from the vector tables: A_ij = h^2 sum rho w_i.w_j
     and B_ij = h^2 sum rho w_i.(v . grad) w_j, with `rho` (M, M) and `v_grid`
-    (M, M, 2)."""
+    component planes (2, M, M)."""
     grid = basis.grid(rho.shape[-1])
     N = basis.size
     unit = np.eye(N)
@@ -203,7 +208,7 @@ def assemble_stage(rho: np.ndarray, v_grid, basis):
     a = grid.weight * ((Wf * rho_flat) @ Wf.T)
     a = 0.5 * (a + a.T)
     # conv[j] = (v . grad) w_j; entry b[i, j] pairs it against test mode w_i
-    conv = np.einsum("abk,nabik->nabi", v_grid, GW)
+    conv = np.einsum("kab,nabik->nabi", v_grid, GW)
     b = grid.weight * ((Wf * rho_flat) @ conv.reshape(N, -1).T)
     return a, b
 
@@ -222,14 +227,14 @@ def node_diagnostics_per_node(src, history, M: int) -> EstimateLedger:
         state = build_state(basis, f[k : k + 1], r[None])
         u, gu, ut = state.u[0], state.grad_u[0], state.ut[0]
         led.rho[k], fdot[k] = r, state.fdot[0]
-        umag2 = (u * u).sum(axis=-1)
+        umag2 = (u * u).sum(axis=0)
         grad_rho = fd_gradient(r)
         led.sqrt_rho_u_l2[k] = math.sqrt(w * (r * umag2).sum())
-        led.sqrt_rho_ut_l2[k] = math.sqrt(w * (r * (ut * ut).sum(axis=-1)).sum())
+        led.sqrt_rho_ut_l2[k] = math.sqrt(w * (r * (ut * ut).sum(axis=0)).sum())
         led.u_linf[k] = np.sqrt(umag2).max()
-        led.grad_u_linf[k] = np.sqrt((gu * gu).sum(axis=(-2, -1))).max()
-        led.grad_rho_lgamma[k] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=-1)), GAMMA)
-        led.rho_t_lgamma[k] = lp_norm(-(u * grad_rho).sum(axis=-1), GAMMA)
+        led.grad_u_linf[k] = np.sqrt((gu * gu).sum(axis=(0, 1))).max()
+        led.grad_rho_lgamma[k] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=0)), GAMMA)
+        led.rho_t_lgamma[k] = lp_norm(-(u * grad_rho).sum(axis=0), GAMMA)
         led.mass[k] = w * r.sum()
         led.momentum_l2[k] = math.sqrt(w * (r * r * umag2).sum())
         led.w1gamma[k] = w1gamma_norm(r, GAMMA)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import ShearVelocity
+from oracles import ShearVelocity, w1gamma_norm
 
 from torusflow.config import parse_config
 from torusflow.estimates import (
@@ -24,7 +24,7 @@ from torusflow.estimates import (
     gronwall_verify,
     transport_growth_margins,
 )
-from torusflow.fields import grid_points, w1gamma_norm
+from torusflow.fields import grid_points
 from torusflow.pipeline import (
     converge_study,
     run_simulation,

@@ -129,8 +129,8 @@ def test_grid_divergence_spectrally_zero():
     grid = basis.grid(16)
     coeffs = RNG.standard_normal(9)
     u = grid.synthesize(coeffs)
-    dux = spectral_gradient(u[..., 0])[..., 0]
-    duy = spectral_gradient(u[..., 1])[..., 1]
+    dux = spectral_gradient(u[0])[0]
+    duy = spectral_gradient(u[1])[1]
     assert np.abs(dux + duy).max() < 1e-12
 
 
@@ -148,7 +148,7 @@ def test_bessel_inequality_out_of_span():
 
     def u(points):
         x = points[..., 0]
-        extra = np.stack([np.zeros_like(x), np.cos(3.0 * x)], axis=-1)
+        extra = np.stack([np.zeros_like(x), np.cos(3.0 * x)])
         return 0.7 * grid.synthesize(np.eye(9)[0]) + 0.3 * MODE_NORM * extra
 
     coeffs = grid.project(u(grid.points))
@@ -163,7 +163,7 @@ def test_gradient_fields_project_to_zero():
 
     def grad_phi(points):
         s = np.sin(points[..., 0] + points[..., 1])
-        return np.stack([-s, -s], axis=-1)
+        return np.stack([-s, -s])
 
     coeffs = grid.project(grad_phi(grid.points))
     assert np.abs(coeffs).max() < 1e-13
@@ -173,13 +173,14 @@ def test_velocity_at_matches_grid_tables():
     basis = BasisSet(9)
     grid = basis.grid(16)
     coeffs = RNG.standard_normal(9)
+    # Point arrays end in their components, grid fields are planes.
     np.testing.assert_allclose(
-        basis.velocity_at(grid.points, coeffs),
+        np.moveaxis(basis.velocity_at(grid.points, coeffs), -1, 0),
         grid.synthesize(coeffs),
         atol=1e-13,
     )
     np.testing.assert_allclose(
-        gradient_at(basis, grid.points, coeffs),
+        np.moveaxis(gradient_at(basis, grid.points, coeffs), (-2, -1), (0, 1)),
         grid.synthesize_gradient(coeffs),
         atol=1e-13,
     )
@@ -188,7 +189,7 @@ def test_velocity_at_matches_grid_tables():
     fields = basis.velocity_at(grid.points, stack)
     assert fields.shape == (3, 16, 16, 2)
     for row, c in zip(fields, stack):
-        np.testing.assert_allclose(row, grid.synthesize(c), atol=1e-13)
+        np.testing.assert_allclose(np.moveaxis(row, -1, 0), grid.synthesize(c), atol=1e-13)
 
 
 def test_weighed_rows_evaluate_like_coefficients():
@@ -209,7 +210,7 @@ def test_weighed_rows_evaluate_like_coefficients():
     planes = grid.planes(weights)
     assert planes.shape == (3, 2, 16, 16)
     np.testing.assert_allclose(
-        planes, np.moveaxis(grid.synthesize(stack), -1, -3), rtol=0, atol=1e-15
+        np.moveaxis(planes, -3, -1), basis.velocity_at(grid.points, stack), rtol=0, atol=1e-15
     )
     shaped = points.reshape(7, 1, 2)
     for c, w, p in zip(stack, weights, planes):
@@ -227,8 +228,8 @@ def test_stacked_synthesis_and_projection_match_per_field_loops():
     u = grid.synthesize(stack)
     grad = grid.synthesize_gradient(stack)
     moments = grid.project(u + 0.1 * u**2)
-    assert u.shape == (2, 3, 16, 16, 2)
-    assert grad.shape == (2, 3, 16, 16, 2, 2)
+    assert u.shape == (2, 3, 2, 16, 16)
+    assert grad.shape == (2, 3, 2, 2, 16, 16)
     assert moments.shape == (2, 3, 9)
     for idx in itertools.product(range(2), range(3)):
         c = stack[idx]
@@ -248,10 +249,10 @@ def test_eigenfield_relation_on_grid():
     for n, mode in enumerate(basis.modes):
         W = grid.synthesize(np.eye(basis.size)[n])
         lap = (
-            np.roll(W, 1, axis=0)
-            + np.roll(W, -1, axis=0)
-            + np.roll(W, 1, axis=1)
-            + np.roll(W, -1, axis=1)
+            np.roll(W, 1, axis=-2)
+            + np.roll(W, -1, axis=-2)
+            + np.roll(W, 1, axis=-1)
+            + np.roll(W, -1, axis=-1)
             - 4.0 * W
         ) / h**2
         # Second-order FD Laplacian approximates -lam w; loose tolerance.
@@ -282,4 +283,4 @@ def test_alias_guard_and_validation():
     with pytest.raises(ValueError):
         enumerate_modes(0)
     with pytest.raises(ValueError):
-        BasisSet(4).grid(16).project(np.zeros((8, 8, 2)))
+        BasisSet(4).grid(16).project(np.zeros((2, 8, 8)))

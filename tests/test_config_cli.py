@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import narrow_density
+from oracles import assemble_stage, gradient_at, narrow_density
 
 from torusflow import basis as basis_module
 from torusflow import cli, pipeline, transport
@@ -23,7 +23,7 @@ from torusflow.config import (
     parse_config_text,
 )
 from torusflow.estimates import write_ndjson
-from torusflow.fields import load_snapshot
+from torusflow.fields import grid_points, load_snapshot
 from torusflow.solver import VacuumDegenerateError
 from torusflow.transport import density_at
 
@@ -243,6 +243,65 @@ def test_snapshot_files_hold_the_state(tmp_path):
     p = load_snapshot(tmp_path / "p_t0.050000.dat")
     assert p.shape == (config.M, config.M)
     assert abs(p.mean()) < 1e-13 and np.abs(p).max() > 0.0
+
+
+def file_rows(path):
+    """A snapshot file's header and its rows, as written."""
+    header, *rows = path.read_text().splitlines()
+    return header, np.array([row.split() for row in rows], dtype=float)
+
+
+def in_file_order(field):
+    """The rows of a grid field (M, M) or (M, M, C), entry [a, b] at node
+    (2pi a/M, 2pi b/M), in (a, b) order with a varying fastest."""
+    M = field.shape[0]
+    return np.array([np.atleast_1d(field[a, b]) for b in range(M) for a in range(M)])
+
+
+def pressure_oracle(basis, f, rho, M):
+    """The snapshot pressure from point tables and a full complex FFT: the
+    gradient part of lap u - rho (u_t + (u . grad) u), with u_t from the
+    stage oracle's A u_t = -(B + Lam) f and the Nyquist modes of an even M
+    dropped."""
+    pts = grid_points(M)
+    u = basis.velocity_at(pts, f)
+    a, b = assemble_stage(rho, np.moveaxis(u, -1, 0), basis)
+    fdot = -np.linalg.solve(a, (b + np.diag(basis.lambdas)) @ f)
+    udot = basis.velocity_at(pts, fdot) + np.einsum("abk,abik->abi", u, gradient_at(basis, pts, f))
+    g = basis.velocity_at(pts, -basis.lambdas * f) - rho[..., None] * udot
+    g_hat = np.fft.fft2(g - g.mean(axis=(0, 1)), axes=(0, 1))
+    k = np.fft.fftfreq(M, 1.0 / M)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    k2 = np.where((np.abs(kx) < M / 2) & (np.abs(ky) < M / 2), kx**2 + ky**2, 0.0)
+    div_hat = 1j * (kx * g_hat[..., 0] + ky * g_hat[..., 1])
+    p_hat = np.divide(-div_hat, k2, out=np.zeros_like(div_hat), where=k2 > 0)
+    return np.real(np.fft.ifft2(p_hat))
+
+
+def test_two_mode_snapshots_in_file_order(tmp_path, capsys):
+    # `run configs/two_mode.cfg` writes its t = 0.075 snapshots row by row in
+    # (a, b) order, a fastest: the trajectory's velocity at the grid points,
+    # its transported density and the pressure of an independent oracle.  A
+    # swapped grid axis or component fails here.
+    path = Path(__file__).resolve().parent.parent / "configs" / "two_mode.cfg"
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cfg = parse_config(path)
+    result = pipeline.run_simulation(cfg)
+    M, t = cfg.M, 0.075
+    assert cfg.snapshots == [t]
+    basis, f = result.history.basis, result.history.coeffs_at(t)
+    u = basis.velocity_at(grid_points(M), f)
+    rho = density_at(result.source, result.history, M, t, cfg.dt)
+    p = pressure_oracle(basis, f, rho, M)
+    # No field is symmetric in its grid axes or its components, so a swap shows.
+    assert np.abs(u - u[..., ::-1]).max() > 1e-3
+    for field in (u, u[..., ::-1], rho, p):
+        assert np.abs(field - field.swapaxes(0, 1)).max() > 1e-3
+    for name, field, atol in (("u", u, 1e-13), ("rho", rho, 0.0), ("p", p, 1e-12 * np.abs(p).max())):
+        header, rows = file_rows(tmp_path / f"{name}_t0.075000.dat")
+        assert header == f"M={M} components={1 if field.ndim == 2 else 2}"
+        np.testing.assert_allclose(rows, in_file_order(field), rtol=0.0, atol=atol, err_msg=name)
 
 
 def test_cli_run_solves_at_vacuum(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import spectral_gradient
+from oracles import spectral_gradient, w1gamma_norm
 
 from torusflow.basis import BasisSet
 from torusflow.fields import (
@@ -14,9 +14,9 @@ from torusflow.fields import (
     lp_norm,
     save_snapshot,
     spectral_derivative,
-    w1gamma_norm,
 )
 from torusflow.pipeline import node_diagnostics
+from torusflow.solver import build_state
 from torusflow.transport import VelocityHistory, constant_density
 
 RNG = np.random.default_rng(7)
@@ -35,7 +35,7 @@ def single_mode_ledger(count, index, M=16):
 def test_parseval():
     basis = BasisSet(9)
     coeffs = RNG.standard_normal(9)
-    grid_l2 = lp_norm(np.linalg.norm(basis.grid(16).synthesize(coeffs), axis=-1), 2.0)
+    grid_l2 = lp_norm(np.linalg.norm(basis.grid(16).synthesize(coeffs), axis=0), 2.0)
     assert abs(grid_l2 - np.linalg.norm(coeffs)) < 1e-12
 
 
@@ -59,7 +59,7 @@ def test_sup_norm_and_l6_closed_form():
     # integral of cos^6 over a period is 2 pi * 5/16, so
     # ||w||_6^6 = (2 pi)(5 pi / 8) / (sqrt(2) pi)^6 = 5 / (32 pi^4).
     w = BasisSet(4).grid(16).synthesize(np.eye(4)[0])
-    l6 = lp_norm(np.linalg.norm(w, axis=-1), 6.0)
+    l6 = lp_norm(np.linalg.norm(w, axis=0), 6.0)
     assert abs(l6 - (5.0 / (32.0 * np.pi**4)) ** (1.0 / 6.0)) < 1e-12
 
 
@@ -105,8 +105,8 @@ def test_spectral_gradient_oracle():
     phi = np.cos(pts[..., 0] + 2.0 * pts[..., 1])
     g = spectral_gradient(phi)
     s = np.sin(pts[..., 0] + 2.0 * pts[..., 1])
-    np.testing.assert_allclose(g[..., 0], -s, atol=1e-12)
-    np.testing.assert_allclose(g[..., 1], -2.0 * s, atol=1e-12)
+    np.testing.assert_allclose(g[0], -s, atol=1e-12)
+    np.testing.assert_allclose(g[1], -2.0 * s, atol=1e-12)
 
 
 @pytest.mark.parametrize("M", [7, 8, 15, 32])
@@ -114,12 +114,12 @@ def test_leray_pressure_recovers_gradient(M):
     pts = grid_points(M)
     x, y = pts[..., 0], pts[..., 1]
     p_exact = np.cos(x) + np.sin(2.0 * y)
-    g = np.stack([-np.sin(x), 2.0 * np.cos(2.0 * y)], axis=-1)
+    g = np.stack([-np.sin(x), 2.0 * np.cos(2.0 * y)])
     if M % 2 == 0:
         # Nyquist content with a real, nonzero divergence on the nodes:
         # kept, it would reach p as cos(M/2 x) cos y and cos x cos(M/2 y).
-        g[..., 0] += np.sin(x) * np.cos(M / 2 * y)
-        g[..., 1] += np.cos(M / 2 * x) * np.sin(y)
+        g[0] += np.sin(x) * np.cos(M / 2 * y)
+        g[1] += np.cos(M / 2 * x) * np.sin(y)
     p = leray_pressure(g)
     np.testing.assert_allclose(p, p_exact, atol=1e-12)
 
@@ -134,8 +134,8 @@ def test_leray_pressure_solenoidal_input_gives_zero():
 
 def test_leray_pressure_rejects_nonzero_mean():
     M = 16
-    g = np.zeros((M, M, 2))
-    g[..., 0] = 1.0
+    g = np.zeros((2, M, M))
+    g[0] = 1.0
     with pytest.raises(ValueError):
         leray_pressure(g)
     with pytest.raises(ValueError):
@@ -147,12 +147,12 @@ def test_stacked_fields_match_per_field_loops():
     # each field of it as a call on that field alone would.
     M = 16
     grid = BasisSet(9).grid(M)
-    rho = 1.5 + 0.4 * grid.synthesize(RNG.standard_normal((3, 9)))[..., 0]
+    rho = 1.5 + 0.4 * grid.synthesize(RNG.standard_normal((3, 9)))[:, 0]
     u = grid.synthesize(RNG.standard_normal((3, 9)))
-    speed = np.linalg.norm(u, axis=-1)
+    speed = np.linalg.norm(u, axis=1)
     grad = fd_gradient(rho)
     pressure = leray_pressure(u + fd_gradient(rho))
-    assert grad.shape == (3, M, M, 2) and pressure.shape == (3, M, M)
+    assert grad.shape == (3, 2, M, M) and pressure.shape == (3, M, M)
     for norm, per_field in (
         (lp_norm(rho, 3.0), [lp_norm(r, 3.0) for r in rho]),
         (lp_norm(speed, 1.5), [lp_norm(s, 1.5) for s in speed]),
@@ -167,9 +167,31 @@ def test_stacked_fields_match_per_field_loops():
         )
     # One field with a nonzero mean is enough to reject the stack.
     shifted = u.copy()
-    shifted[1, ..., 0] += 1.0
+    shifted[1, 0] += 1.0
     with pytest.raises(ValueError, match="not zero"):
         leray_pressure(shifted)
+
+
+def test_grid_vector_fields_are_component_planes():
+    # One layout for grid vector fields: component planes (..., 2, M, M),
+    # gradients (..., 2, 2, M, M) indexed [i, alpha]; point arrays end in 2.
+    basis = BasisSet(9)
+    M = 16
+    grid = basis.grid(M)
+    coeffs = RNG.standard_normal((3, 9))
+    np.testing.assert_array_equal(grid.synthesize(coeffs), grid.planes(basis.weigh(coeffs)))
+    assert grid.synthesize(coeffs).shape == (3, 2, M, M)
+    assert grid.synthesize_gradient(coeffs).shape == (3, 2, 2, M, M)
+    assert fd_gradient(np.ones((3, M, M))).shape == (3, 2, M, M)
+    state = build_state(basis, coeffs, np.ones((3, M, M)))
+    assert state.u.shape == state.ut.shape == (3, 2, M, M)
+    assert state.grad_u.shape == (3, 2, 2, M, M)
+    assert basis.velocity_at(grid_points(M), coeffs).shape == (3, M, M, 2)
+    # A components-last stack is not a field of planes: refused, not solved.
+    u = grid.synthesize(coeffs)
+    assert leray_pressure(u).shape == (3, M, M)
+    with pytest.raises(ValueError, match="planes"):
+        leray_pressure(np.moveaxis(u, 1, -1))
 
 
 def test_snapshot_round_trip(tmp_path):

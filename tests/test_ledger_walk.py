@@ -124,7 +124,7 @@ def test_walk_reports_first_failure_in_node_order(monkeypatch, degenerate, drift
         pipeline.node_diagnostics(source, history, M)
     if expected == "vacuum":
         first = min(bad)
-        mats = assemble(degenerate_density(M, first)[None], np.zeros((1, M, M, 2)), basis)
+        mats = assemble(degenerate_density(M, first)[None], np.zeros((1, 2, M, M)), basis)
         assert (err.value.min_eig, err.value.threshold) == (mats.min_eig[0], mats.threshold[0])
     else:
         assert err.value.t == times[-1]
@@ -154,12 +154,12 @@ def test_momentum_probes_read_the_walk_at_node_times(monkeypatch):
     assert on_node.sum() == 4 and np.array_equal(backtracked, probe_t[~on_node])
 
     grid = result.history.basis.grid(cfg.M)
-    mom0 = result.ledger.rho[0][..., None] * grid.synthesize(result.history.coeffs[0])
+    mom0 = result.ledger.rho[0] * grid.synthesize(result.history.coeffs[0])
     for t, norm in zip(probe_t, norms):
         u = grid.synthesize(result.history.coeffs_at(t))
 
         def probe(rho):
-            diff = rho[..., None] * u - mom0
+            diff = rho * u - mom0
             return math.sqrt(grid.weight * (diff * diff).sum())
 
         exact = density_at(result.source, result.history, cfg.M, t, cfg.dt)

@@ -43,8 +43,8 @@ def ones_density(M, S=1):
 
 
 def still(M, S=1):
-    """Zero advecting-velocity samples: B = 0."""
-    return np.zeros((S, M, M, 2))
+    """Zero advecting-velocity planes: B = 0."""
+    return np.zeros((S, 2, M, M))
 
 
 def bump_grid(M):
@@ -145,7 +145,7 @@ def test_block_assembly_matches_stage_oracle(N, extra, S, near_vacuum, flowing, 
     rho = rng.uniform(0.5, 2.0, (S, M, M))
     if near_vacuum:
         rho = np.where(rng.random((S, M, M)) < 0.8, 1e-6, rho)
-    v = rng.standard_normal((S, M, M, 2)) if flowing else still(M, S)
+    v = np.moveaxis(rng.standard_normal((S, M, M, 2)), -1, 1) if flowing else still(M, S)
     mats = assemble(rho, v, basis)
     # The gather gives a symmetric A bit for bit; nothing averages it.
     np.testing.assert_array_equal(mats.a, mats.a.transpose(0, 2, 1))
@@ -164,7 +164,7 @@ def test_block_assembly_does_not_depend_on_the_block():
     basis = BasisSet(13)
     M = 21
     rho = RNG.uniform(0.5, 2.0, (5, M, M))
-    v = RNG.standard_normal((5, M, M, 2))
+    v = RNG.standard_normal((5, 2, M, M))
     block = assemble(rho, v, basis)
     for s in range(5):
         for lo in (0, s):

@@ -8,9 +8,9 @@ benchmark's `--trace 1`: `run` over the configs of the taylor and two_mode
 workloads, and the vacuum workload's own sweep call on its config with a
 shorter horizon.  The `run` cases also pin the ledger walk to blocks of
 nodes, one `build_state` per block, the carried sweeps to one grid
-velocity per RK4 time (`BasisGrid.planes`, which the tracer does not
-patch, counted here), and two_mode's dense output to one `coeffs_at` call
-per block of times.  two_mode also pins its transport, velocity, assembly,
+velocity per RK4 time and every grid synthesis to one product
+(`BasisGrid.planes`, which the tracer does not patch, counted here), and
+two_mode's dense output to one `coeffs_at` call per block of times.  two_mode also pins its transport, velocity, assembly,
 right-hand-side and Picard counts, each derived by hand.  perfbench/ is
 only read.
 """
@@ -73,18 +73,25 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
     # build_state, lap u in residual_diagnostics, 4 calls per build_state.
     assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"]
     # The carried sweeps take one grid velocity per RK4 time, each the
-    # planes of one weighed row: a start field, then a midpoint and an end
-    # field per label step, one per interval.  Each Picard pass walks
+    # planes of one weighed row (N, 2): a start field, then a midpoint and
+    # an end field per label step, one per interval.  Each Picard pass walks
     # 2 * steps stage intervals, the ledger walk steps node intervals
     # (two_mode: 4 passes x (1 + 4 x 60) + (1 + 2 x 60) = 1,085).  A
-    # constant density (taylor) walks nothing.
+    # constant density (taylor) walks nothing.  Every other call is a grid
+    # synthesis of a stack of weighed rows (S, N, 2): u and u_t in each
+    # build_state, lap u in its residual_diagnostics, 3 per build_state
+    # (two_mode: 3 x (31 walk blocks + 1 snapshot) = 96; 1,085 + 96 = 1,181
+    # in all; taylor: 3 x 63 walk blocks = 189).
     steps = round(cfg.T / cfg.dt)
+    states = tracer.calls["solver.build_state"]
     sweeps = 0
     if cfg.density_kind != "constant":
         passes = tracer.calls["solver.solve_linearized"]
         sweeps = passes * (1 + 4 * steps) + 1 + 2 * steps
-    assert len(planes) == sweeps
-    assert all(shape == (cfg.N, 2) for shape in planes)
+    assert [shape for shape in planes if len(shape) == 2] == [(cfg.N, 2)] * sweeps
+    stacks = [shape for shape in planes if len(shape) != 2]
+    assert len(stacks) == 3 * states and all(shape[1:] == (cfg.N, 2) for shape in stacks)
+    assert len(planes) == {"two_mode": 1_181, "taylor": 189}[workload]
     if workload == "two_mode":
         # Dense output comes one call per block of times, never one per RK4
         # time.  Each Picard pass: 11 sweep blocks and 11 assembly blocks of
@@ -106,7 +113,6 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
         # grid, 4 x 11 = 44 calls of 1,024 points, and one assembly; so does
         # each build_state: 44 + 31 walk blocks + 1 snapshot = 76.
         fields = passes * stage_blocks
-        states = tracer.calls["solver.build_state"]
         assert tracer.calls["basis.velocity_at"] == fields == 44
         assert tracer.counts["basis.velocity_at.points"] == fields * cfg.M**2 == 45_056
         assert tracer.calls["solver.assemble"] == fields + states == 76

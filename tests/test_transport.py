@@ -11,12 +11,13 @@ from oracles import (
     carried_densities_per_time,
     fft_label_rate,
     vacuum_well_value,
+    w1gamma_norm,
 )
 
 from torusflow import transport
 from torusflow.basis import MODE_NORM, BasisGrid, BasisSet
 from torusflow.estimates import GAMMA, convergence_orders, transport_growth_margins
-from torusflow.fields import fd_gradient, grid_points, lp_norm, w1gamma_norm
+from torusflow.fields import fd_gradient, grid_points, lp_norm
 from torusflow.pipeline import node_diagnostics
 from torusflow.solver import STAGE_POINTS, DivergenceError, solve_linearized
 from torusflow.transport import (
@@ -296,10 +297,10 @@ def test_fd_gradient_oracle_and_order():
     for M in (64, 128):
         pts = grid_points(M)
         rho = f0(pts)
-        errs.append(abs(lp_norm(np.linalg.norm(fd_gradient(rho), axis=-1), GAMMA) - exact_norm))
+        errs.append(abs(lp_norm(np.linalg.norm(fd_gradient(rho), axis=0), GAMMA) - exact_norm))
         # Pointwise, with the periodic wrap: the exact gradient times sin(h)/h.
         x, y = pts[..., 0], pts[..., 1]
-        exact = np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)], axis=-1)
+        exact = np.stack([np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)])
         h = 2.0 * np.pi / M
         np.testing.assert_allclose(fd_gradient(rho), np.sin(h) / h * exact, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(fd_gradient(np.stack([rho, 2.0 * rho]))[1], fd_gradient(2.0 * rho))
