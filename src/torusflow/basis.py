@@ -17,7 +17,9 @@ deterministic and keeps k=(1,0) cosine the first mode.
 `BasisSet.phases` is the one home of the rule: the phases k.x - s of every
 mode at any points.  The tables on the M x M grid (`BasisGrid`) and the
 off-grid values of `BasisSet.velocity_at` are cosines of those phases, and
-every synthesis, evaluation or projection is a matrix product on them.
+every synthesis, evaluation or projection is a matrix product on them; a
+velocity gradient on the grid is `fields.spectral_gradient` of the
+synthesized velocity, exact for every basis wavenumber the grid admits.
 `BasisSet.vec` = MODE_NORM d_n is the one home of the mode directions: a
 coefficient row c weighs into the factors c_n MODE_NORM d_n (N, 2)
 (`BasisSet.weigh`), and a velocity is the cosine table times those factors,
@@ -25,9 +27,10 @@ at points (`BasisSet.weighted_at`) or on the grid (`BasisGrid.planes`,
 which every grid synthesis goes through).
 
 One layout rule holds throughout: a vector field on the grid is a stack of
-component planes, (..., 2, M, M) for a velocity [v_x, v_y] and
-(..., 2, 2, M, M) for its gradient [i, alpha]; an array of points, and a
-velocity at points, ends in its 2 coordinates, (..., 2).
+component planes, (..., 2, M, M) for a velocity [v_x, v_y], and its
+gradient the pair (d_x u, d_y u) of such planes that
+`fields.spectral_gradient` returns; an array of points, and a velocity at
+points, ends in its 2 coordinates, (..., 2).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import grid_points, quadrature_weight
+from .fields import grid_points, quadrature_weight, spectral_gradient
 
 # L2 normalization: integral of trig(k.x)^2 over the torus is 2*pi^2.
 MODE_NORM = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -90,14 +93,12 @@ class BasisGrid:
     `weight` the trapezoid quadrature weight (2pi/M)^2.
 
     Every mode factors as w_n = MODE_NORM d_n T_n(x), with T_n the cosine
-    of its `BasisSet.phases` and gradient MODE_NORM (d_n x k_n) T'_n(x),
-    T'_n = -sin of the same phase, so the grid holds only the scalar table
-    `trig` (T_n), shape (N, M*M), and the factors `vec` = `BasisSet.vec`
-    (N, 2) and `grad_vec` = -MODE_NORM d_n x k_n, rows [i, alpha] (4, N),
-    the sign of T'_n folded in.  sin of the phases is evaluated, in the
-    buffer of the phases, when a gradient is synthesized, once per block of
-    the ledger walk and per snapshot, rather than kept as a second table
-    for the run.
+    of its `BasisSet.phases`, so the grid holds the scalar table `trig`
+    (T_n), shape (N, M*M), and the factors `vec` = `BasisSet.vec` (N, 2).
+    The velocity gradient is `fields.spectral_gradient` of the synthesized
+    planes: M >= 2 kmax + 1 keeps every basis wavenumber below the grid's
+    Nyquist limit, so it is the modal gradient up to round-off, with no
+    table of its own.
 
     The Galerkin matrices read a pruned DFT instead (`moments`): the sums
     F_q = sum_x f(x) e^{-i q.x} at the wavevectors q = k_i +- k_j, from two
@@ -132,9 +133,8 @@ class BasisGrid:
         self.points = grid_points(self.M)
         phases = basis.phases(self.points.reshape(-1, 2))
         self.trig = np.cos(phases.T, order="C")
-        self._phases, self._weigh = basis.phases, basis.weigh
+        self._weigh = basis.weigh
         self.vec = basis.vec
-        self.grad_vec = -(self.vec[:, :, None] * basis.kvecs[:, None, :]).reshape(-1, 4).T
 
         reach = 2 * basis.kmax
         nodes = np.arange(self.M, dtype=float)
@@ -162,13 +162,16 @@ class BasisGrid:
         stack (S, N) gives one field per row."""
         return self.planes(self._weigh(coeffs))
 
-    def synthesize_gradient(self, coeffs: np.ndarray) -> np.ndarray:
-        """Gradient planes (..., 2, 2, M, M), index [..., i, alpha, a, b] for
-        d_alpha u_i, of coefficient vectors (..., N)."""
-        factors = coeffs[..., None, :] * self.grad_vec
-        phases = self._phases(self.points.reshape(-1, 2))
-        lead = coeffs.shape[:-1]
-        return (factors @ np.sin(phases, out=phases).T).reshape(lead + (2, 2, self.M, self.M))
+    def synthesize_gradient(
+        self, coeffs: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Velocity planes u (..., 2, M, M) of coefficient vectors (..., N)
+        and their gradient, the pair (d_x u, d_y u) of planes (..., 2, M, M):
+        `synthesize`, then `fields.spectral_gradient` of it, exact up to
+        round-off since the alias guard keeps every basis wavenumber below
+        the grid's Nyquist limit."""
+        u = self.synthesize(coeffs)
+        return u, spectral_gradient(u)
 
     def planes(self, weights: np.ndarray) -> np.ndarray:
         """Velocity component planes (..., 2, M, M), [v_x, v_y], of weighted
@@ -252,7 +255,7 @@ class BasisSet:
 
     def phases(self, points: np.ndarray) -> np.ndarray:
         """k_n . x - s_n for all modes at points (..., 2) -> (..., N): mode n
-        is cos of its phase, its derivative along k_n -sin of it."""
+        is cos of its phase."""
         return points @ self.kvecs.T - self.shifts
 
     def velocity_at(self, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -3,11 +3,13 @@
 Exit codes: 0 on a completed command, 1 for a `gronwall-check` whose
 verification fails, 2 for configuration errors (including an --out that is
 or lies under a file, and a `uniqueness --delta` that makes the density
-negative; for `gronwall-check` also an unreadable, malformed, inconsistent
-or non-finite input file), 3 for numerical divergence (including carried
-characteristic feet that drift from the exact ones, TransportDriftError), 4
-for a fixed-point iteration that fails to converge, 5 for a stage whose mass
-matrix fails the eigenvalue guard (with its eigenvalue and threshold).
+negative or the cube of the shifted run's M1 = 1 + sup rho0 + delta
+non-finite, nan and inf included; for `gronwall-check` also an unreadable,
+malformed, inconsistent or non-finite input file), 3 for numerical
+divergence (including carried characteristic feet that drift from the exact
+ones, TransportDriftError), 4 for a fixed-point iteration that fails to
+converge, 5 for a stage whose mass matrix fails the eigenvalue guard (with
+its eigenvalue and threshold).
 """
 
 from __future__ import annotations

@@ -12,8 +12,11 @@ All integrals over the torus use the trapezoid rule with weight
 polynomials whose wavenumbers stay below the grid Nyquist limit.
 `spectral_derivative(M)` is the one table of i k on the fft2 spectrum, with
 the Nyquist row and column of an even M dropped; `leray_pressure` solves with
-its quotient by the Laplacian on the rfft2 half-spectrum, the label step with
-its real-matrix form `derivative_matrices` (Trefethen 2000, ch. 3).
+its quotient by the Laplacian on the rfft2 half-spectrum, and
+`spectral_gradient` differentiates with its real-matrix form
+`derivative_matrices` (Trefethen 2000, ch. 3): the one derivative of a grid
+field that the basis resolves, the label step's displacement and the
+velocity gradient alike.
 `lp_norm` and the density gradient `fd_gradient` are what the run ledger's
 norms are taken with.  They and `leray_pressure` also take a stack of fields
 along a leading axis and reduce each field of it, which is how the ledger
@@ -91,6 +94,16 @@ def derivative_matrices(M: int) -> tuple[np.ndarray, np.ndarray]:
     P = np.eye(M) - np.outer(n, n) / M
     D.flags.writeable = P.flags.writeable = False
     return D, P
+
+
+def spectral_gradient(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d_x f, d_y f) of grid fields (..., M, M), each (..., M, M), from
+    `derivative_matrices` as D (P f P) and (P f P) D^T: exact on every
+    wavenumber |k| < M/2, and each derivative a fresh contiguous array
+    that a caller may overwrite."""
+    D, P = derivative_matrices(f.shape[-1])
+    E = P @ f @ P
+    return D @ E, E @ D.T
 
 
 @functools.lru_cache(maxsize=None)

@@ -131,7 +131,7 @@ def node_diagnostics(src: DensitySource, history, M: int) -> EstimateLedger:
     for lo, r in carried_densities(src, history, M, times, size):
         nodes = slice(lo, lo + len(r))
         state = build_state(basis, f[nodes], r)
-        u, gu, ut = state.u, state.grad_u, state.ut
+        u, (du_dx, du_dy), ut = state.u, state.grad_u, state.ut
         led.rho[nodes], fdot[nodes] = r, state.fdot
         umag2 = (u * u).sum(axis=1)
         grad_rho = fd_gradient(r)
@@ -140,7 +140,7 @@ def node_diagnostics(src: DensitySource, history, M: int) -> EstimateLedger:
         led.sqrt_rho_u_l2[nodes] = np.sqrt(w * (r * umag2).sum(axis=(1, 2)))
         led.sqrt_rho_ut_l2[nodes] = np.sqrt(w * (r * (ut * ut).sum(axis=1)).sum(axis=(1, 2)))
         led.u_linf[nodes] = np.sqrt(umag2).max(axis=(1, 2))
-        led.grad_u_linf[nodes] = np.sqrt((gu * gu).sum(axis=(1, 2))).max(axis=(1, 2))
+        led.grad_u_linf[nodes] = np.sqrt((du_dx**2 + du_dy**2).sum(axis=1)).max(axis=(1, 2))
         led.grad_rho_lgamma[nodes] = grad_pow ** (1.0 / GAMMA)
         led.rho_t_lgamma[nodes] = lp_norm(-(u * grad_rho).sum(axis=1), GAMMA)
         led.mass[nodes] = w * r.sum(axis=(1, 2))
@@ -422,16 +422,20 @@ def uniqueness_study(config: RunConfig, delta: float) -> Study:
     multiple of picard_tol.
     Perturbation: shifting the initial density by `delta` produces difference
     curves that must stay below the Gronwall bound with fitted constants.
+    A `delta` that makes the shifted density negative, or the cube of the
+    shifted run's M1 = 1 + sup rho0 + delta non-finite (nan and inf
+    included), is a ConfigError before any solve: M1^3, in the Riccati
+    fit's F^3 with F linear in M1, is the highest power of the density
+    bound the study takes.
     Writes the one-row summary `uniqueness.ndjson` and the perturbation's
     difference curves, one row per node, to `curves.ndjson`.
     """
     src = build_source(config)
-    if not math.isfinite(delta):
-        raise ConfigError(f"density shift delta must be finite, got {delta}")
-    if src.lower + delta < 0.0:
+    lower, m1 = src.lower + delta, 1.0 + src.upper + delta
+    if not (lower >= 0.0 and m1 * m1 * m1 < math.inf):
         raise ConfigError(
-            f"density shift delta={delta} makes the density's lower bound "
-            f"{src.lower} + delta negative"
+            f"density shift delta={delta} needs inf rho0 + delta = {lower} >= 0 and a "
+            f"finite cube of the shifted run's M1 = 1 + sup rho0 + delta = {m1}"
         )
     run_a = run_simulation(config)
     run_b = run_simulation(config, seed=np.zeros(config.N))

@@ -121,14 +121,14 @@ class SolverState:
     """A stack of S self-consistent states: fdot solves A fdot = -(B + Lam) f
     at (f, rho) for each of them.  Every field has the stack axis first: f
     and fdot (S, N), the densities rho (S, M, M), and the grid fields of f
-    and fdot as component planes: u (S, 2, M, M), grad_u (S, 2, 2, M, M),
-    index [s, i, alpha] for d_alpha u_i, and ut (S, 2, M, M)."""
+    and fdot as component planes: u (S, 2, M, M), grad_u the pair
+    (d_x u, d_y u) of planes (S, 2, M, M), and ut (S, 2, M, M)."""
 
     f: np.ndarray
     fdot: np.ndarray
     rho: np.ndarray
     u: np.ndarray
-    grad_u: np.ndarray
+    grad_u: tuple[np.ndarray, np.ndarray]
     ut: np.ndarray
 
 
@@ -307,10 +307,10 @@ def build_state(basis: BasisSet, f: np.ndarray, rho: np.ndarray) -> SolverState:
     state that fails the eigenvalue guard raises VacuumDegenerateError for
     the first such state."""
     grid = basis.grid(rho.shape[-1])
-    u = grid.synthesize(f)
+    u, grad_u = grid.synthesize_gradient(f)
     mats = assemble(rho, u, basis)
     fdot = ode_rhs(f[:, :, None], mats.operators(len(f)))[:, :, 0]
-    grad_u, ut = grid.synthesize_gradient(f), grid.synthesize(fdot)
+    ut = grid.synthesize(fdot)
     return SolverState(f=f, fdot=fdot, rho=rho, u=u, grad_u=grad_u, ut=ut)
 
 
@@ -337,8 +337,8 @@ def residual_diagnostics(state: SolverState, basis: BasisSet) -> ResidualReport:
     # g = rho udot, udot_i = d_t u_i + u_x d_x u_i + u_y d_y u_i (i along
     # axis 1), built in one buffer, and lap u - g in lap u's: fewer block
     # temporaries leave less heap behind the walk.
-    g = state.u[:, :1] * state.grad_u[:, :, 0]
-    g += state.u[:, 1:] * state.grad_u[:, :, 1]
+    g = state.u[:, :1] * state.grad_u[0]
+    g += state.u[:, 1:] * state.grad_u[1]
     g += state.ut
     g *= state.rho[:, None]
 

@@ -13,10 +13,10 @@ Two ways compute the feet Phi(0; x, t) on the M x M grid:
   back-to-label map X = Phi(0; x, t), which solves d_t X + (v . grad) X = 0
   (Constantin 2001, J. AMS 14), so d_t D = -(v . grad) D - v.  Each
   interval of the given times is one label step, a single RK4 step in time
-  on the grid nodes: v is sampled there and grad D is pseudo-spectral, real
-  matrix products with `fields.derivative_matrices`, the table of i k with
-  the Nyquist row and column dropped (Canuto, Hussaini, Quarteroni & Zang,
-  Spectral Methods, 2006).  That is O(M^3) per step, cheaper than an FFT
+  on the grid nodes: v is sampled there and grad D is pseudo-spectral,
+  `fields.spectral_gradient`, real matrix products with the table of i k
+  with the Nyquist row and column dropped (Canuto, Hussaini, Quarteroni &
+  Zang, Spectral Methods, 2006).  That is O(M^3) per step, cheaper than an FFT
   pair up to M ~ 128, nothing off the grid, and linear in the times.
 * `backtrack` integrates the characteristic ODE d_tau Phi = v(Phi, tau) at
   arbitrary points from tau = t down to tau = 0, in equal RK4 steps no
@@ -64,7 +64,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .basis import BasisSet
-from .fields import derivative_matrices, grid_points
+from .fields import grid_points, spectral_gradient
 
 # Largest distance allowed between a carried foot and its exact backtrack.
 # On resolved flows the label steps match the exact feet to ~1e-14; under a
@@ -292,15 +292,12 @@ def _characteristics(history, points: np.ndarray, taus) -> np.ndarray:
 def _label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
     """d_t D = -(v . grad) D - v on the grid, for D = [D_x, D_y] and
     v = [v_x, v_y], component planes (2, M, M), built in the buffer of
-    d_x D.  Four stacked products with `fields.derivative_matrices` cost
+    d_x D from `fields.spectral_gradient`.  Its four stacked products cost
     ~24 us at M = 32 and ~36 us at M = 40 against ~100 us for an fft2 pair
     of D_x + i D_y at M = 32 (one BLAS thread, best of 25 x 300 calls); the
     two are about even at M = 128, the FFT cheaper above."""
-    D, P = derivative_matrices(disp.shape[-1])
-    E = P @ disp @ P
-    out = D @ E
+    out, d_y = spectral_gradient(disp)
     out *= v[0]
-    d_y = E @ D.T
     d_y *= v[1]
     out += d_y
     out += v
@@ -408,5 +405,5 @@ def _check_drift(history, feet: np.ndarray, walked: list) -> None:
     drift = float(np.abs(feet[rows, cols] - exact).max())
     if not drift <= DRIFT_LIMIT:
         v = history.grid_velocity(history.rows_at(walked), M)
-        speed = float(np.sqrt((v * v).sum(axis=-3)).max())
+        speed = float(np.hypot(v[..., 0, :, :], v[..., 1, :, :]).max())
         raise TransportDriftError(float(walked[-1]), drift, speed)

@@ -144,11 +144,11 @@ def narrow_density(r: float = 0.2) -> DensitySource:
     return DensitySource(value, 0.0, 1.0)
 
 
-def spectral_gradient(scalar: np.ndarray) -> np.ndarray:
+def fft_gradient(scalar: np.ndarray) -> np.ndarray:
     """Gradient planes (2, M, M) of a scalar grid field (M, M) computed in
     trigonometric space."""
     if scalar.ndim != 2:
-        raise ValueError("spectral_gradient expects a scalar field")
+        raise ValueError("fft_gradient expects a scalar field")
     M = scalar.shape[0]
     k = np.fft.fftfreq(M, d=1.0 / M)
     kx, ky = k[:, None], k[None, :]
@@ -225,14 +225,15 @@ def node_diagnostics_per_node(src, history, M: int) -> EstimateLedger:
     fdot = np.empty_like(f)
     for k, (r,) in carried_densities(src, history, M, times, 1):
         state = build_state(basis, f[k : k + 1], r[None])
-        u, gu, ut = state.u[0], state.grad_u[0], state.ut[0]
+        u, ut = state.u[0], state.ut[0]
+        du_dx, du_dy = (d[0] for d in state.grad_u)
         led.rho[k], fdot[k] = r, state.fdot[0]
         umag2 = (u * u).sum(axis=0)
         grad_rho = fd_gradient(r)
         led.sqrt_rho_u_l2[k] = math.sqrt(w * (r * umag2).sum())
         led.sqrt_rho_ut_l2[k] = math.sqrt(w * (r * (ut * ut).sum(axis=0)).sum())
         led.u_linf[k] = np.sqrt(umag2).max()
-        led.grad_u_linf[k] = np.sqrt((gu * gu).sum(axis=(0, 1))).max()
+        led.grad_u_linf[k] = np.sqrt((du_dx * du_dx + du_dy * du_dy).sum(axis=0)).max()
         led.grad_rho_lgamma[k] = lp_norm(np.sqrt((grad_rho * grad_rho).sum(axis=0)), GAMMA)
         led.rho_t_lgamma[k] = lp_norm(-(u * grad_rho).sum(axis=0), GAMMA)
         led.mass[k] = w * r.sum()

@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import gradient_at, spectral_gradient
+from oracles import fft_gradient, gradient_at
 
 from torusflow.basis import MODE_NORM, BasisSet, enumerate_modes
+from torusflow.fields import derivative_matrices
 RNG = np.random.default_rng(42)
 
 
@@ -129,8 +130,8 @@ def test_grid_divergence_spectrally_zero():
     grid = basis.grid(16)
     coeffs = RNG.standard_normal(9)
     u = grid.synthesize(coeffs)
-    dux = spectral_gradient(u[0])[0]
-    duy = spectral_gradient(u[1])[1]
+    dux = fft_gradient(u[0])[0]
+    duy = fft_gradient(u[1])[1]
     assert np.abs(dux + duy).max() < 1e-12
 
 
@@ -179,17 +180,33 @@ def test_velocity_at_matches_grid_tables():
         grid.synthesize(coeffs),
         atol=1e-13,
     )
-    np.testing.assert_allclose(
-        np.moveaxis(gradient_at(basis, grid.points, coeffs), (-2, -1), (0, 1)),
-        grid.synthesize_gradient(coeffs),
-        atol=1e-13,
-    )
     # A coefficient stack gives one field per row.
     stack = np.stack([coeffs, 2.0 * coeffs, -coeffs])
     fields = basis.velocity_at(grid.points, stack)
     assert fields.shape == (3, 16, 16, 2)
     for row, c in zip(fields, stack):
         np.testing.assert_allclose(np.moveaxis(row, -1, 0), grid.synthesize(c), atol=1e-13)
+
+
+@pytest.mark.parametrize("M", [16, 5, 6], ids=["M16", "alias-edge-odd", "alias-edge-even"])
+def test_grid_gradient_matches_the_modal_gradient(M):
+    # The grid gradient is the spectral derivative of the synthesized
+    # velocity, exact while every basis wavenumber stays below Nyquist: on
+    # a fine grid, at the alias-free minimum M = 2 kmax + 1 = 5 (odd,
+    # P = I) and at M = 2 kmax + 2 = 6 (even, where P drops the Nyquist
+    # mode), on modes of both parities and with k2 < 0.
+    basis = BasisSet(9)
+    assert basis.kmax == 2 and {m.parity for m in basis.modes} == {"cos", "sin"}
+    assert basis.kvecs[:, 1].min() < 0
+    grid = basis.grid(M)
+    _, P = derivative_matrices(M)
+    assert np.array_equal(P, np.eye(M)) == (M % 2 == 1)
+    coeffs = RNG.standard_normal(9)
+    u, (d_x, d_y) = grid.synthesize_gradient(coeffs)
+    np.testing.assert_array_equal(u, grid.synthesize(coeffs))
+    expected = np.moveaxis(gradient_at(basis, grid.points, coeffs), (-2, -1), (0, 1))
+    np.testing.assert_allclose(d_x, expected[:, 0], atol=1e-13)
+    np.testing.assert_allclose(d_y, expected[:, 1], atol=1e-13)
 
 
 def test_weighed_rows_evaluate_like_coefficients():
@@ -226,15 +243,16 @@ def test_stacked_synthesis_and_projection_match_per_field_loops():
     grid = BasisSet(9).grid(16)
     stack = RNG.standard_normal((2, 3, 9))
     u = grid.synthesize(stack)
-    grad = grid.synthesize_gradient(stack)
+    _, grad = grid.synthesize_gradient(stack)
     moments = grid.project(u + 0.1 * u**2)
     assert u.shape == (2, 3, 2, 16, 16)
-    assert grad.shape == (2, 3, 2, 2, 16, 16)
+    assert [d.shape for d in grad] == [(2, 3, 2, 16, 16)] * 2
     assert moments.shape == (2, 3, 9)
     for idx in itertools.product(range(2), range(3)):
         c = stack[idx]
         np.testing.assert_allclose(u[idx], grid.synthesize(c), rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(grad[idx], grid.synthesize_gradient(c), rtol=1e-12, atol=1e-15)
+        for d, d_one in zip(grad, grid.synthesize_gradient(c)[1]):
+            np.testing.assert_allclose(d[idx], d_one, rtol=1e-12, atol=1e-15)
         field = grid.synthesize(c)
         np.testing.assert_allclose(
             moments[idx], grid.project(field + 0.1 * field**2), rtol=1e-12, atol=1e-15

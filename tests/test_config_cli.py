@@ -414,10 +414,13 @@ def no_solve(*args, **kwargs):
         ["uniqueness", "--delta", "nan"],
         ["uniqueness", "--delta", "-2"],
         ["taylor", "--dt-list", "0.5"],
+        ["uniqueness", "--delta", "1e300"],
+        ["uniqueness", "--delta", "1e200"],
     ],
     ids=[
         "taylor-zero-dt", "taylor-negative-dt", "taylor-nan-dt", "converge-zero-N",
         "uniqueness-nan-delta", "uniqueness-negative-density", "taylor-dt-over-T",
+        "uniqueness-delta-1e300", "uniqueness-delta-1e200",
     ],
 )
 def test_cli_rejects_bad_study_numbers_before_solving(tmp_path, capsys, monkeypatch, argv):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import spectral_gradient, w1gamma_norm
+from oracles import fft_gradient, w1gamma_norm
 
 from torusflow.basis import BasisSet
 from torusflow.fields import (
@@ -14,6 +14,7 @@ from torusflow.fields import (
     lp_norm,
     save_snapshot,
     spectral_derivative,
+    spectral_gradient,
 )
 from torusflow.pipeline import node_diagnostics
 from torusflow.solver import build_state
@@ -103,10 +104,19 @@ def test_spectral_gradient_oracle():
     M = 32
     pts = grid_points(M)
     phi = np.cos(pts[..., 0] + 2.0 * pts[..., 1])
-    g = spectral_gradient(phi)
+    g = fft_gradient(phi)
     s = np.sin(pts[..., 0] + 2.0 * pts[..., 1])
     np.testing.assert_allclose(g[0], -s, atol=1e-12)
     np.testing.assert_allclose(g[1], -2.0 * s, atol=1e-12)
+    # `fields.spectral_gradient` is the same derivative from real matrices,
+    # field by field over a stack, odd and even M.
+    for M in (15, 16):
+        f = np.random.default_rng(M).standard_normal((3, 2, M, M))
+        d_x, d_y = spectral_gradient(f)
+        assert d_x.shape == d_y.shape == f.shape
+        for idx in np.ndindex(3, 2):
+            np.testing.assert_allclose(d_x[idx], fft_gradient(f[idx])[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(d_y[idx], fft_gradient(f[idx])[1], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("M", [7, 8, 15, 32])
@@ -174,18 +184,18 @@ def test_stacked_fields_match_per_field_loops():
 
 def test_grid_vector_fields_are_component_planes():
     # One layout for grid vector fields: component planes (..., 2, M, M),
-    # gradients (..., 2, 2, M, M) indexed [i, alpha]; point arrays end in 2.
+    # gradients the pair (d_x u, d_y u) of them; point arrays end in 2.
     basis = BasisSet(9)
     M = 16
     grid = basis.grid(M)
     coeffs = RNG.standard_normal((3, 9))
     np.testing.assert_array_equal(grid.synthesize(coeffs), grid.planes(basis.weigh(coeffs)))
     assert grid.synthesize(coeffs).shape == (3, 2, M, M)
-    assert grid.synthesize_gradient(coeffs).shape == (3, 2, 2, M, M)
+    assert [d.shape for d in grid.synthesize_gradient(coeffs)[1]] == [(3, 2, M, M)] * 2
     assert fd_gradient(np.ones((3, M, M))).shape == (3, 2, M, M)
     state = build_state(basis, coeffs, np.ones((3, M, M)))
     assert state.u.shape == state.ut.shape == (3, 2, M, M)
-    assert state.grad_u.shape == (3, 2, 2, M, M)
+    assert [d.shape for d in state.grad_u] == [(3, 2, M, M)] * 2
     assert basis.velocity_at(grid_points(M), coeffs).shape == (3, M, M, 2)
     # A components-last stack is not a field of planes: refused, not solved.
     u = grid.synthesize(coeffs)

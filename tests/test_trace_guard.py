@@ -69,8 +69,10 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
     blocks = math.ceil(nodes / max(1, pipeline.WALK_POINTS // cfg.M**2))
     assert blocks < nodes
     assert tracer.calls["solver.build_state"] == blocks + len(cfg.snapshots)
-    # Each stack of states is synthesized once: u, grad u and u_t in
-    # build_state, lap u in residual_diagnostics, 4 calls per build_state.
+    # Each stack of states is synthesized once.  build_state calls
+    # synthesize_gradient, which synthesizes u inside it and differentiates
+    # those planes (2 calls), then synthesize for u_t (1 call), and
+    # residual_diagnostics synthesizes lap u (1 call): 4 per build_state.
     assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"]
     # The carried sweeps take one grid velocity per RK4 time, each the
     # planes of one weighed row (N, 2): a start field, then a midpoint and
@@ -78,8 +80,10 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
     # 2 * steps stage intervals, the ledger walk steps node intervals
     # (two_mode: 4 passes x (1 + 4 x 60) + (1 + 2 x 60) = 1,085).  A
     # constant density (taylor) walks nothing.  Every other call is a grid
-    # synthesis of a stack of weighed rows (S, N, 2): u and u_t in each
-    # build_state, lap u in its residual_diagnostics, 3 per build_state
+    # synthesis of a stack of weighed rows (S, N, 2): u (inside
+    # synthesize_gradient; grad u is the spectral derivative of those planes
+    # and synthesizes nothing) and u_t in each build_state, lap u in its
+    # residual_diagnostics, 3 per build_state
     # (two_mode: 3 x (31 walk blocks + 1 snapshot) = 96; 1,085 + 96 = 1,181
     # in all; taylor: 3 x 63 walk blocks = 189).
     steps = round(cfg.T / cfg.dt)

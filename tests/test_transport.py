@@ -551,22 +551,24 @@ def test_drift_error_names_a_blown_up_velocity():
     # A huge velocity on a small grid makes the label step unstable: the
     # sweep stops at the first non-finite displacement, before any NaN
     # density is handed on, and the error reports the largest grid speed
-    # next to both causes.
+    # next to both causes.  A speed whose square overflows (a = 1e200) is
+    # still reported finite.
     basis = BasisSet(4)
-    # Cellular flow v = 1e6 MODE_NORM (-cos y, cos x), fastest at the origin.
-    history = VelocityHistory.constant(basis, np.array([1e6, 0.0, 1e6, 0.0]), 1.0)
     times = np.linspace(0.0, 1.0, 101)
-    blocks = []
-    with pytest.raises(TransportDriftError) as err, np.errstate(over="ignore", invalid="ignore"):
-        for _, rho in carried_densities(bump_density(), history, 8, times, 4):
-            blocks.append(rho.copy())
-    assert err.value.t < 1.0 and all(np.isfinite(rho).all() for rho in blocks)
-    assert sum(len(rho) for rho in blocks) == np.searchsorted(times, err.value.t)
-    speed = np.sqrt(2.0) * 1e6 * MODE_NORM
-    assert err.value.speed == pytest.approx(speed, rel=1e-14)
-    message = str(err.value)
-    assert f"{speed:.3e}" in message
-    assert "under-resolves the displacement" in message and "unstable time step" in message
+    for a in (1e6, 1e200):
+        # Cellular flow v = a MODE_NORM (-cos y, cos x), fastest at the origin.
+        history = VelocityHistory.constant(basis, np.array([a, 0.0, a, 0.0]), 1.0)
+        blocks = []
+        with pytest.raises(TransportDriftError) as err, np.errstate(over="ignore", invalid="ignore"):
+            for _, rho in carried_densities(bump_density(), history, 8, times, 4):
+                blocks.append(rho.copy())
+        assert err.value.t < 1.0 and all(np.isfinite(rho).all() for rho in blocks)
+        assert sum(len(rho) for rho in blocks) == np.searchsorted(times, err.value.t)
+        speed = np.sqrt(2.0) * a * MODE_NORM
+        assert err.value.speed == pytest.approx(speed, rel=1e-14)
+        message = str(err.value)
+        assert f"{speed:.3e}" in message
+        assert "under-resolves the displacement" in message and "unstable time step" in message
 
 
 def test_linearized_pass_cost_is_linear_in_steps(monkeypatch):
