@@ -10,13 +10,15 @@ these nodes that the basis tables, the transport and the tests all share.
 All integrals over the torus use the trapezoid rule with weight
 `quadrature_weight(M)` = (2pi/M)^2, which is exact for trigonometric
 polynomials whose wavenumbers stay below the grid Nyquist limit.
-`spectral_derivative(M)` is the one table of i k on the fft2 spectrum, with
-the Nyquist row and column of an even M dropped; `leray_pressure` solves with
-its quotient by the Laplacian on the rfft2 half-spectrum, and
-`spectral_gradient` differentiates with its real-matrix form
-`derivative_matrices` (Trefethen 2000, ch. 3): the one derivative of a grid
-field that the basis resolves, the label step's displacement and the
-velocity gradient alike.
+`spectral_gradient` differentiates each axis on its own, d_x = D (x) I and
+d_y = I (x) D with the one real matrix D = `derivative_matrix(M)`, i k on
+the 1-D spectrum (Trefethen 2000, ch. 3 and 7): each derivative drops only
+its own axis's Nyquist mode of an even M.  It is the one derivative of a
+grid field that the basis resolves, the label step's displacement and the
+velocity gradient alike.  The pressure keeps the 2-D rule:
+`spectral_derivative(M)`, i k on the fft2 spectrum with the whole Nyquist
+row and column of an even M dropped, is the table whose quotient by the
+Laplacian on the rfft2 half-spectrum `leray_pressure` solves with.
 `lp_norm` and the density gradient `fd_gradient` are what the run ledger's
 norms are taken with.  They and `leray_pressure` also take a stack of fields
 along a leading axis and reduce each field of it, which is how the ledger
@@ -75,10 +77,10 @@ def fd_gradient(rho: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def spectral_derivative(M: int) -> np.ndarray:
-    """i k_alpha on the fft2 spectrum of an M x M grid field, shape (2, M, M)
-    for alpha = x, y, zero on the Nyquist row and column of an even M, so
-    that the derivative of a real field stays real and every wavenumber
-    |k| < M/2 is differentiated exactly."""
+    """The pressure solve's table: i k_alpha on the fft2 spectrum of an M x M
+    grid field, shape (2, M, M) for alpha = x, y, zero on the whole Nyquist
+    row and column of an even M, so that the derivative of a real field
+    stays real and every wavenumber |k| < M/2 is differentiated exactly."""
     k = np.fft.fftfreq(M, 1.0 / M)
     keep = np.abs(k) < M / 2  # drops the Nyquist wavenumber -M/2 of an even M
     mask = keep[:, None] & keep[None, :]
@@ -86,24 +88,24 @@ def spectral_derivative(M: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def derivative_matrices(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """`spectral_derivative` as real matrices (D, P), read-only: d_x f = D f P,
-    d_y f = P f D^T, where P = I - n n^T/M, n_a = (-1)^a, drops an even M's Nyquist mode."""
+def derivative_matrix(M: int) -> np.ndarray:
+    """The spectral derivative on M periodic nodes as a real matrix D,
+    read-only: i k (|k| < M/2) on the 1-D fft spectrum, the k_y = 0 column
+    of `spectral_derivative`'s x table, so that every |k| < M/2 is
+    differentiated exactly and an even M's Nyquist mode is dropped."""
     D = np.fft.ifft(spectral_derivative(M)[0][:, :1] * np.fft.fft(np.eye(M), axis=0), axis=0).real
-    n = (-1.0) ** np.arange(M) * (M % 2 == 0)
-    P = np.eye(M) - np.outer(n, n) / M
-    D.flags.writeable = P.flags.writeable = False
-    return D, P
+    D.flags.writeable = False
+    return D
 
 
 def spectral_gradient(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d_x f, d_y f) of grid fields (..., M, M), each (..., M, M), from
-    `derivative_matrices` as D (P f P) and (P f P) D^T: exact on every
-    wavenumber |k| < M/2, and each derivative a fresh contiguous array
-    that a caller may overwrite."""
-    D, P = derivative_matrices(f.shape[-1])
-    E = P @ f @ P
-    return D @ E, E @ D.T
+    """(d_x f, d_y f) of grid fields (..., M, M), each (..., M, M), as
+    D f and f D^T with D = `derivative_matrix`: each axis is differentiated
+    on its own and drops only its own Nyquist mode (D (x) I, Trefethen 2000,
+    ch. 3 and 7), and each derivative is a fresh contiguous array that a
+    caller may overwrite."""
+    D = derivative_matrix(f.shape[-1])
+    return D @ f, f @ D.T
 
 
 @functools.lru_cache(maxsize=None)

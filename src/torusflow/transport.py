@@ -14,10 +14,11 @@ Two ways compute the feet Phi(0; x, t) on the M x M grid:
   (Constantin 2001, J. AMS 14), so d_t D = -(v . grad) D - v.  Each
   interval of the given times is one label step, a single RK4 step in time
   on the grid nodes: v is sampled there and grad D is pseudo-spectral,
-  `fields.spectral_gradient`, real matrix products with the table of i k
-  with the Nyquist row and column dropped (Canuto, Hussaini, Quarteroni &
-  Zang, Spectral Methods, 2006).  That is O(M^3) per step, cheaper than an FFT
-  pair up to M ~ 128, nothing off the grid, and linear in the times.
+  `fields.spectral_gradient`, one real matrix product per axis with the
+  1-D table of i k, each axis dropping only its own Nyquist mode (Canuto,
+  Hussaini, Quarteroni & Zang, Spectral Methods, 2006).  That is O(M^3) per
+  step, cheaper than an FFT pair up to M ~ 512, nothing off the grid, and
+  linear in the times.
 * `backtrack` integrates the characteristic ODE d_tau Phi = v(Phi, tau) at
   arbitrary points from tau = t down to tau = 0, in equal RK4 steps no
   longer than the step it is given: the only path with a step size of its
@@ -292,10 +293,11 @@ def _characteristics(history, points: np.ndarray, taus) -> np.ndarray:
 def _label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
     """d_t D = -(v . grad) D - v on the grid, for D = [D_x, D_y] and
     v = [v_x, v_y], component planes (2, M, M), built in the buffer of
-    d_x D from `fields.spectral_gradient`.  Its four stacked products cost
-    ~24 us at M = 32 and ~36 us at M = 40 against ~100 us for an fft2 pair
-    of D_x + i D_y at M = 32 (one BLAS thread, best of 25 x 300 calls); the
-    two are about even at M = 128, the FFT cheaper above."""
+    d_x D from `fields.spectral_gradient`.  With its two stacked products
+    it costs ~19 us at M = 32 and ~30 us at M = 40 against ~90 us for an
+    fft2 pair of D_x + i D_y at M = 32 (one BLAS thread, 2-vCPU host,
+    median of 15 rounds, best of 3 x 300 calls each); the two are about
+    even at M = 512, the FFT cheaper above."""
     out, d_y = spectral_gradient(disp)
     out *= v[0]
     d_y *= v[1]
@@ -343,8 +345,10 @@ def carried_densities(
     the last time, or at the first non-finite displacement, the drift guard
     compares carried and exact feet; its TransportDriftError comes after
     the block of every earlier density has been yielded, so that a caller's
-    failure at an earlier time surfaces first.  A constant source takes
-    `density_at` once, at t = 0.
+    failure at an earlier time surfaces first.  Overflow and nan in a label
+    step or in the guard raise no warning, since the guard names them; the
+    errstate is never held across a yield, which would silence the caller.
+    A constant source takes `density_at` once, at t = 0.
     """
     if source.constant:
         # A constant density takes no characteristics (no step size): rho0
@@ -375,13 +379,15 @@ def carried_densities(
                 if start is None:
                     start = history.grid_velocity(first, M)
                 mid, end = (history.grid_velocity(next(rows), M) for _ in range(2))
-                disp, _ = rk4_step(disp, _label_rate, t - walked[-1], start, mid, end)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    disp, _ = rk4_step(disp, _label_rate, t - walked[-1], start, mid, end)
                 start = end
                 walked.append(t)
             feet = grid_points(M) + disp.transpose(1, 2, 0)
             if lo + s == last or not np.isfinite(disp).all():
                 try:
-                    _check_drift(history, feet, walked)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        _check_drift(history, feet, walked)
                 except TransportDriftError:
                     if s:
                         yield lo, block[:s]

@@ -5,12 +5,13 @@ Velocity fields with explicit characteristics (anything with
 be backtracked or carried like a VelocityHistory), the backtrack and the
 carried sweep with one dense-output call per RK4 time, which the batched
 ones of `transport` must reproduce, a spectral gradient for (M, M) grid
-fields, the W^{1,gamma} norm of a density field from its own gradient, the carried label rate through the FFT instead of the derivative
-matrices, the vacuum well's density in the form of its definition, the
-one-stage Galerkin assembly from vector mode tables that it builds itself
-with `BasisSet.velocity_at` and `gradient_at` (per-point evaluation,
-independent of the scalar grid tables that the solver assembles from),
-the ledger walk one node at a time, which the
+fields with each axis's own Nyquist mode dropped, the W^{1,gamma} norm of
+a density field from its own gradient, the carried label rate through the
+FFT instead of the derivative matrix, the vacuum well's density in the
+form of its definition, the one-stage Galerkin assembly from vector mode
+tables that it builds itself with `BasisSet.velocity_at` and `gradient_at`
+(per-point evaluation, independent of the scalar grid tables that the
+solver assembles from), the ledger walk one node at a time, which the
 block walk of `pipeline.node_diagnostics` must reproduce, a scripted
 density source that puts chosen densities through the real carried sweep,
 and a density of narrow support that fails the mass-matrix guard.
@@ -23,7 +24,7 @@ import numpy as np
 
 from torusflow.basis import MODE_NORM
 from torusflow.estimates import GAMMA, EstimateLedger
-from torusflow.fields import fd_gradient, grid_points, lp_norm, quadrature_weight, spectral_derivative
+from torusflow.fields import fd_gradient, grid_points, lp_norm, quadrature_weight
 from torusflow.solver import build_state, residual_diagnostics
 from torusflow.transport import DensitySource, _label_rate, carried_densities, rk4_step
 
@@ -144,21 +145,21 @@ def narrow_density(r: float = 0.2) -> DensitySource:
     return DensitySource(value, 0.0, 1.0)
 
 
+def axis_derivatives(M: int) -> np.ndarray:
+    """i k_x and i k_y on the fft2 spectrum of an M x M grid, (2, M, M): each
+    derivative zero on its own axis's Nyquist wavenumber of an even M only,
+    the per-axis rule D (x) I, I (x) D."""
+    k = np.fft.fftfreq(M, d=1.0 / M)
+    d = 1j * k * (np.abs(k) < M / 2)
+    return np.stack(np.broadcast_arrays(d[:, None], d[None, :]))
+
+
 def fft_gradient(scalar: np.ndarray) -> np.ndarray:
     """Gradient planes (2, M, M) of a scalar grid field (M, M) computed in
-    trigonometric space."""
+    trigonometric space with `axis_derivatives`."""
     if scalar.ndim != 2:
         raise ValueError("fft_gradient expects a scalar field")
-    M = scalar.shape[0]
-    k = np.fft.fftfreq(M, d=1.0 / M)
-    kx, ky = k[:, None], k[None, :]
-    f_hat = np.fft.fft2(scalar)
-    if M % 2 == 0:
-        f_hat[M // 2, :] = 0.0
-        f_hat[:, M // 2] = 0.0
-    gx = np.real(np.fft.ifft2(1j * kx * f_hat))
-    gy = np.real(np.fft.ifft2(1j * ky * f_hat))
-    return np.stack([gx, gy])
+    return np.real(np.fft.ifft2(axis_derivatives(scalar.shape[0]) * np.fft.fft2(scalar)))
 
 
 def w1gamma_norm(rho: np.ndarray, gamma: float) -> float | np.ndarray:
@@ -175,9 +176,9 @@ def w1gamma_norm(rho: np.ndarray, gamma: float) -> float | np.ndarray:
 def fft_label_rate(disp: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The label rate -(v . grad) D - v of `transport._label_rate`, with the
     displacement [D_x, D_y] (2, M, M) differentiated in trigonometric space:
-    D_x + i D_y through one fft2 and one inverse with `spectral_derivative`;
+    D_x + i D_y through one fft2 and one inverse with `axis_derivatives`;
     v = [v_x, v_y] (2, M, M) as well."""
-    grad = np.fft.ifft2(spectral_derivative(disp.shape[-1]) * np.fft.fft2(disp[0] + 1j * disp[1]))
+    grad = np.fft.ifft2(axis_derivatives(disp.shape[-1]) * np.fft.fft2(disp[0] + 1j * disp[1]))
     vx, vy = v
     rate = -(vx * grad[0] + vy * grad[1]) - (vx + 1j * vy)
     return np.stack([rate.real, rate.imag])

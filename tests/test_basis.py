@@ -8,7 +8,7 @@ import pytest
 from oracles import fft_gradient, gradient_at
 
 from torusflow.basis import MODE_NORM, BasisSet, enumerate_modes
-from torusflow.fields import derivative_matrices
+from torusflow.fields import derivative_matrix
 RNG = np.random.default_rng(42)
 
 
@@ -192,15 +192,15 @@ def test_velocity_at_matches_grid_tables():
 def test_grid_gradient_matches_the_modal_gradient(M):
     # The grid gradient is the spectral derivative of the synthesized
     # velocity, exact while every basis wavenumber stays below Nyquist: on
-    # a fine grid, at the alias-free minimum M = 2 kmax + 1 = 5 (odd,
-    # P = I) and at M = 2 kmax + 2 = 6 (even, where P drops the Nyquist
-    # mode), on modes of both parities and with k2 < 0.
+    # a fine grid, at the alias-free minimum M = 2 kmax + 1 = 5 (odd, no
+    # Nyquist mode) and at M = 2 kmax + 2 = 6 (even, where D drops the
+    # Nyquist mode (-1)^a), on modes of both parities and with k2 < 0.
     basis = BasisSet(9)
     assert basis.kmax == 2 and {m.parity for m in basis.modes} == {"cos", "sin"}
     assert basis.kvecs[:, 1].min() < 0
     grid = basis.grid(M)
-    _, P = derivative_matrices(M)
-    assert np.array_equal(P, np.eye(M)) == (M % 2 == 1)
+    nyquist = (-1.0) ** np.arange(M)
+    assert (np.abs(derivative_matrix(M) @ nyquist).max() < 1e-12) == (M % 2 == 0)
     coeffs = RNG.standard_normal(9)
     u, (d_x, d_y) = grid.synthesize_gradient(coeffs)
     np.testing.assert_array_equal(u, grid.synthesize(coeffs))

@@ -536,6 +536,16 @@ def test_cli_transport_drift_exits_3(tmp_path, capsys):
     assert "under-resolves the displacement" in capsys.readouterr().err
 
 
+def test_cli_blown_up_velocity_exits_3(tmp_path, capsys):
+    # A velocity of 1e200 overflows the label step before the drift guard
+    # runs; the run still ends in the drift error, exit 3, with no
+    # RuntimeWarning, which the suite's filter would turn into an error.
+    text = GOOD.replace("1,0,cos:0.3, 0,1,sin:0.2", "1,0,cos:1e200").replace("T = 0.1", "T = 0.05")
+    cfg = write_config(tmp_path, text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    assert "largest |v| on the grid 2.251e+199" in capsys.readouterr().err
+
+
 def test_cli_taylor_benchmark(tmp_path, capsys):
     cfg = write_config(tmp_path, TAYLOR)
     out = tmp_path / "taylor"

@@ -2,18 +2,17 @@
 
 import numpy as np
 import pytest
-from oracles import fft_gradient, w1gamma_norm
+from oracles import axis_derivatives, fft_gradient, w1gamma_norm
 
 from torusflow.basis import BasisSet
 from torusflow.fields import (
-    derivative_matrices,
+    derivative_matrix,
     fd_gradient,
     grid_points,
     leray_pressure,
     load_snapshot,
     lp_norm,
     save_snapshot,
-    spectral_derivative,
     spectral_gradient,
 )
 from torusflow.pipeline import node_diagnostics
@@ -86,18 +85,31 @@ def test_grid_points_shared_and_read_only():
 
 @pytest.mark.parametrize("M", [7, 8, 15, 16, 32, 64])
 def test_derivative_matrices_are_the_spectral_table(M):
-    # D f P and P f D^T are the table's derivatives of a real field, the
-    # Nyquist row and column of an even M dropped as the table drops them.
+    # D f and f D^T are the 1-D spectral derivatives of a real field along
+    # x and along y, each dropping only its own axis's Nyquist mode of an
+    # even M: the mixed Nyquist terms below keep their other derivative.
     x, y = grid_points(M)[..., 0], grid_points(M)[..., 1]
     f = np.random.default_rng(M).standard_normal((M, M))
     if M % 2 == 0:
         f += 3.0 * np.cos(M / 2 * x) * (1.0 + np.sin(y)) + 2.0 * np.cos(M / 2 * y)
-    D, P = derivative_matrices(M)
-    assert not (D.flags.writeable or P.flags.writeable)
-    table = spectral_derivative(M)
-    for got, d in ((D @ f @ P, table[0]), (P @ f @ D.T, table[1])):
-        expected = np.real(np.fft.ifft2(d * np.fft.fft2(f)))
+    D = derivative_matrix(M)
+    assert not D.flags.writeable
+    d_x, d_y = axis_derivatives(M)
+    for got, axis, table in ((D @ f, 0, d_x[:, :1]), (f @ D.T, 1, d_y[:1])):
+        expected = np.real(np.fft.ifft(table * np.fft.fft(f, axis=axis), axis=axis))
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("M", [8, 16])
+def test_spectral_gradient_keeps_the_other_axis_nyquist(M):
+    # f = cos(M/2 y) sin x: d_x f = cos(M/2 y) cos x, since the x-derivative
+    # drops only the x-Nyquist mode, and d_y f = 0.  A 2-D mask that drops
+    # every Nyquist row and column would give d_x f = 0 here.
+    x, y = grid_points(M)[..., 0], grid_points(M)[..., 1]
+    f = np.cos(M / 2 * y) * np.sin(x)
+    expected = np.stack([np.cos(M / 2 * y) * np.cos(x), np.zeros((M, M))])
+    np.testing.assert_allclose(np.stack(spectral_gradient(f)), expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(fft_gradient(f), expected, rtol=0, atol=1e-13)
 
 
 def test_spectral_gradient_oracle():
