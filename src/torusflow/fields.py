@@ -13,12 +13,12 @@ polynomials whose wavenumbers stay below the grid Nyquist limit.
 `spectral_gradient` differentiates each axis on its own, d_x = D (x) I and
 d_y = I (x) D with the one real matrix D = `derivative_matrix(M)`, i k on
 the 1-D spectrum (Trefethen 2000, ch. 3 and 7): each derivative drops only
-its own axis's Nyquist mode of an even M.  It is the one derivative of a
-grid field that the basis resolves, the label step's displacement and the
-velocity gradient alike.  The pressure keeps the 2-D rule:
-`spectral_derivative(M)`, i k on the fft2 spectrum with the whole Nyquist
-row and column of an even M dropped, is the table whose quotient by the
-Laplacian on the rfft2 half-spectrum `leray_pressure` solves with.
+its own axis's Nyquist mode of an even M.  It is the one spectral
+derivative of a grid field, for the label step's displacement, the
+velocity gradient and the pressure alike: `leray_pressure` takes the
+divergence with D and inverts D's Laplacian D^2 (x) I + I (x) D^2 on the
+rfft2 half-spectrum, so that `spectral_gradient` of the pressure is
+exactly the gradient part of its input.
 `lp_norm` and the density gradient `fd_gradient` are what the run ledger's
 norms are taken with.  They and `leray_pressure` also take a stack of fields
 along a leading axis and reduce each field of it, which is how the ledger
@@ -32,9 +32,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-LERAY_MEAN_TOL = 1e-8  # leray_pressure: largest mean, relative to the field scale
-
 
 @functools.lru_cache(maxsize=None)
 def grid_points(M: int) -> np.ndarray:
@@ -75,25 +72,21 @@ def fd_gradient(rho: np.ndarray) -> np.ndarray:
     return grad
 
 
-@functools.lru_cache(maxsize=None)
-def spectral_derivative(M: int) -> np.ndarray:
-    """The pressure solve's table: i k_alpha on the fft2 spectrum of an M x M
-    grid field, shape (2, M, M) for alpha = x, y, zero on the whole Nyquist
-    row and column of an even M, so that the derivative of a real field
-    stays real and every wavenumber |k| < M/2 is differentiated exactly."""
+def _wavenumbers(M: int) -> np.ndarray:
+    """The 1-D wavenumbers that D differentiates: those of the fft spectrum
+    of M nodes, with an even M's Nyquist wavenumber -M/2 set to 0."""
     k = np.fft.fftfreq(M, 1.0 / M)
-    keep = np.abs(k) < M / 2  # drops the Nyquist wavenumber -M/2 of an even M
-    mask = keep[:, None] & keep[None, :]
-    return np.stack([1j * k[:, None] * mask, 1j * k[None, :] * mask])
+    k[np.abs(k) == M / 2] = 0.0
+    return k
 
 
 @functools.lru_cache(maxsize=None)
 def derivative_matrix(M: int) -> np.ndarray:
     """The spectral derivative on M periodic nodes as a real matrix D,
-    read-only: i k (|k| < M/2) on the 1-D fft spectrum, the k_y = 0 column
-    of `spectral_derivative`'s x table, so that every |k| < M/2 is
-    differentiated exactly and an even M's Nyquist mode is dropped."""
-    D = np.fft.ifft(spectral_derivative(M)[0][:, :1] * np.fft.fft(np.eye(M), axis=0), axis=0).real
+    read-only: i k on the 1-D fft spectrum with the `_wavenumbers`, so that
+    every |k| < M/2 is differentiated exactly and an even M's Nyquist mode
+    is dropped."""
+    D = np.fft.ifft(1j * _wavenumbers(M)[:, None] * np.fft.fft(np.eye(M), axis=0), axis=0).real
     D.flags.writeable = False
     return D
 
@@ -109,14 +102,13 @@ def spectral_gradient(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pressure_table(M: int) -> np.ndarray:
-    """i k_alpha / lap(k) = -i k_alpha / |k|^2 on the rfft2 half-spectrum of
-    an M x M grid, shape (2, M, M // 2 + 1), read-only: zero at k = 0 and
-    wherever `spectral_derivative` is zero, the Nyquist row and column of an
-    even M."""
-    d = spectral_derivative(M)[..., : M // 2 + 1]
-    lap = (d * d).real.sum(axis=0)
-    table = np.divide(d, lap, out=np.zeros_like(d), where=lap != 0)
+def _inverse_laplacian(M: int) -> np.ndarray:
+    """-1/(k_x^2 + k_y^2) on the rfft2 half-spectrum of an M x M grid with
+    the `_wavenumbers`, shape (M, M // 2 + 1), read-only: the inverse of D's
+    Laplacian, 0 where that Laplacian is 0."""
+    k = _wavenumbers(M)
+    k2 = k[:, None] ** 2 + k[None, : M // 2 + 1] ** 2
+    table = np.divide(-1.0, k2, out=np.zeros_like(k2), where=k2 != 0)
     table.flags.writeable = False
     return table
 
@@ -125,26 +117,21 @@ def leray_pressure(residual: np.ndarray) -> np.ndarray:
     """Pressure part of a Helmholtz decomposition: solve lap p = div g.
 
     The input is a vector field as component planes (2, M, M), or a stack of
-    them (..., 2, M, M) solved field by field into (..., M, M).  Each field
-    must have zero mean per component up to LERAY_MEAN_TOL times its scale;
-    a nonzero mean admits no gradient representation and is rejected.  The
-    solve is one real FFT pair: p_hat = sum_alpha `_pressure_table`_alpha
-    g_hat_alpha, in the zero-mean gauge for p; the Nyquist row and column of
-    an even M, where the table is zero, do not reach p.
+    them (..., 2, M, M) solved field by field into (..., M, M).  div g =
+    D g_x + g_y D^T takes the divergence with `derivative_matrix`, and one
+    real FFT pair inverts D's Laplacian through `_inverse_laplacian`, in the
+    zero-mean gauge for p.  A constant g, the torus's harmonic part, has no
+    pressure.
     """
     if residual.ndim < 3 or residual.shape[-3] != 2:
         raise ValueError(f"leray_pressure expects planes (..., 2, M, M), not {residual.shape}")
     M = residual.shape[-1]
-    g_hat = np.fft.rfft2(residual)
-    scale = np.maximum(1.0, np.abs(residual).max(axis=(-3, -2, -1)))
-    means = g_hat[..., 0, 0].real / (M * M)
-    nonzero = np.abs(means).max(axis=-1) > LERAY_MEAN_TOL * scale
-    if np.any(nonzero):
-        raise ValueError(
-            f"input mean {means[nonzero][0]} is not zero; no gradient field matches it"
-        )
-    g_hat *= _pressure_table(M)
-    return np.fft.irfft2(g_hat.sum(axis=-3), s=(M, M))
+    D = derivative_matrix(M)
+    div = D @ residual[..., 0, :, :]
+    div += residual[..., 1, :, :] @ D.T
+    p_hat = np.fft.rfft2(div)
+    p_hat *= _inverse_laplacian(M)
+    return np.fft.irfft2(p_hat, s=(M, M))
 
 
 def save_snapshot(field: np.ndarray, path) -> None:

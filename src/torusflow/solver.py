@@ -323,8 +323,9 @@ class ResidualReport:
     maximum over modes (weak-form residual per mode) and `projection_rel`
     (S,) their Euclidean norm (the L2 distance between lap u and the modal
     projection of rho udot, since both fields lie in the basis span)
-    relative to ||u||_2.  `pressure` (S, M, M) is the diagnostic pressure
-    recovered from the Helmholtz decomposition of lap u - rho udot.
+    relative to ||u||_2.  `pressure` (S, M, M) is the diagnostic pressure,
+    the Poisson solve of lap p = -div(rho udot) with the grid derivative D:
+    lap u, a basis field, is solenoidal and adds nothing to it.
     """
 
     orthogonality_max: np.ndarray
@@ -335,23 +336,19 @@ class ResidualReport:
 def residual_diagnostics(state: SolverState, basis: BasisSet) -> ResidualReport:
     grid = basis.grid(state.rho.shape[-1])
     # g = rho udot, udot_i = d_t u_i + u_x d_x u_i + u_y d_y u_i (i along
-    # axis 1), built in one buffer, and lap u - g in lap u's: fewer block
-    # temporaries leave less heap behind the walk.
+    # axis 1), built in one buffer: fewer block temporaries leave less heap
+    # behind the walk.
     g = state.u[:, :1] * state.grad_u[0]
     g += state.u[:, 1:] * state.grad_u[1]
     g += state.ut
     g *= state.rho[:, None]
 
-    c = grid.project(g)
-    lap_coeffs = -basis.lambdas * state.f
-    resid_vec = c - lap_coeffs  # = (rho udot, w_i) + lam_i f_i
+    resid_vec = grid.project(g) + basis.lambdas * state.f  # = (rho udot, w_i) + lam_i f_i
     fnorm = np.linalg.norm(state.f, axis=1)
     proj_l2 = np.linalg.norm(resid_vec, axis=1)
-
-    lap_u = grid.synthesize(lap_coeffs)
-    lap_u -= g
-    lap_u -= lap_u.mean(axis=(2, 3), keepdims=True)
-    pressure = leray_pressure(lap_u)
+    # lap u is solenoidal, so the pressure is that of -g alone.
+    pressure = leray_pressure(g)
+    np.negative(pressure, out=pressure)
 
     return ResidualReport(
         orthogonality_max=np.abs(resid_vec).max(axis=1),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import assemble_stage, gradient_at, narrow_density
+from oracles import assemble_stage, axis_derivatives, gradient_at, narrow_density
 
 from torusflow import basis as basis_module
 from torusflow import cli, pipeline, transport
@@ -261,19 +261,18 @@ def in_file_order(field):
 def pressure_oracle(basis, f, rho, M):
     """The snapshot pressure from point tables and a full complex FFT: the
     gradient part of lap u - rho (u_t + (u . grad) u), with u_t from the
-    stage oracle's A u_t = -(B + Lam) f and the Nyquist modes of an even M
-    dropped."""
+    stage oracle's A u_t = -(B + Lam) f and each axis's own Nyquist mode of
+    an even M dropped from its derivative."""
     pts = grid_points(M)
     u = basis.velocity_at(pts, f)
     a, b = assemble_stage(rho, np.moveaxis(u, -1, 0), basis)
     fdot = -np.linalg.solve(a, (b + np.diag(basis.lambdas)) @ f)
     udot = basis.velocity_at(pts, fdot) + np.einsum("abk,abik->abi", u, gradient_at(basis, pts, f))
     g = basis.velocity_at(pts, -basis.lambdas * f) - rho[..., None] * udot
-    g_hat = np.fft.fft2(g - g.mean(axis=(0, 1)), axes=(0, 1))
-    k = np.fft.fftfreq(M, 1.0 / M)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    k2 = np.where((np.abs(kx) < M / 2) & (np.abs(ky) < M / 2), kx**2 + ky**2, 0.0)
-    div_hat = 1j * (kx * g_hat[..., 0] + ky * g_hat[..., 1])
+    g_hat = np.fft.fft2(g, axes=(0, 1))
+    d = axis_derivatives(M)
+    k2 = -(d * d).real.sum(axis=0)
+    div_hat = d[0] * g_hat[..., 0] + d[1] * g_hat[..., 1]
     p_hat = np.divide(-div_hat, k2, out=np.zeros_like(div_hat), where=k2 > 0)
     return np.real(np.fft.ifft2(p_hat))
 

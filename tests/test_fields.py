@@ -138,12 +138,26 @@ def test_leray_pressure_recovers_gradient(M):
     p_exact = np.cos(x) + np.sin(2.0 * y)
     g = np.stack([-np.sin(x), 2.0 * np.cos(2.0 * y)])
     if M % 2 == 0:
-        # Nyquist content with a real, nonzero divergence on the nodes:
-        # kept, it would reach p as cos(M/2 x) cos y and cos x cos(M/2 y).
+        # Nyquist content with a real, nonzero D-divergence on the nodes,
+        # cos x cos(M/2 y) + cos(M/2 x) cos y: g is D's gradient of p_exact
+        # minus that field, since D drops only its own axis's Nyquist mode.
         g[0] += np.sin(x) * np.cos(M / 2 * y)
         g[1] += np.cos(M / 2 * x) * np.sin(y)
+        p_exact -= np.cos(x) * np.cos(M / 2 * y) + np.cos(M / 2 * x) * np.cos(y)
     p = leray_pressure(g)
     np.testing.assert_allclose(p, p_exact, atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [15, 16])
+def test_leray_pressure_leaves_a_divergence_free_remainder(M):
+    # Random g, Nyquist-laden on an even M: what the pressure's gradient
+    # leaves of g has zero divergence, both taken with the one matrix D.
+    g = np.random.default_rng(M).standard_normal((2, M, M))
+    g -= g.mean(axis=(-2, -1), keepdims=True)
+    remainder = g - np.stack(spectral_gradient(leray_pressure(g)))
+    D = derivative_matrix(M)
+    div = D @ remainder[0] + remainder[1] @ D.T
+    assert np.abs(div).max() <= 1e-12 * np.abs(g).max()
 
 
 def test_leray_pressure_solenoidal_input_gives_zero():
@@ -154,12 +168,16 @@ def test_leray_pressure_solenoidal_input_gives_zero():
     assert np.abs(p).max() < 1e-13
 
 
-def test_leray_pressure_rejects_nonzero_mean():
+def test_leray_pressure_of_a_constant_is_zero():
+    # A constant vector field is the torus's harmonic part: it has no
+    # pressure, and adding one to g leaves g's pressure.  A scalar field is
+    # not a vector field and is refused.
     M = 16
-    g = np.zeros((2, M, M))
-    g[0] = 1.0
-    with pytest.raises(ValueError):
-        leray_pressure(g)
+    c = np.array([1.0, -2.5])[:, None, None]
+    tol = 1e-14 * np.abs(c).max()
+    assert np.abs(leray_pressure(np.broadcast_to(c, (2, M, M)))).max() <= tol
+    g = RNG.standard_normal((2, M, M))
+    np.testing.assert_allclose(leray_pressure(g + c), leray_pressure(g), rtol=0, atol=tol)
     with pytest.raises(ValueError):
         leray_pressure(np.zeros((M, M)))  # scalar input
 
@@ -187,11 +205,10 @@ def test_stacked_fields_match_per_field_loops():
         np.testing.assert_allclose(
             pressure[k], leray_pressure(u[k] + fd_gradient(rho[k])), rtol=1e-12, atol=1e-15
         )
-    # One field with a nonzero mean is enough to reject the stack.
-    shifted = u.copy()
+    # A constant added to one field of the stack changes no pressure.
+    shifted = u + fd_gradient(rho)
     shifted[1, 0] += 1.0
-    with pytest.raises(ValueError, match="not zero"):
-        leray_pressure(shifted)
+    np.testing.assert_allclose(leray_pressure(shifted), pressure, rtol=0, atol=1e-14)
 
 
 def test_grid_vector_fields_are_component_planes():

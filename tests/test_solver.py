@@ -15,6 +15,7 @@ from oracles import assemble_stage, narrow_density, scripted_density
 from torusflow import solver, transport
 from torusflow.basis import BasisSet
 from torusflow.estimates import convergence_orders
+from torusflow.fields import derivative_matrix
 from torusflow.solver import (
     DivergenceError,
     VacuumDegenerateError,
@@ -463,11 +464,18 @@ def test_residual_detects_wrong_derivative(converged_bump_run):
 
 
 def test_pressure_field_is_plausible(converged_bump_run):
-    # The recovered pressure is the gradient part of lap u - rho u_dot; it
-    # must be mean-zero and reproduce that field's divergence.
+    # The recovered pressure is the gradient part of lap u - rho u_dot, and
+    # lap u is solenoidal: it must be mean-zero and its Laplacian must
+    # reproduce -div(rho u_dot), both taken with the grid derivative D.
     basis, hist = converged_bump_run
     state = bump_states(hist, basis, [-1])
     resid = residual_diagnostics(state, basis)
     assert resid.pressure.shape == (1, 32, 32)
     p = resid.pressure[0]
     assert abs(p.mean()) < 1e-12
+    u, dx_u, dy_u = state.u[0], state.grad_u[0][0], state.grad_u[1][0]
+    g = state.rho[0] * (state.ut[0] + u[0] * dx_u + u[1] * dy_u)
+    D = derivative_matrix(32)
+    div = D @ g[0] + g[1] @ D.T
+    lap_p = D @ D @ p + p @ D.T @ D.T
+    np.testing.assert_allclose(lap_p, -div, rtol=0, atol=1e-12 * np.abs(div).max())

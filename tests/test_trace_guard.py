@@ -71,9 +71,11 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
     assert tracer.calls["solver.build_state"] == blocks + len(cfg.snapshots)
     # Each stack of states is synthesized once.  build_state calls
     # synthesize_gradient, which synthesizes u inside it and differentiates
-    # those planes (2 calls), then synthesize for u_t (1 call), and
-    # residual_diagnostics synthesizes lap u (1 call): 4 per build_state.
-    assert tracer.calls["basis.synthesize"] == 4 * tracer.calls["solver.build_state"]
+    # those planes (2 calls), then synthesize for u_t (1 call): 3 per
+    # build_state; residual_diagnostics synthesizes nothing and solves one
+    # pressure per build_state.
+    assert tracer.calls["basis.synthesize"] == 3 * tracer.calls["solver.build_state"]
+    assert tracer.calls["fields.leray_pressure"] == tracer.calls["solver.build_state"]
     # The carried sweeps take one grid velocity per RK4 time, each the
     # planes of one weighed row (N, 2): a start field, then a midpoint and
     # an end field per label step, one per interval.  Each Picard pass walks
@@ -82,10 +84,9 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
     # constant density (taylor) walks nothing.  Every other call is a grid
     # synthesis of a stack of weighed rows (S, N, 2): u (inside
     # synthesize_gradient; grad u is the spectral derivative of those planes
-    # and synthesizes nothing) and u_t in each build_state, lap u in its
-    # residual_diagnostics, 3 per build_state
-    # (two_mode: 3 x (31 walk blocks + 1 snapshot) = 96; 1,085 + 96 = 1,181
-    # in all; taylor: 3 x 63 walk blocks = 189).
+    # and synthesizes nothing) and u_t in each build_state, 2 per build_state
+    # (two_mode: 2 x (31 walk blocks + 1 snapshot) = 64; 1,085 + 64 = 1,149
+    # in all; taylor: 2 x 63 walk blocks = 126).
     steps = round(cfg.T / cfg.dt)
     states = tracer.calls["solver.build_state"]
     sweeps = 0
@@ -94,8 +95,8 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
         sweeps = passes * (1 + 4 * steps) + 1 + 2 * steps
     assert [shape for shape in planes if len(shape) == 2] == [(cfg.N, 2)] * sweeps
     stacks = [shape for shape in planes if len(shape) != 2]
-    assert len(stacks) == 3 * states and all(shape[1:] == (cfg.N, 2) for shape in stacks)
-    assert len(planes) == {"two_mode": 1_181, "taylor": 189}[workload]
+    assert len(stacks) == 2 * states and all(shape[1:] == (cfg.N, 2) for shape in stacks)
+    assert len(planes) == {"two_mode": 1_149, "taylor": 126}[workload]
     if workload == "two_mode":
         # Dense output comes one call per block of times, never one per RK4
         # time.  Each Picard pass: 11 sweep blocks and 11 assembly blocks of
