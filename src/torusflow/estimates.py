@@ -2,7 +2,7 @@
 
 Everything here is plain array math over time series sampled from a run:
 the columns of its EstimateLedger, the per-node table whose written columns
-are the ledger files.
+are the ledger file, `ledger.ndjson`.
 Time integrals use the trapezoid rule on the sample grid, `cumtrapz`; the
 energy identity takes nodal derivatives of its integrand as well, for the
 Hermite-corrected variant (fourth order) `hermite_cumtrapz`, so that its
@@ -11,7 +11,6 @@ residual reflects the integrator error rather than the quadrature error.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Iterable
@@ -69,20 +68,11 @@ class EstimateLedger:
         rho = np.empty((K, M, M))
         return cls(rho=rho, **{f.name: np.empty(K) for f in fields(cls) if f.name != "rho"})
 
-    def _rows(self) -> np.ndarray:
-        """The written columns as one float row per node, (K, len(LEDGER_FIELDS))."""
-        return np.stack([getattr(self, k) for k in LEDGER_FIELDS], axis=1, dtype=float)
-
-    # Both writers stream: Python floats are made one row at a time, since a
+    # The writer streams: Python floats are made one row at a time, since a
     # list of every row (501 on taylor) raised peak memory.
     def write_ndjson(self, path) -> None:
-        write_ndjson(path, (dict(zip(LEDGER_FIELDS, row.tolist())) for row in self._rows()))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(LEDGER_FIELDS)
-            writer.writerows([repr(v) for v in row.tolist()] for row in self._rows())
+        rows = np.stack([getattr(self, k) for k in LEDGER_FIELDS], axis=1, dtype=float)
+        write_ndjson(path, (dict(zip(LEDGER_FIELDS, row.tolist())) for row in rows))
 
 
 LEDGER_FIELDS = [f.name for f in fields(EstimateLedger) if f.name not in EstimateLedger.IN_MEMORY]

@@ -137,30 +137,10 @@ def leray_pressure(residual: np.ndarray) -> np.ndarray:
 def save_snapshot(field: np.ndarray, path) -> None:
     """Write the snapshot format: header `M=<int> components=<1|2>`, then
     M^2 space-separated rows in (a, b) order with a varying fastest.  The
-    field is a scalar (M, M) or a vector at the grid points (M, M, 2), the
-    layout `load_snapshot` returns."""
+    field is a scalar (M, M) or a vector at the grid points (M, M, 2)."""
     M = field.shape[0]
     rows = np.swapaxes(field, 0, 1).reshape(M * M, -1)
     with open(path, "w") as fh:
         fh.write(f"M={M} components={rows.shape[1]}\n")
         for row in rows:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_snapshot(path) -> np.ndarray:
-    """Read a `save_snapshot` file; a malformed header and any number of
-    rows or of values per row other than the header's raise ValueError."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        try:
-            meta = dict(part.split("=") for part in header)
-            M, comps = int(meta["M"]), int(meta["components"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed snapshot header {header}") from exc
-        rows = [line.split() for line in fh if line.strip()]
-    if M < 1 or comps not in (1, 2):
-        raise ValueError(f"snapshot header needs M >= 1 and components 1 or 2, got {header}")
-    if len(rows) != M * M or any(len(row) != comps for row in rows):
-        raise ValueError(f"snapshot needs {M * M} rows of {comps} values after its header")
-    values = np.swapaxes(np.array(rows, dtype=float).reshape(M, M, comps), 0, 1)
-    return values[..., 0] if comps == 1 else values

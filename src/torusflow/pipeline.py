@@ -538,7 +538,6 @@ def write_run_outputs(result: RunResult, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     result.ledger.write_ndjson(out / "ledger.ndjson")
-    result.ledger.write_csv(out / "ledger.csv")
     write_ndjson(out / "checks.ndjson", result.checks)
 
     cfg = result.config

@@ -14,7 +14,8 @@ tables that it builds itself with `BasisSet.velocity_at` and `gradient_at`
 solver assembles from), the ledger walk one node at a time, which the
 block walk of `pipeline.node_diagnostics` must reproduce, a scripted
 density source that puts chosen densities through the real carried sweep,
-and a density of narrow support that fails the mass-matrix guard.
+a density of narrow support that fails the mass-matrix guard, and
+`load_snapshot`, the reader of the files `fields.save_snapshot` writes.
 """
 
 import itertools
@@ -252,3 +253,22 @@ def node_diagnostics_per_node(src, history, M: int) -> EstimateLedger:
     led.t_weighted_h2[:] = times * (led.hess_u_l2**2 + led.sqrt_rho_ut_l2**2)
     led.grad_u_sq_dot[:] = 2.0 * (lam * f * fdot).sum(axis=1)
     return led
+
+
+def load_snapshot(path) -> np.ndarray:
+    """Read a `save_snapshot` file; a malformed header and any number of
+    rows or of values per row other than the header's raise ValueError."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        try:
+            meta = dict(part.split("=") for part in header)
+            M, comps = int(meta["M"]), int(meta["components"])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"malformed snapshot header {header}") from exc
+        rows = [line.split() for line in fh if line.strip()]
+    if M < 1 or comps not in (1, 2):
+        raise ValueError(f"snapshot header needs M >= 1 and components 1 or 2, got {header}")
+    if len(rows) != M * M or any(len(row) != comps for row in rows):
+        raise ValueError(f"snapshot needs {M * M} rows of {comps} values after its header")
+    values = np.swapaxes(np.array(rows, dtype=float).reshape(M, M, comps), 0, 1)
+    return values[..., 0] if comps == 1 else values

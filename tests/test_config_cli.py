@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import assemble_stage, axis_derivatives, gradient_at, narrow_density
+from oracles import assemble_stage, axis_derivatives, gradient_at, load_snapshot, narrow_density
 
 from torusflow import basis as basis_module
 from torusflow import cli, pipeline, transport
@@ -23,7 +23,7 @@ from torusflow.config import (
     parse_config_text,
 )
 from torusflow.estimates import write_ndjson
-from torusflow.fields import grid_points, load_snapshot
+from torusflow.fields import grid_points
 from torusflow.solver import VacuumDegenerateError
 from torusflow.transport import density_at
 
@@ -213,8 +213,6 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
     assert len(ledger_lines) == 21  # T/dt + 1 nodes
     for line in ledger_lines:
         json.loads(line)
-    csv_lines = (out / "ledger.csv").read_text().splitlines()
-    assert len(csv_lines) == 22  # header + rows
     checks = [json.loads(l) for l in (out / "checks.ndjson").read_text().splitlines()]
     assert all(c["pass"] for c in checks)
     names = {c["check"] for c in checks}
@@ -323,8 +321,33 @@ def test_cli_outputs_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
-    for name in ("ledger.ndjson", "ledger.csv", "checks.ndjson", "u_t0.050000.dat"):
+    snapshots = ("u_t0.050000.dat", "rho_t0.050000.dat", "p_t0.050000.dat")
+    for name in ("ledger.ndjson", "checks.ndjson", *snapshots):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def files_under(out):
+    """Every file under `out`, as a sorted list of paths relative to it."""
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+
+
+def test_commands_write_exactly_their_files(tmp_path, capsys):
+    # `run` writes its ledger, its checks and three files per snapshot time;
+    # the sweep writes its two tables and each floor's run, and nothing else.
+    cfg = write_config(tmp_path, TAYLOR)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert files_under(out) == [
+        "checks.ndjson", "ledger.ndjson", "p_t0.050000.dat", "rho_t0.050000.dat", "u_t0.050000.dat",
+    ]
+    text = (Path(__file__).resolve().parent.parent / "configs" / "vacuum.cfg").read_text()
+    cfg = write_config(tmp_path, re.sub(r"(?m)^T = .*$", "T = 0.02", text), "vacuum.cfg")
+    out = tmp_path / "sweep"
+    assert main(["vacuum-sweep", "--config", str(cfg), "--out", str(out), "--n-list", "1000"]) == 0
+    assert files_under(out) == [
+        "momentum_n1000.ndjson", "n1000/checks.ndjson", "n1000/ledger.ndjson", "vacuum.ndjson",
+    ]
+    capsys.readouterr()
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
@@ -397,6 +420,26 @@ def test_cli_rejects_dt_that_does_not_divide_t(tmp_path, capsys):
         assert T / 0.1 != round(T / 0.1)
         edited = text.replace("dt = 0.001", "dt = 0.1").replace("T = 0.5", f"T = {T}")
         assert parse_config_text(edited).T == T
+
+
+def test_cli_rejects_dt_too_small_to_check(tmp_path, capsys):
+    # From T/dt = 5e11 on, the divisibility tolerance is wider than the gap
+    # to the nearest integer.  1/1.3e-12 = 769230769230.77 steps used to pass
+    # as a divisor.  Only the parser is called on it: a run would take them all.
+    text = (SHIPPED[0].parent / "taylor.cfg").read_text()
+    with pytest.raises(ConfigError, match=r"T/dt = 769230769230\.7") as err:
+        parse_config_text(text.replace("dt = 0.001", "dt = 1.3e-12").replace("T = 0.5", "T = 1"))
+    assert err.value.key == "dt"
+    # T = 0.15, dt = 1e-20 used to pass too, and `run` then exited 1 with a
+    # traceback from allocating the 1.5e19 node times.
+    edited = text.replace("dt = 0.001", "dt = 1e-20").replace("T = 0.5", "T = 0.15")
+    cfg = write_config(tmp_path, edited)
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: dt must divide T in under 5e11 steps, got T/dt = 1.5e+19" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def no_solve(*args, **kwargs):

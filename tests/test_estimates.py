@@ -329,9 +329,8 @@ def test_ledger_writes_columns(tmp_path):
     names = [f.name for f in dataclasses.fields(EstimateLedger)]
     assert sorted(LEDGER_FIELDS + list(EstimateLedger.IN_MEMORY)) == sorted(names)
     assert LEDGER_FIELDS == [name for name in names if name in written]
-    nd, cs = tmp_path / "ledger.ndjson", tmp_path / "ledger.csv"
+    nd = tmp_path / "ledger.ndjson"
     led.write_ndjson(nd)
-    led.write_csv(cs)
 
     rows = [json.loads(line) for line in nd.read_text().splitlines()]
     assert len(rows) == K
@@ -339,9 +338,4 @@ def test_ledger_writes_columns(tmp_path):
         assert list(row) == LEDGER_FIELDS
         assert not set(EstimateLedger.IN_MEMORY) & set(row)
         assert row == {name: float(col[k]) for name, col in written.items()}
-    header, *lines = cs.read_text().splitlines()
-    assert header == ",".join(LEDGER_FIELDS)
-    assert len(lines) == K
-    for k, line in enumerate(lines):
-        assert line.split(",") == [repr(float(written[name][k])) for name in LEDGER_FIELDS]
-    assert "np.float64" not in nd.read_text() + cs.read_text()
+    assert "np.float64" not in nd.read_text()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import axis_derivatives, fft_gradient, w1gamma_norm
+from oracles import axis_derivatives, fft_gradient, load_snapshot, w1gamma_norm
 
 from torusflow.basis import BasisSet
 from torusflow.fields import (
@@ -10,7 +10,6 @@ from torusflow.fields import (
     fd_gradient,
     grid_points,
     leray_pressure,
-    load_snapshot,
     lp_norm,
     save_snapshot,
     spectral_gradient,
