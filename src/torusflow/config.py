@@ -10,7 +10,9 @@ key's name, parser and, for an optional key, its default:
     T             final time
     density.kind  constant | bump | vacuum-well (vacuum is solved as given)
     u0.modes      initial velocity, entries `k1,k2,parity:amplitude`
-                  joined by commas, e.g. `1,0,cos:0.3,0,1,cos:0.2`
+                  joined by commas, e.g. `1,0,cos:0.3,0,1,cos:0.2`; read
+                  as the map {((k1, k2), parity): amplitude} in file order,
+                  keyed as `BasisMode` keys a mode
     picard_tol    fixed-point stopping tolerance (default 1e-10)
     picard_max    iteration cap (default 30)
     snapshots     comma-separated times in [0, T] for field snapshots (optional);
@@ -34,19 +36,16 @@ import numpy as np
 from .basis import BasisSet
 from .transport import DENSITY_CATALOG, DensitySource
 
+# The most time steps a run or a study may take.  From 5e11 steps on, the
+# relative tolerance 1e-12 spans the gap to the nearest integer, and every
+# dt would pass as a divisor of T.
+MAX_STEPS = 5e11
+
 
 class ConfigError(ValueError):
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
-
-
-@dataclass
-class ModeSpec:
-    k1: int
-    k2: int
-    parity: str
-    amplitude: float
 
 
 def _int(minimum):
@@ -97,7 +96,7 @@ def _parse_modes(key, text):
         raise ConfigError(
             f"{key} needs k1,k2,parity:amplitude triples, got {text!r}", key=key
         )
-    modes = []
+    modes = {}
     for i in range(0, len(tokens), 3):
         k1_s, k2_s, tail = tokens[i : i + 3]
         if ":" not in tail:
@@ -118,9 +117,9 @@ def _parse_modes(key, text):
                 "(k1>0, or k1=0 and k2>0)",
                 key=key,
             )
-        if any((m.k1, m.k2, m.parity) == (k1, k2, parity) for m in modes):
+        if ((k1, k2), parity) in modes:
             raise ConfigError(f"{key} lists ({k1},{k2},{parity}) twice", key=key)
-        modes.append(ModeSpec(k1, k2, parity, amp))
+        modes[(k1, k2), parity] = amp
     if not modes:
         raise ConfigError(f"{key} lists no modes", key=key)
     return modes
@@ -139,7 +138,7 @@ class RunConfig:
     dt: float = _key("dt", _float)
     T: float = _key("T", _float)
     density_kind: str = _key("density.kind", _kind)
-    u0_modes: list[ModeSpec] = _key("u0.modes", _parse_modes)
+    u0_modes: dict[tuple[tuple[int, int], str], float] = _key("u0.modes", _parse_modes)
     picard_tol: float = _key("picard_tol", _float, default=1e-10)
     picard_max: int = _key("picard_max", _int(1), default=30)
     snapshots: list[float] = _key("snapshots", _times, default_factory=list)
@@ -173,9 +172,7 @@ def parse_config_text(text: str) -> RunConfig:
     if cfg.T < cfg.dt:
         raise ConfigError("T must be at least one time step", key="T")
     steps = cfg.T / cfg.dt
-    # From 5e11 steps on, the relative tolerance 1e-12 spans the gap to the
-    # nearest integer, and every dt would pass as a divisor of T.
-    if not (steps < 5e11 and math.isclose(steps, round(steps), rel_tol=1e-12)):
+    if not (steps < MAX_STEPS and math.isclose(steps, round(steps), rel_tol=1e-12)):
         raise ConfigError(f"dt must divide T in under 5e11 steps, got T/dt = {steps!r}", key="dt")
     outside = [t for t in cfg.snapshots if not 0.0 <= t <= cfg.T]
     if outside:
@@ -226,16 +223,7 @@ def build_source(config: RunConfig) -> DensitySource:
     return DENSITY_CATALOG[config.density_kind]()
 
 
-def u0_indices(config: RunConfig, basis: BasisSet) -> list:
-    """The basis index of each listed u0 mode, None for a mode outside it."""
-    index = {(m.k, m.parity): i for i, m in enumerate(basis.modes)}
-    return [index.get(((spec.k1, spec.k2), spec.parity)) for spec in config.u0_modes]
-
-
 def build_u0(config: RunConfig, basis: BasisSet) -> np.ndarray:
-    """Initial coefficient vector.  Modes outside the basis span project away."""
-    coeffs = np.zeros(basis.size)
-    for spec, i in zip(config.u0_modes, u0_indices(config, basis)):
-        if i is not None:
-            coeffs[i] = spec.amplitude
-    return coeffs
+    """Initial coefficient vector: each basis mode's u0 amplitude, 0 for a
+    mode u0 does not list.  Modes outside the basis span project away."""
+    return np.array([config.u0_modes.get((m.k, m.parity), 0.0) for m in basis.modes])

@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    MAX_STEPS,
     ConfigError,
     RunConfig,
     build_basis,
     build_source,
     build_u0,
     snapshot_tag,
-    u0_indices,
 )
 from .estimates import (
     GAMMA,
@@ -89,8 +89,13 @@ class RunResult:
     history: VelocityHistory
     picard: PicardReport
     ledger: EstimateLedger
-    t0_estimate: float
     checks: list
+
+    @property
+    def t0_estimate(self) -> float:
+        """The existence-time estimate of the `riccati_barrier` check."""
+        riccati = next(c for c in self.checks if c["check"] == "riccati_barrier")
+        return riccati["details"]["t0_estimate"]
 
 
 def _check(name: str, margins, **details) -> dict:
@@ -177,27 +182,22 @@ def run_simulation(
         v, src, u0, config.M, config.dt, config.picard_tol, config.picard_max
     )
     led = node_diagnostics(src, history, config.M)
-
-    times = history.times
-    m1 = 1.0 + src.upper
-    F = h1_functional(times, led.grad_u_l2, led.sqrt_rho_ut_l2, led.hess_u_l2, m1=m1)
-    c1, fraction = riccati_fit(times, F)
-    t0_est = existence_time(c1, m1, float(led.grad_u_l2[0]))
-    riccati = {"c1": c1, "m1": m1, "satisfied_fraction": fraction, "t0_estimate": t0_est}
-
     return RunResult(
         config=config,
         source=src,
         history=history,
         picard=picard,
         ledger=led,
-        t0_estimate=t0_est,
-        checks=_build_checks(src, picard, led, riccati),
+        checks=_build_checks(src, led, picard, config.picard_tol),
     )
 
 
-def _build_checks(src, picard, led: EstimateLedger, riccati: dict) -> list[dict]:
-    """The nine named checks; `riccati` holds the Riccati fit's details."""
+def _build_checks(src, led: EstimateLedger, picard: PicardReport, picard_tol: float) -> list[dict]:
+    """The nine named checks of a run on the density `src`, from its ledger
+    and its Picard report; `picard_tol` is the tolerance the solve was given."""
+    m1 = 1.0 + src.upper
+    F = h1_functional(led.t, led.grad_u_l2, led.sqrt_rho_ut_l2, led.hess_u_l2, m1=m1)
+    c1, fraction = riccati_fit(led.t, F)
     E = energy_functional(led.t, led.sqrt_rho_u_l2, led.grad_u_l2, led.grad_u_sq_dot)
     residual = 0.5 * np.abs(E - E[0])
     overshoot = E / E[0] - 1.0 if E[0] > 0 else np.zeros_like(E)
@@ -231,12 +231,13 @@ def _build_checks(src, picard, led: EstimateLedger, riccati: dict) -> list[dict]
         ),
         _check(
             "riccati_barrier",
-            riccati["satisfied_fraction"] - 0.99,
-            **riccati,
+            fraction - 0.99,
+            c1=c1, m1=m1, satisfied_fraction=fraction,
+            t0_estimate=existence_time(c1, m1, float(led.grad_u_l2[0])),
         ),
         _check(
             "picard_convergence",
-            picard.tol - picard.deltas[-1],
+            picard_tol - picard.deltas[-1],
             iterations=picard.iterations,
             deltas=picard.deltas,
             contraction_factors=picard.factors,
@@ -492,7 +493,7 @@ def taylor_benchmark(config: RunConfig, dt_values=None) -> Study:
         )
     if len(config.u0_modes) != 1:
         raise ConfigError("taylor benchmark needs exactly one u0 mode", key="u0.modes")
-    a = config.u0_modes[0].amplitude
+    (a,) = config.u0_modes.values()
     if a == 0.0:
         # The error is relative to |a|.
         raise ConfigError("taylor benchmark needs a nonzero u0 amplitude", key="u0.modes")
@@ -500,18 +501,21 @@ def taylor_benchmark(config: RunConfig, dt_values=None) -> Study:
     basis = build_basis(config)
     u0 = build_u0(config, basis)
     seed = VelocityHistory.constant(basis, u0, config.T)
-    idx = u0_indices(config, basis)[0]
-    if idx is None:
+    # u0's one nonzero coefficient is the listed mode's; outside the basis,
+    # u0 is zero.
+    if not u0.any():
         raise ConfigError("the listed u0 mode is outside the basis", key="u0.modes")
+    (idx,) = np.flatnonzero(u0)
     lam = basis.lambdas[idx]
 
     dts = list(dt_values) if dt_values is not None else [config.dt]
     if not dts:
         raise ConfigError("taylor benchmark needs at least one time step")
-    # A step longer than T would be cut to T while its row reports it.
-    bad = [dt for dt in dts if not 0.0 < dt <= config.T]
+    # A step longer than T would be cut to T while its row reports it, and
+    # the node times of MAX_STEPS steps or more cannot be allocated.
+    bad = [dt for dt in dts if not (0.0 < dt <= config.T and config.T / dt < MAX_STEPS)]
     if bad:
-        raise ConfigError(f"time steps must lie in (0, T={config.T:g}], got {bad}")
+        raise ConfigError(f"time steps must lie in (0, T={config.T:g}] and above T/5e11, got {bad}")
     errors = []
     for dt in dts:
         history, _ = picard_solve(

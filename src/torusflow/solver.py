@@ -250,11 +250,10 @@ def solve_linearized(
 
 @dataclass
 class PicardReport:
-    """The sup-over-nodes coefficient change of each Picard pass, and the
-    tolerance the last of them met."""
+    """The sup-over-nodes coefficient change of each Picard pass: what the
+    solve measured, not the tolerance it was given."""
 
     deltas: list
-    tol: float
 
     @property
     def iterations(self) -> int:
@@ -294,7 +293,7 @@ def picard_solve(
         deltas.append(delta)
         v = u
         if delta <= tol:
-            return u, PicardReport(deltas=deltas, tol=tol)
+            return u, PicardReport(deltas)
     raise PicardNonConvergenceError(deltas, tol)
 
 

@@ -43,9 +43,8 @@ def test_parse_good_config():
     assert (cfg.N, cfg.M) == (4, 16)
     assert cfg.dt == 0.01 and cfg.T == 0.1
     assert cfg.density_kind == "bump"
-    assert len(cfg.u0_modes) == 2
-    assert cfg.u0_modes[0].k1 == 1 and cfg.u0_modes[0].parity == "cos"
-    assert cfg.u0_modes[1].amplitude == 0.2
+    assert list(cfg.u0_modes) == [((1, 0), "cos"), ((0, 1), "sin")]
+    assert cfg.u0_modes[(0, 1), "sin"] == 0.2
     assert cfg.picard_tol == 1e-10  # default
 
 
@@ -458,11 +457,12 @@ def no_solve(*args, **kwargs):
         ["taylor", "--dt-list", "0.5"],
         ["uniqueness", "--delta", "1e300"],
         ["uniqueness", "--delta", "1e200"],
+        ["taylor", "--dt-list", "1e-20"],
     ],
     ids=[
         "taylor-zero-dt", "taylor-negative-dt", "taylor-nan-dt", "converge-zero-N",
         "uniqueness-nan-delta", "uniqueness-negative-density", "taylor-dt-over-T",
-        "uniqueness-delta-1e300", "uniqueness-delta-1e200",
+        "uniqueness-delta-1e300", "uniqueness-delta-1e200", "taylor-dt-past-step-limit",
     ],
 )
 def test_cli_rejects_bad_study_numbers_before_solving(tmp_path, capsys, monkeypatch, argv):
