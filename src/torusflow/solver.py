@@ -24,10 +24,13 @@ with k_j) at the wavevectors k_i +- k_j: the same sums, aliasing included.
 A stage costs a pruned DFT of three grid fields (`BasisGrid.moments`) and
 two gathers, O(M^2 kmax + N^2) instead of O(N^2 M^2).  One call guards a
 block's mass matrices (batched eigvalsh) and forms its RK4 operators
-A^{-1}(B + Lam) (batched solve); the RK4 loop itself, `transport.rk4_step`
-with `ode_rhs` as its rate, only does mat-vecs.  The nonlinear problem is
-the fixed point v = u, reached by Picard iteration starting from a given
-advecting velocity history, whose basis and horizon the solve keeps.
+A^{-1}(B + Lam) (batched solve).  Within a pass the ODE is linear in f, so
+each RK4 step is one N x N matrix R_k: one `transport.rk4_step` per block,
+with `ode_rhs` as its rate, forms the step matrices of all the block's
+steps from the identity, and f advances by one mat-vec per step.  The
+nonlinear problem is the fixed point v = u, reached by Picard iteration
+starting from a given advecting velocity history, whose basis and horizon
+the solve keeps.
 
 `build_state` gives the self-consistent states of a stack of node
 coefficients and densities, one assembly block for all of them, with their
@@ -181,7 +184,8 @@ def _gather(moments: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.nd
 
 def ode_rhs(f: np.ndarray, op: np.ndarray) -> np.ndarray:
     """fdot = -A^{-1} (B + Lam) f for one stage's operator (N, N) and f
-    (N,), or for stacks of operators (S, N, N) and columns f (S, N, 1)."""
+    (N,), or for stacks of operators (S, N, N) and columns f (S, N, 1) or
+    matrices f (S, N, N) or (N, N), the step matrices' identity among them."""
     return -(op @ f)
 
 
@@ -195,12 +199,12 @@ def _stage_operators(
 ) -> Iterator[np.ndarray]:
     """RK4 operators at the increasing `stage_times`, assembled in blocks of
     about STAGE_POINTS grid points from one carried density sweep, in the
-    basis of `v_hist`.
+    basis of `v_hist`: yields each block's operator stack (S, N, N).
 
-    Failures surface in stage order: a block's VacuumDegenerateError when its
-    stage is reached, and the sweep's TransportDriftError, raised at its last
-    time or at its first non-finite displacement, after every earlier stage
-    has been yielded."""
+    Failures surface in stage order: a block's VacuumDegenerateError on the
+    request after its stack, which then ends before the failing stage, and
+    the sweep's TransportDriftError, raised at its last time or at its first
+    non-finite displacement, after every earlier stage has been yielded."""
     basis = v_hist.basis
     points = basis.grid(M).points
     size = max(1, STAGE_POINTS // (M * M))
@@ -211,7 +215,7 @@ def _stage_operators(
         # sweep's next block reuses their memory instead of growing the heap.
         count = len(rho)
         del rho, coeffs
-        yield from mats.op
+        yield mats.op
         mats.operators(count)
 
 
@@ -226,25 +230,42 @@ def solve_linearized(
     the coefficient ODE with classical RK4 on operators assembled at every
     stage time t0, t0 + h/2, t1, ...; the densities there are streamed from
     one carried sweep.  Returns the full trajectory with nodal derivatives,
-    in the basis of `v_hist` and over its horizon."""
-    times = _node_times(v_hist.times[-1], dt)
-    ops = _stage_operators(v_hist, source, M, _rk4_times(times))
+    in the basis of `v_hist` and over its horizon.
 
-    coeffs = np.empty((len(times), len(u0_coeffs)))
-    derivs = np.empty_like(coeffs)
+    Each block's complete steps, with the one or two operators left over
+    from the block before, take one `rk4_step` on the identity: their step
+    matrices R_k, so that f_{k+1} = R_k f_k.  A block's new coefficients
+    are tested once; the first non-finite one raises DivergenceError at its
+    node time, before any later stage is asked for.  The nodal rates come
+    from one stacked `ode_rhs` on the node operators."""
+    times = _node_times(v_hist.times[-1], dt)
+    h = np.diff(times)[:, None, None]
+    N = len(u0_coeffs)
+
+    coeffs = np.empty((len(times), N))
+    node_ops = np.empty((len(times), N, N))
     coeffs[0] = np.asarray(u0_coeffs, dtype=float)
 
-    op_start = next(ops)
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        op_mid = next(ops)
-        op_end = next(ops)
-        coeffs[k + 1], derivs[k] = rk4_step(coeffs[k], ode_rhs, h, op_start, op_mid, op_end)
-        if not np.all(np.isfinite(coeffs[k + 1])):
-            raise DivergenceError(float(times[k + 1]))
-        op_start = op_end
+    k = 0  # steps taken
+    carried = np.empty((0, N, N))  # the next step's operators from the block before
+    for block in _stage_operators(v_hist, source, M, _rk4_times(times)):
+        ops = np.concatenate([carried, block])
+        n = max(0, len(ops) - 1) // 2  # complete steps; none in a failed first stage
+        if n:
+            nodes, mids = ops[: 2 * n + 1 : 2], ops[1 : 2 * n : 2]
+            node_ops[k : k + n + 1] = nodes
+            # A blow-up overflows here and ends in DivergenceError below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps, _ = rk4_step(np.eye(N), ode_rhs, h[k : k + n], nodes[:-1], mids, nodes[1:])
+                for j, step in enumerate(steps, k):
+                    coeffs[j + 1] = step @ coeffs[j]
+            finite = np.isfinite(coeffs[k + 1 : k + n + 1]).all(axis=1)
+            if not finite.all():
+                raise DivergenceError(float(times[k + 1 + np.argmin(finite)]))
+            k += n
+        carried = ops[2 * n :]
 
-    derivs[-1] = ode_rhs(coeffs[-1], op_start)
+    derivs = ode_rhs(coeffs[:, :, None], node_ops)[:, :, 0]
     return VelocityHistory(v_hist.basis, times, coeffs, derivs)
 
 

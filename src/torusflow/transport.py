@@ -229,8 +229,11 @@ class VelocityHistory:
         k = np.searchsorted(ts[1:-1], t, side="right")
         h = ts[k + 1] - ts[k]
         s = (t - ts[k]) / h
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
+        # Products, not powers: a scalar power and an array square of the
+        # same s can differ in the last bit.
+        r2 = (1.0 - s) * (1.0 - s)
+        h00 = (1.0 + 2.0 * s) * r2
+        h10 = s * r2
         h01 = s * s * (3.0 - 2.0 * s)
         h11 = s * s * (s - 1.0)
         # Transposed, the node rows take the weights of their times along
@@ -257,7 +260,11 @@ def rk4_step(y, rate, h, start, mid, end):
     given at the start, midpoint and end of the step: k2 and k3 share the
     midpoint.  Returns the new y and k1 = rate(y, start).  The sum
     k1 + 2 k2 + 2 k3 + k4 is built, in that order, in one buffer of its own:
-    the rate's values, k1 among them, are read and never overwritten."""
+    the rate's values, k1 among them, are read and never overwritten.
+
+    y may be a stack of matrices and h an array broadcast against the
+    rate's values: the solver steps the identity through a stack of
+    operators, h (n, 1, 1), to get n steps' matrices at once."""
     k1 = rate(y, start)
     k = rate(y + 0.5 * h * k1, mid)
     acc = 2.0 * k

@@ -4,18 +4,20 @@ Velocity fields with explicit characteristics (anything with
 `rows_at(times)`, `velocity_at(points, t)` and `grid_velocity(t, M)` can
 be backtracked or carried like a VelocityHistory), the backtrack and the
 carried sweep with one dense-output call per RK4 time, which the batched
-ones of `transport` must reproduce, a spectral gradient for (M, M) grid
-fields with each axis's own Nyquist mode dropped, the W^{1,gamma} norm of
-a density field from its own gradient, the carried label rate through the
-FFT instead of the derivative matrix, the vacuum well's density in the
-form of its definition, the one-stage Galerkin assembly from vector mode
-tables that it builds itself with `BasisSet.velocity_at` and `gradient_at`
-(per-point evaluation, independent of the scalar grid tables that the
-solver assembles from), the ledger walk one node at a time, which the
-block walk of `pipeline.node_diagnostics` must reproduce, a scripted
-density source that puts chosen densities through the real carried sweep,
-a density of narrow support that fails the mass-matrix guard, and
-`load_snapshot`, the reader of the files `fields.save_snapshot` writes.
+ones of `transport` must reproduce, the linearized pass one RK4 step at a
+time, which the solver's stacked step matrices must reproduce, a spectral
+gradient for (M, M) grid fields with each axis's own Nyquist mode dropped,
+the W^{1,gamma} norm of a density field from its own gradient, the carried
+label rate through the FFT instead of the derivative matrix, the vacuum
+well's density in the form of its definition, the one-stage Galerkin
+assembly from vector mode tables that it builds itself with
+`BasisSet.velocity_at` and `gradient_at` (per-point evaluation,
+independent of the scalar grid tables that the solver assembles from), the
+ledger walk one node at a time, which the block walk of
+`pipeline.node_diagnostics` must reproduce, a scripted density source that
+puts chosen densities through the real carried sweep, a density of narrow
+support that fails the mass-matrix guard, and `load_snapshot`, the reader
+of the files `fields.save_snapshot` writes.
 """
 
 import itertools
@@ -26,8 +28,22 @@ import numpy as np
 from torusflow.basis import MODE_NORM
 from torusflow.estimates import GAMMA, EstimateLedger
 from torusflow.fields import fd_gradient, grid_points, lp_norm, quadrature_weight
-from torusflow.solver import build_state, residual_diagnostics
-from torusflow.transport import DensitySource, _label_rate, carried_densities, rk4_step
+from torusflow.solver import (
+    _node_times,
+    _stage_operators,
+    build_state,
+    ode_rhs,
+    residual_diagnostics,
+)
+from torusflow.transport import (
+    DensitySource,
+    DivergenceError,
+    VelocityHistory,
+    _label_rate,
+    _rk4_times,
+    carried_densities,
+    rk4_step,
+)
 
 
 class PointwiseVelocity:
@@ -114,6 +130,30 @@ def carried_densities_per_time(source: DensitySource, history, M: int, times) ->
             prev, start = t, end
         out.append(source.value(grid_points(M) + disp.transpose(1, 2, 0)))
     return np.array(out)
+
+
+def solve_linearized_per_step(
+    v_hist, source: DensitySource, u0_coeffs: np.ndarray, M: int, dt: float
+) -> VelocityHistory:
+    """`solver.solve_linearized` one RK4 step at a time: the pass's stage
+    operators taken one by one from its blocks, one `rk4_step` with
+    `ode_rhs` on the coefficient vector per step, whose k1 is the nodal
+    rate, and a finiteness test per step."""
+    times = _node_times(v_hist.times[-1], dt)
+    blocks = _stage_operators(v_hist, source, M, _rk4_times(times))
+    ops = (op for block in blocks for op in block)
+    coeffs = np.empty((len(times), len(u0_coeffs)))
+    derivs = np.empty_like(coeffs)
+    coeffs[0] = u0_coeffs
+    start = next(ops)
+    for k, h in enumerate(np.diff(times)):
+        mid, end = next(ops), next(ops)
+        coeffs[k + 1], derivs[k] = rk4_step(coeffs[k], ode_rhs, h, start, mid, end)
+        if not np.isfinite(coeffs[k + 1]).all():
+            raise DivergenceError(float(times[k + 1]))
+        start = end
+    derivs[-1] = ode_rhs(coeffs[-1], start)
+    return VelocityHistory(v_hist.basis, times, coeffs, derivs)
 
 
 def vacuum_well_value(points: np.ndarray) -> np.ndarray:

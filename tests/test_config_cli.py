@@ -588,6 +588,20 @@ def test_cli_blown_up_velocity_exits_3(tmp_path, capsys):
     assert "largest |v| on the grid 2.251e+199" in capsys.readouterr().err
 
 
+def test_cli_blown_up_coefficients_exit_3(tmp_path, capsys):
+    # dt = 1 is far outside RK4's stability region for the Stokes modes of
+    # N = 16: the coefficients overflow within the first pass, which ends in
+    # the divergence error, exit 3, with no RuntimeWarning, which the
+    # suite's filter would turn into an error.
+    text = (
+        "N = 16\nM = 8\ndt = 1\nT = 400\ndensity.kind = constant\n"
+        "u0.modes = 1,0,cos:0.1\n"
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    assert "non-finite coefficients at t=" in capsys.readouterr().err
+
+
 def test_cli_taylor_benchmark(tmp_path, capsys):
     cfg = write_config(tmp_path, TAYLOR)
     out = tmp_path / "taylor"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import assemble_stage, narrow_density, scripted_density
+from oracles import assemble_stage, narrow_density, scripted_density, solve_linearized_per_step
 
 from torusflow import solver, transport
 from torusflow.basis import BasisSet
@@ -32,6 +32,7 @@ from torusflow.transport import (
     bump_density,
     constant_density,
     density_at,
+    rk4_step,
     shift_density,
     vacuum_well_density,
 )
@@ -232,6 +233,42 @@ def test_nodal_derivatives_match_ode():
     np.testing.assert_allclose(
         hist.derivs, -basis.lambdas * hist.coeffs, atol=1e-12
     )
+
+
+def test_rk4_step_on_the_identity_is_the_step_per_column():
+    # Stepped from the identity through stacks of operators, with an array
+    # of step lengths, rk4_step gives each step's matrix: column j is the
+    # step of the j-th unit vector through that step's operators.
+    N = 5
+    ops = RNG.standard_normal((3, 4, N, N))  # start, mid, end of 4 steps
+    h = np.array([0.1, 0.05, 0.2, 0.01])
+    steps, k1 = rk4_step(np.eye(N), ode_rhs, h[:, None, None], *ops)
+    assert steps.shape == (4, N, N)
+    np.testing.assert_array_equal(k1, -ops[0])
+    for i, step in enumerate(steps):
+        for j, e in enumerate(np.eye(N)):
+            y, _ = rk4_step(e, ode_rhs, h[i], *ops[:, i])
+            np.testing.assert_allclose(step[:, j], y, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("stages", [None, 1, 3, 5])
+@pytest.mark.parametrize("source", [constant_density, bump_density, vacuum_well_density])
+def test_stacked_pass_is_the_pass_per_step(monkeypatch, source, stages):
+    # The step matrices of a block give the coefficients and nodal rates of
+    # one RK4 step per step on the coefficient vector.  One block of all 21
+    # stage times, or blocks of an odd number of stages, so that steps
+    # straddle blocks; a block of one stage completes no step on its own.
+    basis, M = BasisSet(8), 16
+    if stages:
+        monkeypatch.setattr(solver, "STAGE_POINTS", stages * M * M)
+    u0 = np.zeros(8)
+    u0[0], u0[2], u0[5] = 0.4, 0.3, -0.2
+    seed = VelocityHistory.constant(basis, u0, 0.1)
+    stacked = solve_linearized(seed, source(), u0, M, 0.01)
+    per_step = solve_linearized_per_step(seed, source(), u0, M, 0.01)
+    np.testing.assert_array_equal(stacked.times, per_step.times)
+    np.testing.assert_allclose(stacked.coeffs, per_step.coeffs, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(stacked.derivs, per_step.derivs, rtol=1e-13, atol=1e-15)
 
 
 def degenerate_density(M, j):

@@ -10,9 +10,11 @@ shorter horizon.  The `run` cases also pin the ledger walk to blocks of
 nodes, one `build_state` per block, the carried sweeps to one grid
 velocity per RK4 time and every grid synthesis to one product
 (`BasisGrid.planes`, which the tracer does not patch, counted here), and
-two_mode's dense output to one `coeffs_at` call per block of times.  two_mode also pins its transport, velocity, assembly,
-right-hand-side and Picard counts, each derived by hand.  perfbench/ is
-only read.
+two_mode's dense output to one `coeffs_at` call per block of times.
+two_mode also pins its transport, velocity, assembly, right-hand-side and
+Picard counts, each derived by hand: its coefficient ODE takes one RK4
+step of stacked step matrices, four right-hand sides, per assembly block,
+never four per time step.  perfbench/ is only read.
 """
 
 import importlib
@@ -121,9 +123,15 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
         assert tracer.calls["basis.velocity_at"] == fields == 44
         assert tracer.counts["basis.velocity_at.points"] == fields * cfg.M**2 == 45_056
         assert tracer.calls["solver.assemble"] == fields + states == 76
-        # Each pass: 4 right-hand sides per RK4 step and 1 at the last node;
-        # each build_state one: 4 x (4 x 60 + 1) + 32 = 996.
-        assert tracer.calls["solver.ode_rhs"] == passes * (4 * steps + 1) + states == 996
+        # Each pass: 4 right-hand sides per assembly block that completes an
+        # RK4 step, the one rk4_step that forms the step matrices of all its
+        # complete steps, and 1 stacked for the nodal rates; each
+        # build_state one.  Every block of two_mode completes a step: the
+        # first holds 12 stages (5 steps, 2 stages left over), each full one
+        # after it 2 + 12 (6 steps, 2 left over), the last 2 + 1 (1 step):
+        # 4 x (4 x 11 + 1) + 32 = 212.
+        expected = passes * (4 * stage_blocks + 1) + states
+        assert tracer.calls["solver.ode_rhs"] == expected == 212
 
 
 def test_tracer_reaches_every_vacuum_layer(tmp_path, capsys, workloads):

@@ -189,6 +189,17 @@ def test_coeffs_at_takes_an_array_of_times():
         history.coeffs_at(np.array([0.2, 1.5, 0.4]))
 
 
+def test_coeffs_at_one_time_is_the_array_entry():
+    # One time and an array of times take the same Hermite weights, bit for
+    # bit: at this s a scalar power (1 - s) ** 2 and an array square differ
+    # in the last bit.
+    rng = np.random.default_rng(0)
+    c, d = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
+    history = VelocityHistory(BasisSet(4), [0.0, 1.0], c, d)
+    t = 0.352941176470591
+    np.testing.assert_array_equal(history.coeffs_at(t), history.coeffs_at([t])[0])
+
+
 def test_rk4_step_is_simpson_on_a_cubic():
     # With rate(y, v) = v the step is Simpson's rule on v(t), exact for a
     # cubic; k1 is the rate at the start.
