@@ -133,7 +133,7 @@ def node_diagnostics(src: DensitySource, history, M: int) -> EstimateLedger:
     led = EstimateLedger.allocate(len(times), M)
     fdot = np.empty_like(f)
     size = max(1, WALK_POINTS // (M * M))
-    for lo, r in carried_densities(src, history, M, times, size):
+    for lo, r in carried_densities(src, history, M, times, times, size):
         nodes = slice(lo, lo + len(r))
         state = build_state(basis, f[nodes], r)
         u, (du_dx, du_dy), ut = state.u, state.grad_u, state.ut

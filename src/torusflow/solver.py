@@ -10,7 +10,10 @@ where A_ij = (rho w_j, w_i) is the density-weighted mass matrix, B_ij =
 eigenvalues.  A is positive definite at every finite N whenever rho is
 positive on an open set, vacuum elsewhere included; the eigenvalue guard
 checks this at every stage and is the one place that refuses a density.
-Both matrices are assembled by trapezoid quadrature on the M x M grid for
+The stage densities come from one carried sweep per pass, which takes one
+label step per time step and reads each stage midpoint off the Hermite
+interpolant of the label map (`transport.carried_densities`).  Both
+matrices are assembled by trapezoid quadrature on the M x M grid for
 every Runge-Kutta stage time, in blocks of stage times: with
 w_n = MODE_NORM d_n T_n(x) and G_ij = h^2 MODE_NORM^2 (d_i . d_j),
 
@@ -195,20 +198,25 @@ def _node_times(T: float, dt: float) -> np.ndarray:
 
 
 def _stage_operators(
-    v_hist, source: DensitySource, M: int, stage_times
+    v_hist, source: DensitySource, M: int, times: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """RK4 operators at the increasing `stage_times`, assembled in blocks of
-    about STAGE_POINTS grid points from one carried density sweep, in the
-    basis of `v_hist`: yields each block's operator stack (S, N, N).
+    """RK4 operators at the stage times t0, t0 + h/2, t1, ... of the node
+    `times`, assembled in blocks of about STAGE_POINTS grid points from one
+    carried density sweep through the nodes, in the basis of `v_hist`:
+    yields each block's operator stack (S, N, N).  The sweep carries the
+    label map node to node, one label step per time step, and takes each
+    midpoint density off its Hermite interpolant.
 
     Failures surface in stage order: a block's VacuumDegenerateError on the
-    request after its stack, which then ends before the failing stage, and
-    the sweep's TransportDriftError, raised at its last time or at its first
-    non-finite displacement, after every earlier stage has been yielded."""
+    request after its stack, which then ends before the failing stage (an
+    empty stack when it is the block's first), and the sweep's
+    TransportDriftError, raised at its last stage or at its first stage
+    with non-finite feet, after every earlier stage has been yielded."""
     basis = v_hist.basis
     points = basis.grid(M).points
+    stage_times = _rk4_times(times)
     size = max(1, STAGE_POINTS // (M * M))
-    for lo, rho in carried_densities(source, v_hist, M, stage_times, size):
+    for lo, rho in carried_densities(source, v_hist, M, times, stage_times, size):
         coeffs = v_hist.coeffs_at(stage_times[lo : lo + len(rho)])
         mats = assemble(rho, np.moveaxis(basis.velocity_at(points, coeffs), -1, 1), basis)
         # Drop the block's fields before its operators are used, so that the
@@ -229,8 +237,10 @@ def solve_linearized(
     """One linearized pass: advect the density along `v_hist`, then integrate
     the coefficient ODE with classical RK4 on operators assembled at every
     stage time t0, t0 + h/2, t1, ...; the densities there are streamed from
-    one carried sweep.  Returns the full trajectory with nodal derivatives,
-    in the basis of `v_hist` and over its horizon.
+    one carried sweep through the node times, one label step of h per
+    step, each midpoint density from the Hermite interpolant of the label
+    map.  Returns the full trajectory with nodal derivatives, in the basis
+    of `v_hist` and over its horizon.
 
     Each block's complete steps, with the one or two operators left over
     from the block before, take one `rk4_step` on the identity: their step
@@ -248,7 +258,7 @@ def solve_linearized(
 
     k = 0  # steps taken
     carried = np.empty((0, N, N))  # the next step's operators from the block before
-    for block in _stage_operators(v_hist, source, M, _rk4_times(times)):
+    for block in _stage_operators(v_hist, source, M, times):
         ops = np.concatenate([carried, block])
         n = max(0, len(ops) - 1) // 2  # complete steps; none in a failed first stage
         if n:

@@ -8,17 +8,22 @@ all, vacuum included.
 
 Two ways compute the feet Phi(0; x, t) on the M x M grid:
 
-* `carried_densities` walks a trajectory forward through increasing times
-  t_1 < t_2 < ... and carries the periodic displacement D = X - x of the
+* `carried_densities` carries the periodic displacement D = X - x of the
   back-to-label map X = Phi(0; x, t), which solves d_t X + (v . grad) X = 0
-  (Constantin 2001, J. AMS 14), so d_t D = -(v . grad) D - v.  Each
-  interval of the given times is one label step, a single RK4 step in time
-  on the grid nodes: v is sampled there and grad D is pseudo-spectral,
+  (Constantin 2001, J. AMS 14), so d_t D = -(v . grad) D - v, forward
+  through increasing node times t_1 < t_2 < ...  Each interval of the
+  nodes is one label step, a single RK4 step in time on the grid nodes: v
+  is sampled there and grad D is pseudo-spectral,
   `fields.spectral_gradient`, one real matrix product per axis with the
   1-D table of i k, each axis dropping only its own Nyquist mode (Canuto,
   Hussaini, Quarteroni & Zang, Spectral Methods, 2006).  That is O(M^3) per
   step, cheaper than an FFT pair up to M ~ 512, nothing off the grid, and
-  linear in the times.
+  linear in the times.  A density wanted between two nodes (a Picard
+  pass's stage midpoints) reads the cubic Hermite interpolant of D through
+  them with its rates, 4th order like the steps (RK4's dense output;
+  Hairer, Norsett & Wanner, Solving ODEs I, II.6): a pass takes one label
+  step per time step, the ledger walk one per node interval, both in
+  `_label_steps`, the one label-step loop.
 * `backtrack` integrates the characteristic ODE d_tau Phi = v(Phi, tau) at
   arbitrary points from tau = t down to tau = 0, in equal RK4 steps no
   longer than the step it is given: the only path with a step size of its
@@ -27,12 +32,13 @@ Two ways compute the feet Phi(0; x, t) on the M x M grid:
   exact oracle for the carried map.
 
 The two are independent discretizations of one map, Eulerian on the grid
-and Lagrangian per point.  At the end of every walk, or as soon as the
-displacement stops being finite, eight grid nodes are integrated back
-exactly through the walked times, one RK4 step per walked interval as the
-walk took them; a carried foot further than DRIFT_LIMIT from its exact
+and Lagrangian per point.  At the last time of every sweep, or as soon as
+the feet stop being finite, eight grid nodes are integrated back exactly
+through the walked nodes, one RK4 step per node interval as the label
+steps took them; a carried foot further than DRIFT_LIMIT from its exact
 foot raises TransportDriftError: the grid under-resolves the displacement,
-or an unstable time step has blown the velocity up.
+the label steps are too coarse for the flow, or an unstable time step has
+blown the velocity up.
 
 A trajectory is anything with `rows_at(times)`, its velocity rows at an
 array of times, `velocity_at(points, row)` and `grid_velocity(rows, M)`,
@@ -43,10 +49,11 @@ c_n MODE_NORM d_n (N, 2) of `BasisSet.weigh`, so that each evaluation is
 one cosine table times the row, with no per-call weighing.  Every RK4
 step, here and in the solver, is `rk4_step`; a step's end field starts the
 next.  A backtrack and the drift guard carry their points with one
-integrator, `_characteristics`, its rows from one `rows_at` call; a sweep
-takes one call per block, synthesizing each grid field as its step comes.
-A sweep hands its densities on in stacked blocks; its drift error follows
-the block of every earlier density.
+integrator, `_characteristics`, its rows from one `rows_at` call; the label
+steps take one call per chunk of nodes, synthesizing each grid field as
+its step comes, so a pass synthesizes the field of each of its stage times
+once.  A sweep hands its densities on in stacked blocks; its drift error
+follows the block of every earlier density.
 
 A source whose exact bounds meet is constant and skips the characteristics
 altogether; no other source does.  Feet are reported
@@ -59,6 +66,7 @@ block of nodes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -69,7 +77,7 @@ from .fields import grid_points, spectral_gradient
 
 # Largest distance allowed between a carried foot and its exact backtrack.
 # On resolved flows the label steps match the exact feet to ~1e-14; under a
-# strong flow (u0 amplitudes 1.5, 1.0, 0.7, RK4 steps of 0.01) to 6.7e-13.
+# strong flow (u0 amplitudes 1.5, 1.0, 0.7, label steps of 0.01) to 3.8e-13.
 DRIFT_LIMIT = 1e-10
 
 
@@ -228,14 +236,7 @@ class VelocityHistory:
         # k in [0, K - 2]: the last node closes the last interval.
         k = np.searchsorted(ts[1:-1], t, side="right")
         h = ts[k + 1] - ts[k]
-        s = (t - ts[k]) / h
-        # Products, not powers: a scalar power and an array square of the
-        # same s can differ in the last bit.
-        r2 = (1.0 - s) * (1.0 - s)
-        h00 = (1.0 + 2.0 * s) * r2
-        h10 = s * r2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
+        h00, h10, h01, h11 = _hermite((t - ts[k]) / h)
         # Transposed, the node rows take the weights of their times along
         # the last axis: plain scalars for one time.
         return (
@@ -253,6 +254,15 @@ class VelocityHistory:
         """The velocity component planes (..., 2, M, M) of a row or stack of
         rows of `rows_at` on the grid."""
         return self.basis.grid(M).planes(rows)
+
+
+def _hermite(s):
+    """The cubic Hermite weights (h00, h10, h01, h11) at the fraction s of
+    an interval of length h: y(s) = h00 y_0 + h10 h y'_0 + h01 y_1 +
+    h11 h y'_1.  Products, not powers: a scalar power and an array square
+    of the same s can differ in the last bit."""
+    r2 = (1.0 - s) * (1.0 - s)
+    return (1.0 + 2.0 * s) * r2, s * r2, s * s * (3.0 - 2.0 * s), s * s * (s - 1.0)
 
 
 def rk4_step(y, rate, h, start, mid, end):
@@ -340,20 +350,34 @@ def density_at(
 
 
 def carried_densities(
-    source: DensitySource, history, M: int, times: Sequence[float], size: int
+    source: DensitySource,
+    history,
+    M: int,
+    nodes: Sequence[float],
+    times: Sequence[float],
+    size: int,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Densities on the M x M grid at each of the increasing `times`, with the
-    back-to-label map carried from one time to the next, in consecutive
-    blocks: yields (lo, rho) with rho (S, M, M) the densities at times
-    lo .. lo + S - 1, S at most `size`, each block filled in place.
+    """Densities on the M x M grid at each of the increasing `times`, in
+    consecutive blocks: yields (lo, rho) with rho (S, M, M) the densities
+    at times lo .. lo + S - 1, S at most `size`, each block filled in place.
 
-    Each density costs one label step, a single RK4 step from the previous
-    time (0 before the first), instead of a backtrack all the way to 0.  At
-    the last time, or at the first non-finite displacement, the drift guard
-    compares carried and exact feet; its TransportDriftError comes after
-    the block of every earlier density has been yielded, so that a caller's
-    failure at an earlier time surfaces first.  Overflow and nan in a label
-    step or in the guard raise no warning, since the guard names them; the
+    The back-to-label map is carried from t = 0 through the increasing
+    `nodes`, one label step per interval, a single RK4 step (none at a
+    repeated node), instead of a backtrack all the way to 0 per time.  A
+    time at a node reads the map there; a time between two nodes reads the
+    cubic Hermite interpolant of the displacement through them with its
+    rates D' = -(v . grad) D - v, 4th order like the RK4 steps themselves
+    (RK4's dense output).  The rate at a node is the k1 of the step that
+    leaves it, so an interpolated time waits for that step, or for one
+    extra rate at the last node; `source.value` still runs once per time,
+    in time order.  Times past the last node raise ValueError.
+
+    At the last time, or at the first time whose feet are not finite, the
+    drift guard compares carried and exact feet; its TransportDriftError
+    comes after the block of every earlier density has been yielded, so
+    that a caller's failure at an earlier time surfaces first, and before
+    any non-finite density is handed on.  Overflow and nan in a label step
+    or in the guard raise no warning, since the guard names them; the
     errstate is never held across a yield, which would silence the caller.
     A constant source takes `density_at` once, at t = 0.
     """
@@ -364,52 +388,106 @@ def carried_densities(
         for lo in range(0, len(times), size):
             yield lo, np.repeat(rho0[None], len(times[lo : lo + size]), axis=0)
         return
-    disp = np.zeros((2, M, M))  # [D_x, D_y]
-    walked = [0.0]
-    start = None  # the grid velocity at walked[-1], once a step needs it
-    last = len(times) - 1
+    feet = _carried_feet(history, M, nodes, times, size)
     for lo in range(0, len(times), size):
-        ts = times[lo : lo + size]
-        block = np.empty((len(ts), M, M))
-        # One dense-output call for the block's label steps; a grid field is
-        # synthesized when its step comes.
-        taus = [walked[-1]]
-        for t in ts:
+        block = np.empty((len(times[lo : lo + size]), M, M))
+        for s in range(len(block)):
+            try:
+                block[s] = source.value(next(feet))
+            except TransportDriftError:
+                if s:
+                    yield lo, block[:s]
+                raise
+        yield lo, block
+
+
+def _carried_feet(history, M: int, nodes, times, size: int) -> Iterator[np.ndarray]:
+    """The carried feet (M, M, 2) at each of the increasing `times`, from
+    the label steps through `nodes` of `_label_steps`, read at a node or
+    interpolated between two; the drift guard runs before the feet of the
+    last time and before the first non-finite ones."""
+    pts = grid_points(M)
+    steps = _label_steps(history, M, nodes, size)
+    walked = [0.0]
+    # The walked nodes from the latest one at or before the current time:
+    # [t, D, D' (None until the step that leaves the node), v].
+    window = [[0.0, np.zeros((2, M, M)), None, None]]
+
+    def advance() -> bool:
+        step = next(steps, None)
+        if step is None:
+            return False
+        t, disp, k1, end = step
+        window[-1][2] = k1
+        window.append([t, disp, None, end])
+        walked.append(t)
+        return True
+
+    last = len(times) - 1
+    for i, t in enumerate(times):
+        if t < (times[i - 1] if i else 0.0):
+            raise ValueError("need increasing times from t >= 0")
+        while window[-1][0] < t:
+            if not advance():
+                raise ValueError(f"t={t!r} is past the last node {walked[-1]!r}")
+        while len(window) > 1 and window[1][0] <= t:
+            del window[0]
+        t0, disp, rate0, _ = window[0]
+        if t > t0:
+            end_node = window[1]
+            if end_node[2] is None and not advance():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    end_node[2] = _label_rate(end_node[1], end_node[3])
+            t1, disp1, rate1, _ = end_node
+            h = t1 - t0
+            h00, h10, h01, h11 = _hermite((t - t0) / h)
+            with np.errstate(over="ignore", invalid="ignore"):
+                disp = h00 * disp + h10 * h * rate0 + h01 * disp1 + h11 * h * rate1
+        feet = pts + disp.transpose(1, 2, 0)
+        if i == last or not np.isfinite(feet).all():
+            with np.errstate(over="ignore", invalid="ignore"):
+                _check_drift(history, feet, walked[: bisect_left(walked, t)] + [t])
+        yield feet
+
+
+def _label_steps(history, M: int, nodes, size: int) -> Iterator[tuple]:
+    """The one label-step loop: the displacement D carried from t = 0
+    through the increasing `nodes`, one `rk4_step` of `_label_rate` per
+    interval, none at a repeated node.  Yields (t, D, k1, v) per step: the
+    node reached, D there, the rate at the node the step left, and the
+    grid velocity at t.  The velocity rows of `size` nodes at a time come
+    from one `rows_at` call, their grid fields are synthesized as their
+    steps come, and a step's end field starts the next; a decreasing node
+    raises ValueError when its rows are asked for."""
+    disp = np.zeros((2, M, M))  # [D_x, D_y]
+    t0, start = 0.0, None
+    for lo in range(0, len(nodes), size):
+        taus = [t0]
+        for t in nodes[lo : lo + size]:
             if t < taus[-1]:
                 raise ValueError("need increasing times from t >= 0")
             if t > taus[-1]:
                 taus.append(t)
         rows = iter(history.rows_at(_rk4_times(taus)))
         first = next(rows)
-        for s, t in enumerate(ts):
-            if t > walked[-1]:
-                if start is None:
-                    start = history.grid_velocity(first, M)
-                mid, end = (history.grid_velocity(next(rows), M) for _ in range(2))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    disp, _ = rk4_step(disp, _label_rate, t - walked[-1], start, mid, end)
-                start = end
-                walked.append(t)
-            feet = grid_points(M) + disp.transpose(1, 2, 0)
-            if lo + s == last or not np.isfinite(disp).all():
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        _check_drift(history, feet, walked)
-                except TransportDriftError:
-                    if s:
-                        yield lo, block[:s]
-                    raise
-            block[s] = source.value(feet)
-        yield lo, block
+        for t in taus[1:]:
+            if start is None:
+                start = history.grid_velocity(first, M)
+            mid, end = (history.grid_velocity(next(rows), M) for _ in range(2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                disp, k1 = rk4_step(disp, _label_rate, t - t0, start, mid, end)
+            yield t, disp, k1, end
+            t0, start = t, end
 
 
 def _check_drift(history, feet: np.ndarray, walked: list) -> None:
-    """Compare carried feet at the last walked time with exact feet at eight
-    grid nodes, one per eighth of the rows, on distinct columns.  The exact
-    feet follow the characteristic ODE back through the walked times, one
-    RK4 step per walked interval as the walk took them, so that the
-    difference is the gap between the two discretizations, not between two
-    time partitions."""
+    """Compare carried feet at the last of the `walked` times with exact
+    feet at eight grid nodes, one per eighth of the rows, on distinct
+    columns.  The exact feet follow the characteristic ODE back through
+    the walked times, one RK4 step per interval, so that at a node, whose
+    walked times are the nodes, they take the label steps' own RK4 steps,
+    and the difference is the gap between the two discretizations, not
+    between two time partitions."""
     M = feet.shape[0]
     rows = np.arange(8) * M // 8
     cols = (3 * rows) % M

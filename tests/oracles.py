@@ -39,8 +39,8 @@ from torusflow.transport import (
     DensitySource,
     DivergenceError,
     VelocityHistory,
+    _hermite,
     _label_rate,
-    _rk4_times,
     carried_densities,
     rk4_step,
 )
@@ -111,23 +111,37 @@ def backtrack_per_time(history, points: np.ndarray, t: float, dtau: float) -> np
     return y
 
 
-def carried_densities_per_time(source: DensitySource, history, M: int, times) -> np.ndarray:
+def carried_densities_per_time(
+    source: DensitySource, history, M: int, nodes, times
+) -> np.ndarray:
     """The densities (len(times), M, M) of `transport.carried_densities`,
     with one `rows_at` and one `grid_velocity` call per RK4 time and no
-    blocks: a label step per time past the previous one, none at a
-    repeated time."""
+    blocks: the label map at every node, a label step per node past the
+    previous one and none at a repeated node, the rate at every node from
+    its own `_label_rate` call, and a time between two nodes read off the
+    Hermite interpolant through them."""
+
     def field(t):
         return history.grid_velocity(history.rows_at(t), M)
 
-    disp = np.zeros((2, M, M))
-    prev, start = 0.0, field(0.0)
+    walked, disps, fields = [0.0], [np.zeros((2, M, M))], [field(0.0)]
+    for t in nodes:
+        if t > walked[-1]:
+            h = t - walked[-1]
+            fields.append(field(t))
+            mid = field(walked[-1] + 0.5 * h)
+            disp, _ = rk4_step(disps[-1], _label_rate, h, fields[-2], mid, fields[-1])
+            walked.append(t)
+            disps.append(disp)
+    rates = [_label_rate(d, v) for d, v in zip(disps, fields)]
     out = []
     for t in times:
-        if t > prev:
-            h = t - prev
-            end = field(t)
-            disp, _ = rk4_step(disp, _label_rate, h, start, field(prev + 0.5 * h), end)
-            prev, start = t, end
+        k = int(np.searchsorted(walked, t, side="right")) - 1
+        disp = disps[k]
+        if t > walked[k]:
+            h = walked[k + 1] - walked[k]
+            h00, h10, h01, h11 = _hermite((t - walked[k]) / h)
+            disp = h00 * disp + h10 * h * rates[k] + h01 * disps[k + 1] + h11 * h * rates[k + 1]
         out.append(source.value(grid_points(M) + disp.transpose(1, 2, 0)))
     return np.array(out)
 
@@ -140,7 +154,7 @@ def solve_linearized_per_step(
     `ode_rhs` on the coefficient vector per step, whose k1 is the nodal
     rate, and a finiteness test per step."""
     times = _node_times(v_hist.times[-1], dt)
-    blocks = _stage_operators(v_hist, source, M, _rk4_times(times))
+    blocks = _stage_operators(v_hist, source, M, times)
     ops = (op for block in blocks for op in block)
     coeffs = np.empty((len(times), len(u0_coeffs)))
     derivs = np.empty_like(coeffs)
@@ -265,7 +279,7 @@ def node_diagnostics_per_node(src, history, M: int) -> EstimateLedger:
     times, f = history.times, history.coeffs
     led = EstimateLedger.allocate(len(times), M)
     fdot = np.empty_like(f)
-    for k, (r,) in carried_densities(src, history, M, times, 1):
+    for k, (r,) in carried_densities(src, history, M, times, times, 1):
         state = build_state(basis, f[k : k + 1], r[None])
         u, ut = state.u[0], state.ut[0]
         du_dx, du_dy = (d[0] for d in state.grad_u)

@@ -48,19 +48,19 @@ def _euler_step(y, rate, h, start, mid, end):
     return y + h * k1, k1
 
 
-def _frozen(source, history, M, times, size):
+def _frozen(source, history, M, nodes, times, size):
     """Every density is the first one, rho0."""
     rho0 = None
-    for lo, rho in _carried(source, history, M, times, size):
+    for lo, rho in _carried(source, history, M, nodes, times, size):
         if rho0 is None:
             rho0 = rho[0].copy()
         yield lo, np.broadcast_to(rho0, rho.shape).copy()
 
 
-def _lagged(source, history, M, times, size):
+def _lagged(source, history, M, nodes, times, size):
     """Each density is the one of the time before (rho0 at the first)."""
     prev = None
-    for lo, rho in _carried(source, history, M, times, size):
+    for lo, rho in _carried(source, history, M, nodes, times, size):
         out = np.empty_like(rho)
         out[0] = rho[0] if prev is None else prev
         out[1:] = rho[:-1]
@@ -114,7 +114,7 @@ KILLED = {
 # walk's densities, exceeds RESIDUAL_TOL on both configs: exactly the two
 # that no named check kills.  At T = 0.05 they read 2.5e-6 / 1.3e-5 (lagged)
 # and 1.4e-6 / 1.3e-3 (one pass) on two_mode / vacuum; the control and the
-# other mutants read at most 1.2e-13.
+# other mutants read at most 6.5e-14.
 INCONSISTENT = {"stage_density_lagged", "picard_one_pass"}
 
 

@@ -286,6 +286,7 @@ def degenerate_density(M, j):
         ({19}, True, 1.0, ("vacuum", 19)),  # before the drift in the same block
         (set(), True, 1.0, ("drift", 20)),  # drift after every earlier step ran
         ({4}, False, np.nan, ("diverge", 2)),  # step 0 diverges before stage 4
+        ({0}, False, 1.0, ("vacuum", 0)),  # the pass's first stage
     ],
 )
 def test_pass_reports_first_failure_in_stage_order(

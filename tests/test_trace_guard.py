@@ -8,7 +8,7 @@ benchmark's `--trace 1`: `run` over the configs of the taylor and two_mode
 workloads, and the vacuum workload's own sweep call on its config with a
 shorter horizon.  The `run` cases also pin the ledger walk to blocks of
 nodes, one `build_state` per block, the carried sweeps to one grid
-velocity per RK4 time and every grid synthesis to one product
+velocity per RK4 time of a node step and every grid synthesis to one product
 (`BasisGrid.planes`, which the tracer does not patch, counted here), and
 two_mode's dense output to one `coeffs_at` call per block of times.
 two_mode also pins its transport, velocity, assembly, right-hand-side and
@@ -80,35 +80,39 @@ def test_tracer_reaches_every_required_layer(tmp_path, capsys, monkeypatch, work
     assert tracer.calls["fields.leray_pressure"] == tracer.calls["solver.build_state"]
     # The carried sweeps take one grid velocity per RK4 time, each the
     # planes of one weighed row (N, 2): a start field, then a midpoint and
-    # an end field per label step, one per interval.  Each Picard pass walks
-    # 2 * steps stage intervals, the ledger walk steps node intervals
-    # (two_mode: 4 passes x (1 + 4 x 60) + (1 + 2 x 60) = 1,085).  A
-    # constant density (taylor) walks nothing.  Every other call is a grid
-    # synthesis of a stack of weighed rows (S, N, 2): u (inside
-    # synthesize_gradient; grad u is the spectral derivative of those planes
-    # and synthesizes nothing) and u_t in each build_state, 2 per build_state
-    # (two_mode: 2 x (31 walk blocks + 1 snapshot) = 64; 1,085 + 64 = 1,149
-    # in all; taylor: 2 x 63 walk blocks = 126).
+    # an end field per label step, one per interval.  Each Picard pass and
+    # the ledger walk alike step node to node, each synthesizing the fields
+    # of the pass's stage times once (two_mode: 4 passes x (1 + 2 x 60) +
+    # (1 + 2 x 60) = 605).  A constant density (taylor) walks nothing.
+    # Every other call is a grid synthesis of a stack of weighed rows
+    # (S, N, 2): u (inside synthesize_gradient; grad u is the spectral
+    # derivative of those planes and synthesizes nothing) and u_t in each
+    # build_state, 2 per build_state (two_mode: 2 x (31 walk blocks + 1
+    # snapshot) = 64; 605 + 64 = 669 in all; taylor: 2 x 63 walk blocks =
+    # 126).
     steps = round(cfg.T / cfg.dt)
     states = tracer.calls["solver.build_state"]
     sweeps = 0
     if cfg.density_kind != "constant":
         passes = tracer.calls["solver.solve_linearized"]
-        sweeps = passes * (1 + 4 * steps) + 1 + 2 * steps
+        sweeps = (passes + 1) * (1 + 2 * steps)
     assert [shape for shape in planes if len(shape) == 2] == [(cfg.N, 2)] * sweeps
     stacks = [shape for shape in planes if len(shape) != 2]
     assert len(stacks) == 2 * states and all(shape[1:] == (cfg.N, 2) for shape in stacks)
-    assert len(planes) == {"two_mode": 1_149, "taylor": 126}[workload]
+    assert len(planes) == {"two_mode": 669, "taylor": 126}[workload]
     if workload == "two_mode":
         # Dense output comes one call per block of times, never one per RK4
-        # time.  Each Picard pass: 11 sweep blocks and 11 assembly blocks of
-        # its 121 stage times (STAGE_POINTS 12,800 // 32^2 = 12 stages a
-        # block), 1 drift guard and 1 Picard delta; the ledger walk: 31
-        # blocks of its 61 nodes and 1 guard; each snapshot: its
-        # coefficients and its backtrack.  4 x 24 + 32 + 2 = 130.
-        stage_blocks = math.ceil((2 * steps + 1) / (solver.STAGE_POINTS // cfg.M**2))
-        expected = passes * (2 * stage_blocks + 2) + blocks + 1 + 2 * len(cfg.snapshots)
-        assert tracer.calls["transport.coeffs_at"] == expected == 130
+        # time.  Each Picard pass: 11 assembly blocks of its 121 stage times
+        # (STAGE_POINTS 12,800 // 32^2 = 12 stages a block), 6 sweep chunks
+        # of 12 of its 61 nodes, 1 drift guard and 1 Picard delta; the
+        # ledger walk: 31 chunks of 2 of its 61 nodes, one per block, and 1
+        # guard; each snapshot: its coefficients and its backtrack.
+        # 4 x 19 + 32 + 2 = 110.
+        size = solver.STAGE_POINTS // cfg.M**2
+        stage_blocks = math.ceil((2 * steps + 1) / size)
+        chunks = math.ceil((steps + 1) / size)
+        expected = passes * (stage_blocks + chunks + 2) + blocks + 1 + 2 * len(cfg.snapshots)
+        assert tracer.calls["transport.coeffs_at"] == expected == 110
         # The Picard loop takes 4 passes.  Only the snapshot backtracks: 1
         # density_at and 1 backtrack of 0.075 / 0.0025 = 30 RK4 steps.
         assert tracer.counts["solver.picard_iterations"] == passes == 4

@@ -1,5 +1,6 @@
 """Characteristics transport tests against closed-form flows."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -74,7 +75,7 @@ def test_density_catalog_values_and_bounds():
             assert source.constant == (source.lower == source.upper)
             assert source.constant == (make is constant_density)
             calls.clear()
-            blocks = [rho for _, rho in carried_densities(source, history, 8, times, 2)]
+            blocks = [rho for _, rho in carried_densities(source, history, 8, times, times, 2)]
             np.testing.assert_array_equal(blocks[0][0], source.value(grid_points(8)))
             assert sum(map(len, blocks)) == len(times)
             assert bool(calls) != source.constant
@@ -344,29 +345,29 @@ def test_density_time_derivative_oracle():
 # ---------------------------------------------------------------------------
 
 
-def sweep(source, velocity, M, times, size=5):
-    """A carried sweep's blocks stacked in time order; the blocks must be
-    consecutive and all but the last of the full size."""
-    blocks = list(carried_densities(source, velocity, M, times, size))
+def sweep(source, velocity, M, nodes, times, size=5):
+    """A carried sweep's blocks through `nodes` stacked in time order; the
+    blocks must be consecutive and all but the last of the full size."""
+    blocks = list(carried_densities(source, velocity, M, nodes, times, size))
     assert [lo for lo, _ in blocks] == list(range(0, len(times), size))
     assert all(len(rho) == size for _, rho in blocks[:-1])
     return np.concatenate([rho for _, rho in blocks])
 
 
 def carried_and_exact(source, velocity, M, times, dtau):
-    """The carried densities at `times` and the oracle's, backtracked in
-    steps of at most `dtau`."""
+    """The densities at `times` carried through them and the oracle's,
+    backtracked in steps of at most `dtau`."""
     exact = [density_at(source, velocity, M, t, dtau) for t in times]
-    return sweep(source, velocity, M, times), np.array(exact)
+    return sweep(source, velocity, M, times, times), np.array(exact)
 
 
-def carried_feet(velocity, M, times):
-    """The carried feet (len(times), M, M, 2), read through the sweep's own
-    density evaluations."""
+def carried_feet(velocity, M, nodes, times):
+    """The feet (len(times), M, M, 2) carried through `nodes`, read through
+    the sweep's own density evaluations."""
     feet = []
     # Unequal bounds: a source whose bounds meet is constant and sees no feet.
     source = DensitySource(lambda p: feet.append(p) or np.zeros(p.shape[:-1]), 0.0, 1.0)
-    sweep(source, velocity, M, times)
+    sweep(source, velocity, M, nodes, times)
     return np.array(feet)
 
 
@@ -393,7 +394,7 @@ def test_label_step_reproduces_resolved_modes(M):
     # closed-form ones: RK4 integrates a constant rate exactly.
     shear = ShearVelocity(amplitude=0.9)
     times = np.linspace(0.0, 0.6, 7)
-    feet = carried_feet(shear, M, times)
+    feet = carried_feet(shear, M, times, times)
     exact = np.array([shear.feet(grid_points(M), t) for t in times])
     assert np.abs(feet - exact).max() <= 1e-13
 
@@ -436,57 +437,89 @@ def test_carried_density_matches_oracle_on_velocity_history(M):
 
 
 def test_carried_density_constant_source_and_validation():
-    rhos = sweep(constant_density(2.0), ShearVelocity(5.0), 8, [0.0, 0.3, 0.4], size=2)
+    times = [0.0, 0.3, 0.4]
+    rhos = sweep(constant_density(2.0), ShearVelocity(5.0), 8, times, times, size=2)
     assert rhos.shape == (3, 8, 8) and np.all(rhos == 2.0)
     with pytest.raises(ValueError):
-        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.2, 0.1], 4))
+        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.2, 0.1], [0.2, 0.1], 4))
     with pytest.raises(ValueError):
-        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [-0.1], 4))
+        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [-0.1], [-0.1], 4))
+    with pytest.raises(ValueError, match="past the last node"):
+        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.1, 0.2], [0.1, 0.3], 4))
 
 
 def test_drift_guard_fires_on_under_resolved_displacement():
     # The same strong flow carried by a linearized pass on a fine and a
     # coarse grid: at M=8 the displacement has harmonics the grid cannot
-    # hold.  The pass walks stage times dt/2 apart, where a backtrack in
-    # steps of dt would differ by ~4e-10 of RK4 error alone; the guard takes
-    # the walk's own steps, so M=32 passes.
+    # hold.  The pass carries the map node to node and the guard takes the
+    # same RK4 steps, so at M=32 their gap is the grid's alone: 7.55e-11 at
+    # dt = 0.025, which passes, and 1.24e-9 at dt = 0.05, where the label
+    # steps of 0.05 are too coarse for this flow and the guard refuses the
+    # pass, as it refuses `run`'s ledger walk at that dt.
     basis = BasisSet(4)
     u0 = np.array([2.0, 0.0, 0.0, 1.5])
     seed = VelocityHistory.constant(basis, u0, 1.0)
-    solve_linearized(seed, bump_density(), u0, 32, 0.05)
+    solve_linearized(seed, bump_density(), u0, 32, 0.025)
     with pytest.raises(TransportDriftError) as err:
-        solve_linearized(seed, bump_density(), u0, 8, 0.05)
+        solve_linearized(seed, bump_density(), u0, 32, 0.05)
+    assert err.value.drift > 1e-10 and err.value.t == 1.0
+    with pytest.raises(TransportDriftError) as err:
+        solve_linearized(seed, bump_density(), u0, 8, 0.025)
     assert isinstance(err.value, DivergenceError)
     assert err.value.drift > 1e-10 and err.value.t == 1.0
 
 
-@pytest.mark.parametrize("flow", ["many-mode", "strong"])
+# (basis size, M, dt, T, u0 modes and amplitudes or None for 0.3 |k|^-2.25,
+# density, bound on the midpoint densities): the configs' two_mode and
+# vacuum flows cut to 10 steps, a strong 3-mode flow and a flow of 32 modes.
+CARRIED_FLOWS = {
+    "two_mode": (8, 32, 0.0025, 0.025, ([0, 2], [0.3, 0.2]), bump_density, 5e-14),
+    "vacuum": (8, 40, 0.0025, 0.025, ([0, 2], [0.3, 0.2]), vacuum_well_density, 3e-12),
+    "strong": (8, 32, 0.01, 0.2, ([0, 3, 5], [1.5, 1.0, 0.7]), bump_density, 3e-11),
+    "many-mode": (32, 48, 0.01, 0.05, None, bump_density, None),
+}
+
+
+@pytest.mark.parametrize("flow", list(CARRIED_FLOWS))
 def test_carried_feet_match_backtrack(flow):
     # The label steps (Eulerian, on the grid) against the exact backtrack
-    # (Lagrangian, per node) along a linearized pass, at every stage time.
-    # The backtrack's step dt/2 is the stage spacing, so both take the same
-    # RK4 steps and differ only by the two discretizations, far below
-    # DRIFT_LIMIT.
-    if flow == "many-mode":
-        basis, M, dt, T = BasisSet(32), 48, 0.01, 0.05
+    # (Lagrangian, per node) along a linearized pass.  At the nodes the
+    # backtrack's step dt is the label step, so both take the same RK4
+    # steps and differ only by the two discretizations, far below
+    # DRIFT_LIMIT.  At the stage midpoints the densities come from the
+    # Hermite interpolant of the displacement; against densities
+    # backtracked in steps of dt/16 they differ by the interpolant's error,
+    # dt^4/384 times the fourth time derivative of D: 7.1e-15 on two_mode,
+    # 1.3e-12 on vacuum (whose near-vacuum pass moves fastest in time) and
+    # 1.0e-11 on the strong flow at dt = 0.01, each bound about 3 times
+    # that.  The many-mode flow reads 7.5e-11 there and is checked at its
+    # nodes only (its dt/16 backtracks take 1.7 s).
+    n, M, dt, T, modes, density, bound = CARRIED_FLOWS[flow]
+    basis = BasisSet(n)
+    if modes is None:
         u0 = 0.3 * basis.lambdas**-1.125  # 0.3 |k|^-2.25
     else:
-        basis, M, dt, T = BasisSet(8), 32, 0.01, 0.2
-        u0 = np.zeros(8)
-        u0[[0, 3, 5]] = [1.5, 1.0, 0.7]
+        u0 = np.zeros(n)
+        u0[modes[0]] = modes[1]
     seed = VelocityHistory.constant(basis, u0, T)
-    history = solve_linearized(seed, bump_density(), u0, M, dt)
-    times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
-    feet = carried_feet(history, M, times)
-    exact = np.array([backtrack(history, grid_points(M), t, dt / 2) for t in times])
+    history = solve_linearized(seed, density(), u0, M, dt)
+    nodes = history.times
+    feet = carried_feet(history, M, nodes, nodes)
+    exact = np.array([backtrack(history, grid_points(M), t, dt) for t in nodes])
     assert np.abs(feet - exact).max() <= 1e-12
+    if bound is not None:
+        mids = nodes[:-1] + 0.5 * np.diff(nodes)
+        carried = sweep(density(), history, M, nodes, mids)
+        fine = np.array([density_at(density(), history, M, t, dt / 16) for t in mids])
+        assert np.abs(carried - fine).max() <= bound
 
 
 @pytest.mark.parametrize("flow", ["two_mode", "many-mode"])
 def test_label_steps_match_the_fft_rate(flow, monkeypatch):
     # One carried sweep along a linearized pass with the derivative matrices
     # and one with the FFT pair they replaced: the same rule in other
-    # arithmetic, so the feet agree to rounding at every stage time.
+    # arithmetic, so the feet agree to rounding at every stage time, node
+    # or Hermite midpoint.
     if flow == "two_mode":
         basis, M, dt, T = BasisSet(8), 32, 0.0025, 0.15
         u0 = np.zeros(8)
@@ -497,9 +530,9 @@ def test_label_steps_match_the_fft_rate(flow, monkeypatch):
     seed = VelocityHistory.constant(basis, u0, T)
     history = solve_linearized(seed, bump_density(), u0, M, dt)
     times = np.arange(2 * len(history.times) - 1) * (0.5 * dt)
-    feet = carried_feet(history, M, times)
+    feet = carried_feet(history, M, history.times, times)
     monkeypatch.setattr(transport, "_label_rate", fft_label_rate)
-    assert np.abs(carried_feet(history, M, times) - feet).max() <= 1e-13
+    assert np.abs(carried_feet(history, M, history.times, times) - feet).max() <= 1e-13
 
 
 def two_mode_pass(M=32, dt=0.0025, T=0.15):
@@ -513,37 +546,40 @@ def two_mode_pass(M=32, dt=0.0025, T=0.15):
 
 
 def test_block_sweep_is_the_sweep_per_time():
-    # One dense-output call per block, grid fields synthesized as their
-    # steps come: bit for bit the densities of one coeffs_at and one
-    # grid_velocity call per RK4 time.  At a pass's own stage times in the
-    # solver's blocks, and at node times with repeats in blocks of 3; the
-    # block size divides neither.
+    # One dense-output call per `size` nodes, grid fields synthesized as
+    # their steps come: bit for bit the densities of one coeffs_at and one
+    # grid_velocity call per RK4 time.  At a pass's own stage times through
+    # its nodes in the solver's blocks, and at node times with repeats
+    # through themselves in blocks of 3; the block size divides neither.
     history = two_mode_pass()
     times = history.times
     stage_times = np.empty(2 * len(times) - 1)
     stage_times[0::2] = times
     stage_times[1::2] = times[:-1] + 0.5 * np.diff(times)
     repeated = np.repeat(times[:10], [2, 1, 3, 1, 1, 2, 1, 1, 1, 3])
-    for t, size in ((stage_times, STAGE_POINTS // 32**2), (repeated, 3)):
+    for nodes, t, size in (
+        (times, stage_times, STAGE_POINTS // 32**2),
+        (repeated, repeated, 3),
+    ):
         assert len(t) % size
         np.testing.assert_array_equal(
-            sweep(bump_density(), history, 32, t, size),
-            carried_densities_per_time(bump_density(), history, 32, t),
+            sweep(bump_density(), history, 32, nodes, t, size),
+            carried_densities_per_time(bump_density(), history, 32, nodes, t),
         )
 
 
 def test_decreasing_time_raises_after_the_earlier_blocks():
-    # The sweep reads a block's times before it steps through them: a
-    # decreasing time raises when its block comes, after every earlier block.
+    # A decreasing time raises when the sweep comes to it, after every
+    # earlier block: the node rows of its chunk are asked for first.
     shear = ShearVelocity(amplitude=0.9, omega=2.0)
     times = [0.0, 0.1, 0.2, 0.3, 0.25, 0.4]
     blocks = []
     with pytest.raises(ValueError, match="need increasing times"):
-        for lo, rho in carried_densities(bump_density(), shear, 8, times, 3):
+        for lo, rho in carried_densities(bump_density(), shear, 8, times, times, 3):
             blocks.append((lo, rho))
     assert [lo for lo, _ in blocks] == [0]
     np.testing.assert_array_equal(
-        blocks[0][1], carried_densities_per_time(bump_density(), shear, 8, times[:3])
+        blocks[0][1], carried_densities_per_time(bump_density(), shear, 8, times[:3], times[:3])
     )
 
 
@@ -572,7 +608,7 @@ def test_drift_error_names_a_blown_up_velocity():
         history = VelocityHistory.constant(basis, np.array([a, 0.0, a, 0.0]), 1.0)
         blocks = []
         with pytest.raises(TransportDriftError) as err:
-            for _, rho in carried_densities(bump_density(), history, 8, times, 4):
+            for _, rho in carried_densities(bump_density(), history, 8, times, times, 4):
                 blocks.append(rho.copy())
         assert err.value.t < 1.0 and all(np.isfinite(rho).all() for rho in blocks)
         assert sum(len(rho) for rho in blocks) == np.searchsorted(times, err.value.t)
@@ -604,17 +640,42 @@ def test_linearized_pass_cost_is_linear_in_steps(monkeypatch):
         (BasisGrid, "planes"),
     ):
         monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    # Each pass makes exactly one label step per time step: rk4_step on the
+    # label rate K times, 4 rates each, plus the one extra rate at the last
+    # node that its Hermite midpoint needs.
+    label = {"steps": 0, "rates": 0}
+    rk4_step, label_rate = transport.rk4_step, transport._label_rate
+
+    def counted_step(y, rate, *args):
+        label["steps"] += rate is counted_rate
+        return rk4_step(y, rate, *args)
+
+    def counted_rate(disp, v):
+        label["rates"] += 1
+        return label_rate(disp, v)
+
+    monkeypatch.setattr(transport, "rk4_step", counted_step)
+    monkeypatch.setattr(transport, "_label_rate", counted_rate)
     basis = BasisSet(8)
     u0 = np.zeros(8)
     u0[[0, 2]] = [0.3, 0.2]
-    T = 0.15
+    T, M = 0.15, 16
     seed = VelocityHistory.constant(basis, u0, T)
-    counts = []
+    counts, expected = [], []
     for steps in (30, 60, 120):
-        calls["n"] = 0
+        calls["n"] = label["steps"] = label["rates"] = 0
         dt = T / steps
-        solve_linearized(seed, bump_density(), u0, 16, dt)
+        solve_linearized(seed, bump_density(), u0, M, dt)
         counts.append(calls["n"])
+        assert (label["steps"], label["rates"]) == (steps, 4 * steps + 1)
+        # Per pass: the sweep's planes of one start field and a midpoint
+        # and an end field per label step (2K + 1), the guard's 4 weighted
+        # evaluations per RK4 step at its 8 nodes, K steps back through the
+        # nodes (4K), and per assembly block of 50 stages at M = 16 one
+        # velocity_at and the weighted_at inside it (2 ceil((2K + 1)/50)).
+        blocks = math.ceil((2 * steps + 1) / (STAGE_POINTS // M**2))
+        expected.append(2 * steps + 1 + 4 * steps + 2 * blocks)
+    assert counts == expected == [185, 367, 731]
     ratios = [counts[1] / counts[0], counts[2] / counts[1]]
     assert max(ratios) <= 2.3, (counts, ratios)
 
