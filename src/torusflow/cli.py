@@ -1,15 +1,19 @@
 """Command line entry points.
 
 Exit codes: 0 on a completed command, 1 for a `gronwall-check` whose
-verification fails, 2 for configuration errors (including an --out that is
-or lies under a file, and a `uniqueness --delta` that makes the density
-negative or the cube of the shifted run's M1 = 1 + sup rho0 + delta
-non-finite, nan and inf included; for `gronwall-check` also an unreadable,
-malformed, inconsistent or non-finite input file), 3 for numerical
-divergence (including carried characteristic feet that drift from the exact
-ones, TransportDriftError), 4 for a fixed-point iteration that fails to
-converge, 5 for a stage whose mass matrix fails the eigenvalue guard (with
-its eigenvalue and threshold).
+verification fails, 2 for configuration errors (including a config file
+that does not decode as text, such as one that is not UTF-8 under a UTF-8
+locale, an --out that is or lies under a file or that cannot be looked
+up, such as a name too long for the file system, an output that
+cannot be written, refused after the solve, and a `uniqueness --delta`
+that makes the density negative or the cube of the shifted run's
+M1 = 1 + sup rho0 + delta non-finite, nan and inf included; for
+`gronwall-check` also an unreadable, malformed, inconsistent or
+non-finite input file), 3 for numerical divergence (including carried
+characteristic feet that drift from the exact ones, TransportDriftError),
+4 for a fixed-point iteration that fails to converge, 5 for a stage whose
+mass matrix fails the eigenvalue guard (with its eigenvalue and
+threshold).
 """
 
 from __future__ import annotations
@@ -52,10 +56,17 @@ def _number_list(text: str, kind=int) -> list:
 
 def _check_out(out: str) -> None:
     """Refuse an --out that is, or lies under, something other than a
-    directory, before any solve and without creating anything."""
+    directory, or that cannot be looked up, before any solve and without
+    creating anything."""
     path = Path(out).absolute()
-    while not path.exists():
-        path = path.parent
+    while True:
+        try:
+            path.stat()
+            break
+        except (FileNotFoundError, NotADirectoryError):
+            path = path.parent
+        except OSError as exc:  # a name too long, a directory not searchable
+            raise ConfigError(f"--out {out}: {exc}") from exc
     if not path.is_dir():
         raise ConfigError(f"--out {out}: {path} is not a directory")
 

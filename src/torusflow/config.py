@@ -197,7 +197,7 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
 
 

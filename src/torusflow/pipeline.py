@@ -559,13 +559,17 @@ def write_run_outputs(result: RunResult, outdir) -> None:
 def write_study(study: Study, outdir) -> Path:
     """Write each of a study's ndjson files and each of its runs under
     `outdir` (a run under "" into `outdir` itself); returns the first file
-    written: the first ndjson file, or the first run's ledger."""
+    written: the first ndjson file, or the first run's ledger.  A write
+    that fails is a ConfigError naming `outdir` and the OSError."""
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, rows in study.files.items():
-        write_ndjson(out / name, rows)
-    for subdir, result in study.runs.items():
-        write_run_outputs(result, out / subdir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, rows in study.files.items():
+            write_ndjson(out / name, rows)
+        for subdir, result in study.runs.items():
+            write_run_outputs(result, out / subdir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
     if study.files:
         return out / next(iter(study.files))
     return out / next(iter(study.runs)) / "ledger.ndjson"

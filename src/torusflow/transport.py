@@ -18,12 +18,15 @@ Two ways compute the feet Phi(0; x, t) on the M x M grid:
   1-D table of i k, each axis dropping only its own Nyquist mode (Canuto,
   Hussaini, Quarteroni & Zang, Spectral Methods, 2006).  That is O(M^3) per
   step, cheaper than an FFT pair up to M ~ 512, nothing off the grid, and
-  linear in the times.  A density wanted between two nodes (a Picard
-  pass's stage midpoints) reads the cubic Hermite interpolant of D through
-  them with its rates, 4th order like the steps (RK4's dense output;
-  Hairer, Norsett & Wanner, Solving ODEs I, II.6): a pass takes one label
-  step per time step, the ledger walk one per node interval, both in
-  `_label_steps`, the one label-step loop.
+  linear in the times.  `_label_nodes`, the one label-step loop, streams
+  (t, D, D') node by node: a pass takes one label step per time step, the
+  ledger walk one per node interval.  A density wanted between two nodes
+  (a Picard pass's stage midpoints) reads `_hermite`, the cubic Hermite
+  interpolant of D through them with its rates, 4th order like the steps
+  (RK4's dense output; Hairer, Norsett & Wanner, Solving ODEs I, II.6),
+  the same interpolant as a VelocityHistory's dense output.  Decreasing
+  nodes or times, a negative time or a time past the last node are
+  refused before any block.
 * `backtrack` integrates the characteristic ODE d_tau Phi = v(Phi, tau) at
   arbitrary points from tau = t down to tau = 0, in equal RK4 steps no
   longer than the step it is given: the only path with a step size of its
@@ -78,6 +81,12 @@ from .fields import grid_points, spectral_gradient
 # Largest distance allowed between a carried foot and its exact backtrack.
 # On resolved flows the label steps match the exact feet to ~1e-14; under a
 # strong flow (u0 amplitudes 1.5, 1.0, 0.7, label steps of 0.01) to 3.8e-13.
+# The guard compares the feet at a sweep's last time, a node in every pass
+# and walk, and never the Hermite midpoint densities a Picard pass
+# assembles from: on a 32-mode flow (N = 32, M = 48, dt = 0.01) those sit
+# 7.5e-11 from a backtrack in steps of dt/16, against 1.4e-13 at the
+# nodes, so a faster flow could pass midpoints further off than the limit
+# with no error.
 DRIFT_LIMIT = 1e-10
 
 
@@ -235,16 +244,10 @@ class VelocityHistory:
         t = np.minimum(np.maximum(t, ts[0]), ts[-1])
         # k in [0, K - 2]: the last node closes the last interval.
         k = np.searchsorted(ts[1:-1], t, side="right")
-        h = ts[k + 1] - ts[k]
-        h00, h10, h01, h11 = _hermite((t - ts[k]) / h)
         # Transposed, the node rows take the weights of their times along
         # the last axis: plain scalars for one time.
-        return (
-            h00 * self.coeffs[k].T
-            + h10 * h * self.derivs[k].T
-            + h01 * self.coeffs[k + 1].T
-            + h11 * h * self.derivs[k + 1].T
-        ).T
+        c, d = self.coeffs.T, self.derivs.T
+        return _hermite(t, ts[k], c[:, k], d[:, k], ts[k + 1], c[:, k + 1], d[:, k + 1]).T
 
     def velocity_at(self, points: np.ndarray, row: np.ndarray) -> np.ndarray:
         """The velocity of one row of `rows_at` at points (..., 2)."""
@@ -256,13 +259,19 @@ class VelocityHistory:
         return self.basis.grid(M).planes(rows)
 
 
-def _hermite(s):
-    """The cubic Hermite weights (h00, h10, h01, h11) at the fraction s of
-    an interval of length h: y(s) = h00 y_0 + h10 h y'_0 + h01 y_1 +
-    h11 h y'_1.  Products, not powers: a scalar power and an array square
-    of the same s can differ in the last bit."""
+def _hermite(t, t0, y0, r0, t1, y1, r1):
+    """The cubic Hermite interpolant at t of the values y0, y1 and rates
+    r0, r1 at the times t0 < t1: h00 y0 + h10 h r0 + h01 y1 + h11 h r1 with
+    h = t1 - t0 and the weights h.. of s = (t - t0) / h.  Products, not
+    powers: a scalar power and an array square of the same s can differ in
+    the last bit."""
+    h = t1 - t0
+    s = (t - t0) / h
     r2 = (1.0 - s) * (1.0 - s)
-    return (1.0 + 2.0 * s) * r2, s * r2, s * s * (3.0 - 2.0 * s), s * s * (s - 1.0)
+    return (
+        (1.0 + 2.0 * s) * r2 * y0 + s * r2 * h * r0
+        + s * s * (3.0 - 2.0 * s) * y1 + s * s * (s - 1.0) * h * r1
+    )
 
 
 def rk4_step(y, rate, h, start, mid, end):
@@ -367,10 +376,9 @@ def carried_densities(
     time at a node reads the map there; a time between two nodes reads the
     cubic Hermite interpolant of the displacement through them with its
     rates D' = -(v . grad) D - v, 4th order like the RK4 steps themselves
-    (RK4's dense output).  The rate at a node is the k1 of the step that
-    leaves it, so an interpolated time waits for that step, or for one
-    extra rate at the last node; `source.value` still runs once per time,
-    in time order.  Times past the last node raise ValueError.
+    (RK4's dense output); `source.value` runs once per time, in time order.
+    Decreasing nodes or times, a negative one, or a time past the last node
+    raise ValueError before any block, for every source.
 
     At the last time, or at the first time whose feet are not finite, the
     drift guard compares carried and exact feet; its TransportDriftError
@@ -381,6 +389,11 @@ def carried_densities(
     errstate is never held across a yield, which would silence the caller.
     A constant source takes `density_at` once, at t = 0.
     """
+    node_ts, time_ts = np.r_[0.0, nodes], np.r_[0.0, times]
+    if not all(np.all(ts[:-1] <= ts[1:]) for ts in (node_ts, time_ts)):
+        raise ValueError("need increasing nodes and times from t >= 0")
+    if not time_ts[-1] <= node_ts[-1]:
+        raise ValueError(f"t={time_ts[-1]:g} is past the last node {node_ts[-1]:g}")
     if source.constant:
         # A constant density takes no characteristics (no step size): rho0
         # once per sweep, copied into a fresh array per block.
@@ -403,81 +416,51 @@ def carried_densities(
 
 def _carried_feet(history, M: int, nodes, times, size: int) -> Iterator[np.ndarray]:
     """The carried feet (M, M, 2) at each of the increasing `times`, from
-    the label steps through `nodes` of `_label_steps`, read at a node or
-    interpolated between two; the drift guard runs before the feet of the
-    last time and before the first non-finite ones."""
-    pts = grid_points(M)
-    steps = _label_steps(history, M, nodes, size)
-    walked = [0.0]
-    # The walked nodes from the latest one at or before the current time:
-    # [t, D, D' (None until the step that leaves the node), v].
-    window = [[0.0, np.zeros((2, M, M)), None, None]]
-
-    def advance() -> bool:
-        step = next(steps, None)
-        if step is None:
-            return False
-        t, disp, k1, end = step
-        window[-1][2] = k1
-        window.append([t, disp, None, end])
-        walked.append(t)
-        return True
-
-    last = len(times) - 1
+    the stream of `_label_nodes`: the node at or before a time and the next
+    one, read at the node or through the Hermite interpolant between the
+    two.  The drift guard walks back through the nodes before the time,
+    and runs before the feet of the last time and before the first
+    non-finite ones."""
+    walked = sorted({0.0, *nodes})
+    stream = _label_nodes(history, M, walked, size)
+    node, after = next(stream), next(stream, None)
     for i, t in enumerate(times):
-        if t < (times[i - 1] if i else 0.0):
-            raise ValueError("need increasing times from t >= 0")
-        while window[-1][0] < t:
-            if not advance():
-                raise ValueError(f"t={t!r} is past the last node {walked[-1]!r}")
-        while len(window) > 1 and window[1][0] <= t:
-            del window[0]
-        t0, disp, rate0, _ = window[0]
+        while after is not None and after[0] <= t:
+            node, after = after, next(stream, None)
+        t0, disp, rate0 = node
         if t > t0:
-            end_node = window[1]
-            if end_node[2] is None and not advance():
-                with np.errstate(over="ignore", invalid="ignore"):
-                    end_node[2] = _label_rate(end_node[1], end_node[3])
-            t1, disp1, rate1, _ = end_node
-            h = t1 - t0
-            h00, h10, h01, h11 = _hermite((t - t0) / h)
             with np.errstate(over="ignore", invalid="ignore"):
-                disp = h00 * disp + h10 * h * rate0 + h01 * disp1 + h11 * h * rate1
-        feet = pts + disp.transpose(1, 2, 0)
-        if i == last or not np.isfinite(feet).all():
+                disp = _hermite(t, t0, disp, rate0, *after)
+        feet = grid_points(M) + disp.transpose(1, 2, 0)
+        if i == len(times) - 1 or not np.isfinite(feet).all():
             with np.errstate(over="ignore", invalid="ignore"):
                 _check_drift(history, feet, walked[: bisect_left(walked, t)] + [t])
         yield feet
 
 
-def _label_steps(history, M: int, nodes, size: int) -> Iterator[tuple]:
+def _label_nodes(history, M: int, walked: list, size: int) -> Iterator[tuple]:
     """The one label-step loop: the displacement D carried from t = 0
-    through the increasing `nodes`, one `rk4_step` of `_label_rate` per
-    interval, none at a repeated node.  Yields (t, D, k1, v) per step: the
-    node reached, D there, the rate at the node the step left, and the
-    grid velocity at t.  The velocity rows of `size` nodes at a time come
-    from one `rows_at` call, their grid fields are synthesized as their
-    steps come, and a step's end field starts the next; a decreasing node
-    raises ValueError when its rows are asked for."""
-    disp = np.zeros((2, M, M))  # [D_x, D_y]
-    t0, start = 0.0, None
-    for lo in range(0, len(nodes), size):
-        taus = [t0]
-        for t in nodes[lo : lo + size]:
-            if t < taus[-1]:
-                raise ValueError("need increasing times from t >= 0")
-            if t > taus[-1]:
-                taus.append(t)
-        rows = iter(history.rows_at(_rk4_times(taus)))
-        first = next(rows)
-        for t in taus[1:]:
-            if start is None:
-                start = history.grid_velocity(first, M)
-            mid, end = (history.grid_velocity(next(rows), M) for _ in range(2))
+    through the increasing distinct node times `walked`, walked[0] = 0, one
+    `rk4_step` of `_label_rate` per interval.  Yields (t, D, D') per node
+    once the step leaving it is taken, D' being that step's k1; the last
+    node takes one more `_label_rate`.  The velocity rows of `size` nodes
+    at a time come from one `rows_at` call, their grid fields are
+    synthesized as their steps come, and a step's end field starts the
+    next."""
+    disp, start = np.zeros((2, M, M)), None  # D = [D_x, D_y]
+    for lo in range(0, len(walked), size):
+        taus = walked[max(lo - 1, 0) : lo + size]
+        rows = history.rows_at(_rk4_times(taus))
+        start = history.grid_velocity(rows[0], M) if start is None else start
+        for i, (t0, t) in enumerate(zip(taus, taus[1:])):
+            mid, end = (history.grid_velocity(row, M) for row in rows[2 * i + 1 : 2 * i + 3])
             with np.errstate(over="ignore", invalid="ignore"):
-                disp, k1 = rk4_step(disp, _label_rate, t - t0, start, mid, end)
-            yield t, disp, k1, end
-            t0, start = t, end
+                step, k1 = rk4_step(disp, _label_rate, t - t0, start, mid, end)
+            yield t0, disp, k1
+            disp, start = step, end
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = _label_rate(disp, start)
+    yield walked[-1], disp, rate
 
 
 def _check_drift(history, feet: np.ndarray, walked: list) -> None:

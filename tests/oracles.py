@@ -139,9 +139,9 @@ def carried_densities_per_time(
         k = int(np.searchsorted(walked, t, side="right")) - 1
         disp = disps[k]
         if t > walked[k]:
-            h = walked[k + 1] - walked[k]
-            h00, h10, h01, h11 = _hermite((t - walked[k]) / h)
-            disp = h00 * disp + h10 * h * rates[k] + h01 * disps[k + 1] + h11 * h * rates[k + 1]
+            disp = _hermite(
+                t, walked[k], disp, rates[k], walked[k + 1], disps[k + 1], rates[k + 1]
+            )
         out.append(source.value(grid_points(M) + disp.transpose(1, 2, 0)))
     return np.array(out)
 

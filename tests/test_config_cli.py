@@ -350,10 +350,15 @@ def test_commands_write_exactly_their_files(tmp_path, capsys):
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
-    # Config errors exit 2: bad key, missing file.
+    # Config errors exit 2: bad key, missing file, a file that is not UTF-8.
     bad = write_config(tmp_path, TAYLOR + "bogus = 1\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x")]) == 2
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"N = 4\xff\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(latin), "--out", str(tmp_path / "x")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
     # A density the 16-point grid sees at one node fails the stage guard:
     # exit 5 with the stage's own eigenvalue and a positive threshold.
     monkeypatch.setitem(transport.DENSITY_CATALOG, "narrow", narrow_density)
@@ -564,6 +569,27 @@ def test_cli_rejects_out_that_is_not_a_directory(tmp_path, capsys, monkeypatch, 
     assert "is not a directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
     assert taken.read_text() == "kept"
+
+
+def test_cli_rejects_out_that_cannot_be_looked_up(tmp_path, capsys, monkeypatch):
+    # A 300-character name fails the lookup itself (ENAMETOOLONG): it used to
+    # end in an OSError traceback with exit 1.
+    monkeypatch.setattr(pipeline, "picard_solve", no_solve)
+    cfg = write_config(tmp_path, TAYLOR)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / ("a" * 300))]) == 2
+    assert "File name too long" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_cli_names_an_output_it_cannot_write(tmp_path, capsys):
+    # A directory where the ledger goes: the solve runs, then the write is
+    # refused with exit 2, not an IsADirectoryError traceback with exit 1.
+    cfg = write_config(tmp_path, TAYLOR)
+    out = tmp_path / "x"
+    (out / "ledger.ndjson").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ") and "Is a directory" in err
 
 
 def test_cli_transport_drift_exits_3(tmp_path, capsys):

@@ -440,12 +440,13 @@ def test_carried_density_constant_source_and_validation():
     times = [0.0, 0.3, 0.4]
     rhos = sweep(constant_density(2.0), ShearVelocity(5.0), 8, times, times, size=2)
     assert rhos.shape == (3, 8, 8) and np.all(rhos == 2.0)
-    with pytest.raises(ValueError):
-        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.2, 0.1], [0.2, 0.1], 4))
-    with pytest.raises(ValueError):
-        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [-0.1], [-0.1], 4))
-    with pytest.raises(ValueError, match="past the last node"):
-        list(carried_densities(bump_density(), ShearVelocity(1.0), 8, [0.1, 0.2], [0.1, 0.3], 4))
+    # Every source checks its nodes and times, the constant one included.
+    for source in (bump_density(), constant_density(2.0)):
+        for nodes, times in (([0.2, 0.1], [0.2, 0.1]), ([-0.1], [-0.1]), ([0.2, 0.1], [0.2, 0.1, -1.0])):
+            with pytest.raises(ValueError, match="need increasing"):
+                list(carried_densities(source, ShearVelocity(1.0), 8, nodes, times, 4))
+        with pytest.raises(ValueError, match="past the last node"):
+            list(carried_densities(source, ShearVelocity(1.0), 8, [0.1, 0.2], [0.1, 0.3], 4))
 
 
 def test_drift_guard_fires_on_under_resolved_displacement():
@@ -568,19 +569,25 @@ def test_block_sweep_is_the_sweep_per_time():
         )
 
 
-def test_decreasing_time_raises_after_the_earlier_blocks():
-    # A decreasing time raises when the sweep comes to it, after every
-    # earlier block: the node rows of its chunk are asked for first.
+def test_bad_times_raise_before_any_block():
+    # Each bad input is refused before the first block, on a source that
+    # takes characteristics and on a constant one, even where a full block
+    # of good times comes first.
     shear = ShearVelocity(amplitude=0.9, omega=2.0)
-    times = [0.0, 0.1, 0.2, 0.3, 0.25, 0.4]
-    blocks = []
-    with pytest.raises(ValueError, match="need increasing times"):
-        for lo, rho in carried_densities(bump_density(), shear, 8, times, times, 3):
-            blocks.append((lo, rho))
-    assert [lo for lo, _ in blocks] == [0]
-    np.testing.assert_array_equal(
-        blocks[0][1], carried_densities_per_time(bump_density(), shear, 8, times[:3], times[:3])
+    good = [0.0, 0.1, 0.2, 0.3]
+    cases = (
+        ([0.0, 0.1, 0.2, 0.3, 0.25, 0.4], good, "need increasing"),  # decreasing node
+        (good, [0.0, 0.1, 0.2, 0.3, 0.25], "need increasing"),  # decreasing time
+        (good, [-0.1, 0.0, 0.1, 0.2], "need increasing"),  # negative time
+        (good, [0.0, 0.1, 0.2, 0.3, 0.4], "past the last node"),
     )
+    for source in (bump_density(), constant_density(2.0)):
+        for nodes, times, message in cases:
+            blocks = []
+            with pytest.raises(ValueError, match=message):
+                for lo, _ in carried_densities(source, shear, 8, nodes, times, 3):
+                    blocks.append(lo)
+            assert blocks == []
 
 
 @pytest.mark.parametrize("t, dtau", [(0.15, 0.0025), (0.1, 0.003), (0.0025, 0.01)])
